@@ -62,7 +62,6 @@ class RunConfig:
     closed_form: bool = False
     phi: str = "one"
     stop_tol: float = 1e-6
-    max_iter: int = 40
     tail_tol: float = 1e-6
     outdir: str = "out"
 
@@ -238,19 +237,15 @@ def cmd_perturb(args) -> int:
     prob = PerturbationProblem(sym, pg, grid, b)
     monitor = ConvergenceMonitor.for_problem(cfg.alpha, cfg.beta, cfg.dim,
                                              cfg.p_exponent,
-                                             stop_tol=cfg.stop_tol,
-                                             max_iter=cfg.max_iter)
+                                             stop_tol=cfg.stop_tol)
     try:
-        v_rows = prob.solve_v(monitor)
+        G_rows = prob.solve_v(monitor)
     except ConvergenceError as err:
         print(f"solver did not converge: {err}", file=sys.stderr)
-        for k, (n, r) in enumerate(zip(err.norms, [""] + err.ratios)):
-            print(f"  sweep {k + 1}: increment {n:.6e} ratio {r}",
-                  file=sys.stderr)
         _write_convergence_log(os.path.join(cfg.outdir, "convergence.csv"),
                                monitor)
         return EXIT_NONCONVERGENCE
-    G = prob.rows_to_scalar_field(prob.assemble_G_rows(v_rows), "G")
+    G = prob.rows_to_scalar_field(G_rows, "G")
     paths = snapshot_field(G, cfg.outdir, "G")
     _write_convergence_log(os.path.join(cfg.outdir, "convergence.csv"), monitor)
     phi = cfg.phi_function()
@@ -266,7 +261,8 @@ def cmd_perturb(args) -> int:
     worst_mass = max(abs(G.mass(k) - 1.0) for k in G.pairs())
     print(f"wrote {len(paths)} kernel snapshots, convergence log and "
           f"u slices under {cfg.outdir}")
-    print(f"sweeps = {len(monitor.iterate_norms)}")
+    print(f"residual = {monitor.iterate_norms[-1]:.3e}")
+    print(f"spectral radius = {monitor.spectral_radius:.3g}")
     print(f"worst mass defect = {worst_mass:.3e}")
     print(f"min G = {min(G.slice(k).min() for k in G.pairs()):.6e}")
     return EXIT_OK
@@ -327,14 +323,12 @@ def cmd_emit(args) -> int:
         print(f"wrote {path}")
         return EXIT_OK
     if what == "decay":
-        from .volterra import PerturbationProblem as PP
         b = constant_drift(cfg.drift_vector(), p=cfg.p_exponent)
-        prob = PP(sym, cfg.pgrad(), grid, b)
+        prob = PerturbationProblem(sym, cfg.pgrad(), grid, b)
         monitor = ConvergenceMonitor.for_problem(cfg.alpha, cfg.beta, cfg.dim,
                                                  cfg.p_exponent,
                                                  stop_tol=cfg.stop_tol)
-        G = prob.rows_to_scalar_field(
-            prob.assemble_G_rows(prob.solve_v(monitor)), "G")
+        G = prob.rows_to_scalar_field(prob.solve_v(monitor), "G")
         from .evolution import check_identity_limit
         table = check_identity_limit(G, cfg.phi_function())
         path = os.path.join(cfg.outdir, "identity_decay.csv")
@@ -382,7 +376,6 @@ def _add_config_flags(p: argparse.ArgumentParser):
                    dest="closed_form")
     p.add_argument("--phi", choices=_PHI_CHOICES)
     p.add_argument("--stop-tol", type=float, dest="stop_tol")
-    p.add_argument("--max-iter", type=int, dest="max_iter")
     p.add_argument("--tail-tol", type=float, dest="tail_tol")
     p.add_argument("--outdir")
 

@@ -102,40 +102,32 @@ class DriftField:
 
     def lp_norm(self, grid: SpaceTimeGrid, time_nodes: int = 64) -> float:
         """L_p norm of |b| over [0, T] x [-L, L]^d (sup norm for p = inf)."""
-        ts = np.linspace(0.0, grid.time_horizon, time_nodes + 1)
-        box = (2.0 * grid.half_extent) ** grid.dim
-        if math.isinf(self.p_exponent):
-            worst = 0.0
-            for t in ts:
-                mags = np.sqrt((self.sample(t, grid) ** 2).sum(axis=0))
-                worst = max(worst, float(mags.max()))
-            return worst
-        p = self.p_exponent
-        slab = np.empty(len(ts))
-        for k, t in enumerate(ts):
-            mags = np.sqrt((self.sample(t, grid) ** 2).sum(axis=0))
-            slab[k] = (mags ** p).mean() * box
-        return float(np.trapezoid(slab, ts) ** (1.0 / p))
+        return _slab_norm(lambda t: self.sample(t, grid), self.p_exponent,
+                          grid, time_nodes)
 
     def difference_lp_norm(self, other: "DriftField", grid: SpaceTimeGrid,
                            time_nodes: int = 64) -> float:
         """L_p norm of |b - other| on the same slab (shared p required)."""
         if not math.isclose(self.p_exponent, other.p_exponent):
             raise DriftError("stability comparisons require a common p")
-        ts = np.linspace(0.0, grid.time_horizon, time_nodes + 1)
-        box = (2.0 * grid.half_extent) ** grid.dim
-        if math.isinf(self.p_exponent):
-            worst = 0.0
-            for t in ts:
-                d = self.sample(t, grid) - other.sample(t, grid)
-                worst = max(worst, float(np.sqrt((d ** 2).sum(axis=0)).max()))
-            return worst
-        p = self.p_exponent
-        slab = np.empty(len(ts))
-        for k, t in enumerate(ts):
-            d = self.sample(t, grid) - other.sample(t, grid)
-            slab[k] = (np.sqrt((d ** 2).sum(axis=0)) ** p).mean() * box
-        return float(np.trapezoid(slab, ts) ** (1.0 / p))
+        return _slab_norm(lambda t: self.sample(t, grid) - other.sample(t, grid),
+                          self.p_exponent, grid, time_nodes)
+
+
+def _slab_norm(sample: Callable, p: float, grid: SpaceTimeGrid,
+               time_nodes: int) -> float:
+    """L_p norm of |sample(t)| over [0, T] x [-L, L]^d (sup norm for p = inf).
+
+    sample(t) returns the d components on the lattice; time is integrated
+    by the trapezoid rule on time_nodes equal steps.
+    """
+    ts = np.linspace(0.0, grid.time_horizon, time_nodes + 1)
+    mags = (np.sqrt((sample(t) ** 2).sum(axis=0)) for t in ts)
+    if math.isinf(p):
+        return max(float(m.max()) for m in mags)
+    box = (2.0 * grid.half_extent) ** grid.dim
+    slab = np.array([(m ** p).mean() * box for m in mags])
+    return float(np.trapezoid(slab, ts) ** (1.0 / p))
 
 
 def constant_drift(vector, p: float = math.inf) -> DriftField:

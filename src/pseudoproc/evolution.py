@@ -32,6 +32,7 @@ from .grid import SpaceTimeGrid, GridError, synthesize, analyze
 from .symbols import SymbolSpec, PseudoGradientSpec
 from .fields import ScalarKernelField, VectorKernelField
 from .drift import DriftField, series_exponent
+from .quadrature import lagrange_weights
 from .volterra import ConvergenceMonitor, ConvergenceError, PerturbationProblem
 
 _GL_X6, _GL_W6 = np.polynomial.legendre.leggauss(6)
@@ -299,7 +300,8 @@ class TerminalValueProblem:
         stack = [w_slices[m] for m in ms]
         acc = None
         for q, wq in zip(s + dt * np.array(_GL_X6), _GL_W6):
-            wval = _lagrange_stack(stack, taus, q)
+            k0, lw = lagrange_weights(taus, q)
+            wval = sum(c * stack[k0 + ii] for ii, c in enumerate(lw))
             F = self._conv_kernel(kernel_hat(q - s), self._pairing(q, wval))
             contrib = wq * dt * F
             acc = contrib if acc is None else acc + contrib
@@ -377,22 +379,6 @@ class TerminalValueProblem:
     def solve(self, monitor: Optional[ConvergenceMonitor] = None
               ) -> Dict[int, np.ndarray]:
         return self.assemble_u(self.solve_w(monitor))
-
-
-def _lagrange_stack(stack, taus, tau, order: int = 4):
-    p = min(order, len(taus))
-    k = int(np.searchsorted(taus, tau)) - 1
-    k0 = min(max(k - (p - 1) // 2, 0), len(taus) - p)
-    ts = taus[k0:k0 + p]
-    acc = None
-    for ii in range(p):
-        w = 1.0
-        for jj in range(p):
-            if ii != jj:
-                w *= (tau - ts[jj]) / (ts[ii] - ts[jj])
-        term = w * stack[k0 + ii]
-        acc = term if acc is None else acc + term
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -511,11 +497,11 @@ def generalized_solution_stability(sym: SymbolSpec, pg: PseudoGradientSpec,
                 mon = ConvergenceMonitor.for_problem(sym.alpha, pg.beta,
                                                      grid.dim, bb.p_exponent,
                                                      stop_tol=stop_tol)
-                kernels.append(prob.assemble_G_rows(prob.solve_v(mon)))
+                kernels.append(prob.solve_v(mon))
             except ConvergenceError as err:
                 raise ConvergenceError(
                     f"member {which!r} of pair {label!r} did not converge",
-                    err.norms, err.ratios) from err
+                    err.norms, err.ratios, err.spectral_radius) from err
         worst = 0.0
         for k in kernels[0]:
             diff = kernels[0][k] - kernels[1][k]

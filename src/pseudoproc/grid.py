@@ -129,9 +129,6 @@ class SpaceTimeGrid:
                              self.points_per_dim * space,
                              self.time_horizon, self.time_steps * time)
 
-    def compatible(self, other: "SpaceTimeGrid") -> bool:
-        return self == other
-
     def require_compatible(self, other: "SpaceTimeGrid"):
         if self != other:
             raise GridError("operands live on different grids")

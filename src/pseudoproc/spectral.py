@@ -83,7 +83,7 @@ def check_resolution(sym: SymbolSpec, grid: SpaceTimeGrid, dt_min: float,
     a_edge = np.real(sym(*[np.array([v]) for v in edge_vec]))[0]
     tail = float(np.exp(-a_edge * dt_min))
 
-    g_T = _synthesize_spectrum(grid, np.exp(-sym.on_grid(grid) * grid.time_horizon))
+    g_T = synthesize(grid, np.exp(-sym.on_grid(grid) * grid.time_horizon))
     outer = ~interior_mask(grid, margin=0.1)
     boundary = float(np.abs(g_T[outer]).sum() * grid.cell_volume)
 
@@ -96,10 +96,6 @@ def check_resolution(sym: SymbolSpec, grid: SpaceTimeGrid, dt_min: float,
     wrap = 2.0 * grid.dim * tail_const * L ** (-alpha) / alpha
 
     return ResolutionReport(tail, boundary, wrap, dt_min, tail_tol, boundary_tol)
-
-
-def _synthesize_spectrum(grid: SpaceTimeGrid, spectrum: np.ndarray) -> np.ndarray:
-    return synthesize(grid, spectrum)
 
 
 def _gate(sym, grid, dt, enforce):
@@ -122,7 +118,7 @@ def synthesize_g0(sym: SymbolSpec, grid: SpaceTimeGrid, dt: float,
     if dt <= 0:
         raise ValueError("dt must be positive")
     _gate(sym, grid, dt, enforce_resolution)
-    vals = _synthesize_spectrum(grid, np.exp(-sym.on_grid(grid) * dt))
+    vals = synthesize(grid, np.exp(-sym.on_grid(grid) * dt))
     out = ScalarKernelField(grid, "g0")
     steps = int(round(dt / grid.dt))
     pair = (0, steps) if abs(steps * grid.dt - dt) < 1e-12 * max(dt, 1.0) \
@@ -133,7 +129,7 @@ def synthesize_g0(sym: SymbolSpec, grid: SpaceTimeGrid, dt: float,
 
 def g0_values(sym: SymbolSpec, grid: SpaceTimeGrid, dt: float) -> np.ndarray:
     """Raw g0 samples without field bookkeeping (no resolution gate)."""
-    return _synthesize_spectrum(grid, np.exp(-sym.on_grid(grid) * dt))
+    return synthesize(grid, np.exp(-sym.on_grid(grid) * dt))
 
 
 def base_kernel_field(sym: SymbolSpec, grid: SpaceTimeGrid,
@@ -146,7 +142,7 @@ def base_kernel_field(sym: SymbolSpec, grid: SpaceTimeGrid,
     by_gap = {}
     M = grid.time_steps
     for steps in range(1, M + 1):
-        by_gap[steps] = _synthesize_spectrum(grid, np.exp(-a * (steps * grid.dt)))
+        by_gap[steps] = synthesize(grid, np.exp(-a * (steps * grid.dt)))
     for j in range(1, M + 1):
         for i in range(j):
             out.set_slice((i, j), by_gap[j - i])
@@ -194,7 +190,7 @@ def constant_drift_values(sym: SymbolSpec, pg: PseudoGradientSpec,
         raise UnsupportedConfiguration(
             "the closed-form drift kernel is only available for isotropic symbols")
     spec = np.exp((-sym.on_grid(grid) + drift_multiplier(pg, grid, b_const)) * dt)
-    return _synthesize_spectrum(grid, spec)
+    return synthesize(grid, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +352,7 @@ def chapman_defect(sym: SymbolSpec, grid: SpaceTimeGrid,
     """Max-norm of g0(dt1) (*) g0(dt2) - g0(dt1 + dt2), lattice convolution."""
     from .grid import convolve
     a = sym.on_grid(grid)
-    g1 = _synthesize_spectrum(grid, np.exp(-a * dt1))
-    g2 = _synthesize_spectrum(grid, np.exp(-a * dt2))
-    g12 = _synthesize_spectrum(grid, np.exp(-a * (dt1 + dt2)))
+    g1 = synthesize(grid, np.exp(-a * dt1))
+    g2 = synthesize(grid, np.exp(-a * dt2))
+    g12 = synthesize(grid, np.exp(-a * (dt1 + dt2)))
     return float(np.abs(convolve(grid, g1, g2) - g12).max())

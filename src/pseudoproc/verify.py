@@ -292,9 +292,7 @@ class FixtureSet:
             b = constant_drift([mag] + [0.0] * (self.dim - 1))
             prob = PerturbationProblem(self.symbol(), self.pgrad(), grid, b)
             mon = self.monitor()
-            v_rows = prob.solve_v(mon)
-            G_rows = prob.assemble_G_rows(v_rows)
-            self._cache[key] = (prob, mon, v_rows, G_rows)
+            self._cache[key] = (prob, mon, prob.solve_v(mon))
         return self._cache[key]
 
     def phis(self):
@@ -385,7 +383,7 @@ def check_mass_conservation(fx: FixtureSet) -> List[CheckResult]:
     sym, grid = fx.symbol(), fx.grid()
     worst_g0 = max(abs(g0_values(sym, grid, gap).sum() * grid.cell_volume - 1.0)
                    for gap in grid.gaps())
-    prob, _, _, G_rows = fx.solved_problem()
+    prob, _, G_rows = fx.solved_problem()
     Gf = prob.rows_to_scalar_field(G_rows, "G")
     worst_G = max(abs(Gf.mass(k) - 1.0) for k in Gf.pairs())
     return [
@@ -441,7 +439,7 @@ def check_pseudo_gradient_agreement(fx: FixtureSet) -> List[CheckResult]:
 
 
 def check_constant_drift_oracle(fx: FixtureSet) -> List[CheckResult]:
-    prob, _, _, G_rows = fx.solved_problem()
+    prob, _, G_rows = fx.solved_problem()
     Gcf = prob.closed_form_G_rows()
     grid = prob.grid
 
@@ -458,8 +456,8 @@ def check_constant_drift_oracle(fx: FixtureSet) -> List[CheckResult]:
 
     err_all = rel_error(prob, G_rows, Gcf, list(G_rows))
     # refinement at fixed physical pairs
-    prob2, _, _, G2 = fx.solved_problem(points=2 * fx.points,
-                                        steps=2 * fx.steps)
+    prob2, _, G2 = fx.solved_problem(points=2 * fx.points,
+                                     steps=2 * fx.steps)
     Gcf2 = prob2.closed_form_G_rows()
     phys = [(0.0, 1.0), (0.0, 0.5), (0.5, 1.0)]
     M1, M2 = fx.steps, 2 * fx.steps
@@ -487,7 +485,7 @@ def check_negativity_witness(fx: FixtureSet) -> List[CheckResult]:
                                [fx.drift_magnitude] + [0.0] * (fx.dim - 1),
                                grid, fx.horizon)
     cf_min = float(cf.min())
-    prob, _, _, G_rows = fx.solved_problem()
+    prob, _, G_rows = fx.solved_problem()
     solver_min = float(prob.rows_to_scalar_field(
         {(0, fx.steps): G_rows[(0, fx.steps)]}, "G").slice((0, fx.steps)).min())
     golden = fx.golden("drift_kernel_min")
@@ -506,7 +504,7 @@ def check_negativity_witness(fx: FixtureSet) -> List[CheckResult]:
 
 def check_evolution_property_suite(fx: FixtureSet) -> List[CheckResult]:
     from .spectral import base_kernel_field
-    prob, _, _, G_rows = fx.solved_problem()
+    prob, _, G_rows = fx.solved_problem()
     Gf = prob.rows_to_scalar_field(G_rows, "G")
     gf = base_kernel_field(fx.symbol(), fx.grid())
     triples = ((0, 8, 16), (0, 4, 12), (2, 8, 14))
@@ -527,7 +525,7 @@ def check_evolution_property_suite(fx: FixtureSet) -> List[CheckResult]:
 def check_identity_limit_suite(fx: FixtureSet) -> List[CheckResult]:
     freq = 2.0 * np.pi * 1 / (2.0 * fx.half_extent)
     phi = fourier_mode(freq, fx.dim)
-    prob, _, _, G_rows = fx.solved_problem(magnitude=0.5)
+    prob, _, G_rows = fx.solved_problem(magnitude=0.5)
     Gf = prob.rows_to_scalar_field(G_rows, "G")
     table = check_identity_limit(Gf, phi)
     Gcf = prob.rows_to_scalar_field(prob.closed_form_G_rows(), "G")
@@ -553,8 +551,8 @@ def check_identity_limit_suite(fx: FixtureSet) -> List[CheckResult]:
 
 
 def check_series_residual(fx: FixtureSet) -> List[CheckResult]:
-    prob, mon, v_rows, G_rows = fx.solved_problem()
-    res_v = prob.series_residual(v_rows)
+    prob, mon, G_rows = fx.solved_problem()
+    res_v = prob.series_residual(prob.v_rows(G_rows))
     res_G = prob.perturbation_residual(G_rows)
     terms = prob.iterate_terms(10)
     coarsest = (0, fx.steps)
@@ -571,11 +569,11 @@ def check_series_residual(fx: FixtureSet) -> List[CheckResult]:
     slope = float(np.polyfit(np.log(f_bar), np.log(r_bar), 1)[0])
     lo, hi = fx.golden("series_ratio_slope_band")["value"]
     return [
-        _result("series-residual/fixed-point", "converged sweep, stop_tol=1e-6",
+        _result("series-residual/fixed-point", "direct solve, v = multiplier * G",
                 res_v, 10 * fx.stop_tol, "absolute", res_v < 10 * fx.stop_tol,
                 "derived-oracle"),
         _result("series-residual/perturbation-identity",
-                "assembled kernel plugged back", res_G, 10 * fx.stop_tol,
+                "solved kernel plugged back", res_G, 10 * fx.stop_tol,
                 "absolute", res_G < 10 * fx.stop_tol, "derived-oracle"),
         _result("series-residual/ratio-trend",
                 f"six term ratios vs Euler-beta factors, band ({lo}, {hi})",
@@ -632,8 +630,8 @@ def check_envelope_fits(fx: FixtureSet) -> List[CheckResult]:
                                                              grid, gap)}
         b = constant_drift([fx.drift_magnitude] + [0.0] * (fx.dim - 1))
         prob = PerturbationProblem(sym, fx.pgrad(), grid, b)
-        v_rows = prob.solve_v(fx.monitor())
-        G_rows = prob.assemble_G_rows(v_rows)
+        G_rows = prob.solve_v(fx.monitor())
+        v_rows = prob.v_rows(G_rows)
         by_gap_v, by_gap_G = {}, {}
         for j in (1, 4, 16):
             gap = j * grid.dt
@@ -728,8 +726,8 @@ def check_terminal_average(fx: FixtureSet) -> List[CheckResult]:
     grid = SpaceTimeGrid(fx.dim, fx.half_extent, 1024, fx.horizon, fx.steps)
     b = constant_drift([fx.drift_magnitude] + [0.0] * (fx.dim - 1))
     prob = PerturbationProblem(fx.symbol(), fx.pgrad(), grid, b)
-    v_rows = prob.solve_v(fx.monitor())
-    vf = prob.rows_to_vector_field(v_rows, "v")
+    vf = prob.rows_to_vector_field(prob.v_rows(prob.solve_v(fx.monitor())),
+                                   "v")
     rep = check_w_lipschitz(vf, steep_step(grid.dx / 4), fx.alpha, fx.beta)
     ones = terminal_average_of_ones(vf)
     return [

@@ -1,52 +1,46 @@
-"""Successive-approximation solver for the drift-perturbed kernel system.
+"""Direct solver for the drift-perturbed kernel identity.
 
-The unknown vector kernel solves
-
-    v(s,x,t,y) = v0(s,x,t,y)
-               + Int_s^t dtau Int v0(s,x,tau,z) (b(tau,z), v(tau,z,t,y)) dz,
-
-and the perturbed scalar kernel is assembled from it through the same
-integral with v0 replaced by g.  Within the constant-symbol scope every
-kernel is translation invariant, so for drifts that are constant in space
-(time dependence allowed) the spatial integral is a lattice convolution and
-the whole iteration runs on Fourier mode rows: one complex row per time
-pair, one Picard sweep per iteration.
-
-Time quadrature: per mode the integrands are smooth, so interior nodes use
-the composite trapezoid; the two end subintervals, where no interior sample
-exists, are integrated by Gauss-Legendre with the base-kernel factor
-synthesized exactly at the sub-nodes and the iterate factor interpolated
-through its stored rows plus the coincident-time limit row.  An adjacent
-pair (j = i + 1) degenerates to the two-point endpoint-regularized rule:
-Gauss nodes on an integrand interpolated between the pair's own row and the
-limit row.
+The perturbed kernel solves G = g + Int_s^t dtau Int g (b, v) dz, where
+v = grad_beta G.  Every kernel is translation invariant, so for drift that
+is constant in space (time dependence allowed) v is the pseudo-gradient
+multiplier times G on each Fourier mode, and the identity is one scalar
+Volterra equation per mode.  Discretised by `hybrid_rule`, it couples only
+the rows G_j = (G(t_i, t_j))_{i<j} of one terminal index: per mode
+(I - K_j) G_j = g_j + c_j, with c_j the weights of the coincident-time
+limit G(t_j, t_j) = 1.  `PerturbationProblem.solve_v` solves these systems
+directly, with no iteration cap; `ConvergenceError` (exit 4 of `pseudoproc
+perturb`) means their successive approximations diverge (spectral radius of
+some K_j at least one), the residual exceeds stop_tol, or the result is not
+finite.  `iterate_terms` builds that series itself, whose terms decline at
+an Euler-beta rate.
 """
 from __future__ import annotations
 
+import functools
 import math
 import time as _time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .grid import SpaceTimeGrid, GridError, synthesize
+from .grid import SpaceTimeGrid, GridError, synthesize, analyze
 from .symbols import SymbolSpec, PseudoGradientSpec
 from .fields import ScalarKernelField, VectorKernelField, PairKey
 from .drift import DriftField, series_exponent
+from .quadrature import hybrid_rule
 
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(4)
-_GL_X = 0.5 * (_GL_X + 1.0)
-_GL_W = 0.5 * _GL_W
+_BLOCK_ENTRIES = 1 << 14  # matrix entries per block of modes: bounds solve memory
 
 
 class ConvergenceError(RuntimeError):
-    """Picard sweep failed to contract; carries the ratio history."""
+    """Successive approximations diverge; carries the monitor's history."""
 
-    def __init__(self, message, norms, ratios):
+    def __init__(self, message, norms, ratios, spectral_radius=math.nan):
         super().__init__(message)
         self.norms = list(norms)
         self.ratios = list(ratios)
+        self.spectral_radius = spectral_radius
 
 
 @dataclass
@@ -55,8 +49,9 @@ class ConvergenceMonitor:
 
     theta is the contraction exponent 1 - ((d + alpha)/p + beta)/alpha; the
     hypotheses force theta > (1 - beta)/alpha, which is validated here.
-    Convergence is declared at the first sweep whose increment max-norm is
-    below stop_tol with ratio below one.
+    A sweep loop converges at the first increment max-norm below stop_tol
+    with ratio below one.  The direct kernel solve records its residual
+    once, with the spectral radius of its operators in place of the ratio.
     """
 
     theta: float
@@ -65,6 +60,7 @@ class ConvergenceMonitor:
     iterate_norms: list = field(default_factory=list)
     ratio_history: list = field(default_factory=list)
     wall_times: list = field(default_factory=list)
+    spectral_radius: float = math.nan
 
     @classmethod
     def for_problem(cls, alpha: float, beta: float, dim: int, p: float,
@@ -87,18 +83,16 @@ class ConvergenceMonitor:
 
     @property
     def converged(self) -> bool:
+        ratio = self.ratio_history[-1] if self.ratio_history \
+            else self.spectral_radius
         return (bool(self.iterate_norms)
                 and self.iterate_norms[-1] < self.stop_tol
-                and bool(self.ratio_history)
-                and self.ratio_history[-1] < 1.0)
+                and ratio < 1.0)
 
     def convergence_log(self):
         """Rows (k, max_norm, ratio, wall_seconds) for the CSV log."""
-        rows = []
-        for k, n in enumerate(self.iterate_norms):
-            r = self.ratio_history[k - 1] if 1 <= k <= len(self.ratio_history) else ""
-            rows.append((k + 1, n, r, self.wall_times[k]))
-        return rows
+        return [(k + 1, n, r, w) for k, (n, r, w) in enumerate(zip(
+            self.iterate_norms, [""] + self.ratio_history, self.wall_times))]
 
 
 def beta_rate_factor(k: int, theta: float, q: float) -> float:
@@ -116,10 +110,11 @@ class PerturbationProblem:
     """Kernel-level perturbation solve for spatially-constant drift.
 
     Bundles symbol, pseudo-gradient, grid and drift, with every base kernel
-    available in closed form on the frequency lattice.  Spatially-varying
-    drift breaks translation invariance of the unknown kernel and is out of
-    scope here (the evolution module solves the paired function-level
-    system for that case).
+    available in closed form on the frequency lattice.  Mode rows are dicts
+    keyed by time pair (i, j); the operators act on one terminal index j at
+    a time, on arrays (modes, j).  Spatially-varying drift breaks
+    translation invariance of the unknown kernel and is out of scope here
+    (the evolution module solves the paired function-level system).
     """
 
     def __init__(self, sym: SymbolSpec, pg: PseudoGradientSpec,
@@ -134,154 +129,151 @@ class PerturbationProblem:
         self.sym, self.pg, self.grid, self.b = sym, pg, grid, b
         self.a = sym.on_grid(grid)                      # (modes)
         self.mult = pg.multiplier(grid)                 # (d, modes)
+        self._mult = self.mult.reshape(grid.dim, -1)    # lattice flattened
         self.times = grid.times()
         self.M = grid.time_steps
-        self._b_memo: Dict[float, np.ndarray] = {}
 
-    def _b_at(self, tau: float) -> np.ndarray:
-        # sweep sub-nodes repeat across pairs and iterations; memoize
-        hit = self._b_memo.get(tau)
-        if hit is None:
-            hit = self._b_memo[tau] = self.b.at_time(tau)
-        return hit
+    @functools.cached_property
+    def _decay(self) -> np.ndarray:
+        """exp(-a tau) at each node time tau of the rule, (nodes, modes)."""
+        tau = self.grid.dt * hybrid_rule(self.M)[0]
+        return np.exp(np.outer(-tau, self.a.ravel()))
+
+    @functools.cached_property
+    def _drift(self) -> np.ndarray:
+        """b(tau) at each node time tau of the rule, (nodes, d)."""
+        tau = self.grid.dt * hybrid_rule(self.M)[0]
+        return np.array([self.b.at_time(t) for t in tau])
 
     # base kernels on the frequency lattice, any gap
     def g_hat(self, gap: float) -> np.ndarray:
         return np.exp(-self.a * gap)
 
-    def v0_hat(self, gap: float) -> np.ndarray:
-        return self.mult * np.exp(-self.a * gap)[None]
+    def g_rows(self) -> Dict[PairKey, np.ndarray]:
+        return {(i, j): self.g_hat(self.times[j] - self.times[i])
+                for j in range(1, self.M + 1) for i in range(j)}
+
+    def v_rows(self, G_rows: Dict[PairKey, np.ndarray]
+               ) -> Dict[PairKey, np.ndarray]:
+        """The vector kernel v = multiplier * G, row by row."""
+        return {k: self.mult * row for k, row in G_rows.items()}
 
     def v0_rows(self) -> Dict[PairKey, np.ndarray]:
-        rows = {}
-        for j in range(1, self.M + 1):
-            for i in range(j):
-                rows[(i, j)] = self.v0_hat(self.times[j] - self.times[i])
-        return rows
+        return self.v_rows(self.g_rows())
 
-    def pair_quad(self, kernel_hat: Callable, rows: Dict[PairKey, np.ndarray],
-                  i: int, j: int, limit_row: np.ndarray) -> np.ndarray:
-        """Hybrid rule for Int_{t_i}^{t_j} kernel_hat(tau - t_i) (b(tau), v(tau, t_j)) dtau.
+    # -- the discrete operator -----------------------------------------------
+    def pair_quad(self, i: int, j: int, modes: slice = slice(None)) -> np.ndarray:
+        """Weights of Int_{t_i}^{t_j} g(tau - t_i) b_c(tau) f(tau) dtau.
 
-        rows holds v(t_m, t_j) for m < j; limit_row is the tau -> t_j value.
-        Returns a mode row shaped like kernel_hat output times the drift
-        pairing (vector when kernel_hat yields vectors).
+        Shape (d, modes, j + 1): per drift component c and mode (restricted
+        to `modes`), the weights of the samples f(t_0), ..., f(t_{j-1})
+        followed by the coincident-time limit f(t_j).
         """
-        tg = self.times
-        s, t = tg[i], tg[j]
-        taus = np.append(tg[:j], t)
-        stack = [rows[(m, j)] for m in range(j)] + [limit_row]
+        lagrange, pairs = hybrid_rule(self.M)[1][j]
+        node, weight = pairs[i]
+        f = self._decay[node - 5 * i, modes] * (self.grid.dt * weight)[:, None]
+        f = self._drift[node].T[:, :, None] * f
+        return f.transpose(0, 2, 1) @ lagrange[node]
 
-        def paired(row, tau):
-            return np.tensordot(self._b_at(tau), row, axes=(0, 0))
-
-        def integrand(tau):
-            return kernel_hat(tau - s) * paired(_lagrange_rows(stack, taus, tau), tau)
-
-        if j - i == 1:
-            acc = 0.0
-            for q, w in zip(s + (t - s) * _GL_X, _GL_W):
-                acc = acc + w * integrand(q)
-            return (t - s) * acc
-
-        dt = self.grid.dt
-        mm = np.arange(i + 1, j)
-        interior = np.array([kernel_hat(tg[m] - s) * paired(rows[(m, j)], tg[m])
-                             for m in mm])
-        total = np.trapezoid(interior, dx=dt, axis=0) if len(mm) >= 2 \
-            else np.zeros_like(interior[0])
-        for lo in (s, t - dt):
-            acc = 0.0
-            for q, w in zip(lo + dt * _GL_X, _GL_W):
-                acc = acc + w * integrand(q)
-            total = total + dt * acc
-        return total
-
-    # -- Picard sweeps -----------------------------------------------------
-    def picard_map(self, rows: Dict[PairKey, np.ndarray]) -> Dict[PairKey, np.ndarray]:
-        """v -> v0 + Quad[v0 (b, v)] over all pairs."""
-        out = {}
-        for j in range(1, self.M + 1):
-            for i in range(j):
-                out[(i, j)] = self.v0_hat(self.times[j] - self.times[i]) + \
-                    self.pair_quad(self.v0_hat, rows, i, j, self.mult)
-        return out
+    def _operator(self, j: int, modes: slice = slice(None)) -> np.ndarray:
+        """pair_quad for every start index i, shape (d, modes, j, j + 1)."""
+        return np.stack([self.pair_quad(i, j, modes) for i in range(j)], axis=2)
 
     def row_max_norm(self, row: np.ndarray) -> float:
-        """Sup over the lattice of the synthesized (vector) row."""
+        """Sup over the lattice of the synthesized scalar or vector row."""
         comps = np.fft.ifftn(row, axes=tuple(range(-self.grid.dim, 0)))
-        comps = comps / self.grid.cell_volume
+        comps = comps.reshape((-1,) + self.a.shape) / self.grid.cell_volume
         return float(np.sqrt((np.abs(comps) ** 2).sum(axis=0)).max())
 
-    def solve_v(self, monitor: ConvergenceMonitor,
-                seed: Optional[Dict[PairKey, np.ndarray]] = None
-                ) -> Dict[PairKey, np.ndarray]:
-        """Iterate to the fixed point; raises ConvergenceError on failure."""
+    # -- solve ---------------------------------------------------------------
+    def solve_v(self, monitor: ConvergenceMonitor) -> Dict[PairKey, np.ndarray]:
+        """Solve the discrete kernel identity; returns the G rows.
+
+        v = multiplier * G follows from `v_rows`.  The monitor records the
+        largest residual (lattice sup norm) and spectral radius over j.
+        Modes are solved in blocks of about _BLOCK_ENTRIES matrix entries.
+        """
         if self.b.is_zero():
-            # exact short-circuit: zero drift collapses the series to v0
-            return self.v0_rows()
-        rows = seed if seed is not None else self.v0_rows()
-        for _ in range(monitor.max_iter):
-            t0 = _time.perf_counter()
-            new = self.picard_map(rows)
-            inc = max(self.row_max_norm(new[k] - rows[k]) for k in new)
-            monitor.record(inc, _time.perf_counter() - t0)
-            rows = new
-            if monitor.converged:
-                return rows
-        raise ConvergenceError(
-            f"no contraction after {monitor.max_iter} sweeps "
-            f"(last increment {monitor.iterate_norms[-1]:.3e}); the drift is "
-            "too large for this horizon or the grid too coarse",
-            monitor.iterate_norms, monitor.ratio_history)
+            # exact short-circuit: zero drift collapses the series to g
+            monitor.spectral_radius = 0.0
+            monitor.record(0.0, 0.0)
+            return self.g_rows()
+        start = _time.perf_counter()
+        rows, radius, residual = {}, 0.0, 0.0
+        for j in range(1, self.M + 1):
+            g = self._decay[5 * (j - np.arange(j))].T   # g(t_j - t_i), i < j
+            G, defect = np.empty_like(g, complex), np.empty_like(g, complex)
+            step = max(1, _BLOCK_ENTRIES // (j * j))
+            for lo in range(0, self.a.size, step):
+                modes = slice(lo, lo + step)
+                # K_j and c_j side by side: the pairing (b, multiplier)
+                op = np.einsum("cn,cnim->nim", self._mult[:, modes],
+                               self._operator(j, modes))
+                K = op[..., :j]
+                radius = max(radius, np.abs(np.linalg.eigvals(K)).max()
+                             if np.isfinite(K).all() else math.inf)
+                A, rhs = np.eye(j) - K, g[modes] + op[..., j]
+                G[modes] = np.linalg.solve(A, rhs[..., None])[..., 0]
+                defect[modes] = (A @ G[modes, :, None])[..., 0] - rhs
+            # np.max keeps a NaN, which fails the test below
+            residual = np.max([residual] + [self.row_max_norm(
+                d.reshape(self.a.shape)) for d in defect.T])
+            rows.update({(i, j): G[:, i].reshape(self.a.shape)
+                         for i in range(j)})
+        monitor.spectral_radius = float(radius)
+        monitor.record(float(residual), _time.perf_counter() - start)
+        if not (radius < 1.0 and residual <= monitor.stop_tol):
+            raise ConvergenceError(
+                f"spectral radius {radius:.3g} (needs < 1), residual "
+                f"{residual:.3e} (needs <= {monitor.stop_tol:g}): the "
+                "successive approximations of the discrete system diverge; "
+                "the drift is too large for this horizon or the grid too "
+                "coarse", monitor.iterate_norms, monitor.ratio_history,
+                monitor.spectral_radius)
+        return rows
 
     def iterate_terms(self, count: int) -> list:
-        """First `count` series terms (mode rows), term 0 being v0."""
-        terms = [self.v0_rows()]
-        limit = self.mult
-        for k in range(1, count):
-            prev = terms[-1]
-            nxt = {}
-            for j in range(1, self.M + 1):
-                for i in range(j):
-                    nxt[(i, j)] = self.pair_quad(self.v0_hat, prev, i, j, limit)
-            terms.append(nxt)
-            limit = np.zeros_like(self.mult)  # higher terms vanish at the diagonal
+        """First `count` series terms (vector mode rows), term 0 being v0."""
+        terms, limit = [self.v0_rows()], self._mult
+        for _ in range(1, count):
+            terms.append(self.v_rows(self._quad_rows(terms[-1], limit)))
+            limit = np.zeros_like(limit)  # higher terms vanish at the diagonal
         return terms
 
     # -- assembly and residuals ---------------------------------------------
-    def assemble_G_rows(self, v_rows: Dict[PairKey, np.ndarray]
-                        ) -> Dict[PairKey, np.ndarray]:
+    def _quad_rows(self, v_rows, limit) -> Dict[PairKey, np.ndarray]:
+        """Int_{t_i}^{t_j} g(tau - t_i) (b(tau), v(tau, t_j)) dtau, every pair.
+
+        limit is the coincident-time value of v, shape (d, modes).
+        """
+        if next(iter(v_rows.values())).shape != self.mult.shape:
+            raise GridError("vector mode rows must be shaped like the multiplier")
         out = {}
         for j in range(1, self.M + 1):
-            for i in range(j):
-                gap = self.times[j] - self.times[i]
-                out[(i, j)] = self.g_hat(gap) + \
-                    self.pair_quad(self.g_hat, v_rows, i, j, self.mult)
+            v = np.stack([v_rows[(i, j)].reshape(self._mult.shape)
+                          for i in range(j)], axis=-1)
+            W = self._operator(j)
+            quad = np.einsum("cnim,cnm->ni", W[..., :j], v) \
+                + np.einsum("cni,cn->ni", W[..., j], limit)
+            out.update({(i, j): quad[:, i].reshape(self.a.shape)
+                        for i in range(j)})
         return out
 
+    def assemble_G_rows(self, v_rows: Dict[PairKey, np.ndarray]
+                        ) -> Dict[PairKey, np.ndarray]:
+        """G = g + Quad[g (b, v)] for a given vector kernel v."""
+        g = self.g_rows()
+        return {k: g[k] + q for k, q in self._quad_rows(v_rows, self._mult).items()}
+
     def series_residual(self, v_rows: Dict[PairKey, np.ndarray]) -> float:
-        mapped = self.picard_map(v_rows)
-        return max(self.row_max_norm(mapped[k] - v_rows[k]) for k in v_rows)
+        """Defect of v against v = v0 + Quad[v0 (b, v)] = multiplier * G[v]."""
+        G = self.assemble_G_rows(v_rows)
+        return max(self.row_max_norm(self.mult * G[k] - v_rows[k]) for k in G)
 
     def perturbation_residual(self, G_rows: Dict[PairKey, np.ndarray]) -> float:
-        """Defect of G against its own defining identity.
-
-        The pseudo-gradient of the assembled kernel replaces the series
-        solution: commuting the multiplier through the quadrature is exact on
-        the lattice, so at the fixed point this agrees with the sweep
-        increment up to round-off.
-        """
-        vG = {k: self.mult * G_rows[k][None] for k in G_rows}
-        worst = 0.0
-        for j in range(1, self.M + 1):
-            for i in range(j):
-                gap = self.times[j] - self.times[i]
-                rhs = self.g_hat(gap) + self.pair_quad(self.g_hat, vG, i, j, self.mult)
-                diff = rhs - G_rows[(i, j)]
-                spatial = np.abs(np.fft.ifftn(diff)) / self.grid.cell_volume
-                worst = max(worst, float(spatial.max()))
-        return worst
+        """Defect of G against its own defining identity, v = multiplier * G."""
+        G = self.assemble_G_rows(self.v_rows(G_rows))
+        return max(self.row_max_norm(G[k] - G_rows[k]) for k in G)
 
     # -- conversions ---------------------------------------------------------
     def rows_to_scalar_field(self, rows, meaning) -> ScalarKernelField:
@@ -296,34 +288,19 @@ class PerturbationProblem:
             out.set_slice(k, np.stack([synthesize(self.grid, c) for c in row]))
         return out
 
+    def vector_field_rows(self, vf: VectorKernelField) -> Dict[PairKey, np.ndarray]:
+        """Mode rows of a sampled vector kernel (inverse of rows_to_vector_field)."""
+        self.grid.require_compatible(vf.grid)
+        return {k: np.stack([analyze(self.grid, c) for c in vf.slice(k)])
+                for k in vf.pairs()}
+
     def closed_form_G_rows(self) -> Dict[PairKey, np.ndarray]:
         """Exact rows for constant-in-time drift (oracle use only)."""
         if self.b.kind != "constant":
             raise ValueError("closed form needs a constant drift vector")
         m = np.tensordot(self.b.vector, self.mult, axes=(0, 0))
-        out = {}
-        for j in range(1, self.M + 1):
-            for i in range(j):
-                gap = self.times[j] - self.times[i]
-                out[(i, j)] = np.exp((-self.a + m) * gap)
-        return out
-
-
-def _lagrange_rows(stack, taus, tau, order: int = 4):
-    """Local Lagrange interpolation of stacked rows sampled at times taus."""
-    p = min(order, len(taus))
-    k = int(np.searchsorted(taus, tau)) - 1
-    k0 = min(max(k - (p - 1) // 2, 0), len(taus) - p)
-    ts = taus[k0:k0 + p]
-    acc = None
-    for ii in range(p):
-        w = 1.0
-        for jj in range(p):
-            if ii != jj:
-                w *= (tau - ts[jj]) / (ts[ii] - ts[jj])
-        term = w * stack[k0 + ii]
-        acc = term if acc is None else acc + term
-    return acc
+        return {(i, j): np.exp((-self.a + m) * (self.times[j] - self.times[i]))
+                for j in range(1, self.M + 1) for i in range(j)}
 
 
 # ---------------------------------------------------------------------------
@@ -356,27 +333,24 @@ def volterra_step(v_prev: VectorKernelField, v0: VectorKernelField,
             "field-level stepping requires the symbol and pseudo-gradient "
             "specs to synthesize end-interval kernel values")
     prob = PerturbationProblem(sym, pg, grid, b)
-    rows = {k: np.stack([np.fft.fftn(np.fft.ifftshift(c)) * grid.cell_volume
-                         for c in v_prev.slice(k)]) for k in v_prev.pairs()}
-    limit = prob.mult if terminal_limit == "base" else np.zeros_like(prob.mult)
-    for j in range(1, grid.time_steps + 1):
-        for i in range(j):
-            if (i, j) not in rows:
-                raise GridError(f"v_prev is missing time pair {(i, j)}")
-            row = prob.pair_quad(prob.v0_hat, rows, i, j, limit)
-            out.set_slice((i, j), np.stack([synthesize(grid, c) for c in row]))
-    return out
+    rows = prob.vector_field_rows(v_prev)
+    missing = [(i, j) for j in range(1, grid.time_steps + 1)
+               for i in range(j) if (i, j) not in rows]
+    if missing:
+        raise GridError(f"v_prev is missing time pair {missing[0]}")
+    limit = prob._mult if terminal_limit == "base" else np.zeros_like(prob._mult)
+    quad = prob._quad_rows(rows, limit)
+    return prob.rows_to_vector_field(prob.v_rows(quad), "v")
 
 
 def solve_v(sym: SymbolSpec, pg: PseudoGradientSpec, grid: SpaceTimeGrid,
             b: DriftField, monitor: Optional[ConvergenceMonitor] = None
             ) -> Tuple[VectorKernelField, ConvergenceMonitor]:
     """Solve the vector kernel equation; returns the field and the monitor."""
-    if monitor is None:
-        monitor = ConvergenceMonitor.for_problem(sym.alpha, pg.beta, grid.dim,
-                                                 b.p_exponent)
+    monitor = monitor or ConvergenceMonitor.for_problem(
+        sym.alpha, pg.beta, grid.dim, b.p_exponent)
     prob = PerturbationProblem(sym, pg, grid, b)
-    rows = prob.solve_v(monitor)
+    rows = prob.v_rows(prob.solve_v(monitor))
     return prob.rows_to_vector_field(rows, "v"), monitor
 
 
@@ -384,18 +358,14 @@ def assemble_G(sym: SymbolSpec, pg: PseudoGradientSpec, grid: SpaceTimeGrid,
                b: DriftField, v: Optional[VectorKernelField] = None,
                monitor: Optional[ConvergenceMonitor] = None
                ) -> ScalarKernelField:
-    """Perturbed kernel G = g + Quad[g (b, v)], solving for v if not given."""
+    """Perturbed kernel G = g + Quad[g (b, v)], solving for G if v is not given."""
     prob = PerturbationProblem(sym, pg, grid, b)
-    if v is None:
-        if monitor is None:
-            monitor = ConvergenceMonitor.for_problem(sym.alpha, pg.beta,
-                                                     grid.dim, b.p_exponent)
-        rows = prob.solve_v(monitor)
+    if v is not None:
+        rows = prob.assemble_G_rows(prob.vector_field_rows(v))
     else:
-        grid.require_compatible(v.grid)
-        rows = {k: np.stack([np.fft.fftn(np.fft.ifftshift(c)) * grid.cell_volume
-                             for c in v.slice(k)]) for k in v.pairs()}
-    return prob.rows_to_scalar_field(prob.assemble_G_rows(rows), "G")
+        rows = prob.solve_v(monitor or ConvergenceMonitor.for_problem(
+            sym.alpha, pg.beta, grid.dim, b.p_exponent))
+    return prob.rows_to_scalar_field(rows, "G")
 
 
 # ---------------------------------------------------------------------------
@@ -450,9 +420,9 @@ def kernel_convolution_scaling(kappa: float, lam: float, k: float, l: float,
     glw = 0.5 * glw
 
     def panels(edges):
-        for a_, b_ in zip(edges[:-1], edges[1:]):
-            if b_ > a_:
-                yield a_ + (b_ - a_) * glx, (b_ - a_) * glw
+        """Nodes and weights of 10-point Gauss on every interval of edges."""
+        width = np.diff(edges)[:, None]
+        return (edges[:-1, None] + width * glx).ravel(), (width * glw).ravel()
 
     def z_integral(sig, T):
         # graded edges around the two kernel centers (width scales sig^{1/a})
@@ -463,22 +433,17 @@ def kernel_convolution_scaling(kappa: float, lam: float, k: float, l: float,
         for m in range(-3, 14):
             sc = 2.0 ** m
             e.update((-w1 * sc, w1 * sc, offset - w2 * sc, offset + w2 * sc))
-        edges = np.array(sorted(v for v in e if -far <= v <= far))
-        acc = 0.0
-        for zq, wq in panels(edges):
-            acc += (wq * _envelope_kernel(sig, zq, lam, 1 + l, alpha)
-                    * _envelope_kernel(T - sig, offset - zq, kappa, 1 + k, alpha)).sum()
-        return acc
+        zq, wq = panels(np.array(sorted(v for v in e if -far <= v <= far)))
+        return (wq * _envelope_kernel(sig, zq, lam, 1 + l, alpha)
+                * _envelope_kernel(T - sig, offset - zq, kappa, 1 + k, alpha)).sum()
 
     vals = []
     for T in gaps:
         edges = np.unique(np.concatenate([
             [0.0], T * 0.5 * 2.0 ** (-np.arange(18, -1, -1.0)),
             T - T * 0.5 * 2.0 ** (-np.arange(0, 19.0)), [T]]))
-        acc = 0.0
-        for tq, tw in panels(edges):
-            acc += sum(w * z_integral(q, T) for q, w in zip(tq, tw))
-        vals.append(acc)
+        tq, tw = panels(edges)
+        vals.append(sum(w * z_integral(q, T) for q, w in zip(tq, tw)))
     vals = np.asarray(vals)
     slope = np.polyfit(np.log(gaps), np.log(vals), 1)[0]
     predicted = 1.0 + (kappa + lam - max(k, l)) / alpha

@@ -123,11 +123,12 @@ def test_perturb_writes_outputs_and_conserves(tmp_path):
     assert max(abs(v - 1.0) for v in vals) < 5e-3
 
 
-def test_perturb_nonconvergence_exit(tmp_path):
+def test_perturb_nonconvergence_exit(tmp_path, capsys):
     code = main(["perturb", "--points", "64", "--half-extent", "20",
-                 "--steps", "8", "--drift", "40.0", "--max-iter", "5",
+                 "--steps", "8", "--drift", "40.0",
                  "--outdir", str(tmp_path / "n")])
     assert code == EXIT_NONCONVERGENCE
+    assert "spectral radius" in capsys.readouterr().err
     assert (tmp_path / "n" / "convergence.csv").exists()
 
 

@@ -21,9 +21,9 @@ def solved(sym, pg, small_grid):
     b = constant_drift([1.0])
     prob = PerturbationProblem(sym, pg, small_grid, b)
     mon = ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf, stop_tol=1e-8)
-    rows = prob.solve_v(mon)
-    G = prob.rows_to_scalar_field(prob.assemble_G_rows(rows), "G")
-    v = prob.rows_to_vector_field(rows, "v")
+    G_rows = prob.solve_v(mon)
+    G = prob.rows_to_scalar_field(G_rows, "G")
+    v = prob.rows_to_vector_field(prob.v_rows(G_rows), "v")
     return prob, G, v
 
 
@@ -88,8 +88,7 @@ def test_boundedness_constant_stable_under_refinement(sym, pg):
         grid = SpaceTimeGrid(1, 20.0, N, 1.0, M)
         prob = PerturbationProblem(sym, pg, grid, constant_drift([1.0]))
         mon = ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf)
-        G = prob.rows_to_scalar_field(
-            prob.assemble_G_rows(prob.solve_v(mon)), "G")
+        G = prob.rows_to_scalar_field(prob.solve_v(mon), "G")
         consts.append(operator_bound_constant(G))
     assert consts[0] > 1.0  # signed kernel: strictly above the mass
     assert max(consts) / min(consts) < 2.0
@@ -155,7 +154,7 @@ def test_identity_limit_monotone_and_fit(sym, pg, small_grid):
     b = constant_drift([0.5])
     prob = PerturbationProblem(sym, pg, small_grid, b)
     mon = ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf)
-    G = prob.rows_to_scalar_field(prob.assemble_G_rows(prob.solve_v(mon)), "G")
+    G = prob.rows_to_scalar_field(prob.solve_v(mon), "G")
     phi = fourier_mode(2 * np.pi * 1 / 40.0)
     table = check_identity_limit(G, phi)
     assert table.monotone
@@ -254,7 +253,7 @@ def test_mollified_sequence_is_cauchy(sym, pg, small_grid):
         prob = PerturbationProblem(sym, pg, small_grid, b)
         mon = ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf,
                                              stop_tol=1e-9)
-        kernels.append(prob.assemble_G_rows(prob.solve_v(mon)))
+        kernels.append(prob.solve_v(mon))
     gaps = []
     for a, b_ in zip(kernels, kernels[1:]):
         gaps.append(max(np.abs(synthesize(small_grid, a[k] - b_[k])).max()

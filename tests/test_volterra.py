@@ -104,7 +104,7 @@ def test_solver_matches_constant_drift_transform(sym, pg, small_grid):
     b = constant_drift([1.0])
     prob = PerturbationProblem(sym, pg, small_grid, b)
     mon = ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf)
-    G_rows = prob.assemble_G_rows(prob.solve_v(mon))
+    G_rows = prob.solve_v(mon)
     worst = 0.0
     for k in G_rows:
         num = synthesize(small_grid, G_rows[k])
@@ -124,11 +124,14 @@ def test_zero_drift_residual_is_roundoff(sym, pg, small_grid):
 
 def test_residuals_meet_solver_contract(small_problem):
     mon = ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf, stop_tol=1e-6)
-    rows = small_problem.solve_v(mon)
+    G_rows = small_problem.solve_v(mon)
     assert mon.converged
-    assert small_problem.series_residual(rows) < 10 * mon.stop_tol
-    G_rows = small_problem.assemble_G_rows(rows)
+    v_rows = small_problem.v_rows(G_rows)
+    assert small_problem.series_residual(v_rows) < 10 * mon.stop_tol
     assert small_problem.perturbation_residual(G_rows) < 10 * mon.stop_tol
+    # assembling G from the solved v reproduces the solved G
+    assembled = small_problem.assemble_G_rows(v_rows)
+    assert max(np.abs(assembled[k] - G_rows[k]).max() for k in G_rows) < 1e-12
 
 
 def test_residual_decreases_under_refinement(sym, pg):
@@ -138,38 +141,54 @@ def test_residual_decreases_under_refinement(sym, pg):
         prob = PerturbationProblem(sym, pg, grid, constant_drift([1.0]))
         mon = ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf,
                                              stop_tol=1e-10)
-        rows = prob.solve_v(mon)
+        G_rows = prob.solve_v(mon)
         # continuum defect against the exact transform at the full horizon
         exact = constant_drift_values(sym, pg, [1.0], grid, 1.0)
-        num = synthesize(grid, prob.assemble_G_rows(rows)[(0, M)])
+        num = synthesize(grid, G_rows[(0, M)])
         res[(N, M)] = np.abs(num - exact).max()
     assert res[(128, 16)] < res[(64, 8)]
 
 
-def test_uniqueness_probe_two_seeds(sym, pg, small_grid):
-    b = constant_drift([1.0])
-    prob = PerturbationProblem(sym, pg, small_grid, b)
-    mon1 = ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf, stop_tol=1e-9)
-    sol1 = prob.solve_v(mon1)
-    # perturb the seed within the admissible envelope class and re-run
-    seed = prob.v0_rows()
-    bump = {k: v * (1.0 + 0.2) for k, v in seed.items()}
-    mon2 = ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf, stop_tol=1e-9)
-    sol2 = prob.solve_v(mon2, seed=bump)
-    worst = max(prob.row_max_norm(sol1[k] - sol2[k]) for k in sol1)
-    assert worst < mon1.stop_tol
+def test_uniqueness_probe_two_seeds(small_problem):
+    # the partial sums of the series converge to the direct solution
+    mon = ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf, stop_tol=1e-9)
+    v = small_problem.v_rows(small_problem.solve_v(mon))
+    terms = small_problem.iterate_terms(14)
+    partial = {k: np.zeros_like(row) for k, row in v.items()}
+    errors = []
+    for term in terms:
+        partial = {k: partial[k] + term[k] for k in v}
+        errors.append(max(small_problem.row_max_norm(partial[k] - v[k])
+                          for k in v))
+    assert all(e2 < e1 for e1, e2 in zip(errors, errors[1:]))
+    assert errors[-1] < mon.stop_tol
 
 
 def test_nonconvergence_carries_ratio_history(sym, pg, small_grid):
-    # a drift far beyond the contraction range on this horizon
+    # a drift far beyond the contraction range on this horizon: the
+    # successive approximations of the discrete system diverge
     b = constant_drift([40.0])
     prob = PerturbationProblem(sym, pg, small_grid, b)
-    mon = ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf, max_iter=6)
-    with pytest.raises(ConvergenceError) as err:
+    mon = ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf)
+    with pytest.raises(ConvergenceError, match="spectral radius") as err:
         prob.solve_v(mon)
-    assert len(err.value.norms) == 6
-    assert len(err.value.ratios) == 5
-    assert err.value.ratios[-1] > 1.0
+    assert err.value.spectral_radius > 1.0
+    assert err.value.spectral_radius == mon.spectral_radius
+    assert len(err.value.norms) == 1
+    assert not mon.converged
+
+
+def test_drift_within_contraction_range_solves(sym, pg, small_grid):
+    # b = 6 needs more than 40 successive approximations at this tolerance,
+    # yet the discrete system's spectral radius is below one
+    prob = PerturbationProblem(sym, pg, small_grid, constant_drift([6.0]))
+    mon = ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf)
+    G_rows = prob.solve_v(mon)
+    assert mon.converged
+    assert 0.5 < mon.spectral_radius < 1.0
+    assert prob.perturbation_residual(G_rows) < 1e-12
+    Gf = prob.rows_to_scalar_field(G_rows, "G")
+    assert max(abs(Gf.mass(k) - 1.0) for k in Gf.pairs()) < 1e-12
 
 
 def test_time_dependent_drift_solves(sym, pg, small_grid):
@@ -177,9 +196,7 @@ def test_time_dependent_drift_solves(sym, pg, small_grid):
                              width=0.05, dim=1)
     prob = PerturbationProblem(sym, pg, small_grid, b)
     mon = ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf)
-    rows = prob.solve_v(mon)
-    G_rows = prob.assemble_G_rows(rows)
-    Gf = prob.rows_to_scalar_field(G_rows, "G")
+    Gf = prob.rows_to_scalar_field(prob.solve_v(mon), "G")
     assert max(abs(Gf.mass(k) - 1.0) for k in Gf.pairs()) < 5e-3
 
 
@@ -237,7 +254,7 @@ def test_two_dimensional_solve_matches_transform():
     b2 = constant_drift([0.6, -0.3])
     prob = PerturbationProblem(sym2, pg2, grid, b2)
     mon = ConvergenceMonitor.for_problem(1.5, 0.5, 2, math.inf)
-    G_rows = prob.assemble_G_rows(prob.solve_v(mon))
+    G_rows = prob.solve_v(mon)
     Gcf = prob.closed_form_G_rows()
     worst = 0.0
     for k in G_rows:
