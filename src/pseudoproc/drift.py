@@ -144,16 +144,18 @@ def mollified_time_drift(base: Callable, width: float, dim: int,
                          p: float = math.inf, nodes: int = 257) -> DriftField:
     """Smooth b(t) from a rough scalar-in-time profile via top-hat averaging.
 
-    `base(t) -> (d,)` may be discontinuous; the returned drift averages it
-    over [t - width/2, t + width/2] with a fixed node count so that the
+    `base(t)` may be discontinuous; given an array of n times it returns the
+    d components at each, shape (d, n).  The returned drift averages it over
+    [t - width/2, t + width/2] with a fixed node count so that the
     mollification scale is the only moving part in stability studies.
     """
     offs = (np.arange(nodes) / (nodes - 1) - 0.5) * width
 
     def smooth(t):
-        acc = np.zeros(dim)
-        for o in offs:
-            acc += np.atleast_1d(np.asarray(base(t + o), dtype=float))
-        return acc / nodes
+        values = np.atleast_2d(np.asarray(base(t + offs), dtype=float))
+        if values.shape != (dim, nodes):
+            raise DriftError(f"base returned {values.shape} for {nodes} "
+                             f"times, expected {(dim, nodes)}")
+        return values.sum(axis=1) / nodes
 
     return DriftField(dim=dim, kind="time", evaluator=smooth, p_exponent=p)

@@ -160,17 +160,17 @@ def write_csv(path, grid: SpaceTimeGrid, values: np.ndarray):
     vals = np.asarray(values)
     vector = vals.ndim == grid.dim + 1
     comps = vals if vector else vals[None, ...]
-    N = grid.points_per_dim
+    offsets = np.indices(grid.shape()).reshape(grid.dim, -1) \
+        - grid.points_per_dim // 2
+    columns = offsets.tolist() \
+        + comps.reshape(comps.shape[0], -1).astype(float).tolist()
     with open(path, "w", newline="") as fh:
         idx_cols = ",".join(f"i{k}" for k in range(grid.dim))
         val_cols = ",".join(f"value{k}" for k in range(comps.shape[0])) \
             if vector else "value"
         fh.write(f"{idx_cols},{val_cols}\n")
-        for flat in range(N ** grid.dim):
-            idx = np.unravel_index(flat, grid.shape())
-            cells = [str(int(k) - N // 2) for k in idx]
-            cells += [repr(float(c[idx])) for c in comps]
-            fh.write(",".join(cells) + "\n")
+        fh.writelines(",".join(map(repr, cells)) + "\n"
+                      for cells in zip(*columns))
 
 
 def snapshot_field(field_obj, directory, stem: str):

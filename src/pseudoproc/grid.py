@@ -13,7 +13,7 @@ the sampled transform exactly (no hidden scale factors).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

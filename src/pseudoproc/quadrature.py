@@ -1,7 +1,11 @@
-"""Time quadrature of the kernel-level integrals on a uniform partition.
+"""Time quadrature on a uniform partition.
 
-`hybrid_rule` is the only code that knows the rule; `lagrange_weights`, its
-interpolation between partition times, also serves the function-level solver.
+`kernel_rule` alone knows the kernel-level rule for Int_{t_i}^{t_j} b H:
+4-point `gauss_panels` nodes on every step, b exact at the nodes, and H
+interpolated by `lagrange_weights` through the (at most four) samples
+nearest each node inside [t_i, t_j], never below t_i.  The function-level
+solver shares `lagrange_weights`; the closed-form oracle and the scaling
+fit share `gauss_panels`.
 """
 from __future__ import annotations
 
@@ -9,9 +13,22 @@ import functools
 
 import numpy as np
 
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(4)
-_GL_X = 0.5 * (_GL_X + 1.0)
-_GL_W = 0.5 * _GL_W
+
+@functools.lru_cache(maxsize=None)
+def _unit_gauss(n: int):
+    """n-point Gauss-Legendre nodes and weights on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+def gauss_panels(edges: np.ndarray, n: int = 4):
+    """Nodes and weights of n-point Gauss-Legendre on every interval of edges.
+
+    Both have shape (len(edges) - 1, n).
+    """
+    x, w = _unit_gauss(n)
+    width = np.diff(edges)[:, None]
+    return edges[:-1, None] + width * x, width * w
 
 
 def lagrange_weights(taus, tau, order: int = 4):
@@ -32,41 +49,45 @@ def lagrange_weights(taus, tau, order: int = 4):
     return k0, w
 
 
-@functools.lru_cache(maxsize=2)
-def hybrid_rule(steps: int):
-    """Nodes and weights of the time quadrature on a partition of `steps`.
+def _step_table(n: int, r: int) -> np.ndarray:
+    """Weights at the Gauss nodes of step r of n, for the samples t_0..t_3."""
+    table = np.zeros((4, 4))
+    for q, x in enumerate(_unit_gauss(4)[0]):
+        _, w = lagrange_weights(np.arange(n + 1.0), r + x)
+        table[q, :len(w)] = w
+    return table
 
-    Interior partition times carry composite-trapezoid weights; the end
-    panels [t_i, t_{i+1}] and [t_{j-1}, t_j], where no interior sample
-    exists, carry 4-point Gauss-Legendre nodes at which f is interpolated
-    through its four nearest samples.  An adjacent pair is one panel.
 
-    Returns (nodes, rule).  nodes are node times in units of dt: entry 5k
-    is t_k and entry 5k + 1 + q the Gauss node q of [t_k, t_{k+1}], so the
-    offset tau - t_i of node n is node n - 5i.  rule[j] = (lagrange, pairs)
-    with pairs[i] = (node, weight) gives Int_{t_i}^{t_j} h(tau) f(tau) dtau
-    ~ dt * sum_q weight[q] h(tau_q) (lagrange[node] @ f)[q], with f the
-    samples f(t_0), ..., f(t_{j-1}) followed by the limit f(t_j); h is
-    evaluated exactly at the nodes.
+# Every stencil of n <= 3 steps starts at t_0.  From three steps on, a step's
+# stencil depends only on whether it is the first (samples t_i..t_{i+3}), an
+# inner step k (t_{k-1}..t_{k+2}) or the last (t_{j-3}..t_j).
+_TABLES = np.stack([_step_table(n, r) for n, r in
+                    ((1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2))])
+_ALONE, _FIRST_OF_TWO, _LAST_OF_TWO, _FIRST, _INNER, _LAST = range(6)
+
+
+def kernel_rule(b_at, times: np.ndarray) -> list:
+    """Weights of Int_{t_i}^{t_j} b_c(tau) H(tau) dtau for every i < j.
+
+    b_at(tau) is the drift d-vector; times are the partition t_0..t_steps.
+    Entry j of the returned list is W of shape (d, j, j + 1): the integral
+    from t_i is sum_l W[c, i, l] H(t_l), with W[c, i, l] = 0 for l < i.
+    Building W takes O(j^2) memory.
     """
-    nodes = (np.arange(steps + 1)[:, None] + np.append(0.0, _GL_X)).ravel()
-    nodes = nodes[:5 * steps + 1]
-    gauss = 1 + np.arange(4)
-    rule = [()]
+    tau, weight = gauss_panels(times)
+    drift = np.array([[b_at(t) for t in row] for row in tau])
+    steps, _, d = drift.shape
+    # step k with each table: sum_q weight_q b_c(node q) table[q, s]
+    step = np.einsum("kq,kqc,tqs->tkcs", weight, drift, _TABLES)
+    rules = [np.zeros((d, 0, 1))]
     for j in range(1, steps + 1):
-        lagrange = np.zeros((5 * j + 1, j + 1))
-        for n, tau in enumerate(nodes[:5 * j + 1]):
-            k0, w = lagrange_weights(np.arange(j + 1.0), tau)
-            lagrange[n, k0:k0 + len(w)] = w
-        per_start = []
-        for i in range(j):
-            panels = sorted({i, j - 1})   # a single panel when j = i + 1
-            inner = np.arange(i + 1, j)
-            # composite trapezoid on t_{i+1}..t_{j-1}; zero for one node
-            trapezoid = 0.5 * (np.minimum(inner + 1, j - 1)
-                               - np.maximum(inner - 1, i + 1))
-            node = np.concatenate([5 * k + gauss for k in panels] + [5 * inner])
-            weight = np.concatenate([_GL_W for _ in panels] + [trapezoid])
-            per_start.append((node, weight))
-        rule.append((lagrange, tuple(per_start)))
-    return nodes, tuple(rule)
+        i, k = np.triu_indices(j)          # step k of the interval from t_i
+        n, r = j - i, k - i
+        table = np.select([n == 1, n == 2, r == 0, r == n - 1],
+                          [_ALONE, _FIRST_OF_TWO + r, _FIRST, _LAST], _INNER)
+        first = i + np.clip(r - 1, 0, np.maximum(n - 3, 0))  # stencil start
+        W = np.zeros((d, j, j + 4))        # spare columns: short stencils
+        for s in range(4):
+            np.add.at(W, (slice(None), i, first + s), step[table, k, :, s].T)
+        rules.append(W[..., :j + 1])
+    return rules

@@ -20,7 +20,7 @@ non-integer arguments (extended via Gamma(1 + x) = x Gamma(x)) is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np

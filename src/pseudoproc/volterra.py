@@ -1,18 +1,18 @@
 """Direct solver for the drift-perturbed kernel identity.
 
 The perturbed kernel solves G = g + Int_s^t dtau Int g (b, v) dz, where
-v = grad_beta G.  Every kernel is translation invariant, so for drift that
-is constant in space (time dependence allowed) v is the pseudo-gradient
-multiplier times G on each Fourier mode, and the identity is one scalar
-Volterra equation per mode.  Discretised by `hybrid_rule`, it couples only
-the rows G_j = (G(t_i, t_j))_{i<j} of one terminal index: per mode
-(I - K_j) G_j = g_j + c_j, with c_j the weights of the coincident-time
-limit G(t_j, t_j) = 1.  `PerturbationProblem.solve_v` solves these systems
-directly, with no iteration cap; `ConvergenceError` (exit 4 of `pseudoproc
-perturb`) means their successive approximations diverge (spectral radius of
-some K_j at least one), the residual exceeds stop_tol, or the result is not
-finite.  `iterate_terms` builds that series itself, whose terms decline at
-an Euler-beta rate.
+v = grad_beta G.  For drift constant in space (time dependence allowed)
+v is the pseudo-gradient multiplier times G on each Fourier mode.  With
+Lawson's integrating factor, G(s, t) = exp(-a (t - s)) H(s, t), the identity
+becomes H(s, t) = 1 + Int_s^t m(tau) H(tau, t) dtau, m = (b, multiplier),
+with nothing stiff left to interpolate.  `kernel_rule` keeps its stencils
+inside [t_i, t_j], so per mode and terminal index j the system
+(I - K_j) G_j = g_j + c_j (c_j weighs the limit G(t_j, t_j) = 1) is upper
+triangular: `PerturbationProblem.solve_v` back-substitutes, and the
+spectral radius is the largest diagonal modulus.  `ConvergenceError` (exit
+4 of `pseudoproc perturb`) means that radius is at least one (the message
+names |m|max * dt), the residual exceeds stop_tol, or the result is not
+finite.  `iterate_terms` builds the series of the same operator.
 """
 from __future__ import annotations
 
@@ -28,9 +28,7 @@ from .grid import SpaceTimeGrid, GridError, synthesize, analyze
 from .symbols import SymbolSpec, PseudoGradientSpec
 from .fields import ScalarKernelField, VectorKernelField, PairKey
 from .drift import DriftField, series_exponent
-from .quadrature import hybrid_rule
-
-_BLOCK_ENTRIES = 1 << 14  # matrix entries per block of modes: bounds solve memory
+from .quadrature import gauss_panels, kernel_rule
 
 
 class ConvergenceError(RuntimeError):
@@ -111,8 +109,8 @@ class PerturbationProblem:
 
     Bundles symbol, pseudo-gradient, grid and drift, with every base kernel
     available in closed form on the frequency lattice.  Mode rows are dicts
-    keyed by time pair (i, j); the operators act on one terminal index j at
-    a time, on arrays (modes, j).  Spatially-varying drift breaks
+    keyed by time pair (i, j); internally each terminal index j holds an
+    array indexed by start time.  Spatially-varying drift breaks
     translation invariance of the unknown kernel and is out of scope here
     (the evolution module solves the paired function-level system).
     """
@@ -134,23 +132,17 @@ class PerturbationProblem:
         self.M = grid.time_steps
 
     @functools.cached_property
-    def _decay(self) -> np.ndarray:
-        """exp(-a tau) at each node time tau of the rule, (nodes, modes)."""
-        tau = self.grid.dt * hybrid_rule(self.M)[0]
-        return np.exp(np.outer(-tau, self.a.ravel()))
+    def _rule(self) -> list:
+        return kernel_rule(self.b.at_time, self.times)
 
     @functools.cached_property
-    def _drift(self) -> np.ndarray:
-        """b(tau) at each node time tau of the rule, (nodes, d)."""
-        tau = self.grid.dt * hybrid_rule(self.M)[0]
-        return np.array([self.b.at_time(t) for t in tau])
+    def _gap_decay(self) -> np.ndarray:
+        """g at the partition gaps: column n is exp(-a n dt)."""
+        return np.exp(np.outer(self.a.ravel(), -self.times))
 
-    # base kernels on the frequency lattice, any gap
-    def g_hat(self, gap: float) -> np.ndarray:
-        return np.exp(-self.a * gap)
-
+    # base kernels on the frequency lattice
     def g_rows(self) -> Dict[PairKey, np.ndarray]:
-        return {(i, j): self.g_hat(self.times[j] - self.times[i])
+        return {(i, j): self._gap_decay[:, j - i].reshape(self.a.shape)
                 for j in range(1, self.M + 1) for i in range(j)}
 
     def v_rows(self, G_rows: Dict[PairKey, np.ndarray]
@@ -162,22 +154,14 @@ class PerturbationProblem:
         return self.v_rows(self.g_rows())
 
     # -- the discrete operator -----------------------------------------------
-    def pair_quad(self, i: int, j: int, modes: slice = slice(None)) -> np.ndarray:
+    def pair_quad(self, i: int, j: int) -> np.ndarray:
         """Weights of Int_{t_i}^{t_j} g(tau - t_i) b_c(tau) f(tau) dtau.
 
-        Shape (d, modes, j + 1): per drift component c and mode (restricted
-        to `modes`), the weights of the samples f(t_0), ..., f(t_{j-1})
-        followed by the coincident-time limit f(t_j).
+        Shape (d, modes, j + 1 - i): per drift component c and mode, the
+        weights of f(t_i), ..., f(t_{j-1}) and of the limit f(t_j), each the
+        rule's weight for the smooth exp(a (t_j - tau)) f times g(t_l - t_i).
         """
-        lagrange, pairs = hybrid_rule(self.M)[1][j]
-        node, weight = pairs[i]
-        f = self._decay[node - 5 * i, modes] * (self.grid.dt * weight)[:, None]
-        f = self._drift[node].T[:, :, None] * f
-        return f.transpose(0, 2, 1) @ lagrange[node]
-
-    def _operator(self, j: int, modes: slice = slice(None)) -> np.ndarray:
-        """pair_quad for every start index i, shape (d, modes, j, j + 1)."""
-        return np.stack([self.pair_quad(i, j, modes) for i in range(j)], axis=2)
+        return self._rule[j][:, i, None, i:] * self._gap_decay[:, :j + 1 - i]
 
     def row_max_norm(self, row: np.ndarray) -> float:
         """Sup over the lattice of the synthesized scalar or vector row."""
@@ -189,9 +173,10 @@ class PerturbationProblem:
     def solve_v(self, monitor: ConvergenceMonitor) -> Dict[PairKey, np.ndarray]:
         """Solve the discrete kernel identity; returns the G rows.
 
-        v = multiplier * G follows from `v_rows`.  The monitor records the
-        largest residual (lattice sup norm) and spectral radius over j.
-        Modes are solved in blocks of about _BLOCK_ENTRIES matrix entries.
+        K_j is upper triangular, so each terminal index j is solved by
+        back-substitution from i = j - 1 down to 0.  v = multiplier * G
+        follows from `v_rows`.  The monitor records the largest residual
+        (lattice sup norm) and spectral radius over j.
         """
         if self.b.is_zero():
             # exact short-circuit: zero drift collapses the series to g
@@ -201,34 +186,30 @@ class PerturbationProblem:
         start = _time.perf_counter()
         rows, radius, residual = {}, 0.0, 0.0
         for j in range(1, self.M + 1):
-            g = self._decay[5 * (j - np.arange(j))].T   # g(t_j - t_i), i < j
-            G, defect = np.empty_like(g, complex), np.empty_like(g, complex)
-            step = max(1, _BLOCK_ENTRIES // (j * j))
-            for lo in range(0, self.a.size, step):
-                modes = slice(lo, lo + step)
-                # K_j and c_j side by side: the pairing (b, multiplier)
-                op = np.einsum("cn,cnim->nim", self._mult[:, modes],
-                               self._operator(j, modes))
-                K = op[..., :j]
-                radius = max(radius, np.abs(np.linalg.eigvals(K)).max()
-                             if np.isfinite(K).all() else math.inf)
-                A, rhs = np.eye(j) - K, g[modes] + op[..., j]
-                G[modes] = np.linalg.solve(A, rhs[..., None])[..., 0]
-                defect[modes] = (A @ G[modes, :, None])[..., 0] - rhs
-            # np.max keeps a NaN, which fails the test below
-            residual = np.max([residual] + [self.row_max_norm(
-                d.reshape(self.a.shape)) for d in defect.T])
-            rows.update({(i, j): G[:, i].reshape(self.a.shape)
-                         for i in range(j)})
+            G = np.ones((self.a.size, j + 1), complex)  # G(t_l, t_j); limit 1
+            for i in range(j - 1, -1, -1):
+                # row i of K_j and c_j: the pairing (b, multiplier)
+                K = (self._mult[..., None] * self.pair_quad(i, j)).sum(axis=0)
+                g = self._gap_decay[:, j - i]
+                known = (K[:, 1:] * G[:, i + 1:]).sum(axis=1)  # samples l > i
+                G[:, i] = (g + known) / (1.0 - K[:, 0])
+                radius = max(radius, np.abs(K[:, 0]).max())
+                defect = (1.0 - K[:, 0]) * G[:, i] - g - known
+                # np.maximum keeps a NaN, which fails the test below
+                residual = np.maximum(residual, self.row_max_norm(
+                    defect.reshape(self.a.shape)))
+                rows[(i, j)] = G[:, i].reshape(self.a.shape)
         monitor.spectral_radius = float(radius)
         monitor.record(float(residual), _time.perf_counter() - start)
         if not (radius < 1.0 and residual <= monitor.stop_tol):
+            # m = (b, multiplier) at the partition times
+            m = np.array([self.b.at_time(t) for t in self.times]) @ self._mult
+            m_dt = self.grid.dt * np.abs(m).max()
             raise ConvergenceError(
-                f"spectral radius {radius:.3g} (needs < 1), residual "
-                f"{residual:.3e} (needs <= {monitor.stop_tol:g}): the "
-                "successive approximations of the discrete system diverge; "
-                "the drift is too large for this horizon or the grid too "
-                "coarse", monitor.iterate_norms, monitor.ratio_history,
+                f"spectral radius {radius:.3g} (needs < 1) at |m|max * dt = "
+                f"{m_dt:.3g}, residual {residual:.3e} (needs <= "
+                f"{monitor.stop_tol:g}): the drift is too large for this time "
+                "step", monitor.iterate_norms, monitor.ratio_history,
                 monitor.spectral_radius)
         return rows
 
@@ -251,12 +232,10 @@ class PerturbationProblem:
         out = {}
         for j in range(1, self.M + 1):
             v = np.stack([v_rows[(i, j)].reshape(self._mult.shape)
-                          for i in range(j)], axis=-1)
-            W = self._operator(j)
-            quad = np.einsum("cnim,cnm->ni", W[..., :j], v) \
-                + np.einsum("cni,cn->ni", W[..., j], limit)
-            out.update({(i, j): quad[:, i].reshape(self.a.shape)
-                        for i in range(j)})
+                          for i in range(j)] + [limit], axis=-1)
+            for i in range(j):
+                quad = (self.pair_quad(i, j) * v[..., i:]).sum(axis=(0, 2))
+                out[(i, j)] = quad.reshape(self.a.shape)
         return out
 
     def assemble_G_rows(self, v_rows: Dict[PairKey, np.ndarray]
@@ -295,11 +274,17 @@ class PerturbationProblem:
                 for k in vf.pairs()}
 
     def closed_form_G_rows(self) -> Dict[PairKey, np.ndarray]:
-        """Exact rows for constant-in-time drift (oracle use only)."""
-        if self.b.kind != "constant":
-            raise ValueError("closed form needs a constant drift vector")
-        m = np.tensordot(self.b.vector, self.mult, axes=(0, 0))
-        return {(i, j): np.exp((-self.a + m) * (self.times[j] - self.times[i]))
+        """Exact rows exp(-a (t-s) + (Int_s^t b, multiplier)) (oracle use only).
+
+        Int b is 16-point Gauss-Legendre on every step.
+        """
+        tau, w = gauss_panels(self.times, 16)
+        b = np.array([[self.b.at_time(t) for t in row] for row in tau])
+        steps = np.einsum("kq,kqc->kc", w, b)
+        int_b = np.cumsum(np.insert(steps, 0, 0.0, axis=0), axis=0)
+        m = np.tensordot(int_b, self.mult, axes=(1, 0))
+        return {(i, j): np.exp(-self.a * (self.times[j] - self.times[i])
+                               + m[j] - m[i])
                 for j in range(1, self.M + 1) for i in range(j)}
 
 
@@ -317,9 +302,9 @@ def volterra_step(v_prev: VectorKernelField, v0: VectorKernelField,
     terminal_limit names the coincident-time limit of v_prev: "zero" for
     series terms of order >= 1, "base" when v_prev is a full iterate (its
     diagonal limit is the pseudo-gradient multiplier).  The symbol and
-    pseudo-gradient specs are required for a nonzero drift: the end
-    subintervals synthesize exact base-kernel values between partition
-    nodes, which sampled fields alone cannot provide.
+    pseudo-gradient specs are required for a nonzero drift: the rule
+    weighs every sample by an exact base-kernel decay factor, which sampled
+    fields alone cannot provide.
     """
     grid.require_compatible(v_prev.grid)
     grid.require_compatible(v0.grid)
@@ -331,7 +316,7 @@ def volterra_step(v_prev: VectorKernelField, v0: VectorKernelField,
     if sym is None or pg is None:
         raise ValueError(
             "field-level stepping requires the symbol and pseudo-gradient "
-            "specs to synthesize end-interval kernel values")
+            "specs for the base-kernel decay factors")
     prob = PerturbationProblem(sym, pg, grid, b)
     rows = prob.vector_field_rows(v_prev)
     missing = [(i, j) for j in range(1, grid.time_steps + 1)
@@ -415,15 +400,6 @@ def kernel_convolution_scaling(kappa: float, lam: float, k: float, l: float,
         gaps = offset ** alpha / 160.0 * np.logspace(-1.0, 0.0, 6)
     gaps = np.asarray(gaps, dtype=float)
 
-    glx, glw = np.polynomial.legendre.leggauss(10)
-    glx = 0.5 * (glx + 1.0)
-    glw = 0.5 * glw
-
-    def panels(edges):
-        """Nodes and weights of 10-point Gauss on every interval of edges."""
-        width = np.diff(edges)[:, None]
-        return (edges[:-1, None] + width * glx).ravel(), (width * glw).ravel()
-
     def z_integral(sig, T):
         # graded edges around the two kernel centers (width scales sig^{1/a})
         w1 = sig ** (1.0 / alpha)
@@ -433,7 +409,8 @@ def kernel_convolution_scaling(kappa: float, lam: float, k: float, l: float,
         for m in range(-3, 14):
             sc = 2.0 ** m
             e.update((-w1 * sc, w1 * sc, offset - w2 * sc, offset + w2 * sc))
-        zq, wq = panels(np.array(sorted(v for v in e if -far <= v <= far)))
+        zq, wq = gauss_panels(np.array(sorted(v for v in e if -far <= v <= far)),
+                              10)
         return (wq * _envelope_kernel(sig, zq, lam, 1 + l, alpha)
                 * _envelope_kernel(T - sig, offset - zq, kappa, 1 + k, alpha)).sum()
 
@@ -442,8 +419,9 @@ def kernel_convolution_scaling(kappa: float, lam: float, k: float, l: float,
         edges = np.unique(np.concatenate([
             [0.0], T * 0.5 * 2.0 ** (-np.arange(18, -1, -1.0)),
             T - T * 0.5 * 2.0 ** (-np.arange(0, 19.0)), [T]]))
-        tq, tw = panels(edges)
-        vals.append(sum(w * z_integral(q, T) for q, w in zip(tq, tw)))
+        tq, tw = gauss_panels(edges, 10)
+        vals.append(sum(w * z_integral(q, T)
+                        for q, w in zip(tq.ravel(), tw.ravel())))
     vals = np.asarray(vals)
     slope = np.polyfit(np.log(gaps), np.log(vals), 1)[0]
     predicted = 1.0 + (kappa + lam - max(k, l)) / alpha

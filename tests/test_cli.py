@@ -128,7 +128,8 @@ def test_perturb_nonconvergence_exit(tmp_path, capsys):
                  "--steps", "8", "--drift", "40.0",
                  "--outdir", str(tmp_path / "n")])
     assert code == EXIT_NONCONVERGENCE
-    assert "spectral radius" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "spectral radius" in err and "|m|max * dt" in err
     assert (tmp_path / "n" / "convergence.csv").exists()
 
 

@@ -115,6 +115,19 @@ def test_csv_mirror_locale_independent(tmp_path, default_grid):
         float(cell)  # parses with C locale semantics
 
 
+def test_csv_matches_cell_by_cell_reference(tmp_path):
+    g = SpaceTimeGrid(2, 10.0, 8, 1.0, 4)
+    vals = np.random.default_rng(3).standard_normal((2, 8, 8)) * 1e-7
+    path = tmp_path / "v.csv"
+    write_csv(path, g, vals)
+    rows = ["i0,i1,value0,value1"]
+    for flat in range(64):
+        idx = np.unravel_index(flat, g.shape())
+        cells = [str(int(k) - 4) for k in idx]
+        rows.append(",".join(cells + [repr(float(c[idx])) for c in vals]))
+    assert path.read_text() == "\n".join(rows) + "\n"
+
+
 def test_mass_uses_cell_volume(default_grid):
     f = ScalarKernelField(default_grid, "g0")
     f.set_slice((0, 1), np.ones(256))

@@ -11,6 +11,7 @@ from pseudoproc import (SpaceTimeGrid,
                         kernel_convolution_scaling, VectorKernelField,
                         synthesize, min_p_exponent, series_exponent)
 from pseudoproc.spectral import constant_drift_values
+from pseudoproc.quadrature import kernel_rule
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +75,19 @@ def test_drift_field_validation():
     b = constant_drift([1.0], p=3.0)
     with pytest.raises(DriftError, match="p ="):
         b.validate_exponent(1.5)
+    transposed = mollified_time_drift(lambda t: np.stack([t, t], axis=1),
+                                      0.1, 2)
+    with pytest.raises(DriftError, match="expected"):
+        transposed.at_time(0.5)
+
+
+def test_mollified_drift_matches_loop_average():
+    rough = lambda t: np.array([0.6 + 0.4 * np.sign(np.sin(11.0 * t))])
+    b = mollified_time_drift(rough, 0.05, 1)
+    offs = (np.arange(257) / 256 - 0.5) * 0.05
+    for t in (0.0, 0.137, 0.5, 0.91):
+        loop = sum(rough(t + o) for o in offs) / 257
+        assert b.at_time(t) == pytest.approx(loop, rel=1e-14)
 
 
 def test_lp_norm_constant_slab(default_grid):
@@ -117,9 +131,7 @@ def test_solver_matches_constant_drift_transform(sym, pg, small_grid):
 
 def test_zero_drift_residual_is_roundoff(sym, pg, small_grid):
     prob = PerturbationProblem(sym, pg, small_grid, zero_drift(1))
-    g_rows = {k: prob.g_hat(small_grid.dt * (k[1] - k[0]))
-              for j in range(1, 9) for k in [(i, j) for i in range(j)]}
-    assert prob.perturbation_residual(g_rows) < 1e-14
+    assert prob.perturbation_residual(prob.g_rows()) < 1e-14
 
 
 def test_residuals_meet_solver_contract(small_problem):
@@ -189,6 +201,69 @@ def test_drift_within_contraction_range_solves(sym, pg, small_grid):
     assert prob.perturbation_residual(G_rows) < 1e-12
     Gf = prob.rows_to_scalar_field(G_rows, "G")
     assert max(abs(Gf.mass(k) - 1.0) for k in Gf.pairs()) < 1e-12
+
+
+def test_kernel_operator_has_no_entry_below_the_diagonal(small_grid):
+    b = DriftField(dim=1, kind="time",
+                   evaluator=lambda t: np.array([1.0 + np.sin(3.0 * t)]))
+    for j, W in enumerate(kernel_rule(b.at_time, small_grid.times())):
+        assert W.shape == (1, j, j + 1)
+        assert not np.any(np.tril(W[0], -1))
+        assert np.all(np.diagonal(W[0]) > 0.0)
+
+
+def test_reported_radius_is_the_largest_eigenvalue(sym, pg, small_grid):
+    prob = PerturbationProblem(sym, pg, small_grid, constant_drift([6.0]))
+    mon = ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf)
+    prob.solve_v(mon)
+    worst = 0.0
+    for j in range(1, prob.M + 1):
+        K = np.zeros((prob.a.size, j, j), complex)
+        for i in range(j):
+            row = np.einsum("cn,cnl->nl", prob._mult, prob.pair_quad(i, j))
+            K[:, i, i:] = row[:, :-1]   # the last column weighs the limit
+        worst = max(worst, np.abs(np.linalg.eigvals(K)).max())
+    assert mon.spectral_radius == pytest.approx(worst, rel=1e-12)
+
+
+@pytest.mark.parametrize("steps", [8, 10])
+def test_constant_drift_rows_depend_on_the_gap_alone(sym, pg, steps):
+    grid = SpaceTimeGrid(1, 20.0, 64, 1.0, steps)
+    prob = PerturbationProblem(sym, pg, grid, constant_drift([1.0]))
+    G = prob.solve_v(ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf))
+    assert max(np.abs(G[(i, j)] - G[(0, j - i)]).max() for i, j in G) <= 1e-13
+
+
+def test_adjacent_pair_error_falls_under_refinement(sym, pg):
+    errors = []
+    for N, M in ((256, 16), (512, 32)):
+        grid = SpaceTimeGrid(1, 40.0, N, 1.0, M)
+        prob = PerturbationProblem(sym, pg, grid, constant_drift([1.0]))
+        G = prob.solve_v(ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf))
+        exact = prob.closed_form_G_rows()
+        errors.append(max(prob.row_max_norm(G[(i, i + 1)] - exact[(i, i + 1)])
+                          / prob.row_max_norm(exact[(i, i + 1)])
+                          for i in range(M)))
+    assert errors[0] < 2e-4
+    assert errors[1] < 0.5 * errors[0]
+
+
+def test_large_drift_names_the_step_coupling(sym, pg, default_grid):
+    prob = PerturbationProblem(sym, pg, default_grid, constant_drift([12.0]))
+    mon = ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf)
+    with pytest.raises(ConvergenceError, match="dt") as err:
+        prob.solve_v(mon)
+    assert "|m|max * dt" in str(err.value)
+    assert 1.0 < err.value.spectral_radius < 1.5
+
+
+def test_time_dependent_drift_matches_closed_form(sym, pg, small_grid):
+    b = DriftField(dim=1, kind="time", evaluator=lambda t: np.array(
+        [0.75 + 0.5 * np.cos(2.0 * np.pi * t)]))
+    prob = PerturbationProblem(sym, pg, small_grid, b)
+    G = prob.solve_v(ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf))
+    exact = prob.closed_form_G_rows()
+    assert max(prob.row_max_norm(G[k] - exact[k]) for k in G) < 2e-3
 
 
 def test_time_dependent_drift_solves(sym, pg, small_grid):
