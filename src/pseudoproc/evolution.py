@@ -19,12 +19,21 @@ invariant.  Near tau = t the integrands inherit the (t - tau)^{-beta/alpha}
 amplitude of w, so the terminal subinterval is integrated in the
 substituted variable u = (t - tau)^{1 - beta/alpha} with the leading
 (order-zero) part of w synthesized exactly at the sub-nodes.
+
+Both integrals are summed in Fourier space: a Picard sweep analyses the
+pairing P = (b, w) once per quadrature time, accumulates per start index
+the scalar spectrum E_i = sum of weight * exp(-a (tau - t_i)) * P_hat(tau)
+and synthesizes u(t_i) from it, and w(t_i) from the multiplier times it
+(v0's spectrum is the multiplier times g's).
 """
 from __future__ import annotations
 
+import functools
 import math
+import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence
+from types import SimpleNamespace
+from typing import Callable, Dict, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -32,12 +41,8 @@ from .grid import SpaceTimeGrid, GridError, synthesize, analyze
 from .symbols import SymbolSpec, PseudoGradientSpec
 from .fields import ScalarKernelField, VectorKernelField
 from .drift import DriftField, series_exponent
-from .quadrature import lagrange_weights
+from .quadrature import gauss_panels, lagrange_weights
 from .volterra import ConvergenceMonitor, ConvergenceError, PerturbationProblem
-
-_GL_X6, _GL_W6 = np.polynomial.legendre.leggauss(6)
-_GL_X6 = 0.5 * (_GL_X6 + 1.0)
-_GL_W6 = 0.5 * _GL_W6
 
 
 @dataclass
@@ -156,12 +161,12 @@ class GeneratorAction:
     def __call__(self, values: np.ndarray, t: float,
                  grid: SpaceTimeGrid) -> np.ndarray:
         F = analyze(grid, values)
-        out = -synthesize(grid, self.sym.on_grid(grid) * F, require_real=True,
-                          tol=1e-6)
-        grads = np.stack([synthesize(grid, m * F, require_real=True, tol=1e-6)
-                          for m in self.pg.multiplier(grid)])
+        # -A u and the d pseudo-gradient components in one batched synthesis
+        fields = synthesize(grid, np.concatenate(
+            [(self.sym.on_grid(grid) * F)[None], self.pg.multiplier(grid) * F]),
+            require_real=True, tol=1e-6)
         bvals = self.drift.sample(t, grid)
-        return out + (bvals * grads).sum(axis=0)
+        return -fields[0] + (bvals * fields[1:]).sum(axis=0)
 
     def mode_factor(self, lam_components: Sequence[float], t: float,
                     x: Sequence[float]) -> complex:
@@ -210,31 +215,19 @@ class TerminalValueProblem:
         self.remainder_power = max(theta - self.sigma2, 0.25)
 
     # exact leading objects at arbitrary times
-    def w0_at(self, tau: float) -> np.ndarray:
-        gap = self.times[self.j] - tau
-        rows = self.mult * np.exp(-self.a * gap)[None]
-        return np.stack([synthesize(self.grid, r * self.phi_hat,
-                                    require_real=True, tol=1e-6) for r in rows])
+    def _decay(self, gaps) -> np.ndarray:
+        """exp(-a gap) for each gap, shape (len(gaps),) + grid shape."""
+        gaps = np.asarray(gaps, dtype=float)
+        return np.exp(-self.a * gaps.reshape((-1,) + (1,) * self.grid.dim))
 
-    def base_apply(self, s: float) -> np.ndarray:
-        gap = self.times[self.j] - s
-        return synthesize(self.grid,
-                          np.exp(-self.a * gap) * self.phi_hat,
+    def _datum_spectra(self, taus) -> np.ndarray:
+        """Spectra of u0(tau) = Int g(tau, x, t, y) phi(y) dy at each tau."""
+        return self._decay(self.times[self.j] - np.asarray(taus)) * self.phi_hat
+
+    def w0_at(self, taus) -> np.ndarray:
+        """w0 slices at the times taus, shape (len(taus), d) + grid shape."""
+        return synthesize(self.grid, self.mult * self._datum_spectra(taus)[:, None],
                           require_real=True, tol=1e-6)
-
-    def _conv_kernel(self, spec_row: np.ndarray, pairing: np.ndarray) -> np.ndarray:
-        """IFFT[ spec_row * FFT(pairing) ]; pairing is a centered scalar field."""
-        P = analyze(self.grid, pairing)
-        if spec_row.ndim == self.grid.dim:   # scalar kernel
-            return synthesize(self.grid, spec_row * P,
-                              require_real=True, tol=1e-6)
-        return np.stack([synthesize(self.grid, r * P,
-                                    require_real=True, tol=1e-6)
-                         for r in spec_row])
-
-    def _pairing(self, tau: float, w_val: np.ndarray) -> np.ndarray:
-        bv = self.b.sample(tau, self.grid)
-        return (bv * w_val).sum(axis=0)
 
     def _interior_weights(self, i: int):
         """Nodes m = i+1 .. j-1 and weights for the terminal-weighted rule.
@@ -265,72 +258,78 @@ class TerminalValueProblem:
             w[seg + 1] += (ub * m0 - m1) / (ub - ua)   # weight on H(tb)
         return ms, w
 
-    def _terminal_interval(self, i: int, kernel_hat: Callable,
-                           r_anchor: np.ndarray) -> np.ndarray:
-        """Integral over [t_{j-1}, t_j] (or the whole [t_i, t_j] when adjacent).
+    @functools.cached_property
+    def _rule(self) -> SimpleNamespace:
+        """What no sweep changes: nodes, weights, drift samples, exp(-a gap).
 
-        The order-zero part of w is synthesized exactly at substituted Gauss
-        nodes; the remainder is interpolated linearly to zero from its value
-        at t_{j-1}.
+        Int_{t_i}^{t_j} has a terminal panel [t_{j-1}, t_j] (all of it when
+        i = j-1; 6-point Gauss in u = (t - tau)^{1 - sigma2}, w = w0 plus the
+        remainder at t_{j-1} ramped to zero), the interior [t_{i+1}, t_{j-1}]
+        and a start panel [t_i, t_{i+1}] (6-point Gauss, w by Lagrange).
         """
-        t = self.times[self.j]
-        lo = self.times[max(self.j - 1, i)]
-        s = self.times[i]
-        s2 = self.sigma2
-        umax = (t - lo) ** (1.0 - s2)
-        acc = None
-        for uq, wq in zip(umax * _GL_X6, _GL_W6):
-            tau = t - uq ** (1.0 / (1.0 - s2))
-            tau = min(max(tau, lo), t - 1e-300)
-            wval = self.w0_at(tau) + \
-                r_anchor * ((t - tau) / (t - lo)) ** self.remainder_power
-            F = self._conv_kernel(kernel_hat(tau - s), self._pairing(tau, wval))
-            # d tau = (1/(1-s2)) u^{s2/(1-s2)} du and F carries u^{-s2/(1-s2)}
-            contrib = wq * umax * (1.0 / (1.0 - s2)) * uq ** (s2 / (1.0 - s2)) * F
-            acc = contrib if acc is None else acc + contrib
-        return acc
+        grid, j, s2 = self.grid, self.j, self.sigma2
+        t, lo = self.times[j], self.times[j - 1]
 
-    def _start_interval(self, i: int, kernel_hat: Callable,
-                        w_slices: Dict[int, np.ndarray]) -> np.ndarray:
-        """Gauss rule on [t_i, t_{i+1}] with w interpolated through its slices."""
-        s = self.times[i]
-        dt = self.grid.dt
-        ms = sorted(w_slices.keys())
-        taus = np.array([self.times[m] for m in ms])
-        stack = [w_slices[m] for m in ms]
-        acc = None
-        for q, wq in zip(s + dt * np.array(_GL_X6), _GL_W6):
-            k0, lw = lagrange_weights(taus, q)
-            wval = sum(c * stack[k0 + ii] for ii, c in enumerate(lw))
-            F = self._conv_kernel(kernel_hat(q - s), self._pairing(q, wval))
-            contrib = wq * dt * F
-            acc = contrib if acc is None else acc + contrib
-        return acc
+        def sample(taus):
+            return np.stack([self.b.sample(tau, grid) for tau in taus])
 
-    def _sweep_integral(self, i: int, kernel_hat: Callable,
-                        w_slices: Dict[int, np.ndarray]) -> np.ndarray:
-        """Full quadrature of Int_{t_i}^{t_j} kernel(tau - t_i) (b, w(tau)) dtau."""
-        t = self.times[self.j]
-        r_anchor = w_slices[self.j - 1] - self.w0_at(self.times[self.j - 1])
-        total = self._terminal_interval(i, kernel_hat, r_anchor)
-        if self.j - i == 1:
-            return total
-        ms, wH = self._interior_weights(i)
-        for m, wm in zip(ms, wH):
-            tau = self.times[m]
-            F = self._conv_kernel(kernel_hat(tau - self.times[i]),
-                                  self._pairing(tau, w_slices[m]))
-            H = F * (t - tau) ** self.sigma2
-            total = total + wm * H
-        # the interior rule covers [t_{i+1}, t_{j-1}]; add [t_i, t_{i+1}]
-        total = total + self._start_interval(i, kernel_hat, w_slices)
-        return total
+        def weighted_decay(weights, gaps):
+            return weights.reshape((-1,) + (1,) * grid.dim) * self._decay(gaps)
 
-    def _v0_hat(self, gap: float) -> np.ndarray:
-        return self.mult * np.exp(-self.a * gap)[None]
+        (u,), (wu,) = gauss_panels(np.array([0.0, (t - lo) ** (1.0 - s2)]), 6)
+        tau = np.clip(t - u ** (1.0 / (1.0 - s2)), lo, t - 1e-300)
+        # d tau = (1/(1-s2)) u^{s2/(1-s2)} du and f carries u^{-s2/(1-s2)}
+        wt = wu / (1.0 - s2) * u ** (s2 / (1.0 - s2))
+        rule = SimpleNamespace(
+            decay=self._decay(self.times),      # exp(-a gap) by gap index
+            b_term=sample(tau), w0_term=self.w0_at(tau),
+            ramp=((t - tau) / (t - lo)) ** self.remainder_power,
+            w0_anchor=self.w0_at([lo])[0],
+            term_weight=weighted_decay(wt, tau - lo))
+        if j > 1:   # interior and start panels exist for i < j - 1
+            rule.b_inner = sample(self.times[1:j])
+            rule.inner_weight = np.zeros((j - 1, j - 1))
+            for i in range(j - 1):
+                ms, w = self._interior_weights(i)
+                rule.inner_weight[i, ms - 1] = w * (t - self.times[ms]) ** s2
+            nodes, ws = gauss_panels(self.times[:j], 6)
+            picks = [[lagrange_weights(self.times[:j], q) for q in row]
+                     for row in nodes]
+            rule.stencil = np.array([[k0 + np.arange(len(w)) for k0, w in row]
+                                     for row in picks])
+            rule.lagrange = np.array([[w for _, w in row] for row in picks])
+            rule.b_start = np.stack([sample(row) for row in nodes])
+            rule.start_weight = weighted_decay(ws[0], nodes[0] - self.times[0])
+        return rule
 
-    def _g_hat(self, gap: float) -> np.ndarray:
-        return np.exp(-self.a * gap)
+    def _u_spectra(self, W: np.ndarray) -> Iterator[np.ndarray]:
+        """Spectra of u(t_i) for i = 0 .. j-1, given w slices W (shape (j, d) + grid).
+
+        Spectrum i is exp(-a (t - t_i)) phi_hat plus E_i, the rule's sum of
+        weight * exp(-a (tau - t_i)) * P_hat(tau) with P = (b, w).  Each
+        pairing is analysed once per call.  u(t_i) is the synthesis of
+        spectrum i and, since v0_hat = multiplier * g_hat, the next w(t_i) is
+        the synthesis of multiplier * spectrum i.
+        """
+        j, grid = self.j, self.grid
+        if self.b.is_zero():
+            yield from self._datum_spectra(self.times[:j])
+            return
+        r = self._rule
+        w_term = r.w0_term + np.multiply.outer(r.ramp, W[j - 1] - r.w0_anchor)
+        terminal = (r.term_weight *
+                    analyze(grid, (r.b_term * w_term).sum(axis=1))).sum(axis=0)
+        inner = analyze(grid, (r.b_inner * W[1:]).sum(axis=1)) if j > 1 else None
+        for i in range(j):
+            # exp(-a (tau - t_i)) = exp(-a (t_{j-1} - t_i)) exp(-a (tau - t_{j-1}))
+            E = r.decay[j - 1 - i] * terminal
+            if i < j - 1:
+                E = E + np.einsum("m,m...,m...->...", r.inner_weight[i, i:],
+                                  r.decay[1:j - i], inner[i:])
+                w = np.einsum("qk,qk...->q...", r.lagrange[i], W[r.stencil[i]])
+                start = analyze(grid, (r.b_start[i] * w).sum(axis=1))
+                E = E + (r.start_weight * start).sum(axis=0)
+            yield r.decay[j - i] * self.phi_hat + E
 
     def solve_w(self, monitor: Optional[ConvergenceMonitor] = None,
                 sweeps: Optional[int] = None) -> Dict[int, np.ndarray]:
@@ -344,37 +343,30 @@ class TerminalValueProblem:
             monitor = ConvergenceMonitor.for_problem(
                 self.sym.alpha, self.pg.beta, self.grid.dim, self.b.p_exponent)
         self.monitor = monitor
-        w = {i: self.w0_at(self.times[i]) for i in range(self.j)}
+        W = self.w0_at(self.times[:self.j])
         if self.b.is_zero():
-            return w
-        import time as _t
+            return dict(enumerate(W))
         for _ in range(sweeps if sweeps is not None else monitor.max_iter):
-            t0 = _t.perf_counter()
-            new = {}
-            for i in range(self.j):
-                new[i] = self.w0_at(self.times[i]) + \
-                    self._sweep_integral(i, self._v0_hat, w)
-            inc = max(float(np.sqrt(((new[i] - w[i]) ** 2).sum(axis=0)).max())
-                      for i in new)
-            monitor.record(inc, _t.perf_counter() - t0)
-            w = new
+            t0 = time.perf_counter()
+            new = np.stack([synthesize(self.grid, self.mult * S,
+                                       require_real=True, tol=1e-6)
+                            for S in self._u_spectra(W)])
+            inc = float(np.sqrt(((new - W) ** 2).sum(axis=1)).max())
+            monitor.record(inc, time.perf_counter() - t0)
+            W = new
             if sweeps is None and monitor.converged:
-                return w
+                return dict(enumerate(W))
         if sweeps is not None:
-            return w
+            return dict(enumerate(W))
         raise ConvergenceError(
             f"terminal-value sweep failed after {monitor.max_iter} iterations",
             monitor.iterate_norms, monitor.ratio_history)
 
     def assemble_u(self, w: Dict[int, np.ndarray]) -> Dict[int, np.ndarray]:
         """u slices for i < terminal from converged w."""
-        out = {}
-        for i in range(self.j):
-            u = self.base_apply(self.times[i])
-            if not self.b.is_zero():
-                u = u + self._sweep_integral(i, self._g_hat, w)
-            out[i] = u
-        return out
+        W = np.stack([w[i] for i in range(self.j)])
+        return {i: synthesize(self.grid, S, require_real=True, tol=1e-6)
+                for i, S in enumerate(self._u_spectra(W))}
 
     def solve(self, monitor: Optional[ConvergenceMonitor] = None
               ) -> Dict[int, np.ndarray]:

@@ -138,28 +138,44 @@ class SpaceTimeGrid:
 # transform helpers
 # ---------------------------------------------------------------------------
 
+def _field_axes(grid: SpaceTimeGrid, data: np.ndarray):
+    """The trailing grid.dim axes of a stack; None (all axes) for one field."""
+    return None if data.ndim == grid.dim else tuple(range(-grid.dim, 0))
+
+
 def synthesize(grid: SpaceTimeGrid, spectrum: np.ndarray,
                require_real: bool = True, tol: float = 1e-9) -> np.ndarray:
     """Centered field samples from FFT-ordered transform samples.
 
     Implements f(x_j) = (2 pi)^{-d} sum_k F(lam_k) e^{i(lam_k, x_j)} dlam^d,
-    which reduces to ifftn up to the factor dx^{-d}.
+    which reduces to ifftn up to the factor dx^{-d}.  Only the trailing
+    grid.dim axes are transformed, so a stack of spectra gives the stack of
+    fields, and with require_real every field passes the imaginary-residue
+    check on its own scale.
     """
-    vals = np.fft.fftshift(np.fft.ifftn(spectrum)) / grid.cell_volume
+    axes = _field_axes(grid, spectrum)
+    vals = np.fft.fftshift(np.fft.ifftn(spectrum, axes=axes), axes=axes)
+    vals /= grid.cell_volume
     if require_real:
-        resid = np.abs(vals.imag).max()
-        scale = max(np.abs(vals.real).max(), 1.0)
-        if resid > tol * scale:
+        resid = np.abs(vals.imag).max(axis=axes)
+        bad = resid > tol * np.maximum(np.abs(vals.real).max(axis=axes), 1.0)
+        if bad.any():
             raise GridError(
-                f"imaginary residue {resid:.3e} above tolerance; "
+                f"imaginary residue {resid[bad].max():.3e} above tolerance; "
                 "spectrum is not Hermitian")
         return np.ascontiguousarray(vals.real)
     return vals
 
 
 def analyze(grid: SpaceTimeGrid, values: np.ndarray) -> np.ndarray:
-    """FFT-ordered transform samples of a centered field (inverse of synthesize)."""
-    return np.fft.fftn(np.fft.ifftshift(values)) * grid.cell_volume
+    """FFT-ordered transform samples of a centered field (inverse of synthesize).
+
+    Like `synthesize`, it transforms only the trailing grid.dim axes.
+    """
+    axes = _field_axes(grid, values)
+    out = np.fft.fftn(np.fft.ifftshift(values, axes=axes), axes=axes)
+    out *= grid.cell_volume
+    return out
 
 
 def convolve(grid: SpaceTimeGrid, f: np.ndarray, g: np.ndarray) -> np.ndarray:

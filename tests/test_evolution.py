@@ -259,3 +259,114 @@ def test_mollified_sequence_is_cauchy(sym, pg, small_grid):
         gaps.append(max(np.abs(synthesize(small_grid, a[k] - b_[k])).max()
                         for k in a))
     assert gaps[0] > gaps[1] > gaps[2]
+
+
+# ---------------------------------------------------------------------------
+# reference: the per-node loop the Fourier-space sweep replaced, kept here
+# only to pin the new sweep to it
+# ---------------------------------------------------------------------------
+
+_GX, _GW = np.polynomial.legendre.leggauss(6)
+_GX, _GW = 0.5 * (_GX + 1.0), 0.5 * _GW
+
+
+def _reference_solve(prob, monitor):
+    """w and u slices by synthesizing every quadrature node on its own."""
+    from pseudoproc.quadrature import lagrange_weights
+    grid, j, times, s2 = prob.grid, prob.j, prob.times, prob.sigma2
+    t, lo = times[j], times[j - 1]
+
+    def w0_at(tau):
+        rows = prob.mult * np.exp(-prob.a * (t - tau))[None]
+        return np.stack([synthesize(grid, r * prob.phi_hat, tol=1e-6)
+                         for r in rows])
+
+    def conv(spec, tau, wval):
+        P = analyze(grid, (prob.b.sample(tau, grid) * wval).sum(axis=0))
+        if spec.ndim == grid.dim:
+            return synthesize(grid, spec * P, tol=1e-6)
+        return np.stack([synthesize(grid, r * P, tol=1e-6) for r in spec])
+
+    def interior_weights(i):
+        ms = np.arange(i + 1, j)
+        w = np.zeros(len(ms))
+        e0, e1 = 1.0 - s2, 2.0 - s2
+        for seg in range(len(ms) - 1):
+            ua, ub = t - times[ms[seg + 1]], t - times[ms[seg]]
+            m0 = (ub ** e0 - ua ** e0) / e0
+            m1 = (ub ** e1 - ua ** e1) / e1
+            w[seg] += (m1 - ua * m0) / (ub - ua)
+            w[seg + 1] += (ub * m0 - m1) / (ub - ua)
+        return ms, w
+
+    def integral(i, kernel, w):
+        s = times[i]
+        anchor = w[j - 1] - w0_at(lo)
+        umax = (t - lo) ** (1.0 - s2)
+        total = 0.0
+        for uq, wq in zip(umax * _GX, _GW):
+            tau = min(max(t - uq ** (1.0 / (1.0 - s2)), lo), t - 1e-300)
+            wval = w0_at(tau) + anchor * ((t - tau) / (t - lo)) ** \
+                prob.remainder_power
+            total = total + wq * umax / (1.0 - s2) * uq ** (s2 / (1.0 - s2)) \
+                * conv(kernel(tau - s), tau, wval)
+        if j - i == 1:
+            return total
+        for m, wm in zip(*interior_weights(i)):
+            total = total + wm * (t - times[m]) ** s2 * \
+                conv(kernel(times[m] - s), times[m], w[m])
+        for q, wq in zip(s + grid.dt * _GX, _GW):
+            k0, lw = lagrange_weights(times[:j], q)
+            wval = sum(c * w[k0 + k] for k, c in enumerate(lw))
+            total = total + wq * grid.dt * conv(kernel(q - s), q, wval)
+        return total
+
+    g_hat = lambda gap: np.exp(-prob.a * gap)
+    v0_hat = lambda gap: prob.mult * g_hat(gap)[None]
+    w = {i: w0_at(times[i]) for i in range(j)}
+    while not monitor.converged:
+        new = {i: w0_at(times[i]) + integral(i, v0_hat, w) for i in range(j)}
+        monitor.record(max(float(np.sqrt(((new[i] - w[i]) ** 2).sum(axis=0)).max())
+                           for i in new), 0.0)
+        w = new
+    u = {i: synthesize(grid, g_hat(t - times[i]) * prob.phi_hat, tol=1e-6)
+         + integral(i, g_hat, w) for i in range(j)}
+    return w, u
+
+
+def _assert_matches_reference(sym, pg, grid, b, phi, terminal_index):
+    mon = ConvergenceMonitor.for_problem(sym.alpha, pg.beta, grid.dim, math.inf)
+    ref_mon = ConvergenceMonitor.for_problem(sym.alpha, pg.beta, grid.dim,
+                                             math.inf)
+    prob = TerminalValueProblem(sym, pg, grid, b, phi, terminal_index)
+    w = prob.solve_w(mon)
+    u = prob.assemble_u(w)
+    ref_w, ref_u = _reference_solve(
+        TerminalValueProblem(sym, pg, grid, b, phi, terminal_index), ref_mon)
+    assert len(mon.iterate_norms) == len(ref_mon.iterate_norms) >= 2
+    assert sorted(u) == sorted(ref_u) == list(range(prob.j))
+    for new, ref in ((w, ref_w), (u, ref_u)):
+        scale = max(np.abs(ref[i]).max() for i in ref)
+        assert max(np.abs(new[i] - ref[i]).max() for i in ref) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("terminal_index", [1, 2, 4, 8])
+def test_sweep_matches_per_node_reference(sym, pg, small_grid, terminal_index):
+    # j - i = 1 has no start panel, j - i = 2 no interior weight
+    b = DriftField(dim=1, kind="space_time",
+                   evaluator=lambda t, x: (0.8 * np.exp(-0.5 * ((x - 1) / 3.0) ** 2)
+                                           * (1.0 + 0.4 * np.cos(3 * t)))[None])
+    _assert_matches_reference(sym, pg, small_grid, b, compact_bump(4.0),
+                              terminal_index)
+
+
+def test_two_dimensional_sweep_matches_per_node_reference():
+    from pseudoproc import PseudoGradientSpec, isotropic_symbol
+    grid = SpaceTimeGrid(2, 10.0, 16, 1.0, 4)
+    gauss = lambda t, x, y: (1.0 + 0.3 * t) * np.exp(-(x * x + 0.5 * y * y) / 8)
+    b = DriftField(dim=2, kind="space_time",
+                   evaluator=lambda t, x, y: np.stack([0.7 * gauss(t, x, y),
+                                                       -0.4 * gauss(t, y, x)]))
+    _assert_matches_reference(isotropic_symbol(1.5, 1.0, 2),
+                              PseudoGradientSpec(beta=0.5, dim=2), grid, b,
+                              compact_bump(4.0, dim=2), None)
