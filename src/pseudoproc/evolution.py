@@ -258,6 +258,10 @@ class TerminalValueProblem:
             w[seg + 1] += (ub * m0 - m1) / (ub - ua)   # weight on H(tb)
         return ms, w
 
+    def _drift_at(self, taus) -> np.ndarray:
+        """Drift samples at the times taus, shape (len(taus), d) + grid shape."""
+        return np.stack([self.b.sample(tau, self.grid) for tau in taus])
+
     @functools.cached_property
     def _rule(self) -> SimpleNamespace:
         """What no sweep changes: nodes, weights, drift samples, exp(-a gap).
@@ -266,12 +270,11 @@ class TerminalValueProblem:
         i = j-1; 6-point Gauss in u = (t - tau)^{1 - sigma2}, w = w0 plus the
         remainder at t_{j-1} ramped to zero), the interior [t_{i+1}, t_{j-1}]
         and a start panel [t_i, t_{i+1}] (6-point Gauss, w by Lagrange).
+        The drift at the start-panel nodes is sampled per start index in
+        each sweep instead: kept, it would take 6 (j-1) fields per component.
         """
         grid, j, s2 = self.grid, self.j, self.sigma2
         t, lo = self.times[j], self.times[j - 1]
-
-        def sample(taus):
-            return np.stack([self.b.sample(tau, grid) for tau in taus])
 
         def weighted_decay(weights, gaps):
             return weights.reshape((-1,) + (1,) * grid.dim) * self._decay(gaps)
@@ -282,12 +285,12 @@ class TerminalValueProblem:
         wt = wu / (1.0 - s2) * u ** (s2 / (1.0 - s2))
         rule = SimpleNamespace(
             decay=self._decay(self.times),      # exp(-a gap) by gap index
-            b_term=sample(tau), w0_term=self.w0_at(tau),
+            b_term=self._drift_at(tau), w0_term=self.w0_at(tau),
             ramp=((t - tau) / (t - lo)) ** self.remainder_power,
             w0_anchor=self.w0_at([lo])[0],
             term_weight=weighted_decay(wt, tau - lo))
         if j > 1:   # interior and start panels exist for i < j - 1
-            rule.b_inner = sample(self.times[1:j])
+            rule.b_inner = self._drift_at(self.times[1:j])
             rule.inner_weight = np.zeros((j - 1, j - 1))
             for i in range(j - 1):
                 ms, w = self._interior_weights(i)
@@ -295,10 +298,10 @@ class TerminalValueProblem:
             nodes, ws = gauss_panels(self.times[:j], 6)
             picks = [[lagrange_weights(self.times[:j], q) for q in row]
                      for row in nodes]
-            rule.stencil = np.array([[k0 + np.arange(len(w)) for k0, w in row]
-                                     for row in picks])
+            # a panel's nodes lie inside one step, so they share one stencil
+            rule.start_nodes = nodes
+            rule.start_k0 = [row[0][0] for row in picks]
             rule.lagrange = np.array([[w for _, w in row] for row in picks])
-            rule.b_start = np.stack([sample(row) for row in nodes])
             rule.start_weight = weighted_decay(ws[0], nodes[0] - self.times[0])
         return rule
 
@@ -326,8 +329,10 @@ class TerminalValueProblem:
             if i < j - 1:
                 E = E + np.einsum("m,m...,m...->...", r.inner_weight[i, i:],
                                   r.decay[1:j - i], inner[i:])
-                w = np.einsum("qk,qk...->q...", r.lagrange[i], W[r.stencil[i]])
-                start = analyze(grid, (r.b_start[i] * w).sum(axis=1))
+                k0 = r.start_k0[i]
+                w = np.tensordot(r.lagrange[i], W[k0:k0 + r.lagrange.shape[2]], 1)
+                b = self._drift_at(r.start_nodes[i])
+                start = analyze(grid, (b * w).sum(axis=1))
                 E = E + (r.start_weight * start).sum(axis=0)
             yield r.decay[j - i] * self.phi_hat + E
 

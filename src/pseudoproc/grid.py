@@ -138,11 +138,6 @@ class SpaceTimeGrid:
 # transform helpers
 # ---------------------------------------------------------------------------
 
-def _field_axes(grid: SpaceTimeGrid, data: np.ndarray):
-    """The trailing grid.dim axes of a stack; None (all axes) for one field."""
-    return None if data.ndim == grid.dim else tuple(range(-grid.dim, 0))
-
-
 def synthesize(grid: SpaceTimeGrid, spectrum: np.ndarray,
                require_real: bool = True, tol: float = 1e-9) -> np.ndarray:
     """Centered field samples from FFT-ordered transform samples.
@@ -153,7 +148,7 @@ def synthesize(grid: SpaceTimeGrid, spectrum: np.ndarray,
     fields, and with require_real every field passes the imaginary-residue
     check on its own scale.
     """
-    axes = _field_axes(grid, spectrum)
+    axes = tuple(range(-grid.dim, 0))
     vals = np.fft.fftshift(np.fft.ifftn(spectrum, axes=axes), axes=axes)
     vals /= grid.cell_volume
     if require_real:
@@ -172,7 +167,7 @@ def analyze(grid: SpaceTimeGrid, values: np.ndarray) -> np.ndarray:
 
     Like `synthesize`, it transforms only the trailing grid.dim axes.
     """
-    axes = _field_axes(grid, values)
+    axes = tuple(range(-grid.dim, 0))
     out = np.fft.fftn(np.fft.ifftshift(values, axes=axes), axes=axes)
     out *= grid.cell_volume
     return out
