@@ -26,7 +26,6 @@ from .fields import snapshot_field
 from .drift import constant_drift, min_p_exponent
 from .volterra import ConvergenceMonitor, ConvergenceError, PerturbationProblem
 from .evolution import constant_one, fourier_mode, compact_bump, apply_operator
-from . import verify as verify_mod
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -207,6 +206,9 @@ def cmd_kernel(args) -> int:
     os.makedirs(cfg.outdir, exist_ok=True)
     sym, grid, pg = cfg.symbol(), cfg.grid(), cfg.pgrad()
     bvec = cfg.drift_vector()
+    if np.any(bvec) and not cfg.closed_form:
+        print(f"drift b = {cfg.drift} is nonzero: writing the closed-form "
+              "constant-drift kernel (as with --closed-form)")
     try:
         if cfg.closed_form or np.any(bvec):
             field = constant_drift_kernel(sym, pg, bvec, grid, cfg.dt)
@@ -277,6 +279,7 @@ def _write_convergence_log(path, monitor):
 
 
 def cmd_verify(args) -> int:
+    from . import verify as verify_mod   # the registry loads only for verify
     cfg = _resolve_config(args)
     os.makedirs(cfg.outdir, exist_ok=True)
     fx = verify_mod.FixtureSet(alpha=cfg.alpha, beta=cfg.beta,

@@ -14,9 +14,15 @@ Snapshot layout (one time slice per file, little-endian):
 
     int32 dim | int32 N | float64 L | float64 dt | 8 bytes meaning tag
     payload: row-major float64 values (dim * N^dim reals for vector fields)
+
+The reader checks the header (dim 1 or 2, N even and at least 4, L and dt
+finite and positive, a known meaning) and the file size it implies before
+it reads the payload.
 """
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
@@ -142,17 +148,33 @@ def write_snapshot(path, grid: SpaceTimeGrid, meaning: str,
 def read_snapshot(path):
     """Returns (dim, N, L, dt, meaning, values) from a snapshot file."""
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size < _HEADER.size:
+            raise FieldError(f"snapshot {path}: {size} bytes, shorter than "
+                             f"its {_HEADER.size}-byte header")
         dim, N, L, dt, tag = _HEADER.unpack(fh.read(_HEADER.size))
-        meaning = tag.rstrip(b"\x00").decode("ascii")
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    per_slice = N ** dim
-    if data.size == per_slice:
-        values = data.reshape((N,) * dim)
-    elif data.size == dim * per_slice:
-        values = data.reshape((dim,) + (N,) * dim)
-    else:
-        raise FieldError(f"snapshot payload size {data.size} does not match header")
-    return dim, N, L, dt, meaning, values.copy()
+        meaning = tag.rstrip(b"\x00").decode("ascii", errors="replace")
+        problems = []
+        if dim not in (1, 2):
+            problems.append(f"dim={dim} is not 1 or 2")
+        if N < 4 or N % 2:
+            problems.append(f"N={N} is not even and >= 4")
+        if not (math.isfinite(L) and L > 0):
+            problems.append(f"L={L!r} is not finite and positive")
+        if not (math.isfinite(dt) and dt > 0):
+            problems.append(f"dt={dt!r} is not finite and positive")
+        if meaning not in SCALAR_MEANINGS + VECTOR_MEANINGS:
+            problems.append(f"meaning tag {tag!r} is unknown")
+        if problems:
+            raise FieldError(f"snapshot {path}: " + "; ".join(problems))
+        shape = (N,) * dim if meaning in SCALAR_MEANINGS \
+            else (dim,) + (N,) * dim
+        expected = _HEADER.size + 8 * math.prod(shape)
+        if size != expected:
+            raise FieldError(f"snapshot {path}: {size} bytes, but a {meaning!r} "
+                             f"header with dim={dim}, N={N} implies {expected}")
+        values = np.fromfile(fh, dtype="<f8").reshape(shape)
+    return dim, N, L, dt, meaning, values
 
 
 def write_csv(path, grid: SpaceTimeGrid, values: np.ndarray):
@@ -175,7 +197,6 @@ def write_csv(path, grid: SpaceTimeGrid, values: np.ndarray):
 
 def snapshot_field(field_obj, directory, stem: str):
     """Write every stored pair of a field as snapshot + CSV, return paths."""
-    import os
     paths = []
     for (i, j) in field_obj.pairs():
         base = os.path.join(directory, f"{stem}_{i:03d}_{j:03d}")

@@ -108,6 +108,15 @@ def _gate(sym, grid, dt, enforce):
             f"{rep.tail_tol:g}; enlarge N or the time gap", rep.as_dict())
 
 
+def _gap_pair(grid: SpaceTimeGrid, dt: float):
+    """(0, steps) when dt is a partition gap of 1..M steps, else (0, M)."""
+    steps = int(round(dt / grid.dt))
+    if abs(steps * grid.dt - dt) < 1e-12 * max(dt, 1.0) \
+            and 1 <= steps <= grid.time_steps:
+        return (0, steps)
+    return (0, grid.time_steps)
+
+
 def synthesize_g0(sym: SymbolSpec, grid: SpaceTimeGrid, dt: float,
                   enforce_resolution: bool = True) -> ScalarKernelField:
     """Base kernel at a single time gap dt, stored on the pair (0, ceil).
@@ -120,10 +129,7 @@ def synthesize_g0(sym: SymbolSpec, grid: SpaceTimeGrid, dt: float,
     _gate(sym, grid, dt, enforce_resolution)
     vals = synthesize(grid, np.exp(-sym.on_grid(grid) * dt))
     out = ScalarKernelField(grid, "g0")
-    steps = int(round(dt / grid.dt))
-    pair = (0, steps) if abs(steps * grid.dt - dt) < 1e-12 * max(dt, 1.0) \
-        and 1 <= steps <= grid.time_steps else (0, grid.time_steps)
-    out.set_slice(pair, vals)
+    out.set_slice(_gap_pair(grid, dt), vals)
     return out
 
 
@@ -177,10 +183,7 @@ def constant_drift_kernel(sym: SymbolSpec, pg: PseudoGradientSpec,
     _gate(sym, grid, dt, enforce_resolution)
     vals = constant_drift_values(sym, pg, b_const, grid, dt)
     out = ScalarKernelField(grid, "G")
-    steps = int(round(dt / grid.dt))
-    pair = (0, steps) if abs(steps * grid.dt - dt) < 1e-12 * max(dt, 1.0) \
-        and 1 <= steps <= grid.time_steps else (0, grid.time_steps)
-    out.set_slice(pair, vals)
+    out.set_slice(_gap_pair(grid, dt), vals)
     return out
 
 
@@ -323,7 +326,6 @@ def plane_wave_consistency(pg: PseudoGradientSpec, lam_norm: float,
     by the leading integration-by-parts tail term, so refinement in
     (eps, r_outer) drives the residual to zero at the |lam|^beta scale.
     """
-    from scipy.special import j0, j1
     beta, d = pg.beta, pg.dim
     z0, z1 = eps * lam_norm, r_outer * lam_norm
     u, w = _panels(z0, z1, osc_scale=1.0, per_decade=panels_per_decade)
@@ -332,6 +334,8 @@ def plane_wave_consistency(pg: PseudoGradientSpec, lam_norm: float,
         tail = 2.0 * (np.cos(z1) * z1 ** (-1 - beta)
                       + (1 + beta) * np.sin(z1) * z1 ** (-2 - beta))
     elif d == 2:
+        # the package's only scipy import, kept here so 1-D runs never load it
+        from scipy.special import j0, j1
         ang = 2.0 * np.pi * j1(u)
         tail = 2.0 * np.pi * j0(z1) * z1 ** (-1 - beta)
     else:

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 from .grid import SpaceTimeGrid
 
@@ -37,17 +36,17 @@ def gamma_extended(x: float) -> float:
     """Euler gamma at real non-integer x, negative arguments via recursion.
 
     Uses Gamma(x) = Gamma(x + 1) / x repeatedly until the argument is
-    positive, then defers to the library gamma.
+    positive, then defers to ``math.gamma``.
     """
     if x > 0:
-        return float(_gamma(x))
+        return math.gamma(x)
     if float(x).is_integer():
         raise ValueError("gamma pole at non-positive integer")
     acc = 1.0
     while x < 0:
         acc *= x
         x += 1.0
-    return float(_gamma(x)) / acc
+    return math.gamma(x) / acc
 
 
 def pseudo_gradient_normalizer(beta: float, dim: int) -> float:

@@ -95,9 +95,11 @@ class ConvergenceMonitor:
 
 def beta_rate_factor(k: int, theta: float, q: float) -> float:
     """Euler-beta decline factor max(B((k+1)theta q, 1), B(1+k theta q, theta q))^{1/q}."""
-    from scipy.special import beta as _B
-    return float(max(_B((k + 1) * theta * q, 1.0),
-                     _B(1.0 + k * theta * q, theta * q)) ** (1.0 / q))
+    def euler_beta(x, y):
+        return math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y))
+
+    return max(euler_beta((k + 1) * theta * q, 1.0),
+               euler_beta(1.0 + k * theta * q, theta * q)) ** (1.0 / q)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
 import csv
 import math
 import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,6 +88,58 @@ def test_kernel_closed_form_reports_negative_min(tmp_path, capsys):
     printed = capsys.readouterr().out
     min_line = [l for l in printed.splitlines() if l.startswith("min")][0]
     assert float(min_line.split("=")[1]) < 0.0
+
+
+@pytest.mark.parametrize("drift, stem", [("0.5", "G_closed_form"),
+                                         ("0", "g0")])
+def test_kernel_announces_switch_to_closed_form(tmp_path, capsys, drift,
+                                                stem):
+    out = tmp_path / "k"
+    code = main(["kernel", "--b", drift, "--dt", "1", "--points", "256",
+                 "--half-extent", "40", "--outdir", str(out)])
+    assert code == EXIT_OK
+    printed = capsys.readouterr().out
+    switched = stem == "G_closed_form"
+    assert (f"drift b = {drift} is nonzero: writing the closed-form"
+            in printed) == switched
+    assert [p.name for p in out.glob("*.snap")] == [f"{stem}_000_016.snap"]
+
+
+_ONE_D_RUN = textwrap.dedent("""
+    import contextlib, io, sys
+    import numpy as np
+    import pseudoproc.cli as cli
+    from pseudoproc import (SpaceTimeGrid, isotropic_symbol,
+                            PseudoGradientSpec, DriftField,
+                            TerminalValueProblem, compact_bump)
+    outdir = sys.argv[1]
+    tiny = ["--points", "16", "--half-extent", "2", "--steps", "2",
+            "--outdir", outdir]
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes = [cli.main(["kernel"] + tiny),
+                 cli.main(["kernel", "--b", "1"] + tiny),
+                 cli.main(["perturb"] + tiny)]
+    assert codes == [0, 0, 0], codes
+    grid = SpaceTimeGrid(1, 40.0, 16, 1.0, 4)
+    b = DriftField(dim=1, kind="space_time",
+                   evaluator=lambda t, x: (np.exp(-x * x / 8) + 0 * t)[None])
+    TerminalValueProblem(isotropic_symbol(1.5, 1.0, 1),
+                         PseudoGradientSpec(beta=0.5, dim=1), grid, b,
+                         compact_bump(5.0)).solve()
+    print(sorted(m for m in ("scipy.special", "pseudoproc.verify")
+                 if m in sys.modules))
+""")
+
+
+def test_one_dimensional_commands_leave_scipy_unloaded(tmp_path):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    run = subprocess.run([sys.executable, "-c", _ONE_D_RUN, str(tmp_path)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
 
 
 def test_kernel_resolution_gate_exit(tmp_path):

@@ -1,5 +1,6 @@
 import math
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -130,6 +131,38 @@ def test_snapshot_roundtrip_vector(tmp_path):
     dim, N, L, dt, meaning, out = read_snapshot(path)
     assert (dim, N, meaning) == (2, 16, "v0")
     assert np.array_equal(out, vals)
+
+
+def _snapshot_with(path, grid, dim=None, N=None, tag=None, drop=0):
+    """A valid g0 snapshot of grid with header fields replaced, payload cut."""
+    write_snapshot(path, grid, "g0", 0.25, np.ones(grid.shape()))
+    raw = bytearray(path.read_bytes())
+    hdr = list(struct.unpack_from("<ii d d 8s", raw))
+    for k, v in enumerate((dim, N, None, None, tag)):
+        if v is not None:
+            hdr[k] = v
+    struct.pack_into("<ii d d 8s", raw, 0, *hdr)
+    path.write_bytes(bytes(raw[:len(raw) - drop]))
+    return path
+
+
+@pytest.mark.parametrize("change, words", [
+    ({"drop": 8}, "implies"),
+    ({"dim": 3}, "dim=3"),
+    ({"N": 0}, "N=0"),
+    ({"tag": b"q\x00"}, "meaning tag"),
+], ids=["truncated-payload", "dim-3", "N-0", "unknown-tag"])
+def test_snapshot_header_is_validated(tmp_path, default_grid, change, words):
+    path = _snapshot_with(tmp_path / "bad.snap", default_grid, **change)
+    with pytest.raises(FieldError, match=words):
+        read_snapshot(path)
+
+
+def test_snapshot_shorter_than_header(tmp_path):
+    path = tmp_path / "stub.snap"
+    path.write_bytes(b"\x01\x00\x00\x00")
+    with pytest.raises(FieldError, match="header"):
+        read_snapshot(path)
 
 
 def test_csv_mirror_locale_independent(tmp_path, default_grid):

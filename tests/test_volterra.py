@@ -114,6 +114,16 @@ def test_series_terms_decay_with_beta_factors(small_problem):
     assert norms[4] > norms[5] > norms[6] > norms[7]
 
 
+@pytest.mark.parametrize("theta, q", [(1.0 - 0.5 / 1.5, 1.0), (0.35, 1.0),
+                                      (0.9, 1.0), (0.6, 0.5)])
+def test_beta_rate_factor_matches_library_beta(theta, q):
+    from scipy.special import beta
+    for k in range(10):
+        ref = max(float(beta((k + 1) * theta * q, 1.0)),
+                  float(beta(1.0 + k * theta * q, theta * q))) ** (1.0 / q)
+        assert beta_rate_factor(k, theta, q) == pytest.approx(ref, rel=1e-14)
+
+
 def test_solver_matches_constant_drift_transform(sym, pg, small_grid):
     b = constant_drift([1.0])
     prob = PerturbationProblem(sym, pg, small_grid, b)
