@@ -7,7 +7,8 @@ operator family, and ships a verification harness for the family's proven
 properties.
 """
 
-from .grid import SpaceTimeGrid, GridError, synthesize, analyze, convolve, interior_mask
+from .grid import (SpaceTimeGrid, GridError, ImaginaryResidueError, synthesize,
+                   analyze, convolve, interior_mask)
 from .symbols import (SymbolSpec, PseudoGradientSpec, SymbolError,
                       isotropic_symbol, pseudo_gradient_normalizer,
                       pseudo_gradient_normalizer_neg_gamma, gamma_extended)

@@ -5,7 +5,8 @@ flat key-value config file can seed any run and every field has a flag
 override.  Environment variables are never consulted.
 
 Exit codes: 0 success, 2 configuration error, 3 resolution gate,
-4 solver non-convergence, 5 verification failure.
+4 solver non-convergence or another numerical failure (a synthesized field
+with an imaginary residue), 5 verification failure.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from dataclasses import dataclass, fields as dc_fields, asdict
 
 import numpy as np
 
-from .grid import SpaceTimeGrid
+from .grid import SpaceTimeGrid, ImaginaryResidueError
 from .symbols import isotropic_symbol, PseudoGradientSpec, SymbolError
 from .spectral import (synthesize_g0, constant_drift_kernel, check_resolution,
                        ResolutionError)
@@ -420,6 +421,9 @@ def main(argv=None) -> int:
         for p in err.problems:
             print(f"config error: {p}", file=sys.stderr)
         return EXIT_CONFIG
+    except ImaginaryResidueError as err:
+        print(f"numerical failure: {err}", file=sys.stderr)
+        return EXIT_NONCONVERGENCE
     except (SymbolError, ValueError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -22,6 +22,10 @@ class GridError(ValueError):
     """Raised for inconsistent lattice parameters or mismatched grids."""
 
 
+class ImaginaryResidueError(GridError):
+    """A synthesized field kept an imaginary part: a numerical failure."""
+
+
 @dataclass(frozen=True)
 class SpaceTimeGrid:
     """Uniform spatial lattice plus a uniform partition of [0, T].
@@ -155,7 +159,7 @@ def synthesize(grid: SpaceTimeGrid, spectrum: np.ndarray,
         resid = np.abs(vals.imag).max(axis=axes)
         bad = resid > tol * np.maximum(np.abs(vals.real).max(axis=axes), 1.0)
         if bad.any():
-            raise GridError(
+            raise ImaginaryResidueError(
                 f"imaginary residue {resid[bad].max():.3e} above tolerance; "
                 "spectrum is not Hermitian")
         return np.ascontiguousarray(vals.real)

@@ -24,11 +24,12 @@ def _unit_gauss(n: int):
 def gauss_panels(edges: np.ndarray, n: int = 4):
     """Nodes and weights of n-point Gauss-Legendre on every interval of edges.
 
-    Both have shape (len(edges) - 1, n).
+    Rows of a 2-D edges array are separate partitions.  Both results have
+    the shape of edges with its last axis one shorter, plus an axis of n.
     """
     x, w = _unit_gauss(n)
-    width = np.diff(edges)[:, None]
-    return edges[:-1, None] + width * x, width * w
+    width = np.diff(edges)[..., None]
+    return edges[..., :-1, None] + width * x, width * w
 
 
 def lagrange_weights(taus, tau, order: int = 4):

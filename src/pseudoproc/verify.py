@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -132,6 +133,7 @@ class CheckResult:
     mode: str          # absolute | relative | exponent-fit | ratio-trend | band
     passed: bool
     provenance: str    # analytic | derived-oracle | frozen-golden | trivial
+    wall_seconds: float = math.nan   # of the whole check that made the row
 
     def row(self):
         return (self.check, self.params, f"{self.value:.6e}",
@@ -171,9 +173,9 @@ class SuiteReport:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["check", "parameters", "value", "threshold", "mode",
-                        "status", "provenance"])
+                        "status", "provenance", "wall_seconds"])
             for r in self.results:
-                w.writerow(r.row())
+                w.writerow(r.row() + (f"{r.wall_seconds:.6f}",))
 
     def summary(self) -> str:
         lines = []
@@ -444,15 +446,14 @@ def check_constant_drift_oracle(fx: FixtureSet) -> List[CheckResult]:
     grid = prob.grid
 
     def rel_error(problem, rows_num, rows_cf, pairs):
-        worst = 0.0
-        for k in pairs:
-            gn = problem.rows_to_scalar_field({k: rows_num[k]}, "G").slice(k)
-            gc = problem.rows_to_scalar_field({k: rows_cf[k]}, "G").slice(k)
-            mask = np.abs(gc) > 1e-4
-            if mask.any():
-                worst = max(worst, float(
-                    np.abs(gn - gc)[mask].max() / np.abs(gc).max()))
-        return worst
+        def stack(rows):
+            f = problem.rows_to_scalar_field({k: rows[k] for k in pairs}, "G")
+            return np.stack([f.slice(k) for k in pairs]).reshape(len(pairs), -1)
+        gn, gc = stack(rows_num), stack(rows_cf)
+        mask = np.abs(gc) > 1e-4
+        # a row without a masked point reads 0, the start of the maximum
+        worst = np.where(mask, np.abs(gn - gc), 0.0).max(axis=1)
+        return float((worst / np.maximum(np.abs(gc).max(axis=1), 1e-4)).max())
 
     err_all = rel_error(prob, G_rows, Gcf, list(G_rows))
     # refinement at fixed physical pairs
@@ -475,9 +476,12 @@ def check_constant_drift_oracle(fx: FixtureSet) -> List[CheckResult]:
     prob_t = PerturbationProblem(fx.symbol(), fx.pgrad(), grid, bt)
     G_t = prob_t.solve_v(fx.monitor())
     err_t = rel_error(prob_t, G_t, prob_t.closed_form_G_rows(), list(G_t))
-    # constant drift: rows depend on the gap j - i alone
-    gap = max(prob.row_max_norm(G_rows[(i, j)] - G_rows[(0, j - i)])
-              / prob.row_max_norm(G_rows[(0, j - i)]) for i, j in G_rows)
+    # constant drift: rows depend on the gap j - i alone; peak[n - 1] is row (0, n)'s
+    peak = prob.row_max_norm(np.stack([G_rows[0, n] for n in range(1, prob.M + 1)]),
+                             stack=True)
+    gap = max((prob.row_max_norm(np.stack([G_rows[i, j] - G_rows[0, j - i]
+                                           for i in range(j)]), stack=True)
+               / peak[j - 1::-1]).max() for j in range(1, prob.M + 1))
     return [
         _result("constant-drift-oracle/bulk", "all pairs, |G| > 1e-4",
                 err_all, 2e-2, "relative", err_all < 2e-2, "derived-oracle"),
@@ -790,10 +794,9 @@ def check_kernel_positivity(fx: FixtureSet) -> List[CheckResult]:
     worst = min(float(g0_values(sym, grid, dt).min()) for dt in (0.5, 1.0))
     ck = max(chapman_defect(sym, grid, 0.25, 0.5),
              chapman_defect(sym, grid, grid.dt, 1.0 - grid.dt))
-    import math as _m
     peak_grid = SpaceTimeGrid(fx.dim, 160.0, 2048, fx.horizon, fx.steps)
     peak = float(g0_values(sym, peak_grid, 1.0).max())
-    exact = _m.gamma(1.0 + 1.0 / fx.alpha) / _m.pi
+    exact = math.gamma(1.0 + 1.0 / fx.alpha) / math.pi
     return [
         _result("base-kernel/positivity", "resolved gaps dt in {0.5, 1}",
                 worst, -1e-8, "absolute", worst >= -1e-8, "trivial"),
@@ -891,5 +894,10 @@ def run_suite(fixtures: Optional[FixtureSet] = None,
         names = [n for n in REGISTRY if selection in n] if selection else []
     results: List[CheckResult] = []
     for name in names:
-        results.extend(REGISTRY[name].runner(fixtures))
+        start = time.perf_counter()
+        rows = REGISTRY[name].runner(fixtures)
+        wall = time.perf_counter() - start
+        for r in rows:
+            r.wall_seconds = wall
+        results.extend(rows)
     return SuiteReport(results, selection if selection is not None else "all")

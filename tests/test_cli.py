@@ -242,3 +242,27 @@ def test_dump_config_round_trip_through_cli(tmp_path):
     cfg = RunConfig.from_file(dumped)
     assert cfg.alpha == 1.6 and cfg.dt == 0.5
     assert cfg.points == 256 and cfg.half_extent == 30.0
+
+
+def test_imaginary_residue_is_a_numerical_failure(monkeypatch, capsys):
+    # a spectrum without its Hermitian partner mode: synthesize rejects it
+    from pseudoproc import GridError, SpaceTimeGrid, synthesize
+    import pseudoproc.cli as cli
+
+    def unpaired_mode(args):
+        grid = SpaceTimeGrid(1, 5.0, 16, 1.0, 4)
+        spectrum = np.zeros(16, complex)
+        spectrum[3] = 1.0
+        synthesize(grid, spectrum)
+
+    monkeypatch.setattr(cli, "cmd_kernel", unpaired_mode)
+    assert main(["kernel"]) == EXIT_NONCONVERGENCE
+    err = capsys.readouterr().err
+    assert "numerical failure: imaginary residue" in err
+    assert "config error" not in err
+    # every other GridError is still a config error
+    def bad_grid(args):
+        raise GridError("points_per_dim must be an even integer >= 4")
+
+    monkeypatch.setattr(cli, "cmd_kernel", bad_grid)
+    assert main(["kernel"]) == EXIT_CONFIG

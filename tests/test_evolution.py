@@ -370,3 +370,21 @@ def test_two_dimensional_sweep_matches_per_node_reference():
     _assert_matches_reference(isotropic_symbol(1.5, 1.0, 2),
                               PseudoGradientSpec(beta=0.5, dim=2), grid, b,
                               compact_bump(4.0, dim=2), None)
+
+
+def test_stability_table_matches_per_pair_transforms(sym, pg, small_grid):
+    from pseudoproc import generalized_solution_stability
+    bt = DriftField(dim=1, kind="time", evaluator=lambda t: np.array(
+        [0.75 + 0.25 * np.cos(3.0 * t)]))
+    pairs = [("constant", constant_drift([1.0]), constant_drift([1.01])),
+             ("time", bt, constant_drift([0.75]))]
+    table = generalized_solution_stability(sym, pg, small_grid, pairs,
+                                           compact_bump(4.0), stop_tol=1e-9)
+    for row, (_, b1, b2) in zip(table, pairs):
+        kernels = [PerturbationProblem(sym, pg, small_grid, b).solve_v(
+            ConvergenceMonitor.for_problem(1.5, 0.5, 1, b.p_exponent,
+                                           stop_tol=1e-9)) for b in (b1, b2)]
+        worst = max(float((np.abs(np.fft.ifftn(kernels[0][k] - kernels[1][k]))
+                           / small_grid.cell_volume).max()) for k in kernels[0])
+        assert row.kernel_distance == pytest.approx(worst, rel=1e-14, abs=0.0)
+        assert row.kernel_distance > 0.0

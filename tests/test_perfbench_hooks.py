@@ -1,0 +1,46 @@
+"""The benchmark's per-layer hooks must find their targets in the package.
+
+perfbench/tracing.py wraps package functions by name and reports a metric
+"absent" when none of its hooks resolve; a rename would pass silently
+without this check.
+"""
+import importlib
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module    # dataclasses resolve their module
+    spec.loader.exec_module(module)
+    return module
+
+
+HOOKS = _tracing().HOOKS
+
+
+@pytest.mark.parametrize("target", [h.target for h in HOOKS])
+def test_hook_target_exists(target):
+    modname, _, path = target.partition(":")
+    owner = importlib.import_module(modname)
+    *outer, attr = path.split(".")
+    for name in outer:
+        owner = getattr(owner, name)
+    # the tracer replaces methods in the class's own namespace
+    assert attr in vars(owner), f"{target} does not resolve"
+
+
+def test_every_verify_metric_names_a_registered_check():
+    from pseudoproc.verify import REGISTRY
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    checks = [m["name"][len("verify."):-len("_s")] for m in bench["per_layer"]
+              if m["name"].startswith("verify.") and m["name"].endswith("_s")]
+    assert checks and sorted(checks) == sorted(REGISTRY)

@@ -92,7 +92,7 @@ def test_report_serialization(tmp_path):
     report.to_csv(csv_path)
     text = csv_path.read_text()
     assert text.splitlines()[0] == \
-        "check,parameters,value,threshold,mode,status,provenance"
+        "check,parameters,value,threshold,mode,status,provenance,wall_seconds"
     assert "normalizer-golden" in text
     summary = report.summary()
     assert "suite.passed = true" in summary
@@ -123,3 +123,20 @@ def test_fixture_directory_round_trip(tmp_path):
     assert vals.min() < -1e-6  # the recorded signed-kernel witness
     report = run_suite(again, selection="normalizer")
     assert report.passed
+
+
+def test_report_rows_carry_their_check_wall_time(tmp_path):
+    import csv
+    report = run_suite(FixtureSet(), selection="golden")
+    report.to_csv(tmp_path / "report.csv")
+    with open(tmp_path / "report.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    walls = {}
+    for r in rows:
+        walls.setdefault(r["check"].split("/")[0], set()).add(r["wall_seconds"])
+    assert sorted(walls) == ["normalizer-golden", "resolution-golden"]
+    # one timing per check, shared by all of its rows
+    assert all(len(w) == 1 and float(next(iter(w))) >= 0.0
+               for w in walls.values())
+    assert [r.row() for r in report.results] == \
+        [tuple(r[k] for k in list(r)[:-1]) for r in rows]

@@ -352,3 +352,101 @@ def test_two_dimensional_solve_matches_transform():
     assert worst < 2e-2
     Gf = prob.rows_to_scalar_field(G_rows, "G")
     assert max(abs(Gf.mass(k) - 1.0) for k in Gf.pairs()) < 1e-12
+
+
+# -- batched paths against the per-pair and per-node loops they replace ------
+
+def _scaling_values_per_node(kappa, lam, k, l, alpha, gaps, offset=6.0):
+    """The per-node quadrature of kernel_convolution_scaling, kept as reference."""
+    from pseudoproc.quadrature import gauss_panels
+
+    def env(sig, r, power_t, power_r):
+        return sig ** (power_t / alpha) / ((sig ** (1.0 / alpha) + np.abs(r))
+                                           ** power_r)
+
+    def z_integral(sig, T):
+        w1 = sig ** (1.0 / alpha)
+        w2 = (T - sig) ** (1.0 / alpha)
+        far = 60.0 * (offset + 1.0)
+        e = {0.0, offset, -far, far}
+        for m in range(-3, 14):
+            sc = 2.0 ** m
+            e.update((-w1 * sc, w1 * sc, offset - w2 * sc, offset + w2 * sc))
+        zq, wq = gauss_panels(
+            np.array(sorted(v for v in e if -far <= v <= far)), 10)
+        return (wq * env(sig, zq, lam, 1 + l)
+                * env(T - sig, offset - zq, kappa, 1 + k)).sum()
+
+    vals = []
+    for T in gaps:
+        edges = np.unique(np.concatenate([
+            [0.0], T * 0.5 * 2.0 ** (-np.arange(18, -1, -1.0)),
+            T - T * 0.5 * 2.0 ** (-np.arange(0, 19.0)), [T]]))
+        tq, tw = gauss_panels(edges, 10)
+        vals.append(sum(w * z_integral(q, T)
+                        for q, w in zip(tq.ravel(), tw.ravel())))
+    return np.asarray(vals)
+
+
+@pytest.mark.parametrize("kappa, lam, k, l", [
+    (0.0, 0.0, 0.5, 0.5), (0.45, 0.75, 0.9, 0.9), (0.0, 0.0, 0.5, 1.0)])
+def test_scaling_matches_per_node_quadrature(kappa, lam, k, l):
+    # the two acceptance bundles and one bundle with k != l
+    gaps = 6.0 ** 1.5 / 1000.0 * np.logspace(-1, 0, 3)
+    rep = kernel_convolution_scaling(kappa, lam, k, l, 1.5, 1, gaps=gaps)
+    ref = _scaling_values_per_node(kappa, lam, k, l, 1.5, gaps)
+    np.testing.assert_allclose(rep.values, ref, rtol=1e-13, atol=0.0)
+
+
+def _two_dimensional_problem():
+    from pseudoproc import PseudoGradientSpec, isotropic_symbol
+    grid = SpaceTimeGrid(2, 10.0, 16, 1.0, 4)
+    return PerturbationProblem(isotropic_symbol(1.5, 1.0, 2),
+                               PseudoGradientSpec(beta=0.5, dim=2), grid,
+                               constant_drift([0.6, -0.3]))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_rows_to_fields_match_per_pair_synthesis(dim, small_problem):
+    prob = small_problem if dim == 1 else _two_dimensional_problem()
+    G_rows = prob.solve_v(ConvergenceMonitor.for_problem(1.5, 0.5, dim,
+                                                         math.inf))
+    v_rows = prob.v_rows(G_rows)
+    Gf = prob.rows_to_scalar_field(G_rows, "G")
+    vf = prob.rows_to_vector_field(v_rows, "v")
+    assert Gf.pairs() == vf.pairs() == sorted(G_rows)
+    for k in G_rows:
+        assert np.array_equal(Gf.slice(k), synthesize(prob.grid, G_rows[k]))
+        assert np.array_equal(vf.slice(k), np.stack(
+            [synthesize(prob.grid, c) for c in v_rows[k]]))
+    # a subset with pairs of several terminal indices, out of order
+    some = {k: G_rows[k] for k in ((0, 3), (1, 2), (2, 3), (0, 1))}
+    part = prob.rows_to_scalar_field(some, "G")
+    assert part.pairs() == sorted(some)
+    for k in some:
+        assert np.array_equal(part.slice(k), synthesize(prob.grid, some[k]))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_row_max_norm_of_a_stack_matches_single_rows(dim, small_problem):
+    prob = small_problem if dim == 1 else _two_dimensional_problem()
+    G_rows = prob.solve_v(ConvergenceMonitor.for_problem(1.5, 0.5, dim,
+                                                         math.inf))
+    j = prob.M
+    for rows in ([G_rows[(i, j)] for i in range(j)],
+                 [prob.mult * G_rows[(i, j)] for i in range(j)]):
+        norms = prob.row_max_norm(np.stack(rows), stack=True)
+        assert norms.tolist() == [prob.row_max_norm(r) for r in rows]
+
+
+def test_nan_in_one_mode_of_one_terminal_index_fails_the_solve(small_problem):
+    prob = PerturbationProblem(small_problem.sym, small_problem.pg,
+                               small_problem.grid, small_problem.b)
+    decay = prob._gap_decay.copy()
+    # column M feeds only the pair (0, M): one mode of the last terminal index
+    decay[5, prob.M] = np.nan
+    prob._gap_decay = decay
+    mon = ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf)
+    with pytest.raises(ConvergenceError, match="residual nan"):
+        prob.solve_v(mon)
+    assert math.isnan(mon.iterate_norms[-1])
