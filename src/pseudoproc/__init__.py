@@ -24,8 +24,7 @@ from .spectral import (synthesize_g0, g0_values, base_kernel_field,
 from .drift import (DriftField, DriftError, constant_drift, zero_drift,
                     mollified_time_drift, min_p_exponent, series_exponent)
 from .volterra import (ConvergenceMonitor, ConvergenceError,
-                       PerturbationProblem, volterra_step, solve_v,
-                       assemble_G, beta_rate_factor,
+                       PerturbationProblem, KernelRows, beta_rate_factor,
                        kernel_convolution_scaling, ScalingFitReport)
 from .evolution import (TestFunction, EvolutionOperator, GeneratorAction,
                         TerminalValueProblem, apply_operator,

@@ -35,6 +35,8 @@ EXIT_NONCONVERGENCE = 4
 EXIT_VERIFY = 5
 
 _PHI_CHOICES = ("one", "mode8", "bump")
+_TRUE, _FALSE = ("true", "yes", "1"), ("false", "no", "0")
+_POSITIVE_KEYS = ("c", "half_extent", "horizon", "dt", "stop_tol", "tail_tol")
 
 
 class ConfigError(ValueError):
@@ -74,22 +76,16 @@ class RunConfig:
             errs.append(f"beta={self.beta:g} outside (0, 1)")
         if not 0.0 < self.gamma < 1.0:
             errs.append(f"gamma={self.gamma:g} outside (0, 1)")
-        if self.c <= 0:
-            errs.append("c must be positive")
+        for key in _POSITIVE_KEYS:
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value > 0):
+                errs.append(f"{key}={value:g} must be finite and positive")
         if self.dim not in (1, 2):
             errs.append(f"dim={self.dim} unsupported (need 1 or 2)")
         if self.points < 4 or self.points % 2:
             errs.append(f"points={self.points} must be even and >= 4")
-        if self.half_extent <= 0:
-            errs.append("half_extent must be positive")
-        if self.horizon <= 0:
-            errs.append("horizon must be positive")
         if self.steps < 1:
             errs.append("steps must be >= 1")
-        if self.dt <= 0:
-            errs.append("dt must be positive")
-        if self.stop_tol <= 0:
-            errs.append("stop_tol must be positive")
         if self.phi not in _PHI_CHOICES:
             errs.append(f"phi={self.phi!r} not one of {_PHI_CHOICES}")
         try:
@@ -115,6 +111,8 @@ class RunConfig:
             vec = np.concatenate([vec, np.zeros(self.dim - 1)])
         if vec.size != self.dim:
             raise ValueError(f"drift needs {self.dim} components, got {vec.size}")
+        if not np.all(np.isfinite(vec)):
+            raise ValueError(f"drift={self.drift!r} has a non-finite component")
         return vec
 
     def grid(self) -> SpaceTimeGrid:
@@ -168,7 +166,10 @@ class RunConfig:
             current = getattr(defaults, key)
             try:
                 if isinstance(current, bool):
-                    kwargs[key] = str(val).strip().lower() in ("1", "true", "yes")
+                    word = str(val).strip().lower()
+                    if word not in _TRUE + _FALSE:
+                        raise ValueError(word)
+                    kwargs[key] = word in _TRUE
                 elif isinstance(current, int):
                     kwargs[key] = int(val)
                 elif isinstance(current, float):

@@ -481,28 +481,30 @@ def generalized_solution_stability(sym: SymbolSpec, pg: PseudoGradientSpec,
     """Stability table ||G_tilde - G_hat||_inf vs ||b_tilde - b_hat||_p.
 
     drift_pairs is an iterable of (label, b_tilde, b_hat); members must be
-    spatially constant (the kernel-level comparison of the bound).  Raises
-    with the failing index if any member does not converge.
+    spatially constant (the kernel-level comparison of the bound).  A drift
+    object that appears in several pairs is solved once.  Raises with the
+    failing index if any member does not converge.
     """
-    rows = []
+    rows, solved = [], {}   # id(drift) -> (drift, G rows); the drift holds its id
     for label, b1, b2 in drift_pairs:
         dist = b1.difference_lp_norm(b2, grid)
-        kernels = []
         for which, bb in (("first", b1), ("second", b2)):
+            if id(bb) in solved:
+                continue
             try:
                 prob = PerturbationProblem(sym, pg, grid, bb)
                 mon = ConvergenceMonitor.for_problem(sym.alpha, pg.beta,
                                                      grid.dim, bb.p_exponent,
                                                      stop_tol=stop_tol)
-                kernels.append(prob.solve_v(mon))
+                solved[id(bb)] = (bb, prob.solve_v(mon))
             except ConvergenceError as err:
                 raise ConvergenceError(
                     f"member {which!r} of pair {label!r} did not converge",
                     err.norms, err.ratios, err.spectral_radius) from err
         worst = 0.0
+        G1, G2 = solved[id(b1)][1], solved[id(b2)][1]
         for j in range(1, grid.time_steps + 1):  # one transform per j
-            diff = np.stack([kernels[0][i, j] - kernels[1][i, j] for i in range(j)])
-            spatial = np.fft.ifftn(diff, axes=tuple(range(1, diff.ndim)))
+            spatial = np.fft.ifftn(G1[j] - G2[j], axes=tuple(range(1, G1[j].ndim)))
             worst = max(worst, float((np.abs(spatial) / grid.cell_volume).max()))
         rows.append(StabilityRow(label, dist, worst))
     return rows

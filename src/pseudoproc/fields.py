@@ -86,10 +86,6 @@ class ScalarKernelField:
     def spectrum(self, pair: PairKey) -> np.ndarray:
         return analyze(self.grid, self.slice(pair))
 
-    def copy(self) -> "ScalarKernelField":
-        return ScalarKernelField(self.grid, self.meaning,
-                                 {k: v.copy() for k, v in self.values.items()})
-
 
 @dataclass
 class VectorKernelField:
@@ -120,15 +116,6 @@ class VectorKernelField:
 
     def gap(self, pair: PairKey) -> float:
         return (pair[1] - pair[0]) * self.grid.dt
-
-    def max_norm(self, pair: PairKey) -> float:
-        """Sup over the lattice of the Euclidean component norm."""
-        v = self.slice(pair)
-        return float(np.sqrt((v ** 2).sum(axis=0)).max())
-
-    def copy(self) -> "VectorKernelField":
-        return VectorKernelField(self.grid, self.meaning,
-                                 {k: v.copy() for k, v in self.values.items()})
 
 
 # ---------------------------------------------------------------------------

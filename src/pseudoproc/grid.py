@@ -13,6 +13,7 @@ the sampled transform exactly (no hidden scale factors).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,10 +56,11 @@ class SpaceTimeGrid:
             raise GridError(f"dim must be 1 or 2, got {self.dim}")
         if self.points_per_dim % 2 != 0 or self.points_per_dim < 4:
             raise GridError("points_per_dim must be an even integer >= 4")
-        if self.half_extent <= 0:
-            raise GridError("half_extent must be positive")
-        if self.time_horizon <= 0 or self.time_steps < 1:
-            raise GridError("need time_horizon > 0 and time_steps >= 1")
+        if not (math.isfinite(self.half_extent) and self.half_extent > 0):
+            raise GridError("half_extent must be finite and positive")
+        if not (math.isfinite(self.time_horizon) and self.time_horizon > 0) \
+                or self.time_steps < 1:
+            raise GridError("need a finite time_horizon > 0 and time_steps >= 1")
 
     # -- spatial lattice -------------------------------------------------
     @property
@@ -126,16 +128,6 @@ class SpaceTimeGrid:
 
     def shape(self) -> tuple:
         return (self.points_per_dim,) * self.dim
-
-    def refine(self, space: int = 2, time: int = 2) -> "SpaceTimeGrid":
-        """Same domain with space/time resolution multiplied as given."""
-        return SpaceTimeGrid(self.dim, self.half_extent,
-                             self.points_per_dim * space,
-                             self.time_horizon, self.time_steps * time)
-
-    def require_compatible(self, other: "SpaceTimeGrid"):
-        if self != other:
-            raise GridError("operands live on different grids")
 
 
 # ---------------------------------------------------------------------------

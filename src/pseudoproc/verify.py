@@ -18,7 +18,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .grid import SpaceTimeGrid
+from .grid import SpaceTimeGrid, synthesize
 from .symbols import SymbolSpec, PseudoGradientSpec, isotropic_symbol, \
     pseudo_gradient_normalizer, pseudo_gradient_normalizer_neg_gamma
 from .spectral import (g0_values, constant_drift_values, check_resolution,
@@ -445,17 +445,20 @@ def check_constant_drift_oracle(fx: FixtureSet) -> List[CheckResult]:
     Gcf = prob.closed_form_G_rows()
     grid = prob.grid
 
-    def rel_error(problem, rows_num, rows_cf, pairs):
-        def stack(rows):
-            f = problem.rows_to_scalar_field({k: rows[k] for k in pairs}, "G")
-            return np.stack([f.slice(k) for k in pairs]).reshape(len(pairs), -1)
-        gn, gc = stack(rows_num), stack(rows_cf)
+    def rel_error(grid, num, cf):
+        """Largest masked relative error over a stack of rows."""
+        gn = synthesize(grid, num).reshape(len(num), -1)
+        gc = synthesize(grid, cf).reshape(len(cf), -1)
         mask = np.abs(gc) > 1e-4
         # a row without a masked point reads 0, the start of the maximum
         worst = np.where(mask, np.abs(gn - gc), 0.0).max(axis=1)
         return float((worst / np.maximum(np.abs(gc).max(axis=1), 1e-4)).max())
 
-    err_all = rel_error(prob, G_rows, Gcf, list(G_rows))
+    def rel_error_all(problem, rows_num, rows_cf):
+        return max(rel_error(problem.grid, rows_num[j], rows_cf[j])
+                   for j in range(1, problem.M + 1))
+
+    err_all = rel_error_all(prob, G_rows, Gcf)
     # refinement at fixed physical pairs
     prob2, _, G2 = fx.solved_problem(points=2 * fx.points,
                                      steps=2 * fx.steps)
@@ -466,7 +469,8 @@ def check_constant_drift_oracle(fx: FixtureSet) -> List[CheckResult]:
     def at_phys(problem, rows_n, rows_c, M):
         pairs = [(round(s * M / fx.horizon), round(t * M / fx.horizon))
                  for s, t in phys]
-        return rel_error(problem, rows_n, rows_c, pairs)
+        return rel_error(problem.grid, np.stack([rows_n[j][i] for i, j in pairs]),
+                         np.stack([rows_c[j][i] for i, j in pairs]))
 
     coarse = at_phys(prob, G_rows, Gcf, M1)
     fine = at_phys(prob2, G2, Gcf2, M2)
@@ -475,12 +479,11 @@ def check_constant_drift_oracle(fx: FixtureSet) -> List[CheckResult]:
         [0.75 + 0.5 * np.cos(2.0 * np.pi * t)] + [0.0] * (fx.dim - 1)))
     prob_t = PerturbationProblem(fx.symbol(), fx.pgrad(), grid, bt)
     G_t = prob_t.solve_v(fx.monitor())
-    err_t = rel_error(prob_t, G_t, prob_t.closed_form_G_rows(), list(G_t))
-    # constant drift: rows depend on the gap j - i alone; peak[n - 1] is row (0, n)'s
-    peak = prob.row_max_norm(np.stack([G_rows[0, n] for n in range(1, prob.M + 1)]),
-                             stack=True)
-    gap = max((prob.row_max_norm(np.stack([G_rows[i, j] - G_rows[0, j - i]
-                                           for i in range(j)]), stack=True)
+    err_t = rel_error_all(prob_t, G_t, prob_t.closed_form_G_rows())
+    # constant drift: rows depend on the gap j - i alone; first[n - 1] is row (0, n)
+    first = np.stack([G_rows[n][0] for n in range(1, prob.M + 1)])
+    peak = prob.row_max_norm(first)
+    gap = max((prob.row_max_norm(G_rows[j] - first[j - 1::-1])
                / peak[j - 1::-1]).max() for j in range(1, prob.M + 1))
     return [
         _result("constant-drift-oracle/bulk", "all pairs, |G| > 1e-4",
@@ -505,8 +508,7 @@ def check_negativity_witness(fx: FixtureSet) -> List[CheckResult]:
                                grid, fx.horizon)
     cf_min = float(cf.min())
     prob, _, G_rows = fx.solved_problem()
-    solver_min = float(prob.rows_to_scalar_field(
-        {(0, fx.steps): G_rows[(0, fx.steps)]}, "G").slice((0, fx.steps)).min())
+    solver_min = float(synthesize(prob.grid, G_rows[fx.steps][0]).min())
     golden = fx.golden("drift_kernel_min")
     lo, hi = golden["band"]
     return [
@@ -574,8 +576,8 @@ def check_series_residual(fx: FixtureSet) -> List[CheckResult]:
     res_v = prob.series_residual(prob.v_rows(G_rows))
     res_G = prob.perturbation_residual(G_rows)
     terms = prob.iterate_terms(10)
-    coarsest = (0, fx.steps)
-    norms = [prob.row_max_norm(t[coarsest]) for t in terms]
+    # the coarsest pair (0, M), first row of the last stack
+    norms = [prob.row_max_norm(t[fx.steps][:1])[0] for t in terms]
     ratios = np.array([norms[k + 1] / norms[k] for k in range(len(norms) - 1)])
     q = 1.0
     # ratio of term k+1 to term k follows the k-th Euler-beta decline factor;
@@ -654,10 +656,10 @@ def check_envelope_fits(fx: FixtureSet) -> List[CheckResult]:
         by_gap_v, by_gap_G = {}, {}
         for j in (1, 4, 16):
             gap = j * grid.dt
-            vf = prob.rows_to_vector_field({(0, j): v_rows[(0, j)]}, "v")
-            Gf = prob.rows_to_scalar_field({(0, j): G_rows[(0, j)]}, "G")
-            by_gap_v[gap] = {"grid": grid, "values": vf.slice((0, j))}
-            by_gap_G[gap] = {"grid": grid, "values": Gf.slice((0, j))}
+            by_gap_v[gap] = {"grid": grid,
+                             "values": synthesize(grid, v_rows[j][0])}
+            by_gap_G[gap] = {"grid": grid,
+                             "values": synthesize(grid, G_rows[j][0])}
         for form, data in (("base_kernel", by_gap_g0),
                            ("pseudo_gradient", by_gap_grad),
                            ("series_kernel", by_gap_v),
@@ -688,18 +690,20 @@ def check_drift_stability(fx: FixtureSet) -> List[CheckResult]:
         return max(ratios) / min(ratios), table
 
     deltas = (1e-2, 5e-3, 2.5e-3)
-    const_pairs = [(f"delta={d:g}", constant_drift([1.0]),
-                    constant_drift([1.0 + d])) for d in deltas]
+    # one base drift object per family: the stability table solves it once
+    unit = constant_drift([1.0])
+    const_pairs = [(f"delta={d:g}", unit, constant_drift([1.0 + d]))
+                   for d in deltas]
     band_c, _ = ratio_band(const_pairs)
     rows.append(_result("drift-stability/constant-pair",
                         "delta halved twice from 1e-2", band_c, 2.0, "band",
                         band_c <= 2.0, "derived-oracle"))
 
     square = lambda t: np.where((t * 8) % 2 < 1, 1.0, -1.0)
+    base = DriftField(dim=1, kind="time",
+                      evaluator=lambda t: np.array([0.75]), p_exponent=8.0)
     rough_pairs = []
     for d in deltas:
-        base = DriftField(dim=1, kind="time",
-                          evaluator=lambda t: np.array([0.75]), p_exponent=8.0)
         bumped = mollified_time_drift(
             lambda t, dd=d: 0.75 + dd * square(t), 0.05, 1, p=8.0)
         rough_pairs.append((f"delta={d:g}", bumped, base))

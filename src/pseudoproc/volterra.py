@@ -9,7 +9,9 @@ with nothing stiff left to interpolate.  `kernel_rule` keeps its stencils
 inside [t_i, t_j], so per mode and terminal index j the system
 (I - K_j) G_j = g_j + c_j (c_j weighs the limit G(t_j, t_j) = 1) is upper
 triangular: `PerturbationProblem.solve_v` back-substitutes, and the
-spectral radius is the largest diagonal modulus.  `ConvergenceError` (exit
+spectral radius is the largest diagonal modulus.  Rows travel as
+`KernelRows`, one stack of the rows (i, j) per terminal index j, the unit
+this system couples.  `ConvergenceError` (exit
 4 of `pseudoproc perturb`) means that radius is at least one (the message
 names |m|max * dt), the residual exceeds stop_tol, or the result is not
 finite.  `iterate_terms` builds the series of the same operator.
@@ -20,13 +22,12 @@ import functools
 import math
 import time as _time
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .grid import SpaceTimeGrid, GridError, synthesize, analyze
+from .grid import SpaceTimeGrid, GridError, synthesize
 from .symbols import SymbolSpec, PseudoGradientSpec
-from .fields import ScalarKernelField, VectorKernelField, PairKey
+from .fields import ScalarKernelField, VectorKernelField
 from .drift import DriftField, series_exponent
 from .quadrature import gauss_panels, kernel_rule
 
@@ -106,15 +107,29 @@ def beta_rate_factor(k: int, theta: float, q: float) -> float:
 # mode-row engine
 # ---------------------------------------------------------------------------
 
+class KernelRows(list):
+    """Kernel mode rows by terminal index: rows[j] stacks the rows (i, j), i < j.
+
+    rows[j] has shape (j,) + lattice, vector rows (j, d) + lattice; rows[0]
+    is empty.  The discrete identity couples only the rows of one j.
+    """
+
+    def items(self):
+        """Every ((i, j), row), 0 <= i < j <= M, each pair once."""
+        for j, stack in enumerate(self):
+            for i, row in enumerate(stack):
+                yield (i, j), row
+
+
 class PerturbationProblem:
     """Kernel-level perturbation solve for spatially-constant drift.
 
     Bundles symbol, pseudo-gradient, grid and drift, with every base kernel
-    available in closed form on the frequency lattice.  Mode rows are dicts
-    keyed by time pair (i, j); internally each terminal index j holds an
-    array indexed by start time.  Spatially-varying drift breaks
-    translation invariance of the unknown kernel and is out of scope here
-    (the evolution module solves the paired function-level system).
+    available in closed form on the frequency lattice.  Every row method
+    takes and returns `KernelRows`, one stack of start indices per terminal
+    index j.  Spatially-varying drift breaks translation invariance of the
+    unknown kernel and is out of scope here (the evolution module solves
+    the paired function-level system).
     """
 
     def __init__(self, sym: SymbolSpec, pg: PseudoGradientSpec,
@@ -142,17 +157,21 @@ class PerturbationProblem:
         """g at the partition gaps: column n is exp(-a n dt)."""
         return np.exp(np.outer(self.a.ravel(), -self.times))
 
+    def _rows(self, flat) -> np.ndarray:
+        """A (j, modes) array of rows (i, j) as a (j,) + lattice stack."""
+        return np.ascontiguousarray(flat).reshape((len(flat),) + self.a.shape)
+
     # base kernels on the frequency lattice
-    def g_rows(self) -> Dict[PairKey, np.ndarray]:
-        return {(i, j): self._gap_decay[:, j - i].reshape(self.a.shape)
-                for j in range(1, self.M + 1) for i in range(j)}
+    def g_rows(self) -> KernelRows:
+        # row (i, j) decays over the gap j - i: columns j, ..., 1
+        return KernelRows(self._rows(self._gap_decay[:, j:0:-1].T)
+                          for j in range(self.M + 1))
 
-    def v_rows(self, G_rows: Dict[PairKey, np.ndarray]
-               ) -> Dict[PairKey, np.ndarray]:
+    def v_rows(self, G_rows: KernelRows) -> KernelRows:
         """The vector kernel v = multiplier * G, row by row."""
-        return {k: self.mult * row for k, row in G_rows.items()}
+        return KernelRows(self.mult * G[:, None] for G in G_rows)
 
-    def v0_rows(self) -> Dict[PairKey, np.ndarray]:
+    def v0_rows(self) -> KernelRows:
         return self.v_rows(self.g_rows())
 
     # -- the discrete operator -----------------------------------------------
@@ -165,15 +184,14 @@ class PerturbationProblem:
         """
         return self._rule[j][:, i, None, i:] * self._gap_decay[:, :j + 1 - i]
 
-    def row_max_norm(self, row: np.ndarray, stack: bool = False):
-        """Lattice sup of a synthesized scalar or vector row (each, if stack)."""
-        comps = np.fft.ifftn(row, axes=tuple(range(-self.grid.dim, 0)))
-        comps = comps.reshape((len(row) if stack else 1, -1, self.a.size))
-        norms = np.sqrt((np.abs(comps / self.grid.cell_volume) ** 2).sum(1)).max(1)
-        return norms if stack else float(norms[0])
+    def row_max_norm(self, rows: np.ndarray) -> np.ndarray:
+        """Lattice sup of each synthesized scalar or vector row of a stack."""
+        comps = np.fft.ifftn(rows, axes=tuple(range(-self.grid.dim, 0)))
+        comps = comps.reshape((len(rows), -1, self.a.size))
+        return np.sqrt((np.abs(comps / self.grid.cell_volume) ** 2).sum(1)).max(1)
 
     # -- solve ---------------------------------------------------------------
-    def solve_v(self, monitor: ConvergenceMonitor) -> Dict[PairKey, np.ndarray]:
+    def solve_v(self, monitor: ConvergenceMonitor) -> KernelRows:
         """Solve the discrete kernel identity; returns the G rows.
 
         K_j is upper triangular, so each terminal index j is solved by
@@ -187,7 +205,8 @@ class PerturbationProblem:
             monitor.record(0.0, 0.0)
             return self.g_rows()
         start = _time.perf_counter()
-        rows, radius, residual = {}, 0.0, 0.0
+        rows = KernelRows([self._rows(np.empty((0, self.a.size), complex))])
+        radius = residual = 0.0
         for j in range(1, self.M + 1):
             G = np.ones((self.a.size, j + 1), complex)  # G(t_l, t_j); limit 1
             defect = np.empty((j, self.a.size), complex)
@@ -199,10 +218,10 @@ class PerturbationProblem:
                 G[:, i] = (g + known) / (1.0 - K[:, 0])
                 radius = max(radius, np.abs(K[:, 0]).max())
                 defect[i] = (1.0 - K[:, 0]) * G[:, i] - g - known
-                rows[(i, j)] = G[:, i].reshape(self.a.shape)
+            rows.append(self._rows(G[:, :j].T))
             # np.maximum keeps a NaN, which fails the test below
-            residual = np.maximum(residual, self.row_max_norm(
-                defect.reshape((j,) + self.a.shape), stack=True).max())
+            residual = np.maximum(residual,
+                                  self.row_max_norm(self._rows(defect)).max())
         monitor.spectral_radius = float(radius)
         monitor.record(float(residual), _time.perf_counter() - start)
         if not (radius < 1.0 and residual <= monitor.stop_tol):
@@ -226,67 +245,58 @@ class PerturbationProblem:
         return terms
 
     # -- assembly and residuals ---------------------------------------------
-    def _quad_rows(self, v_rows, limit) -> Dict[PairKey, np.ndarray]:
+    def _quad_rows(self, v_rows: KernelRows, limit) -> KernelRows:
         """Int_{t_i}^{t_j} g(tau - t_i) (b(tau), v(tau, t_j)) dtau, every pair.
 
         limit is the coincident-time value of v, shape (d, modes).
         """
-        if next(iter(v_rows.values())).shape != self.mult.shape:
+        if v_rows[-1].shape[1:] != self.mult.shape:
             raise GridError("vector mode rows must be shaped like the multiplier")
-        out = {}
-        for j in range(1, self.M + 1):
-            v = np.stack([v_rows[(i, j)].reshape(self._mult.shape)
-                          for i in range(j)] + [limit], axis=-1)
+        out = KernelRows()
+        for j in range(self.M + 1):
+            # (d, modes, j + 1): samples at t_0, ..., t_{j-1}, then the limit
+            v = np.concatenate([v_rows[j].reshape((j,) + self._mult.shape),
+                                limit[None]])
+            v = np.ascontiguousarray(np.moveaxis(v, 0, -1))
+            quad = np.empty((j, self.a.size), complex)
             for i in range(j):
-                quad = (self.pair_quad(i, j) * v[..., i:]).sum(axis=(0, 2))
-                out[(i, j)] = quad.reshape(self.a.shape)
+                quad[i] = (self.pair_quad(i, j) * v[..., i:]).sum(axis=(0, 2))
+            out.append(self._rows(quad))
         return out
 
-    def assemble_G_rows(self, v_rows: Dict[PairKey, np.ndarray]
-                        ) -> Dict[PairKey, np.ndarray]:
+    def assemble_G_rows(self, v_rows: KernelRows) -> KernelRows:
         """G = g + Quad[g (b, v)] for a given vector kernel v."""
-        g = self.g_rows()
-        return {k: g[k] + q for k, q in self._quad_rows(v_rows, self._mult).items()}
+        return KernelRows(g + q for g, q in zip(
+            self.g_rows(), self._quad_rows(v_rows, self._mult)))
 
-    def _defect(self, rows, target) -> float:
+    def _defect(self, rows: KernelRows, target: KernelRows) -> float:
         """Largest norm of rows - target, one transform per terminal index."""
-        return max(self.row_max_norm(np.stack([rows[i, j] - target[i, j]
-                                               for i in range(j)]), stack=True).max()
+        return max(self.row_max_norm(rows[j] - target[j]).max()
                    for j in range(1, self.M + 1))
 
-    def series_residual(self, v_rows: Dict[PairKey, np.ndarray]) -> float:
+    def series_residual(self, v_rows: KernelRows) -> float:
         """Defect of v against v = v0 + Quad[v0 (b, v)] = multiplier * G[v]."""
         return self._defect(self.v_rows(self.assemble_G_rows(v_rows)), v_rows)
 
-    def perturbation_residual(self, G_rows: Dict[PairKey, np.ndarray]) -> float:
+    def perturbation_residual(self, G_rows: KernelRows) -> float:
         """Defect of G against its own defining identity, v = multiplier * G."""
         return self._defect(self.assemble_G_rows(self.v_rows(G_rows)), G_rows)
 
     # -- conversions ---------------------------------------------------------
-    def _fill(self, out, rows):
+    def _fill(self, out, rows: KernelRows):
         """Set every row's synthesized slice, one `synthesize` per terminal index."""
-        by_j = {}
-        for k in rows:
-            by_j.setdefault(k[1], []).append(k)
-        for keys in by_j.values():
-            stack = synthesize(self.grid, np.stack([rows[k] for k in keys]))
-            for k, values in zip(keys, stack):
-                out.set_slice(k, values)
+        for j in range(1, self.M + 1):
+            for i, values in enumerate(synthesize(self.grid, rows[j])):
+                out.set_slice((i, j), values)
         return out
 
-    def rows_to_scalar_field(self, rows, meaning) -> ScalarKernelField:
+    def rows_to_scalar_field(self, rows: KernelRows, meaning) -> ScalarKernelField:
         return self._fill(ScalarKernelField(self.grid, meaning), rows)
 
-    def rows_to_vector_field(self, rows, meaning) -> VectorKernelField:
+    def rows_to_vector_field(self, rows: KernelRows, meaning) -> VectorKernelField:
         return self._fill(VectorKernelField(self.grid, meaning), rows)
 
-    def vector_field_rows(self, vf: VectorKernelField) -> Dict[PairKey, np.ndarray]:
-        """Mode rows of a sampled vector kernel (inverse of rows_to_vector_field)."""
-        self.grid.require_compatible(vf.grid)
-        return {k: np.stack([analyze(self.grid, c) for c in vf.slice(k)])
-                for k in vf.pairs()}
-
-    def closed_form_G_rows(self) -> Dict[PairKey, np.ndarray]:
+    def closed_form_G_rows(self) -> KernelRows:
         """Exact rows exp(-a (t-s) + (Int_s^t b, multiplier)) (oracle use only).
 
         Int b is 16-point Gauss-Legendre on every step.
@@ -296,74 +306,10 @@ class PerturbationProblem:
         steps = np.einsum("kq,kqc->kc", w, b)
         int_b = np.cumsum(np.insert(steps, 0, 0.0, axis=0), axis=0)
         m = np.tensordot(int_b, self.mult, axes=(1, 0))
-        return {(i, j): np.exp(-self.a * (self.times[j] - self.times[i])
-                               + m[j] - m[i])
-                for j in range(1, self.M + 1) for i in range(j)}
-
-
-# ---------------------------------------------------------------------------
-# public operations on fields
-# ---------------------------------------------------------------------------
-
-def volterra_step(v_prev: VectorKernelField, v0: VectorKernelField,
-                  b: DriftField, grid: SpaceTimeGrid,
-                  sym: Optional[SymbolSpec] = None,
-                  pg: Optional[PseudoGradientSpec] = None,
-                  terminal_limit: str = "zero") -> VectorKernelField:
-    """One series step: the double integral of v0 against (b, v_prev).
-
-    terminal_limit names the coincident-time limit of v_prev: "zero" for
-    series terms of order >= 1, "base" when v_prev is a full iterate (its
-    diagonal limit is the pseudo-gradient multiplier).  The symbol and
-    pseudo-gradient specs are required for a nonzero drift: the rule
-    weighs every sample by an exact base-kernel decay factor, which sampled
-    fields alone cannot provide.
-    """
-    grid.require_compatible(v_prev.grid)
-    grid.require_compatible(v0.grid)
-    out = VectorKernelField(grid, "v")
-    if b.is_zero() or not v_prev.values:
-        for k in v_prev.pairs():
-            out.set_slice(k, np.zeros_like(v_prev.slice(k)))
-        return out
-    if sym is None or pg is None:
-        raise ValueError(
-            "field-level stepping requires the symbol and pseudo-gradient "
-            "specs for the base-kernel decay factors")
-    prob = PerturbationProblem(sym, pg, grid, b)
-    rows = prob.vector_field_rows(v_prev)
-    missing = [(i, j) for j in range(1, grid.time_steps + 1)
-               for i in range(j) if (i, j) not in rows]
-    if missing:
-        raise GridError(f"v_prev is missing time pair {missing[0]}")
-    limit = prob._mult if terminal_limit == "base" else np.zeros_like(prob._mult)
-    quad = prob._quad_rows(rows, limit)
-    return prob.rows_to_vector_field(prob.v_rows(quad), "v")
-
-
-def solve_v(sym: SymbolSpec, pg: PseudoGradientSpec, grid: SpaceTimeGrid,
-            b: DriftField, monitor: Optional[ConvergenceMonitor] = None
-            ) -> Tuple[VectorKernelField, ConvergenceMonitor]:
-    """Solve the vector kernel equation; returns the field and the monitor."""
-    monitor = monitor or ConvergenceMonitor.for_problem(
-        sym.alpha, pg.beta, grid.dim, b.p_exponent)
-    prob = PerturbationProblem(sym, pg, grid, b)
-    rows = prob.v_rows(prob.solve_v(monitor))
-    return prob.rows_to_vector_field(rows, "v"), monitor
-
-
-def assemble_G(sym: SymbolSpec, pg: PseudoGradientSpec, grid: SpaceTimeGrid,
-               b: DriftField, v: Optional[VectorKernelField] = None,
-               monitor: Optional[ConvergenceMonitor] = None
-               ) -> ScalarKernelField:
-    """Perturbed kernel G = g + Quad[g (b, v)], solving for G if v is not given."""
-    prob = PerturbationProblem(sym, pg, grid, b)
-    if v is not None:
-        rows = prob.assemble_G_rows(prob.vector_field_rows(v))
-    else:
-        rows = prob.solve_v(monitor or ConvergenceMonitor.for_problem(
-            sym.alpha, pg.beta, grid.dim, b.p_exponent))
-    return prob.rows_to_scalar_field(rows, "G")
+        gaps = (self.times[:, None] - self.times).reshape(
+            (len(self.times),) * 2 + (1,) * self.grid.dim)
+        return KernelRows(np.exp(-self.a * gaps[j, :j] + m[j] - m[:j])
+                          for j in range(self.M + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,28 @@ def test_config_error_exit():
     assert main(["kernel", "--alpha", "3.0"]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("argv, config, key", [
+    (["perturb", "--stop-tol", "nan"], None, "stop_tol"),
+    (["perturb", "--horizon", "nan"], None, "horizon"),
+    (["emit", "--what", "resolution", "--tail-tol", "-1"], None, "tail_tol"),
+    (["perturb", "--c", "inf"], None, "c"),
+    (["perturb", "--half-extent", "nan"], None, "half_extent"),
+    (["kernel", "--dt", "nan"], None, "dt"),
+    (["perturb", "--b", "nan"], None, "drift"),
+    (["perturb", "--d", "2", "--b", "1,-inf"], None, "drift"),
+    (["kernel"], "closed_form = ture\n", "closed_form"),
+])
+def test_malformed_values_are_config_errors(tmp_path, capsys, argv, config,
+                                            key):
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+        argv = argv + ["--config", str(tmp_path / "run.cfg")]
+    code = main(argv + ["--outdir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("config error") and key in err
+
+
 def test_zero_drift_outputs_identical(tmp_path):
     # base synthesis and the perturbation pipeline must agree bit-for-bit
     kdir, pdir = tmp_path / "k", tmp_path / "p"

@@ -28,6 +28,10 @@ def test_grid_validation():
         SpaceTimeGrid(1, -1.0, 64, 1.0, 4)
     with pytest.raises(GridError):
         SpaceTimeGrid(1, 10.0, 64, 0.0, 4)
+    with pytest.raises(GridError, match="half_extent"):
+        SpaceTimeGrid(1, math.nan, 64, 1.0, 4)
+    with pytest.raises(GridError, match="time_horizon"):
+        SpaceTimeGrid(1, 10.0, 64, math.inf, 4)
 
 
 def test_synthesize_analyze_roundtrip(default_grid):

@@ -6,9 +6,8 @@ import pytest
 from pseudoproc import (SpaceTimeGrid,
                         constant_drift, zero_drift, mollified_time_drift,
                         DriftField, DriftError, ConvergenceMonitor,
-                        ConvergenceError, PerturbationProblem, volterra_step,
-                        solve_v, assemble_G, beta_rate_factor,
-                        kernel_convolution_scaling, VectorKernelField,
+                        ConvergenceError, PerturbationProblem, KernelRows,
+                        beta_rate_factor, kernel_convolution_scaling,
                         synthesize, min_p_exponent, series_exponent)
 from pseudoproc.spectral import constant_drift_values
 from pseudoproc.quadrature import kernel_rule
@@ -20,39 +19,17 @@ def small_problem(sym, pg, small_grid):
 
 
 def test_zero_drift_collapses_exactly(sym, pg, small_grid):
-    vf, mon = solve_v(sym, pg, small_grid, zero_drift(1))
     prob = PerturbationProblem(sym, pg, small_grid, zero_drift(1))
+    G_rows = prob.solve_v(ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf))
+    vf = prob.rows_to_vector_field(prob.v_rows(G_rows), "v")
     base = prob.rows_to_vector_field(prob.v0_rows(), "v")
     for k in vf.pairs():
         assert np.array_equal(vf.slice(k), base.slice(k))
-    Gf = assemble_G(sym, pg, small_grid, zero_drift(1))
+    Gf = prob.rows_to_scalar_field(G_rows, "G")
     from pseudoproc.spectral import base_kernel_field
     gf = base_kernel_field(sym, small_grid)
     for k in Gf.pairs():
         assert np.array_equal(Gf.slice(k), gf.slice(k))
-
-
-def test_step_vanishes_for_zero_drift_and_zero_iterate(sym, pg, small_grid):
-    prob = PerturbationProblem(sym, pg, small_grid, constant_drift([1.0]))
-    v0 = prob.rows_to_vector_field(prob.v0_rows(), "v0")
-    out = volterra_step(v0, v0, zero_drift(1), small_grid, sym=sym, pg=pg)
-    assert all(np.all(out.slice(k) == 0.0) for k in out.pairs())
-
-    zero = VectorKernelField(small_grid, "v")
-    for k in v0.pairs():
-        zero.set_slice(k, np.zeros_like(v0.slice(k)))
-    out2 = volterra_step(zero, v0, constant_drift([1.0]), small_grid,
-                         sym=sym, pg=pg)
-    assert all(np.all(out2.slice(k) == 0.0) for k in out2.pairs())
-
-
-def test_step_requires_matching_grids(sym, pg, small_grid, default_grid):
-    prob = PerturbationProblem(sym, pg, small_grid, constant_drift([1.0]))
-    v0 = prob.rows_to_vector_field(prob.v0_rows(), "v0")
-    from pseudoproc import GridError
-    with pytest.raises(GridError):
-        volterra_step(v0, v0, constant_drift([1.0]), default_grid,
-                      sym=sym, pg=pg)
 
 
 def test_monitor_enforces_exponent_bound():
@@ -100,8 +77,8 @@ def test_lp_norm_constant_slab(default_grid):
 
 def test_series_terms_decay_with_beta_factors(small_problem):
     terms = small_problem.iterate_terms(8)
-    coarsest = (0, small_problem.M)
-    norms = [small_problem.row_max_norm(t[coarsest]) for t in terms]
+    # the coarsest pair (0, M), first row of the last stack
+    norms = [small_problem.row_max_norm(t[-1][:1])[0] for t in terms]
     assert all(n > 0 for n in norms[:6])
     ratios = np.array([norms[k + 1] / norms[k] for k in range(6)])
     factors = np.array([beta_rate_factor(k, 1.0 - 0.5 / 1.5, 1.0)
@@ -130,8 +107,8 @@ def test_solver_matches_constant_drift_transform(sym, pg, small_grid):
     mon = ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf)
     G_rows = prob.solve_v(mon)
     worst = 0.0
-    for k in G_rows:
-        num = synthesize(small_grid, G_rows[k])
+    for k, row in G_rows.items():
+        num = synthesize(small_grid, row)
         exact = constant_drift_values(sym, pg, [1.0], small_grid,
                                       small_grid.dt * (k[1] - k[0]))
         mask = np.abs(exact) > 1e-4
@@ -153,7 +130,8 @@ def test_residuals_meet_solver_contract(small_problem):
     assert small_problem.perturbation_residual(G_rows) < 10 * mon.stop_tol
     # assembling G from the solved v reproduces the solved G
     assembled = small_problem.assemble_G_rows(v_rows)
-    assert max(np.abs(assembled[k] - G_rows[k]).max() for k in G_rows) < 1e-12
+    assert max(np.abs(a - g).max()
+               for a, g in zip(assembled[1:], G_rows[1:])) < 1e-12
 
 
 def test_residual_decreases_under_refinement(sym, pg):
@@ -166,7 +144,7 @@ def test_residual_decreases_under_refinement(sym, pg):
         G_rows = prob.solve_v(mon)
         # continuum defect against the exact transform at the full horizon
         exact = constant_drift_values(sym, pg, [1.0], grid, 1.0)
-        num = synthesize(grid, G_rows[(0, M)])
+        num = synthesize(grid, G_rows[M][0])
         res[(N, M)] = np.abs(num - exact).max()
     assert res[(128, 16)] < res[(64, 8)]
 
@@ -176,12 +154,12 @@ def test_uniqueness_probe_two_seeds(small_problem):
     mon = ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf, stop_tol=1e-9)
     v = small_problem.v_rows(small_problem.solve_v(mon))
     terms = small_problem.iterate_terms(14)
-    partial = {k: np.zeros_like(row) for k, row in v.items()}
+    partial = [np.zeros_like(stack) for stack in v]
     errors = []
     for term in terms:
-        partial = {k: partial[k] + term[k] for k in v}
-        errors.append(max(small_problem.row_max_norm(partial[k] - v[k])
-                          for k in v))
+        partial = [p + t for p, t in zip(partial, term)]
+        errors.append(max(small_problem.row_max_norm(p - s).max()
+                          for p, s in zip(partial[1:], v[1:])))
     assert all(e2 < e1 for e1, e2 in zip(errors, errors[1:]))
     assert errors[-1] < mon.stop_tol
 
@@ -241,7 +219,8 @@ def test_constant_drift_rows_depend_on_the_gap_alone(sym, pg, steps):
     grid = SpaceTimeGrid(1, 20.0, 64, 1.0, steps)
     prob = PerturbationProblem(sym, pg, grid, constant_drift([1.0]))
     G = prob.solve_v(ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf))
-    assert max(np.abs(G[(i, j)] - G[(0, j - i)]).max() for i, j in G) <= 1e-13
+    assert max(np.abs(row - G[j - i][0]).max()
+               for (i, j), row in G.items()) <= 1e-13
 
 
 def test_adjacent_pair_error_falls_under_refinement(sym, pg):
@@ -251,9 +230,11 @@ def test_adjacent_pair_error_falls_under_refinement(sym, pg):
         prob = PerturbationProblem(sym, pg, grid, constant_drift([1.0]))
         G = prob.solve_v(ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf))
         exact = prob.closed_form_G_rows()
-        errors.append(max(prob.row_max_norm(G[(i, i + 1)] - exact[(i, i + 1)])
-                          / prob.row_max_norm(exact[(i, i + 1)])
-                          for i in range(M)))
+        # the adjacent pairs (i, i + 1)
+        num = np.stack([G[i + 1][i] for i in range(M)])
+        ref = np.stack([exact[i + 1][i] for i in range(M)])
+        errors.append((prob.row_max_norm(num - ref)
+                       / prob.row_max_norm(ref)).max())
     assert errors[0] < 2e-4
     assert errors[1] < 0.5 * errors[0]
 
@@ -273,7 +254,8 @@ def test_time_dependent_drift_matches_closed_form(sym, pg, small_grid):
     prob = PerturbationProblem(sym, pg, small_grid, b)
     G = prob.solve_v(ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf))
     exact = prob.closed_form_G_rows()
-    assert max(prob.row_max_norm(G[k] - exact[k]) for k in G) < 2e-3
+    assert max(prob.row_max_norm(g - e).max()
+               for g, e in zip(G[1:], exact[1:])) < 2e-3
 
 
 def test_time_dependent_drift_solves(sym, pg, small_grid):
@@ -342,9 +324,9 @@ def test_two_dimensional_solve_matches_transform():
     G_rows = prob.solve_v(mon)
     Gcf = prob.closed_form_G_rows()
     worst = 0.0
-    for k in G_rows:
-        num = synthesize(grid, G_rows[k])
-        exact = synthesize(grid, Gcf[k])
+    for (i, j), row in G_rows.items():
+        num = synthesize(grid, row)
+        exact = synthesize(grid, Gcf[j][i])
         mask = np.abs(exact) > 1e-4
         if mask.any():
             worst = max(worst, np.abs(num - exact)[mask].max()
@@ -407,6 +389,31 @@ def _two_dimensional_problem():
 
 
 @pytest.mark.parametrize("dim", [1, 2])
+def test_kernel_rows_stack_each_terminal_index(dim, small_problem):
+    prob = small_problem if dim == 1 else _two_dimensional_problem()
+    G_rows = prob.solve_v(ConvergenceMonitor.for_problem(1.5, 0.5, dim,
+                                                         math.inf))
+    v_rows = prob.v_rows(G_rows)
+    made = {"g_rows": (prob.g_rows(), ()), "solve_v": (G_rows, ()),
+            "v_rows": (v_rows, (dim,)),
+            "closed_form_G_rows": (prob.closed_form_G_rows(), ())}
+    pairs = sorted((i, j) for j in range(1, prob.M + 1) for i in range(j))
+    for name, (rows, vector) in made.items():
+        assert isinstance(rows, KernelRows) and len(rows) == prob.M + 1, name
+        for j, stack in enumerate(rows):   # rows[0] is an empty stack
+            assert stack.shape == (j,) + vector + prob.a.shape, name
+        items = list(rows.items())
+        assert sorted(k for k, _ in items) == pairs, name
+        for (i, j), row in items:
+            # numpy hands out a new view per index, so identity reads as
+            # a view of the stack holding the same values
+            assert np.shares_memory(row, rows[j]), name
+            assert np.array_equal(row, rows[j][i]), name
+    assert prob.rows_to_scalar_field(G_rows, "G").pairs() == pairs
+    assert prob.rows_to_vector_field(v_rows, "v").pairs() == pairs
+
+
+@pytest.mark.parametrize("dim", [1, 2])
 def test_rows_to_fields_match_per_pair_synthesis(dim, small_problem):
     prob = small_problem if dim == 1 else _two_dimensional_problem()
     G_rows = prob.solve_v(ConvergenceMonitor.for_problem(1.5, 0.5, dim,
@@ -414,17 +421,11 @@ def test_rows_to_fields_match_per_pair_synthesis(dim, small_problem):
     v_rows = prob.v_rows(G_rows)
     Gf = prob.rows_to_scalar_field(G_rows, "G")
     vf = prob.rows_to_vector_field(v_rows, "v")
-    assert Gf.pairs() == vf.pairs() == sorted(G_rows)
-    for k in G_rows:
-        assert np.array_equal(Gf.slice(k), synthesize(prob.grid, G_rows[k]))
-        assert np.array_equal(vf.slice(k), np.stack(
-            [synthesize(prob.grid, c) for c in v_rows[k]]))
-    # a subset with pairs of several terminal indices, out of order
-    some = {k: G_rows[k] for k in ((0, 3), (1, 2), (2, 3), (0, 1))}
-    part = prob.rows_to_scalar_field(some, "G")
-    assert part.pairs() == sorted(some)
-    for k in some:
-        assert np.array_equal(part.slice(k), synthesize(prob.grid, some[k]))
+    assert Gf.pairs() == vf.pairs() == sorted(k for k, _ in G_rows.items())
+    for (i, j), row in G_rows.items():
+        assert np.array_equal(Gf.slice((i, j)), synthesize(prob.grid, row))
+        assert np.array_equal(vf.slice((i, j)), np.stack(
+            [synthesize(prob.grid, c) for c in v_rows[j][i]]))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -432,11 +433,10 @@ def test_row_max_norm_of_a_stack_matches_single_rows(dim, small_problem):
     prob = small_problem if dim == 1 else _two_dimensional_problem()
     G_rows = prob.solve_v(ConvergenceMonitor.for_problem(1.5, 0.5, dim,
                                                          math.inf))
-    j = prob.M
-    for rows in ([G_rows[(i, j)] for i in range(j)],
-                 [prob.mult * G_rows[(i, j)] for i in range(j)]):
-        norms = prob.row_max_norm(np.stack(rows), stack=True)
-        assert norms.tolist() == [prob.row_max_norm(r) for r in rows]
+    for rows in (G_rows[-1], prob.v_rows(G_rows)[-1]):
+        norms = prob.row_max_norm(rows)
+        assert norms.shape == (prob.M,)
+        assert norms.tolist() == [prob.row_max_norm(r[None])[0] for r in rows]
 
 
 def test_nan_in_one_mode_of_one_terminal_index_fails_the_solve(small_problem):
