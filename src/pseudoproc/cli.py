@@ -4,7 +4,8 @@ One binary with subcommands; all numerics live in the library modules.  A
 flat key-value config file can seed any run and every field has a flag
 override.  Environment variables are never consulted.
 
-Exit codes: 0 success, 2 configuration error, 3 resolution gate,
+Exit codes: 0 success, 2 configuration error or a file that cannot be read
+or written (such as an --outdir under a regular file), 3 resolution gate,
 4 solver non-convergence or another numerical failure (a synthesized field
 with an imaginary residue), 5 verification failure.
 """
@@ -23,7 +24,7 @@ from .grid import SpaceTimeGrid, ImaginaryResidueError
 from .symbols import isotropic_symbol, PseudoGradientSpec, SymbolError
 from .spectral import (synthesize_g0, constant_drift_kernel, check_resolution,
                        ResolutionError)
-from .fields import snapshot_field
+from .fields import snapshot_field, csv_prefixes, format_rows
 from .drift import constant_drift, min_p_exponent
 from .volterra import ConvergenceMonitor, ConvergenceError, PerturbationProblem
 from .evolution import constant_one, fourier_mode, compact_bump, apply_operator
@@ -253,15 +254,16 @@ def cmd_perturb(args) -> int:
     paths = snapshot_field(G, cfg.outdir, "G")
     _write_convergence_log(os.path.join(cfg.outdir, "convergence.csv"), monitor)
     phi = cfg.phi_function()
-    upath = os.path.join(cfg.outdir, "u_slices.csv")
-    with open(upath, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["s_index", "x", "u"])
-        x = grid.axis()
+    # one row per slice and lattice point: s_index, coordinates x or x0, x1
+    coords = ["x"] if grid.dim == 1 else [f"x{k}" for k in range(grid.dim)]
+    prefixes = csv_prefixes([m.ravel().tolist() for m in grid.mesh()])
+    with open(os.path.join(cfg.outdir, "u_slices.csv"), "w",
+              newline="") as fh:
+        fh.write(",".join(["s_index"] + coords + ["u"]) + "\r\n")
         for i in range(grid.time_steps):
             u = apply_operator(G, (i, grid.time_steps), phi)
-            for xi, ui in zip(x, np.atleast_1d(u.ravel())):
-                w.writerow([i, repr(float(xi)), repr(float(ui))])
+            fh.write(format_rows(f"{i},", prefixes, [u.ravel().tolist()],
+                                 newline="\r\n"))
     worst_mass = max(abs(G.mass(k) - 1.0) for k in G.pairs())
     print(f"wrote {len(paths)} kernel snapshots, convergence log and "
           f"u slices under {cfg.outdir}")
@@ -434,6 +436,10 @@ def main(argv=None) -> int:
     except ConvergenceError as err:
         print(f"non-convergence: {err}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
+    except OSError as err:
+        where = f"{err.filename}: " if err.filename else ""
+        print(f"file error: {where}{err.strerror or err}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

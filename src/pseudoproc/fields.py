@@ -18,14 +18,23 @@ Snapshot layout (one time slice per file, little-endian):
 The reader checks the header (dim 1 or 2, N even and at least 4, L and dt
 finite and positive, a known meaning) and the file size it implies before
 it reads the payload.
+
+:func:`snapshot_field` writes one snapshot per pair, ``<stem>_iii_jjj.snap``,
+and the whole field as one long-format CSV, ``<stem>.csv``, with columns
+``i,j,i0[,i1],value``: one row per pair and lattice offset, the pairs in
+sorted order and the offsets in C order.  Every value is written as its
+repr, so it parses back to the snapshot's float exactly.  The CSV is
+formatted in bulk, one block of text and one write per pair.
 """
 from __future__ import annotations
 
 import math
 import os
 import struct
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from operator import add
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -119,7 +128,7 @@ class VectorKernelField:
 
 
 # ---------------------------------------------------------------------------
-# snapshot + CSV mirror
+# snapshot + CSV
 # ---------------------------------------------------------------------------
 
 def write_snapshot(path, grid: SpaceTimeGrid, meaning: str,
@@ -164,31 +173,63 @@ def read_snapshot(path):
     return dim, N, L, dt, meaning, values
 
 
-def write_csv(path, grid: SpaceTimeGrid, values: np.ndarray):
-    """Plain-text mirror: offset indices then value(s), dot decimal, C order."""
-    vals = np.asarray(values)
-    vector = vals.ndim == grid.dim + 1
-    comps = vals if vector else vals[None, ...]
+def csv_prefixes(columns) -> List[str]:
+    """Leading cells of each CSV row: the repr of every column's entry, each
+    followed by a comma.  `columns` holds one sequence per leading column."""
+    rows = zip(*(map(repr, c) for c in columns))
+    return [",".join(cells) + "," for cells in rows]
+
+
+def format_rows(head: str, prefixes: List[str], columns,
+                newline: str = "\n") -> str:
+    """CSV text of one row per prefix: `head`, the row's prefix, then the repr
+    of the row's entry in every value column, comma separated.
+
+    Every float is written as its repr, so it parses back to the same value.
+    """
+    cells = map(repr, columns[0])
+    for col in columns[1:]:
+        cells = map("{},{}".format, cells, map(repr, col))
+    return head + (newline + head).join(map(add, prefixes, cells)) + newline
+
+
+def write_csv(path, grid: SpaceTimeGrid, values):
+    """Plain-text table: offset indices then value(s), dot decimal, C order.
+
+    `values` is one slice, or a mapping from time pair (i, j) to slices (a
+    field's ``values``).  A mapping is written in long format: columns
+    ``i, j`` lead, and the pairs follow one another in sorted order, one row
+    per pair and offset.
+    """
+    keyed = isinstance(values, Mapping)
+    blocks = sorted(values.items()) if keyed else [((), values)]
+    shape = np.shape(blocks[0][1])
+    vector = len(shape) == grid.dim + 1
     offsets = np.indices(grid.shape()).reshape(grid.dim, -1) \
         - grid.points_per_dim // 2
-    columns = offsets.tolist() \
-        + comps.reshape(comps.shape[0], -1).astype(float).tolist()
+    prefixes = csv_prefixes(offsets.tolist())
+    names = ["i", "j"] if keyed else []
+    names += [f"i{k}" for k in range(grid.dim)]
+    names += [f"value{k}" for k in range(shape[0])] if vector else ["value"]
     with open(path, "w", newline="") as fh:
-        idx_cols = ",".join(f"i{k}" for k in range(grid.dim))
-        val_cols = ",".join(f"value{k}" for k in range(comps.shape[0])) \
-            if vector else "value"
-        fh.write(f"{idx_cols},{val_cols}\n")
-        fh.writelines(",".join(map(repr, cells)) + "\n"
-                      for cells in zip(*columns))
+        fh.write(",".join(names) + "\n")
+        for key, vals in blocks:
+            comps = np.asarray(vals, dtype=float)
+            comps = comps if vector else comps[None, ...]
+            fh.write(format_rows("".join(f"{k}," for k in key), prefixes,
+                                 comps.reshape(len(comps), -1).tolist()))
 
 
 def snapshot_field(field_obj, directory, stem: str):
-    """Write every stored pair of a field as snapshot + CSV, return paths."""
+    """Write one snapshot per stored pair of a field, named
+    ``<stem>_<i>_<j>.snap``, and the whole field as one long-format CSV,
+    ``<stem>.csv``; return the snapshot paths."""
     paths = []
     for (i, j) in field_obj.pairs():
-        base = os.path.join(directory, f"{stem}_{i:03d}_{j:03d}")
-        write_snapshot(base + ".snap", field_obj.grid, field_obj.meaning,
+        path = os.path.join(directory, f"{stem}_{i:03d}_{j:03d}.snap")
+        write_snapshot(path, field_obj.grid, field_obj.meaning,
                        field_obj.gap((i, j)), field_obj.slice((i, j)))
-        write_csv(base + ".csv", field_obj.grid, field_obj.slice((i, j)))
-        paths.append(base + ".snap")
+        paths.append(path)
+    write_csv(os.path.join(directory, f"{stem}.csv"), field_obj.grid,
+              field_obj.values)
     return paths

@@ -462,18 +462,20 @@ def check_constant_drift_oracle(fx: FixtureSet) -> List[CheckResult]:
     # refinement at fixed physical pairs
     prob2, _, G2 = fx.solved_problem(points=2 * fx.points,
                                      steps=2 * fx.steps)
-    Gcf2 = prob2.closed_form_G_rows()
     phys = [(0.0, 1.0), (0.0, 0.5), (0.5, 1.0)]
-    M1, M2 = fx.steps, 2 * fx.steps
 
-    def at_phys(problem, rows_n, rows_c, M):
-        pairs = [(round(s * M / fx.horizon), round(t * M / fx.horizon))
-                 for s, t in phys]
-        return rel_error(problem.grid, np.stack([rows_n[j][i] for i, j in pairs]),
-                         np.stack([rows_c[j][i] for i, j in pairs]))
+    def phys_pairs(M):
+        return [(round(s * M / fx.horizon), round(t * M / fx.horizon))
+                for s, t in phys]
 
-    coarse = at_phys(prob, G_rows, Gcf, M1)
-    fine = at_phys(prob2, G2, Gcf2, M2)
+    def rows_at(rows, pairs):
+        return np.stack([rows[j][i] for i, j in pairs])
+
+    coarse_pairs, fine_pairs = phys_pairs(fx.steps), phys_pairs(2 * fx.steps)
+    coarse = rel_error(grid, rows_at(G_rows, coarse_pairs),
+                       rows_at(Gcf, coarse_pairs))
+    fine = rel_error(prob2.grid, rows_at(G2, fine_pairs),
+                     prob2.closed_form_pair_rows(fine_pairs))
     # drift varying in time; the closed form integrates b by quadrature
     bt = DriftField(dim=fx.dim, kind="time", evaluator=lambda t: np.array(
         [0.75 + 0.5 * np.cos(2.0 * np.pi * t)] + [0.0] * (fx.dim - 1)))

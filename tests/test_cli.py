@@ -1,4 +1,5 @@
 import csv
+import io
 import math
 import os
 import subprocess
@@ -13,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 from pseudoproc.cli import (RunConfig, ConfigError, main, EXIT_OK,
                             EXIT_CONFIG, EXIT_RESOLUTION,
                             EXIT_NONCONVERGENCE, EXIT_VERIFY)
-from pseudoproc.fields import read_snapshot
+from pseudoproc.evolution import apply_operator, constant_one
+from pseudoproc.fields import ScalarKernelField, read_snapshot
 
 
 def test_config_round_trip(tmp_path):
@@ -74,8 +76,10 @@ def test_kernel_peak_matches_analytic(tmp_path):
     code = main(["kernel", "--alpha", "1.5", "--c", "1", "--d", "1",
                  "--dt", "1", "--outdir", str(out)])
     assert code == EXIT_OK
-    rows = list(csv.DictReader(open(out / "g0_000_016.csv")))
-    val = float([r for r in rows if r["i0"] == "0"][0]["value"])
+    with open(out / "g0.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    peak = [r for r in rows if (r["i"], r["j"], r["i0"]) == ("0", "16", "0")]
+    val = float(peak[0]["value"])
     assert val == pytest.approx(math.gamma(1 + 1 / 1.5) / math.pi, abs=1e-6)
 
 
@@ -199,6 +203,78 @@ def test_perturb_writes_outputs_and_conserves(tmp_path):
     urows = list(csv.DictReader(open(out / "u_slices.csv")))
     vals = [float(r["u"]) for r in urows]
     assert max(abs(v - 1.0) for v in vals) < 5e-3
+
+
+def _old_u_slices_text(grid, G, phi):
+    """The per-row csv.writer loop that wrote u_slices.csv in 1-D, kept as
+    the reference for its bytes."""
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(["s_index", "x", "u"])
+    for i in range(grid.time_steps):
+        u = apply_operator(G, (i, grid.time_steps), phi)
+        for xi, ui in zip(grid.axis(), u.ravel()):
+            w.writerow([i, repr(float(xi)), repr(float(ui))])
+    return buf.getvalue()
+
+
+def test_perturb_output_layout_and_round_trip(tmp_path):
+    out = tmp_path / "p"
+    cfg = RunConfig(points=64, half_extent=20.0, steps=16, drift="1.0",
+                    outdir=str(out))
+    assert main(["perturb", "--points", "64", "--half-extent", "20",
+                 "--steps", "16", "--outdir", str(out)]) == EXIT_OK
+    grid = cfg.grid()
+    pairs = [(i, j) for j in range(1, 17) for i in range(j)]
+    snaps = {f"G_{i:03d}_{j:03d}.snap": (i, j) for i, j in pairs}
+    assert len(snaps) == 136
+    assert sorted(os.listdir(out)) == sorted(
+        list(snaps) + ["G.csv", "convergence.csv", "u_slices.csv"])
+    with open(out / "G.csv", newline="") as fh:
+        reader = csv.reader(fh)
+        assert next(reader) == ["i", "j", "i0", "value"]
+        rows = list(reader)
+    keys = [tuple(map(int, r[:3])) for r in rows]
+    offsets = range(-32, 32)
+    assert sorted(keys) == sorted((i, j, o) for i, j in pairs for o in offsets)
+    values = {}
+    for (i, j, _), r in zip(keys, rows):
+        values.setdefault((i, j), []).append(float(r[3]))
+    G = ScalarKernelField(grid, "G")
+    for name, pair in snaps.items():
+        *_, payload = read_snapshot(out / name)
+        # rows of a pair run over the offsets in order: bit-for-bit the payload
+        assert np.array(values[pair]).tobytes() == payload.tobytes()
+        G.set_slice(pair, payload)
+    assert (out / "u_slices.csv").read_bytes() == \
+        _old_u_slices_text(grid, G, constant_one(1)).encode()
+
+
+def test_perturb_two_dimensional_u_slices(tmp_path):
+    out = tmp_path / "p2"
+    assert main(["perturb", "--d", "2", "--points", "16", "--steps", "2",
+                 "--outdir", str(out)]) == EXIT_OK
+    with open(out / "u_slices.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["s_index", "x0", "x1", "u"]
+    grid = RunConfig(dim=2, points=16, steps=2).grid()
+    x0, x1 = (m.ravel() for m in grid.mesh())
+    body = np.array(rows[1:], dtype=float)
+    assert body.shape == (2 * 16 * 16, 4)
+    assert np.array_equal(body[:, 0], np.repeat([0.0, 1.0], 256))
+    assert np.array_equal(body[:, 1], np.tile(x0, 2))
+    assert np.array_equal(body[:, 2], np.tile(x1, 2))
+    assert np.abs(body[:, 3] - 1.0).max() < 5e-3
+
+
+def test_unwritable_outdir_is_a_clean_exit(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory")
+    code = main(["perturb", "--points", "16", "--steps", "2",
+                 "--outdir", str(blocker / "out")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(blocker / "out") in err and "Traceback" not in err
 
 
 def test_perturb_nonconvergence_exit(tmp_path, capsys):
