@@ -277,9 +277,8 @@ def cmd_perturb(args) -> int:
 def _write_convergence_log(path, monitor):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["iteration", "max_norm", "ratio", "wall_seconds"])
-        for row in monitor.convergence_log():
-            w.writerow(row)
+        w.writerow(["iteration", "max_norm", "spectral_radius", "wall_seconds"])
+        w.writerows(monitor.convergence_log())
 
 
 def cmd_verify(args) -> int:

@@ -15,16 +15,20 @@ followed by
             + Int_s^t dtau Int g(s, x, tau, z) (b(tau, z), w(tau, z)) dz,
 
 both of which stay convolutional in z because g and v0 are translation
-invariant.  Near tau = t the integrands inherit the (t - tau)^{-beta/alpha}
-amplitude of w, so the terminal subinterval is integrated in the
-substituted variable u = (t - tau)^{1 - beta/alpha} with the leading
-(order-zero) part of w synthesized exactly at the sub-nodes.
+invariant.  Per Fourier mode, with P = (b, w) and a the symbol,
 
-Both integrals are summed in Fourier space: a Picard sweep analyses the
-pairing P = (b, w) once per quadrature time, accumulates per start index
-the scalar spectrum E_i = sum of weight * exp(-a (tau - t_i)) * P_hat(tau)
-and synthesizes u(t_i) from it, and w(t_i) from the multiplier times it
-(v0's spectrum is the multiplier times g's).
+    u_hat(t_i) = exp(-a (t - t_i)) phi_hat + Int_{t_i}^t exp(-a (tau - t_i)) P_hat(tau) dtau,
+
+and w(t_i) is the synthesis of the multiplier times u_hat(t_i) (v0's
+spectrum is the multiplier times g's).  `quadrature.exponential_rules`
+integrates the exponential exactly against a Lagrange interpolant of P_hat
+whose stencils stay inside [t_i, t], so u(t_i) depends on P at t_i and
+later nodes alone: `TerminalValueProblem` marches backward from the
+terminal time, one fixed-point solve per node.  Near tau = t, w inherits
+the (t - tau)^{-beta/alpha} amplitude of its leading part w0, so the
+terminal step integrates (b, w0) exactly at the Gauss nodes of the
+substituted variable u = (t - tau)^{1 - beta/alpha}, and only the
+remainder (b, w - w0), which vanishes at t, is interpolated there.
 """
 from __future__ import annotations
 
@@ -40,8 +44,8 @@ import numpy as np
 from .grid import SpaceTimeGrid, GridError, synthesize, analyze
 from .symbols import SymbolSpec, PseudoGradientSpec
 from .fields import ScalarKernelField, VectorKernelField
-from .drift import DriftField, series_exponent
-from .quadrature import gauss_panels, lagrange_weights
+from .drift import DriftField
+from .quadrature import gauss_panels, exponential_tables, exponential_rules
 from .volterra import ConvergenceMonitor, ConvergenceError, PerturbationProblem
 
 
@@ -187,6 +191,10 @@ class GeneratorAction:
 # function-level terminal-value solver
 # ---------------------------------------------------------------------------
 
+# fixed-point iterations a march step may take before it counts as divergent
+_STEP_ITERATIONS = 50
+
+
 class TerminalValueProblem:
     """Solve the paired (w, u) system for one terminal index and datum.
 
@@ -205,14 +213,10 @@ class TerminalValueProblem:
         self.j = grid.time_steps if terminal_index is None else terminal_index
         if not 1 <= self.j <= grid.time_steps:
             raise GridError("terminal index must lie on the partition")
-        self.a = sym.on_grid(grid)
+        self.a = np.real_if_close(sym.on_grid(grid))
         self.mult = pg.multiplier(grid)
         self.times = grid.times()
         self.phi_hat = analyze(grid, phi.sample(grid))
-        self.sigma2 = pg.beta / sym.alpha  # terminal amplitude exponent
-        # vanishing rate of w - w0 at the terminal time: theta - beta/alpha
-        theta = series_exponent(sym.alpha, pg.beta, grid.dim, b.p_exponent)
-        self.remainder_power = max(theta - self.sigma2, 0.25)
 
     # exact leading objects at arbitrary times
     def _decay(self, gaps) -> np.ndarray:
@@ -220,158 +224,120 @@ class TerminalValueProblem:
         gaps = np.asarray(gaps, dtype=float)
         return np.exp(-self.a * gaps.reshape((-1,) + (1,) * self.grid.dim))
 
-    def _datum_spectra(self, taus) -> np.ndarray:
-        """Spectra of u0(tau) = Int g(tau, x, t, y) phi(y) dy at each tau."""
-        return self._decay(self.times[self.j] - np.asarray(taus)) * self.phi_hat
-
     def w0_at(self, taus) -> np.ndarray:
         """w0 slices at the times taus, shape (len(taus), d) + grid shape."""
-        return synthesize(self.grid, self.mult * self._datum_spectra(taus)[:, None],
+        u0 = self._decay(self.times[self.j] - np.asarray(taus)) * self.phi_hat
+        return synthesize(self.grid, self.mult * u0[:, None],
                           require_real=True, tol=1e-6)
-
-    def _interior_weights(self, i: int):
-        """Nodes m = i+1 .. j-1 and weights for the terminal-weighted rule.
-
-        Integrates (t - tau)^{-sigma2} times the piecewise-linear
-        interpolant of H = F (t - tau)^{sigma2} exactly; end panels extend H
-        by its nearest value.
-        """
-        t = self.times[self.j]
-        ms = np.arange(i + 1, self.j)
-        if len(ms) == 0:
-            return ms, np.zeros(0)
-        taus = self.times[ms]
-        s2 = self.sigma2
-
-        def mom(ul, uh, k):
-            # Int_{ul}^{uh} u^{k - s2} du in the variable u = t - tau
-            e = k - s2 + 1.0
-            return (uh ** e - ul ** e) / e
-
-        w = np.zeros(len(ms))
-        for seg in range(len(ms) - 1):
-            ta, tb = taus[seg], taus[seg + 1]
-            ua, ub = t - tb, t - ta
-            m0 = mom(ua, ub, 0.0)
-            m1 = mom(ua, ub, 1.0)
-            w[seg] += (m1 - ua * m0) / (ub - ua)       # weight on H(ta)
-            w[seg + 1] += (ub * m0 - m1) / (ub - ua)   # weight on H(tb)
-        return ms, w
 
     def _drift_at(self, taus) -> np.ndarray:
         """Drift samples at the times taus, shape (len(taus), d) + grid shape."""
         return np.stack([self.b.sample(tau, self.grid) for tau in taus])
 
+    def _pairing(self, b: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Spectrum of (b, w), for one slice or a stack of them."""
+        return analyze(self.grid, (b * w).sum(axis=-self.grid.dim - 1))
+
     @functools.cached_property
     def _rule(self) -> SimpleNamespace:
-        """What no sweep changes: nodes, weights, drift samples, exp(-a gap).
+        """What every step of the march shares.
 
-        Int_{t_i}^{t_j} has a terminal panel [t_{j-1}, t_j] (all of it when
-        i = j-1; 6-point Gauss in u = (t - tau)^{1 - sigma2}, w = w0 plus the
-        remainder at t_{j-1} ramped to zero), the interior [t_{i+1}, t_{j-1}]
-        and a start panel [t_i, t_{i+1}] (6-point Gauss, w by Lagrange).
-        The drift at the start-panel nodes is sampled per start index in
-        each sweep instead: kept, it would take 6 (j-1) fields per component.
+        The drift is sampled once per node: at t_0 .. t_{j-1} and at the six
+        Gauss nodes in u = (t - tau)^{1 - s2} of the terminal panel
+        [t_{j-1}, t], which integrates P0 = (b, w0) with w0 exact.  P0 is
+        interpolated on [t_0, t_{j-1}] only; base[i] sums the datum term,
+        the panel and that integral, the part of spectrum i no step changes.
         """
-        grid, j, s2 = self.grid, self.j, self.sigma2
+        grid, j = self.grid, self.j
+        s2 = self.pg.beta / self.sym.alpha    # terminal amplitude exponent
         t, lo = self.times[j], self.times[j - 1]
-
-        def weighted_decay(weights, gaps):
-            return weights.reshape((-1,) + (1,) * grid.dim) * self._decay(gaps)
-
         (u,), (wu,) = gauss_panels(np.array([0.0, (t - lo) ** (1.0 - s2)]), 6)
         tau = np.clip(t - u ** (1.0 / (1.0 - s2)), lo, t - 1e-300)
         # d tau = (1/(1-s2)) u^{s2/(1-s2)} du and f carries u^{-s2/(1-s2)}
         wt = wu / (1.0 - s2) * u ** (s2 / (1.0 - s2))
-        rule = SimpleNamespace(
-            decay=self._decay(self.times),      # exp(-a gap) by gap index
-            b_term=self._drift_at(tau), w0_term=self.w0_at(tau),
-            ramp=((t - tau) / (t - lo)) ** self.remainder_power,
-            w0_anchor=self.w0_at([lo])[0],
-            term_weight=weighted_decay(wt, tau - lo))
-        if j > 1:   # interior and start panels exist for i < j - 1
-            rule.b_inner = self._drift_at(self.times[1:j])
-            rule.inner_weight = np.zeros((j - 1, j - 1))
-            for i in range(j - 1):
-                ms, w = self._interior_weights(i)
-                rule.inner_weight[i, ms - 1] = w * (t - self.times[ms]) ** s2
-            nodes, ws = gauss_panels(self.times[:j], 6)
-            picks = [[lagrange_weights(self.times[:j], q) for q in row]
-                     for row in nodes]
-            # a panel's nodes lie inside one step, so they share one stencil
-            rule.start_nodes = nodes
-            rule.start_k0 = [row[0][0] for row in picks]
-            rule.lagrange = np.array([[w for _, w in row] for row in picks])
-            rule.start_weight = weighted_decay(ws[0], nodes[0] - self.times[0])
+        panel = np.tensordot(wt, self._decay(tau - lo) * self._pairing(
+            self._drift_at(tau), self.w0_at(tau)), 1)
+        z = self.a * grid.dt
+        rule = SimpleNamespace(b=self._drift_at(self.times[:j]), z=z,
+                               w0=self.w0_at(self.times[:j]),
+                               tables=exponential_tables(z, grid.dt))
+        P0 = self._pairing(rule.b, rule.w0)
+        rule.base = self._decay(t - self.times[:j]) * self.phi_hat
+        rule.base += self._decay(lo - self.times[:j]) * panel
+        for n, W in enumerate(exponential_rules(rule.tables, z, j - 1)):
+            # W integrates over [t_i, t_{j-1}], i = j - 1 - n
+            rule.base[j - 1 - n] += np.einsum("l...,l...->...", W, P0[j - 1 - n:])
         return rule
 
-    def _u_spectra(self, W: np.ndarray) -> Iterator[np.ndarray]:
-        """Spectra of u(t_i) for i = 0 .. j-1, given w slices W (shape (j, d) + grid).
+    def _march(self, R: np.ndarray):
+        """Yield (i, known, weight) for i = terminal - 1 down to 0.
 
-        Spectrum i is exp(-a (t - t_i)) phi_hat plus E_i, the rule's sum of
-        weight * exp(-a (tau - t_i)) * P_hat(tau) with P = (b, w).  Each
-        pairing is analysed once per call.  u(t_i) is the synthesis of
-        spectrum i and, since v0_hat = multiplier * g_hat, the next w(t_i) is
-        the synthesis of multiplier * spectrum i.
+        Spectrum i, that of u(t_i), is known + weight * R[i], where R holds
+        the spectra of the remainder (b, w - w0); R[l] is read for l > i
+        once step i is drawn.
         """
-        j, grid = self.j, self.grid
-        if self.b.is_zero():
-            yield from self._datum_spectra(self.times[:j])
-            return
-        r = self._rule
-        w_term = r.w0_term + np.multiply.outer(r.ramp, W[j - 1] - r.w0_anchor)
-        terminal = (r.term_weight *
-                    analyze(grid, (r.b_term * w_term).sum(axis=1))).sum(axis=0)
-        inner = analyze(grid, (r.b_inner * W[1:]).sum(axis=1)) if j > 1 else None
-        for i in range(j):
-            # exp(-a (tau - t_i)) = exp(-a (t_{j-1} - t_i)) exp(-a (tau - t_{j-1}))
-            E = r.decay[j - 1 - i] * terminal
-            if i < j - 1:
-                E = E + np.einsum("m,m...,m...->...", r.inner_weight[i, i:],
-                                  r.decay[1:j - i], inner[i:])
-                k0 = r.start_k0[i]
-                w = np.tensordot(r.lagrange[i], W[k0:k0 + r.lagrange.shape[2]], 1)
-                b = self._drift_at(r.start_nodes[i])
-                start = analyze(grid, (b * w).sum(axis=1))
-                E = E + (r.start_weight * start).sum(axis=0)
-            yield r.decay[j - i] * self.phi_hat + E
+        r, j = self._rule, self.j
+        rules = exponential_rules(r.tables, r.z, j)
+        next(rules)
+        for n, W in enumerate(rules, 1):
+            i = j - n
+            # R vanishes at t, so W's last weight has nothing to act on
+            known = r.base[i] + np.einsum("l...,l...->...", W[1:-1], R[i + 1:])
+            yield i, known, W[0]
 
-    def solve_w(self, monitor: Optional[ConvergenceMonitor] = None,
-                sweeps: Optional[int] = None) -> Dict[int, np.ndarray]:
-        """Picard iteration for the w slices at indices i < terminal.
+    def solve_w(self, monitor: Optional[ConvergenceMonitor] = None
+                ) -> Dict[int, np.ndarray]:
+        """March the w slices backward from i = terminal - 1 down to 0.
 
-        A fixed sweep count bypasses the stopping logic (the sweep map is
-        linear in the terminal datum, so equal counts preserve superposition
-        exactly).
+        w(t_i) is the synthesis of multiplier * spectrum i, which depends on
+        w(t_i) through R[i] alone.  Fixed-point iteration solves each step
+        to an increment (lattice sup norm) below monitor.stop_tol; the
+        monitor records the largest final increment.
         """
         if monitor is None:
             monitor = ConvergenceMonitor.for_problem(
                 self.sym.alpha, self.pg.beta, self.grid.dim, self.b.p_exponent)
         self.monitor = monitor
-        W = self.w0_at(self.times[:self.j])
-        if self.b.is_zero():
-            return dict(enumerate(W))
-        for _ in range(sweeps if sweeps is not None else monitor.max_iter):
-            t0 = time.perf_counter()
-            new = np.stack([synthesize(self.grid, self.mult * S,
-                                       require_real=True, tol=1e-6)
-                            for S in self._u_spectra(W)])
-            inc = float(np.sqrt(((new - W) ** 2).sum(axis=1)).max())
-            monitor.record(inc, time.perf_counter() - t0)
-            W = new
-            if sweeps is None and monitor.converged:
-                return dict(enumerate(W))
-        if sweeps is not None:
-            return dict(enumerate(W))
-        raise ConvergenceError(
-            f"terminal-value sweep failed after {monitor.max_iter} iterations",
-            monitor.iterate_norms, monitor.ratio_history)
+        start = time.perf_counter()
+        r, tol = self._rule, monitor.stop_tol
+        R = np.empty((self.j,) + self.a.shape, complex)
+        W = np.empty_like(r.w0)
+        w, worst = r.w0[-1], 0.0              # w0(t_{j-1}) starts the march
+        for i, known, weight in self._march(R):
+            for _ in range(_STEP_ITERATIONS):
+                R[i] = self._pairing(r.b[i], w - r.w0[i])
+                new = synthesize(self.grid, self.mult * (known + weight * R[i]),
+                                 require_real=True, tol=1e-6)
+                inc = float(np.sqrt(((new - w) ** 2).sum(axis=0)).max())
+                w = new
+                if not inc >= tol:             # converged, or not finite
+                    break
+            worst = max(worst, inc)
+            if not inc < tol:
+                monitor.record(inc, time.perf_counter() - start)
+                # |m|max bounds (b, multiplier) over nodes, space and modes
+                m = (np.linalg.norm(r.b, axis=1).max()
+                     * np.linalg.norm(self.mult, axis=0).max())
+                raise ConvergenceError(
+                    f"terminal-value step {i} did not contract: increment "
+                    f"{inc:.3e} after at most {_STEP_ITERATIONS} iterations "
+                    f"(needs < {tol:g}) at |m|max * dt = {m * self.grid.dt:.3g}:"
+                    " the drift is too large for this time step",
+                    monitor.iterate_norms)
+            W[i] = w
+        monitor.record(worst, time.perf_counter() - start)
+        return dict(enumerate(W))
 
     def assemble_u(self, w: Dict[int, np.ndarray]) -> Dict[int, np.ndarray]:
-        """u slices for i < terminal from converged w."""
-        W = np.stack([w[i] for i in range(self.j)])
-        return {i: synthesize(self.grid, S, require_real=True, tol=1e-6)
-                for i, S in enumerate(self._u_spectra(W))}
+        """u slices for i < terminal from the marched w."""
+        r = self._rule
+        R = self._pairing(r.b, np.stack([w[i] for i in range(self.j)]) - r.w0)
+        spectra = np.empty_like(R)
+        for i, known, weight in self._march(R):
+            spectra[i] = known + weight * R[i]
+        del R                                 # lowers the synthesis's peak
+        return dict(enumerate(synthesize(self.grid, spectra,
+                                         require_real=True, tol=1e-6)))
 
     def solve(self, monitor: Optional[ConvergenceMonitor] = None
               ) -> Dict[int, np.ndarray]:
@@ -500,7 +466,7 @@ def generalized_solution_stability(sym: SymbolSpec, pg: PseudoGradientSpec,
             except ConvergenceError as err:
                 raise ConvergenceError(
                     f"member {which!r} of pair {label!r} did not converge",
-                    err.norms, err.ratios, err.spectral_radius) from err
+                    err.norms, err.spectral_radius) from err
         worst = 0.0
         G1, G2 = solved[id(b1)][1], solved[id(b2)][1]
         for j in range(1, grid.time_steps + 1):  # one transform per j

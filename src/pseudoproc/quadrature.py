@@ -1,15 +1,16 @@
 """Time quadrature on a uniform partition.
 
-`kernel_rule` alone knows the kernel-level rule for Int_{t_i}^{t_j} b H:
-4-point `gauss_panels` nodes on every step, b exact at the nodes, and H
-interpolated by `lagrange_weights` through the (at most four) samples
-nearest each node inside [t_i, t_j], never below t_i.  The function-level
-solver shares `lagrange_weights`; the closed-form oracle and the scaling
-fit share `gauss_panels`.
+Both rules integrate over [t_i, t_j] step by step, against the Lagrange
+interpolant through the (at most four) samples nearest each step inside
+[t_i, t_j], never below t_i; `_stencil` alone knows which samples.
+`kernel_rule` (kernel level) integrates b H with b exact at 4-point
+`gauss_panels` nodes; `exponential_rules` (function level) integrates
+exp(-a (tau - t_i)) exactly against the interpolant.
 """
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -32,39 +33,31 @@ def gauss_panels(edges: np.ndarray, n: int = 4):
     return edges[..., :-1, None] + width * x, width * w
 
 
-def lagrange_weights(taus, tau, order: int = 4):
-    """Local Lagrange interpolation at tau through samples at the times taus.
-
-    Returns (k0, w): the interpolant is sum_ii w[ii] f(taus[k0 + ii]) over
-    the min(order, len(taus)) samples nearest tau.
-    """
-    p = min(order, len(taus))
-    k = int(np.searchsorted(taus, tau)) - 1
-    k0 = min(max(k - (p - 1) // 2, 0), len(taus) - p)
-    ts = taus[k0:k0 + p]
-    w = [1.0] * p
-    for ii in range(p):
-        for jj in range(p):
-            if ii != jj:
-                w[ii] *= (tau - ts[jj]) / (ts[ii] - ts[jj])
-    return k0, w
-
-
 def _step_table(n: int, r: int) -> np.ndarray:
-    """Weights at the Gauss nodes of step r of n, for the samples t_0..t_3."""
+    """Lagrange weights on the samples t_0..t_n (n <= 3) at the Gauss nodes
+    of step r; rows are nodes, columns samples, zero-padded to 4 x 4."""
     table = np.zeros((4, 4))
     for q, x in enumerate(_unit_gauss(4)[0]):
-        _, w = lagrange_weights(np.arange(n + 1.0), r + x)
-        table[q, :len(w)] = w
+        for s in range(n + 1):
+            table[q, s] = math.prod((r + x - m) / (s - m)
+                                    for m in range(n + 1) if m != s)
     return table
 
 
 # Every stencil of n <= 3 steps starts at t_0.  From three steps on, a step's
 # stencil depends only on whether it is the first (samples t_i..t_{i+3}), an
 # inner step k (t_{k-1}..t_{k+2}) or the last (t_{j-3}..t_j).
-_TABLES = np.stack([_step_table(n, r) for n, r in
-                    ((1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2))])
+_STENCILS = ((1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2))
+_TABLES = np.stack([_step_table(n, r) for n, r in _STENCILS])
 _ALONE, _FIRST_OF_TWO, _LAST_OF_TWO, _FIRST, _INNER, _LAST = range(6)
+
+
+def _stencil(n, r):
+    """Table and first sample (in steps after t_i) of step r of [t_i, t_{i+n}]."""
+    n, r = np.broadcast_arrays(n, r)
+    table = np.select([n == 1, n == 2, r == 0, r == n - 1],
+                      [_ALONE, _FIRST_OF_TWO + r, _FIRST, _LAST], _INNER)
+    return table, np.clip(r - 1, 0, np.maximum(n - 3, 0))
 
 
 def kernel_rule(b_at, times: np.ndarray) -> list:
@@ -83,12 +76,64 @@ def kernel_rule(b_at, times: np.ndarray) -> list:
     rules = [np.zeros((d, 0, 1))]
     for j in range(1, steps + 1):
         i, k = np.triu_indices(j)          # step k of the interval from t_i
-        n, r = j - i, k - i
-        table = np.select([n == 1, n == 2, r == 0, r == n - 1],
-                          [_ALONE, _FIRST_OF_TWO + r, _FIRST, _LAST], _INNER)
-        first = i + np.clip(r - 1, 0, np.maximum(n - 3, 0))  # stencil start
+        table, start = _stencil(j - i, k - i)
+        first = i + start
         W = np.zeros((d, j, j + 4))        # spare columns: short stencils
         for s in range(4):
             np.add.at(W, (slice(None), i, first + s), step[table, k, :, s].T)
         rules.append(W[..., :j + 1])
     return rules
+
+
+def _moments(z) -> np.ndarray:
+    """Int_0^1 exp(-z x) x^k dx for k = 0..3, shape (4,) + z.shape."""
+    small = np.abs(z) < 2.0
+    zs, zl = np.where(small, z, 0.0), np.where(small, 1.0, z)
+    mu = np.zeros((4,) + np.shape(z), np.result_type(z, float))
+    # the power series where the recurrence below would cancel
+    term = np.ones_like(zs)
+    for m in range(30):
+        for k in range(4):
+            mu[k] += term / (k + m + 1)
+        term = term * -zs / (m + 1)
+    e, up = np.exp(-zl), (1.0 - np.exp(-zl)) / zl
+    for k in range(4):
+        mu[k] = np.where(small, mu[k], up)
+        up = ((k + 1) * up - e) / zl
+    return mu
+
+
+def exponential_tables(z, dt: float) -> np.ndarray:
+    """dt Int_0^1 exp(-z x) l_s(r + x) dx for every table of `_stencil`.
+
+    z = a dt per mode, with Re z >= 0.  Shape (6, 4) + z.shape: the exact
+    exponential step weights on the samples s of each table.
+    """
+    # l_s(r + x) = sum_k C[table, k, s] x^k: each table is a cubic in x at
+    # most, fixed by its values at the four Gauss nodes
+    C = np.linalg.solve(np.vander(_unit_gauss(4)[0], 4, increasing=True), _TABLES)
+    return dt * np.einsum("tks,k...->ts...", C, _moments(z))
+
+
+def exponential_rules(tables: np.ndarray, z, steps: int):
+    """Yield W_n, n = 0 .. steps: Int_{t_i}^{t_{i+n}} exp(-a (tau - t_i)) f(tau) dtau
+    is sum_l W_n[l] f(t_{i+l}), l = 0 .. n, with tables from
+    `exponential_tables(z, dt)`.  One more step changes the stencils of few
+    steps (from three steps on, only the old last one's), so each W_n
+    updates the one before.
+    """
+    n, r = np.tril_indices(steps + 1, -1)
+    table, start = _stencil(n, r)
+    W = np.zeros((steps + 4,) + tables.shape[2:], tables.dtype)
+    placed = {}                        # step -> its (table, start) in W
+    for m in range(steps + 1):
+        lo = m * (m - 1) // 2          # the steps of [t_i, t_{i+m}] in n, r
+        for step, now in enumerate(zip(table[lo:lo + m], start[lo:lo + m])):
+            if placed.get(step) != now:
+                decay = np.exp(-z * step)
+                if step in placed:     # the step changed its stencil
+                    t, s0 = placed[step]
+                    W[s0:s0 + 4] -= decay * tables[t]
+                t, s0 = placed[step] = now
+                W[s0:s0 + 4] += decay * tables[t]
+        yield W[:m + 1].copy()

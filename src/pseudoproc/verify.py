@@ -18,7 +18,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .grid import SpaceTimeGrid, synthesize
+from .grid import SpaceTimeGrid, synthesize, analyze
 from .symbols import SymbolSpec, PseudoGradientSpec, isotropic_symbol, \
     pseudo_gradient_normalizer, pseudo_gradient_normalizer_neg_gamma
 from .spectral import (g0_values, constant_drift_values, check_resolution,
@@ -187,7 +187,7 @@ class SuiteReport:
         return "\n".join(lines) + "\n"
 
     def table(self) -> str:
-        widths = (34, 14, 14, 13, 6)
+        widths = (max([34] + [len(r.check) for r in self.results]), 14, 14, 13, 6)
         head = f"{'check':<{widths[0]}} {'value':>{widths[1]}} " \
                f"{'threshold':>{widths[2]}} {'mode':<{widths[3]}} status"
         out = [head, "-" * len(head)]
@@ -301,75 +301,6 @@ class FixtureSet:
         freq = 2.0 * np.pi * 8 / (2.0 * self.half_extent)
         return (constant_one(self.dim), fourier_mode(freq, self.dim),
                 compact_bump(5.0, self.dim))
-
-    # -- directory round trip -------------------------------------------------
-    _PARAM_FIELDS = ("alpha", "beta", "gamma", "scale_c", "dim", "points",
-                     "half_extent", "horizon", "steps", "drift_magnitude",
-                     "stop_tol")
-
-    def save(self, directory):
-        """One sub-directory per fixture set: config, goldens, kernel snapshot."""
-        import os
-        from .fields import write_snapshot, write_csv
-        os.makedirs(directory, exist_ok=True)
-        with open(os.path.join(directory, "config.txt"), "w") as fh:
-            for name in self._PARAM_FIELDS:
-                fh.write(f"{name} = {getattr(self, name)}\n")
-        with open(os.path.join(directory, "goldens.csv"), "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["name", "value", "band_lo", "band_hi", "rtol",
-                        "oracle", "recorded", "grid"])
-            for name, g in self.goldens.items():
-                band = g.get("band", ("", ""))
-                val = g["value"]
-                if isinstance(val, tuple):
-                    band, val = val, ""
-                w.writerow([name, val, band[0], band[1], g.get("rtol", ""),
-                            g.get("oracle", ""), g.get("recorded", ""),
-                            g.get("grid", "")])
-        # the recorded signed-kernel fixture, snapshot plus CSV mirror
-        grid = self.grid()
-        vals = constant_drift_values(
-            self.symbol(), self.pgrad(),
-            [self.drift_magnitude] + [0.0] * (self.dim - 1), grid,
-            self.horizon)
-        base = os.path.join(directory, "drift_kernel")
-        write_snapshot(base + ".snap", grid, "G", self.horizon, vals)
-        write_csv(base + ".csv", grid, vals)
-        return directory
-
-    @classmethod
-    def load(cls, directory):
-        """Rebuild a fixture set from a saved directory."""
-        import os
-        params = {}
-        with open(os.path.join(directory, "config.txt")) as fh:
-            for line in fh:
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                key, val = (t.strip() for t in line.split("=", 1))
-                if key not in cls._PARAM_FIELDS:
-                    raise MissingFixtureError(f"unknown config key {key!r}")
-                params[key] = (int(val) if key in ("dim", "points", "steps")
-                               else float(val))
-        goldens = {}
-        with open(os.path.join(directory, "goldens.csv")) as fh:
-            for row in csv.DictReader(fh):
-                entry = {"oracle": row["oracle"], "recorded": row["recorded"],
-                         "grid": row["grid"]}
-                if row["value"]:
-                    entry["value"] = float(row["value"])
-                else:
-                    entry["value"] = (float(row["band_lo"]),
-                                      float(row["band_hi"]))
-                if row["band_lo"] and row["value"]:
-                    entry["band"] = (float(row["band_lo"]),
-                                     float(row["band_hi"]))
-                if row["rtol"]:
-                    entry["rtol"] = float(row["rtol"])
-                goldens[row["name"]] = entry
-        return cls(goldens=goldens, **params)
 
 
 # ---------------------------------------------------------------------------
@@ -729,21 +660,37 @@ def check_cauchy_residual_suite(fx: FixtureSet) -> List[CheckResult]:
         return ((0.8 + 0.4 * np.cos(np.pi * t))
                 * np.exp(-0.5 * (x / 4.0) ** 2))[None, :]
 
-    res = {}
+    # drift constant in space: u(t_i) has the closed form on every mode
+    bt = DriftField(dim=fx.dim, kind="time", evaluator=lambda t: np.array(
+        [0.75 + 0.5 * np.cos(2.0 * np.pi * t)] + [0.0] * (fx.dim - 1)))
+    phi = compact_bump(5.0, fx.dim)
+    res, err = {}, {}
     for points, steps in ((fx.points, fx.steps), (2 * fx.points, 2 * fx.steps)):
         g = fx.grid(points, steps)
         bs = DriftField(dim=1, kind="space_time", evaluator=smooth_b)
-        us = TerminalValueProblem(sym, pg, g, bs, compact_bump(5.0)).solve()
-        res[(points, steps)] = cauchy_residual(
-            us, GeneratorAction(sym, pg, bs), g)
-    coarse = res[(fx.points, fx.steps)]
-    fine = res[(2 * fx.points, 2 * fx.steps)]
+        us = TerminalValueProblem(sym, pg, g, bs, phi).solve()
+        res[steps] = cauchy_residual(us, GeneratorAction(sym, pg, bs), g)
+        u = TerminalValueProblem(sym, pg, g, bt, phi).solve()
+        exact = synthesize(g, PerturbationProblem(sym, pg, g, bt).closed_form_pair_rows(
+            [(i, steps) for i in range(steps)]) * analyze(g, phi.sample(g)))
+        err[steps] = max(float(np.abs(u[i] - exact[i]).max()) for i in u)
+    coarse, fine = res[fx.steps], res[2 * fx.steps]
+    oracle_ratio = err[2 * fx.steps] / err[fx.steps]
     return [
         _result("cauchy-residual/unperturbed-mode", "b=0, lattice mode 8",
                 r0, 1e-4, "absolute", r0 < 1e-4, "derived-oracle"),
         _result("cauchy-residual/refinement", "smooth compact b, 2x in space-time",
                 fine / coarse, 0.7, "ratio-trend", fine / coarse < 0.7,
                 "derived-oracle"),
+        _result("cauchy-residual/constant-in-space-oracle",
+                "b(t) = 0.75 + 0.5 cos(2 pi t), max over slices of the sup "
+                "error against the closed form",
+                err[fx.steps], 2e-4, "absolute", err[fx.steps] < 2e-4,
+                "derived-oracle"),
+        _result("cauchy-residual/oracle-refinement",
+                "the closed-form error, 2x in space-time",
+                oracle_ratio, 1.0 / 3.0, "ratio-trend",
+                oracle_ratio < 1.0 / 3.0, "derived-oracle"),
     ]
 
 

@@ -33,65 +33,56 @@ from .quadrature import gauss_panels, kernel_rule
 
 
 class ConvergenceError(RuntimeError):
-    """Successive approximations diverge; carries the monitor's history."""
+    """A solve did not converge; carries the monitor's record."""
 
-    def __init__(self, message, norms, ratios, spectral_radius=math.nan):
+    def __init__(self, message, norms, spectral_radius=math.nan):
         super().__init__(message)
         self.norms = list(norms)
-        self.ratios = list(ratios)
         self.spectral_radius = spectral_radius
 
 
 @dataclass
 class ConvergenceMonitor:
-    """Stopping control for the successive approximations.
+    """Stopping tolerance and record of one solve.
 
     theta is the contraction exponent 1 - ((d + alpha)/p + beta)/alpha; the
     hypotheses force theta > (1 - beta)/alpha, which is validated here.
-    A sweep loop converges at the first increment max-norm below stop_tol
-    with ratio below one.  The direct kernel solve records its residual
-    once, with the spectral radius of its operators in place of the ratio.
+    A solve records once: the direct kernel solve its residual and the
+    spectral radius of its operators, the function-level march its largest
+    final step increment.  It has converged when that norm is below
+    stop_tol and the radius, where one is set, below one.
     """
 
     theta: float
     stop_tol: float = 1e-6
-    max_iter: int = 40
     iterate_norms: list = field(default_factory=list)
-    ratio_history: list = field(default_factory=list)
     wall_times: list = field(default_factory=list)
     spectral_radius: float = math.nan
 
     @classmethod
     def for_problem(cls, alpha: float, beta: float, dim: int, p: float,
-                    stop_tol: float = 1e-6, max_iter: int = 40):
+                    stop_tol: float = 1e-6):
         th = series_exponent(alpha, beta, dim, p)
         if not th > (1.0 - beta) / alpha:
             raise ValueError(
                 f"theta = {th:.4g} must exceed (1-beta)/alpha = "
                 f"{(1.0 - beta) / alpha:.4g}; increase p")
-        return cls(theta=th, stop_tol=stop_tol, max_iter=max_iter)
+        return cls(theta=th, stop_tol=stop_tol)
 
     def record(self, norm: float, wall: float):
         self.iterate_norms.append(norm)
-        if len(self.iterate_norms) >= 2:
-            prev = self.iterate_norms[-2]
-            # an exactly stationary sweep counts as full contraction
-            self.ratio_history.append(norm / prev if prev > 0 else
-                                      (0.0 if norm == 0 else math.inf))
         self.wall_times.append(wall)
 
     @property
     def converged(self) -> bool:
-        ratio = self.ratio_history[-1] if self.ratio_history \
-            else self.spectral_radius
         return (bool(self.iterate_norms)
                 and self.iterate_norms[-1] < self.stop_tol
-                and ratio < 1.0)
+                and not self.spectral_radius >= 1.0)
 
     def convergence_log(self):
-        """Rows (k, max_norm, ratio, wall_seconds) for the CSV log."""
-        return [(k + 1, n, r, w) for k, (n, r, w) in enumerate(zip(
-            self.iterate_norms, [""] + self.ratio_history, self.wall_times))]
+        """Rows (k, max_norm, spectral_radius, wall_seconds) for the CSV log."""
+        return [(k + 1, n, self.spectral_radius, w) for k, (n, w) in
+                enumerate(zip(self.iterate_norms, self.wall_times))]
 
 
 def beta_rate_factor(k: int, theta: float, q: float) -> float:
@@ -232,8 +223,7 @@ class PerturbationProblem:
                 f"spectral radius {radius:.3g} (needs < 1) at |m|max * dt = "
                 f"{m_dt:.3g}, residual {residual:.3e} (needs <= "
                 f"{monitor.stop_tol:g}): the drift is too large for this time "
-                "step", monitor.iterate_norms, monitor.ratio_history,
-                monitor.spectral_radius)
+                "step", monitor.iterate_norms, monitor.spectral_radius)
         return rows
 
     def iterate_terms(self, count: int) -> list:

@@ -136,18 +136,73 @@ def test_function_level_matches_kernel_level_for_constant_drift(
     assert worst < 5e-3
 
 
-def test_superposition_at_fixed_sweep_count(sym, pg, small_grid):
+def test_superposition_of_the_march(sym, pg, small_grid):
+    # the march is linear in the datum; a tight tolerance leaves only the
+    # step iterations' own increments
     b = constant_drift([1.0])
     phi1 = fourier_mode(2 * np.pi * 2 / 40.0)
     phi2 = compact_bump(4.0)
     combo = TestFunction(lambda x: phi1.evaluator(x) + phi2.evaluator(x), 2.0)
-    mons = [ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf)
+    mons = [ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf, stop_tol=1e-12)
             for _ in range(3)]
-    w1 = TerminalValueProblem(sym, pg, small_grid, b, phi1).solve_w(mons[0], sweeps=5)
-    w2 = TerminalValueProblem(sym, pg, small_grid, b, phi2).solve_w(mons[1], sweeps=5)
-    wc = TerminalValueProblem(sym, pg, small_grid, b, combo).solve_w(mons[2], sweeps=5)
+    w1 = TerminalValueProblem(sym, pg, small_grid, b, phi1).solve_w(mons[0])
+    w2 = TerminalValueProblem(sym, pg, small_grid, b, phi2).solve_w(mons[1])
+    wc = TerminalValueProblem(sym, pg, small_grid, b, combo).solve_w(mons[2])
+    assert all(len(m.iterate_norms) == 1 and m.converged for m in mons)
     worst = max(np.abs(wc[i] - (w1[i] + w2[i])).max() for i in wc)
     assert worst < 1e-10
+
+
+def _closed_form_u(sym, pg, grid, b, phi, j):
+    """Exact u(t_i), i < j, for a drift constant in space."""
+    rows = PerturbationProblem(sym, pg, grid, b).closed_form_pair_rows(
+        [(i, j) for i in range(j)])
+    return synthesize(grid, rows * analyze(grid, phi.sample(grid)))
+
+
+def _time_drift():
+    return DriftField(dim=1, kind="time", evaluator=lambda t: np.array(
+        [0.75 + 0.5 * np.cos(2.0 * np.pi * t)]))
+
+
+# measured 1.47e-4, 1.48e-3, 3.42e-4 and 4.91e-4
+_CLOSED_FORM_BOUNDS = {1: 2e-4, 2: 2e-3, 4: 5e-4, 8: 7e-4}
+
+
+@pytest.mark.parametrize("terminal_index", sorted(_CLOSED_FORM_BOUNDS))
+def test_march_matches_closed_form_at_every_terminal_index(
+        sym, pg, small_grid, terminal_index):
+    # j - i = 1, 2 and 3 take the short stencils
+    phi = compact_bump(4.0)
+    u = TerminalValueProblem(sym, pg, small_grid, _time_drift(), phi,
+                             terminal_index).solve()
+    exact = _closed_form_u(sym, pg, small_grid, _time_drift(), phi,
+                           terminal_index)
+    assert sorted(u) == list(range(terminal_index))
+    assert (max(np.abs(u[i] - exact[i]).max() for i in u)
+            < _CLOSED_FORM_BOUNDS[terminal_index])
+
+
+def test_drift_within_step_contraction_solves(sym, pg, small_grid):
+    # |m|max * dt = 1.66: each step still contracts; measured 1.53e-2
+    phi = compact_bump(4.0)
+    mon = ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf)
+    u = TerminalValueProblem(sym, pg, small_grid, constant_drift([6.0]),
+                             phi).solve(mon)
+    assert mon.converged and len(mon.iterate_norms) == 1
+    exact = _closed_form_u(sym, pg, small_grid, constant_drift([6.0]), phi,
+                           small_grid.time_steps)
+    assert max(np.abs(u[i] - exact[i]).max() for i in u) < 2e-2
+
+
+def test_drift_beyond_step_contraction_names_its_cause(sym, pg, small_grid):
+    from pseudoproc import ConvergenceError
+    mon = ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf)
+    prob = TerminalValueProblem(sym, pg, small_grid, constant_drift([40.0]),
+                                compact_bump(4.0))
+    with pytest.raises(ConvergenceError, match=r"\|m\|max \* dt = 11") as err:
+        prob.solve_w(mon)
+    assert err.value.norms == mon.iterate_norms and not mon.converged
 
 
 def test_identity_limit_monotone_and_fit(sym, pg, small_grid):
@@ -262,114 +317,89 @@ def test_mollified_sequence_is_cauchy(sym, pg, small_grid):
 
 
 # ---------------------------------------------------------------------------
-# reference: the per-node loop the Fourier-space sweep replaced, kept here
-# only to pin the new sweep to it
+# reference for b(t, x): ETDRK4 (Cox and Matthews 2002) in sigma = t - s,
+# with the phi-functions as Kassam-Trefethen contour means over the full
+# circle; self-converged to 2e-9 at N=256, M=16 with 4 substeps per dt
 # ---------------------------------------------------------------------------
 
-_GX, _GW = np.polynomial.legendre.leggauss(6)
-_GX, _GW = 0.5 * (_GX + 1.0), 0.5 * _GW
+def _etdrk4(sym, pg, grid, b, phi, substeps=4, points=32):
+    """u(t_i) for every i < M of d_sigma u_hat = -a u_hat + (b, w)_hat."""
+    a, mult = sym.on_grid(grid), pg.multiplier(grid)
+    h, t = grid.dt / substeps, grid.times()[-1]
+    z = -h * a
+    zr = z[..., None] + np.exp(2j * np.pi * (np.arange(points) + 0.5) / points)
+    ez = np.exp(zr)
+    Q = h * ((np.exp(zr / 2) - 1) / zr).mean(axis=-1)
+    f1 = h * ((-4 - zr + ez * (4 - 3 * zr + zr ** 2)) / zr ** 3).mean(axis=-1)
+    f2 = h * ((2 + zr + ez * (zr - 2)) / zr ** 3).mean(axis=-1)
+    f3 = h * ((-4 - 3 * zr - zr ** 2 + ez * (4 - zr)) / zr ** 3).mean(axis=-1)
+    E, E2 = np.exp(z), np.exp(z / 2)
+
+    def N(v, sigma):
+        w = synthesize(grid, mult * v, require_real=False).real
+        return analyze(grid, (b.sample(t - sigma, grid) * w).sum(axis=0))
+
+    v, sigma, out = analyze(grid, phi.sample(grid)), 0.0, {}
+    for i in range(grid.time_steps - 1, -1, -1):
+        for _ in range(substeps):
+            Nv = N(v, sigma)
+            p = E2 * v + Q * Nv
+            Np = N(p, sigma + h / 2)
+            q = E2 * v + Q * Np
+            Nq = N(q, sigma + h / 2)
+            r = E2 * p + Q * (2 * Nq - Nv)
+            v = E * v + f1 * Nv + 2 * f2 * (Np + Nq) + f3 * N(r, sigma + h)
+            sigma += h
+        out[i] = synthesize(grid, v, require_real=False).real
+    return out
 
 
-def _reference_solve(prob, monitor):
-    """w and u slices by synthesizing every quadrature node on its own."""
-    from pseudoproc.quadrature import lagrange_weights
-    grid, j, times, s2 = prob.grid, prob.j, prob.times, prob.sigma2
-    t, lo = times[j], times[j - 1]
-
-    def w0_at(tau):
-        rows = prob.mult * np.exp(-prob.a * (t - tau))[None]
-        return np.stack([synthesize(grid, r * prob.phi_hat, tol=1e-6)
-                         for r in rows])
-
-    def conv(spec, tau, wval):
-        P = analyze(grid, (prob.b.sample(tau, grid) * wval).sum(axis=0))
-        if spec.ndim == grid.dim:
-            return synthesize(grid, spec * P, tol=1e-6)
-        return np.stack([synthesize(grid, r * P, tol=1e-6) for r in spec])
-
-    def interior_weights(i):
-        ms = np.arange(i + 1, j)
-        w = np.zeros(len(ms))
-        e0, e1 = 1.0 - s2, 2.0 - s2
-        for seg in range(len(ms) - 1):
-            ua, ub = t - times[ms[seg + 1]], t - times[ms[seg]]
-            m0 = (ub ** e0 - ua ** e0) / e0
-            m1 = (ub ** e1 - ua ** e1) / e1
-            w[seg] += (m1 - ua * m0) / (ub - ua)
-            w[seg + 1] += (ub * m0 - m1) / (ub - ua)
-        return ms, w
-
-    def integral(i, kernel, w):
-        s = times[i]
-        anchor = w[j - 1] - w0_at(lo)
-        umax = (t - lo) ** (1.0 - s2)
-        total = 0.0
-        for uq, wq in zip(umax * _GX, _GW):
-            tau = min(max(t - uq ** (1.0 / (1.0 - s2)), lo), t - 1e-300)
-            wval = w0_at(tau) + anchor * ((t - tau) / (t - lo)) ** \
-                prob.remainder_power
-            total = total + wq * umax / (1.0 - s2) * uq ** (s2 / (1.0 - s2)) \
-                * conv(kernel(tau - s), tau, wval)
-        if j - i == 1:
-            return total
-        for m, wm in zip(*interior_weights(i)):
-            total = total + wm * (t - times[m]) ** s2 * \
-                conv(kernel(times[m] - s), times[m], w[m])
-        for q, wq in zip(s + grid.dt * _GX, _GW):
-            k0, lw = lagrange_weights(times[:j], q)
-            wval = sum(c * w[k0 + k] for k, c in enumerate(lw))
-            total = total + wq * grid.dt * conv(kernel(q - s), q, wval)
-        return total
-
-    g_hat = lambda gap: np.exp(-prob.a * gap)
-    v0_hat = lambda gap: prob.mult * g_hat(gap)[None]
-    w = {i: w0_at(times[i]) for i in range(j)}
-    while not monitor.converged:
-        new = {i: w0_at(times[i]) + integral(i, v0_hat, w) for i in range(j)}
-        monitor.record(max(float(np.sqrt(((new[i] - w[i]) ** 2).sum(axis=0)).max())
-                           for i in new), 0.0)
-        w = new
-    u = {i: synthesize(grid, g_hat(t - times[i]) * prob.phi_hat, tol=1e-6)
-         + integral(i, g_hat, w) for i in range(j)}
-    return w, u
+def _reference_error(sym, pg, grid, b, phi):
+    u = TerminalValueProblem(sym, pg, grid, b, phi).solve()
+    ref = _etdrk4(sym, pg, grid, b, phi)
+    assert sorted(u) == sorted(ref)
+    return max(np.abs(u[i] - ref[i]).max() for i in ref)
 
 
-def _assert_matches_reference(sym, pg, grid, b, phi, terminal_index):
-    mon = ConvergenceMonitor.for_problem(sym.alpha, pg.beta, grid.dim, math.inf)
-    ref_mon = ConvergenceMonitor.for_problem(sym.alpha, pg.beta, grid.dim,
-                                             math.inf)
-    prob = TerminalValueProblem(sym, pg, grid, b, phi, terminal_index)
-    w = prob.solve_w(mon)
-    u = prob.assemble_u(w)
-    ref_w, ref_u = _reference_solve(
-        TerminalValueProblem(sym, pg, grid, b, phi, terminal_index), ref_mon)
-    assert len(mon.iterate_norms) == len(ref_mon.iterate_norms) >= 2
-    assert sorted(u) == sorted(ref_u) == list(range(prob.j))
-    for new, ref in ((w, ref_w), (u, ref_u)):
-        scale = max(np.abs(ref[i]).max() for i in ref)
-        assert max(np.abs(new[i] - ref[i]).max() for i in ref) <= 1e-12 * scale
+def test_march_matches_etdrk4_reference_under_refinement(sym, pg):
+    # measured 8.25e-5 and 1.75e-5 (the Picard sweeps: 2.57e-4, 9.11e-5)
+    b = DriftField(dim=1, kind="space_time", evaluator=lambda t, x: (
+        (1.0 + 0.5 * np.cos(np.pi * t + 0.3)) * np.exp(-(x - 1) ** 2 / 8))[None])
+    coarse, fine = (_reference_error(sym, pg, SpaceTimeGrid(1, 40.0, N, 1.0, M),
+                                     b, compact_bump(3.0))
+                    for N, M in ((256, 16), (512, 32)))
+    assert coarse < 1e-4 and fine < 2.5e-5
+    assert fine / coarse < 0.3
 
 
-@pytest.mark.parametrize("terminal_index", [1, 2, 4, 8])
-def test_sweep_matches_per_node_reference(sym, pg, small_grid, terminal_index):
-    # j - i = 1 has no start panel, j - i = 2 no interior weight
-    b = DriftField(dim=1, kind="space_time",
-                   evaluator=lambda t, x: (0.8 * np.exp(-0.5 * ((x - 1) / 3.0) ** 2)
-                                           * (1.0 + 0.4 * np.cos(3 * t)))[None])
-    _assert_matches_reference(sym, pg, small_grid, b, compact_bump(4.0),
-                              terminal_index)
-
-
-def test_two_dimensional_sweep_matches_per_node_reference():
+def test_two_dimensional_march_matches_etdrk4_reference():
+    # measured 9.0e-5 (the Picard sweeps: 7.1e-4)
     from pseudoproc import PseudoGradientSpec, isotropic_symbol
-    grid = SpaceTimeGrid(2, 10.0, 16, 1.0, 4)
     gauss = lambda t, x, y: (1.0 + 0.3 * t) * np.exp(-(x * x + 0.5 * y * y) / 8)
     b = DriftField(dim=2, kind="space_time",
                    evaluator=lambda t, x, y: np.stack([0.7 * gauss(t, x, y),
                                                        -0.4 * gauss(t, y, x)]))
-    _assert_matches_reference(isotropic_symbol(1.5, 1.0, 2),
-                              PseudoGradientSpec(beta=0.5, dim=2), grid, b,
-                              compact_bump(4.0, dim=2), None)
+    err = _reference_error(isotropic_symbol(1.5, 1.0, 2),
+                           PseudoGradientSpec(beta=0.5, dim=2),
+                           SpaceTimeGrid(2, 10.0, 32, 1.0, 8), b,
+                           compact_bump(4.0, dim=2))
+    assert err < 1.2e-4
+
+
+@pytest.mark.parametrize("z", [0.0, 0.3, 2.0, 5.0, 40.0, 3.0 + 4.0j])
+def test_exponential_rules_integrate_cubics_exactly(z):
+    from pseudoproc.quadrature import exponential_tables, exponential_rules
+    # the stencils hold min(n, 3) + 1 samples: exact up to that degree
+    dt, steps = 0.25, 7
+    x, wx = np.polynomial.legendre.leggauss(30)
+    for n, W in enumerate(exponential_rules(
+            exponential_tables(np.array([z]), dt), np.array([z]), steps)):
+        assert W.shape == (n + 1, 1)
+        f = np.polynomial.Polynomial([0.3, -1.0, 0.5, 2.0][:min(n, 3) + 1])
+        tau = dt * (np.arange(n)[:, None] + 0.5 * (x + 1.0))  # Gauss per step
+        exact = 0.5 * dt * (wx * np.exp(-z * tau / dt) * f(tau)).sum()
+        approx = (W[:, 0] * f(dt * np.arange(n + 1))).sum()
+        assert abs(approx - exact) <= 1e-13 * max(1.0, abs(exact))
 
 
 def test_stability_table_matches_per_pair_transforms(sym, pg, small_grid):

@@ -108,23 +108,6 @@ def test_fixture_grid_and_defaults():
     assert fx.alpha == 1.5 and fx.beta == 0.5 and fx.gamma == 0.5
 
 
-def test_fixture_directory_round_trip(tmp_path):
-    from pseudoproc.fields import read_snapshot
-    fx = FixtureSet(points=128, half_extent=20.0, steps=8)
-    d = fx.save(tmp_path / "fx")
-    again = FixtureSet.load(d)
-    assert again.points == 128 and again.half_extent == 20.0
-    assert again.goldens.keys() == fx.goldens.keys()
-    for name in fx.goldens:
-        assert again.goldens[name]["value"] == fx.goldens[name]["value"]
-    dim, N, L, dt, meaning, vals = read_snapshot(tmp_path / "fx" /
-                                                 "drift_kernel.snap")
-    assert (dim, N, meaning, dt) == (1, 128, "G", 1.0)
-    assert vals.min() < -1e-6  # the recorded signed-kernel witness
-    report = run_suite(again, selection="normalizer")
-    assert report.passed
-
-
 def test_report_rows_carry_their_check_wall_time(tmp_path):
     import csv
     report = run_suite(FixtureSet(), selection="golden")

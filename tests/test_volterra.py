@@ -278,9 +278,10 @@ def test_convergence_log_rows(small_problem):
     mon = ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf)
     small_problem.solve_v(mon)
     rows = mon.convergence_log()
-    assert rows[0][2] == ""  # first sweep has no ratio
-    assert all(len(r) == 4 for r in rows)
-    assert [r[0] for r in rows] == list(range(1, len(rows) + 1))
+    # the direct solve records once: its residual and spectral radius
+    assert rows == [(1, mon.iterate_norms[0], mon.spectral_radius,
+                     mon.wall_times[0])]
+    assert 0.0 < mon.spectral_radius < 1.0
 
 
 def test_scaling_report_validates_exponents():
