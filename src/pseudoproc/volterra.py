@@ -2,19 +2,20 @@
 
 The perturbed kernel solves G = g + Int_s^t dtau Int g (b, v) dz, where
 v = grad_beta G.  For drift constant in space (time dependence allowed)
-v is the pseudo-gradient multiplier times G on each Fourier mode.  With
-Lawson's integrating factor, G(s, t) = exp(-a (t - s)) H(s, t), the identity
-becomes H(s, t) = 1 + Int_s^t m(tau) H(tau, t) dtau, m = (b, multiplier),
-with nothing stiff left to interpolate.  `kernel_rule` keeps its stencils
-inside [t_i, t_j], so per mode and terminal index j the system
-(I - K_j) G_j = g_j + c_j (c_j weighs the limit G(t_j, t_j) = 1) is upper
-triangular: `PerturbationProblem.solve_v` back-substitutes, and the
-spectral radius is the largest diagonal modulus.  Rows travel as
-`KernelRows`, one stack of the rows (i, j) per terminal index j, the unit
-this system couples.  `ConvergenceError` (exit
-4 of `pseudoproc perturb`) means that radius is at least one (the message
-names |m|max * dt), the residual exceeds stop_tol, or the result is not
-finite.  `iterate_terms` builds the series of the same operator.
+v is the pseudo-gradient multiplier times G on each Fourier mode, so
+(b, v) = m G with the scalar m = (b, multiplier): one scalar unknown per
+mode, and `v_rows` forms v for output only.  With Lawson's integrating
+factor, G(s, t) = exp(-a (t - s)) H(s, t), the identity becomes
+H(s, t) = 1 + Int_s^t m(tau) H(tau, t) dtau, with nothing stiff left to
+interpolate.  `kernel_rule` keeps its stencils inside [t_i, t_j], so per
+mode and terminal index j the system (I - K_j) G_j = g_j + c_j (c_j weighs
+the limit G(t_j, t_j) = 1) is upper triangular: `solve_v` back-substitutes
+the rows `pair_quad` gives, and the spectral radius is the largest
+diagonal modulus.  Rows travel as `KernelRows`, one stack per terminal
+index j, the unit this system couples.  `ConvergenceError` (exit 4 of
+`pseudoproc perturb`) means that radius is at least one (the message names
+|m|max * dt), the residual exceeds stop_tol, or the result is not finite.
+`iterate_terms` builds the series of the same operator.
 """
 from __future__ import annotations
 
@@ -145,8 +146,8 @@ class PerturbationProblem:
 
     @functools.cached_property
     def _gap_decay(self) -> np.ndarray:
-        """g at the partition gaps: column n is exp(-a n dt)."""
-        return np.exp(np.outer(self.a.ravel(), -self.times))
+        """g at the partition gaps: row n is exp(-a n dt)."""
+        return np.exp(np.outer(-self.times, self.a.ravel()))
 
     def _rows(self, flat) -> np.ndarray:
         """A (j, modes) array of rows (i, j) as a (j,) + lattice stack."""
@@ -154,26 +155,23 @@ class PerturbationProblem:
 
     # base kernels on the frequency lattice
     def g_rows(self) -> KernelRows:
-        # row (i, j) decays over the gap j - i: columns j, ..., 1
-        return KernelRows(self._rows(self._gap_decay[:, j:0:-1].T)
+        # row (i, j) decays over the gap j - i: rows j, ..., 1
+        return KernelRows(self._rows(self._gap_decay[j:0:-1])
                           for j in range(self.M + 1))
 
     def v_rows(self, G_rows: KernelRows) -> KernelRows:
-        """The vector kernel v = multiplier * G, row by row."""
+        """The vector kernel v = multiplier * G, row by row (output only)."""
         return KernelRows(self.mult * G[:, None] for G in G_rows)
-
-    def v0_rows(self) -> KernelRows:
-        return self.v_rows(self.g_rows())
 
     # -- the discrete operator -----------------------------------------------
     def pair_quad(self, i: int, j: int) -> np.ndarray:
-        """Weights of Int_{t_i}^{t_j} g(tau - t_i) b_c(tau) f(tau) dtau.
+        """Row i of K_j: weights of Int_{t_i}^{t_j} g(tau - t_i) m(tau) f(tau) dtau.
 
-        Shape (d, modes, j + 1 - i): per drift component c and mode, the
-        weights of f(t_i), ..., f(t_{j-1}) and of the limit f(t_j), each the
-        rule's weight for the smooth exp(a (t_j - tau)) f times g(t_l - t_i).
+        Shape (j + 1 - i, modes), m = (b, multiplier): per mode, the weights
+        of f(t_i), ..., f(t_{j-1}) and of the limit f(t_j), each the rule's
+        weight for the smooth exp(a (t_j - tau)) f times g(t_l - t_i).
         """
-        return self._rule[j][:, i, None, i:] * self._gap_decay[:, :j + 1 - i]
+        return (self._rule[j][:, i, i:].T @ self._mult) * self._gap_decay[:j + 1 - i]
 
     def row_max_norm(self, rows: np.ndarray) -> np.ndarray:
         """Lattice sup of each synthesized scalar or vector row of a stack."""
@@ -199,17 +197,16 @@ class PerturbationProblem:
         rows = KernelRows([self._rows(np.empty((0, self.a.size), complex))])
         radius = residual = 0.0
         for j in range(1, self.M + 1):
-            G = np.ones((self.a.size, j + 1), complex)  # G(t_l, t_j); limit 1
+            G = np.ones((j + 1, self.a.size), complex)  # G(t_l, t_j); limit 1
             defect = np.empty((j, self.a.size), complex)
             for i in range(j - 1, -1, -1):
-                # row i of K_j and c_j: the pairing (b, multiplier)
-                K = (self._mult[..., None] * self.pair_quad(i, j)).sum(axis=0)
-                g = self._gap_decay[:, j - i]
-                known = (K[:, 1:] * G[:, i + 1:]).sum(axis=1)  # samples l > i
-                G[:, i] = (g + known) / (1.0 - K[:, 0])
-                radius = max(radius, np.abs(K[:, 0]).max())
-                defect[i] = (1.0 - K[:, 0]) * G[:, i] - g - known
-            rows.append(self._rows(G[:, :j].T))
+                K = self.pair_quad(i, j)                # row i of K_j and c_j
+                g = self._gap_decay[j - i]
+                known = (K[1:] * G[i + 1:]).sum(axis=0)  # samples l > i
+                G[i] = (g + known) / (1.0 - K[0])
+                radius = max(radius, np.abs(K[0]).max())
+                defect[i] = (1.0 - K[0]) * G[i] - g - known
+            rows.append(self._rows(G[:j]))
             # np.maximum keeps a NaN, which fails the test below
             residual = np.maximum(residual,
                                   self.row_max_norm(self._rows(defect)).max())
@@ -227,50 +224,49 @@ class PerturbationProblem:
         return rows
 
     def iterate_terms(self, count: int) -> list:
-        """First `count` series terms (vector mode rows), term 0 being v0."""
-        terms, limit = [self.v0_rows()], self._mult
+        """First `count` series terms G_0 = g, G_{k+1} = Quad[g m G_k], each
+        returned as the vector mode rows v_k = multiplier * G_k."""
+        terms, limit = [self.g_rows()], 1.0
         for _ in range(1, count):
-            terms.append(self.v_rows(self._quad_rows(terms[-1], limit)))
-            limit = np.zeros_like(limit)  # higher terms vanish at the diagonal
-        return terms
+            terms.append(self._quad_rows(terms[-1], limit))
+            limit = 0.0  # higher terms vanish at the diagonal
+        return [self.v_rows(t) for t in terms]
 
     # -- assembly and residuals ---------------------------------------------
-    def _quad_rows(self, v_rows: KernelRows, limit) -> KernelRows:
-        """Int_{t_i}^{t_j} g(tau - t_i) (b(tau), v(tau, t_j)) dtau, every pair.
+    def _quad_rows(self, rows: KernelRows, limit: float) -> KernelRows:
+        """Int_{t_i}^{t_j} g(tau - t_i) m(tau) f(tau, t_j) dtau, every pair.
 
-        limit is the coincident-time value of v, shape (d, modes).
+        rows are the scalar rows of f; limit is f(t_j, t_j).
         """
-        if v_rows[-1].shape[1:] != self.mult.shape:
-            raise GridError("vector mode rows must be shaped like the multiplier")
         out = KernelRows()
         for j in range(self.M + 1):
-            # (d, modes, j + 1): samples at t_0, ..., t_{j-1}, then the limit
-            v = np.concatenate([v_rows[j].reshape((j,) + self._mult.shape),
-                                limit[None]])
-            v = np.ascontiguousarray(np.moveaxis(v, 0, -1))
+            # samples at t_0, ..., t_{j-1}, then the limit
+            f = np.full((j + 1, self.a.size), limit, complex)
+            f[:j] = rows[j].reshape(j, self.a.size)
             quad = np.empty((j, self.a.size), complex)
             for i in range(j):
-                quad[i] = (self.pair_quad(i, j) * v[..., i:]).sum(axis=(0, 2))
+                quad[i] = (self.pair_quad(i, j) * f[i:]).sum(axis=0)
             out.append(self._rows(quad))
         return out
 
-    def assemble_G_rows(self, v_rows: KernelRows) -> KernelRows:
-        """G = g + Quad[g (b, v)] for a given vector kernel v."""
+    def assemble_G_rows(self, G_rows: KernelRows) -> KernelRows:
+        """G = g + Quad[g m G] for given G rows, m = (b, multiplier)."""
         return KernelRows(g + q for g, q in zip(
-            self.g_rows(), self._quad_rows(v_rows, self._mult)))
+            self.g_rows(), self._quad_rows(G_rows, 1.0)))
 
     def _defect(self, rows: KernelRows, target: KernelRows) -> float:
         """Largest norm of rows - target, one transform per terminal index."""
         return max(self.row_max_norm(rows[j] - target[j]).max()
                    for j in range(1, self.M + 1))
 
-    def series_residual(self, v_rows: KernelRows) -> float:
-        """Defect of v against v = v0 + Quad[v0 (b, v)] = multiplier * G[v]."""
-        return self._defect(self.v_rows(self.assemble_G_rows(v_rows)), v_rows)
+    def series_residual(self, G_rows: KernelRows) -> float:
+        """Defect of v = multiplier * G against v0 + Quad[v0 (b, v)]."""
+        return self._defect(self.v_rows(self.assemble_G_rows(G_rows)),
+                            self.v_rows(G_rows))
 
     def perturbation_residual(self, G_rows: KernelRows) -> float:
-        """Defect of G against its own defining identity, v = multiplier * G."""
-        return self._defect(self.assemble_G_rows(self.v_rows(G_rows)), G_rows)
+        """Defect of G against its own defining identity."""
+        return self._defect(self.assemble_G_rows(G_rows), G_rows)
 
     # -- conversions ---------------------------------------------------------
     def _fill(self, out, rows: KernelRows):

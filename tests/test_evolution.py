@@ -290,8 +290,7 @@ def test_terminal_average_of_ones_vanishes(solved):
 def test_stability_identical_drifts_give_zero_distance(sym, pg, small_grid):
     from pseudoproc import generalized_solution_stability
     pairs = [("same", constant_drift([0.8]), constant_drift([0.8]))]
-    row = generalized_solution_stability(sym, pg, small_grid, pairs,
-                                         compact_bump(4.0))[0]
+    row = generalized_solution_stability(sym, pg, small_grid, pairs)[0]
     assert row.kernel_distance == 0.0
     assert row.drift_distance == 0.0
 
@@ -409,7 +408,7 @@ def test_stability_table_matches_per_pair_transforms(sym, pg, small_grid):
     pairs = [("constant", constant_drift([1.0]), constant_drift([1.01])),
              ("time", bt, constant_drift([0.75]))]
     table = generalized_solution_stability(sym, pg, small_grid, pairs,
-                                           compact_bump(4.0), stop_tol=1e-9)
+                                           stop_tol=1e-9)
     for row, (_, b1, b2) in zip(table, pairs):
         kernels = [PerturbationProblem(sym, pg, small_grid, b).solve_v(
             ConvergenceMonitor.for_problem(1.5, 0.5, 1, b.p_exponent,

@@ -123,3 +123,21 @@ def test_report_rows_carry_their_check_wall_time(tmp_path):
                for w in walls.values())
     assert [r.row() for r in report.results] == \
         [tuple(r[k] for k in list(r)[:-1]) for r in rows]
+
+
+def test_pseudo_gradient_check_runs_in_two_dimensions():
+    # the singular form is probed on the line x_1 = 0 of the 2-D lattice
+    from pseudoproc.verify import check_pseudo_gradient_agreement
+    rows = check_pseudo_gradient_agreement(FixtureSet(dim=2, points=128))
+    assert [r.check for r in rows] == [
+        "pseudo-gradient/cross-mode", "pseudo-gradient/cutoff-monotone",
+        "pseudo-gradient/plane-wave-1d", "pseudo-gradient/plane-wave-2d"]
+    assert all(r.passed for r in rows), [(r.check, r.value) for r in rows]
+
+
+@pytest.mark.parametrize("name", ["envelope-fits", "terminal-average"])
+def test_fixed_lattice_checks_refuse_two_dimensions(name):
+    # they would solve kernels on 1024^2 and 2048^2 lattices
+    from pseudoproc.spectral import UnsupportedConfiguration
+    with pytest.raises(UnsupportedConfiguration, match=name):
+        REGISTRY[name].runner(FixtureSet(dim=2))

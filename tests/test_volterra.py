@@ -22,7 +22,7 @@ def test_zero_drift_collapses_exactly(sym, pg, small_grid):
     prob = PerturbationProblem(sym, pg, small_grid, zero_drift(1))
     G_rows = prob.solve_v(ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf))
     vf = prob.rows_to_vector_field(prob.v_rows(G_rows), "v")
-    base = prob.rows_to_vector_field(prob.v0_rows(), "v")
+    base = prob.rows_to_vector_field(prob.v_rows(prob.g_rows()), "v")
     for k in vf.pairs():
         assert np.array_equal(vf.slice(k), base.slice(k))
     Gf = prob.rows_to_scalar_field(G_rows, "G")
@@ -125,11 +125,10 @@ def test_residuals_meet_solver_contract(small_problem):
     mon = ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf, stop_tol=1e-6)
     G_rows = small_problem.solve_v(mon)
     assert mon.converged
-    v_rows = small_problem.v_rows(G_rows)
-    assert small_problem.series_residual(v_rows) < 10 * mon.stop_tol
+    assert small_problem.series_residual(G_rows) < 10 * mon.stop_tol
     assert small_problem.perturbation_residual(G_rows) < 10 * mon.stop_tol
-    # assembling G from the solved v reproduces the solved G
-    assembled = small_problem.assemble_G_rows(v_rows)
+    # assembling G from the solved G reproduces the solved G
+    assembled = small_problem.assemble_G_rows(G_rows)
     assert max(np.abs(a - g).max()
                for a, g in zip(assembled[1:], G_rows[1:])) < 1e-12
 
@@ -164,7 +163,7 @@ def test_uniqueness_probe_two_seeds(small_problem):
     assert errors[-1] < mon.stop_tol
 
 
-def test_nonconvergence_carries_ratio_history(sym, pg, small_grid):
+def test_nonconvergence_carries_spectral_radius(sym, pg, small_grid):
     # a drift far beyond the contraction range on this horizon: the
     # successive approximations of the discrete system diverge
     b = constant_drift([40.0])
@@ -208,8 +207,8 @@ def test_reported_radius_is_the_largest_eigenvalue(sym, pg, small_grid):
     for j in range(1, prob.M + 1):
         K = np.zeros((prob.a.size, j, j), complex)
         for i in range(j):
-            row = np.einsum("cn,cnl->nl", prob._mult, prob.pair_quad(i, j))
-            K[:, i, i:] = row[:, :-1]   # the last column weighs the limit
+            # row i of K_j, shape (j + 1 - i, modes); the last weighs the limit
+            K[:, i, i:] = prob.pair_quad(i, j)[:-1].T
         worst = max(worst, np.abs(np.linalg.eigvals(K)).max())
     assert mon.spectral_radius == pytest.approx(worst, rel=1e-12)
 
@@ -249,9 +248,7 @@ def test_large_drift_names_the_step_coupling(sym, pg, default_grid):
 
 
 def test_time_dependent_drift_matches_closed_form(sym, pg, small_grid):
-    b = DriftField(dim=1, kind="time", evaluator=lambda t: np.array(
-        [0.75 + 0.5 * np.cos(2.0 * np.pi * t)]))
-    prob = PerturbationProblem(sym, pg, small_grid, b)
+    prob = _time_dependent_problem(sym, pg, small_grid)
     G = prob.solve_v(ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf))
     exact = prob.closed_form_G_rows()
     assert max(prob.row_max_norm(g - e).max()
@@ -440,12 +437,68 @@ def test_row_max_norm_of_a_stack_matches_single_rows(dim, small_problem):
         assert norms.tolist() == [prob.row_max_norm(r[None])[0] for r in rows]
 
 
+def _vector_quad_rows(prob, v_rows, limit):
+    """The vector recursion the scalar operator replaced, kept as reference:
+    Int_{t_i}^{t_j} g(tau - t_i) (b(tau), v(tau, t_j)) dtau for every pair,
+    limit being v(t_j, t_j) of shape (d, modes)."""
+    rule, decay = kernel_rule(prob.b.at_time, prob.times), prob._gap_decay.T
+    mult = prob.mult.reshape(prob.grid.dim, -1)
+    out = KernelRows()
+    for j in range(prob.M + 1):
+        v = np.concatenate([v_rows[j].reshape((j,) + mult.shape), limit[None]])
+        v = np.moveaxis(v, 0, -1)                      # (d, modes, j + 1)
+        quad = np.zeros((j, mult.shape[1]), complex)
+        for i in range(j):
+            weights = rule[j][:, i, None, i:] * decay[:, :j + 1 - i]
+            quad[i] = (weights * v[..., i:]).sum(axis=(0, 2))
+        out.append(quad.reshape((j,) + prob.a.shape))
+    return out
+
+
+def _time_dependent_problem(sym, pg, grid):
+    b = DriftField(dim=1, kind="time", evaluator=lambda t: np.array(
+        [0.75 + 0.5 * np.cos(2.0 * np.pi * t)]))
+    return PerturbationProblem(sym, pg, grid, b)
+
+
+def _relative_gap(rows, ref):
+    return max(np.abs(r - f).max() / np.abs(f).max()
+               for r, f in zip(rows[1:], ref[1:]))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_scalar_operator_matches_the_vector_recursion(dim, sym, pg,
+                                                      small_grid):
+    prob = (_time_dependent_problem(sym, pg, small_grid) if dim == 1
+            else _two_dimensional_problem())
+    mult = prob.mult.reshape(dim, -1)
+    ref = [prob.v_rows(prob.g_rows())]
+    limit = mult
+    for _ in range(1, 10):
+        ref.append(prob.v_rows(_vector_quad_rows(prob, ref[-1], limit)))
+        limit = np.zeros_like(mult)
+    for term, expected in zip(prob.iterate_terms(10), ref):
+        assert _relative_gap(term, expected) <= 1e-13
+    G_rows = prob.solve_v(ConvergenceMonitor.for_problem(1.5, 0.5, dim,
+                                                         math.inf))
+    assembled = KernelRows(g + q for g, q in zip(
+        prob.g_rows(), _vector_quad_rows(prob, prob.v_rows(G_rows), mult)))
+    assert _relative_gap(prob.assemble_G_rows(G_rows), assembled) <= 1e-13
+
+
+def test_time_dependent_solve_meets_its_own_identity(sym, pg, small_grid):
+    prob = _time_dependent_problem(sym, pg, small_grid)
+    G_rows = prob.solve_v(ConvergenceMonitor.for_problem(1.5, 0.5, 1,
+                                                         math.inf))
+    assert prob.perturbation_residual(G_rows) < 1e-12
+
+
 def test_nan_in_one_mode_of_one_terminal_index_fails_the_solve(small_problem):
     prob = PerturbationProblem(small_problem.sym, small_problem.pg,
                                small_problem.grid, small_problem.b)
     decay = prob._gap_decay.copy()
-    # column M feeds only the pair (0, M): one mode of the last terminal index
-    decay[5, prob.M] = np.nan
+    # row M feeds only the pair (0, M): one mode of the last terminal index
+    decay[prob.M, 5] = np.nan
     prob._gap_decay = decay
     mon = ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf)
     with pytest.raises(ConvergenceError, match="residual nan"):
