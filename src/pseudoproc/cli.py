@@ -4,10 +4,10 @@ One binary with subcommands; all numerics live in the library modules.  A
 flat key-value config file can seed any run and every field has a flag
 override.  Environment variables are never consulted.
 
-Exit codes: 0 success, 2 configuration error or a file that cannot be read
-or written (such as an --outdir under a regular file), 3 resolution gate,
-4 solver non-convergence or another numerical failure (a synthesized field
-with an imaginary residue), 5 verification failure.
+Exit codes: 0 success, 2 configuration error, unsupported configuration or
+a file that cannot be read or written (such as an --outdir under a regular
+file), 3 resolution gate, 4 solver non-convergence or another numerical
+failure (a synthesized field with an imaginary residue), 5 verification failure.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ import numpy as np
 from .grid import SpaceTimeGrid, ImaginaryResidueError
 from .symbols import isotropic_symbol, PseudoGradientSpec, SymbolError
 from .spectral import (synthesize_g0, constant_drift_kernel, check_resolution,
-                       ResolutionError)
+                       ResolutionError, UnsupportedConfiguration)
 from .fields import snapshot_field, csv_prefixes, format_rows
 from .drift import constant_drift, min_p_exponent
 from .volterra import ConvergenceMonitor, ConvergenceError, PerturbationProblem
@@ -426,6 +426,9 @@ def main(argv=None) -> int:
     except ImaginaryResidueError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
+    except UnsupportedConfiguration as err:
+        print(f"unsupported configuration: {err}", file=sys.stderr)
+        return EXIT_CONFIG
     except (SymbolError, ValueError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -100,28 +100,25 @@ class DriftField:
                 f"p = {self.p_exponent:g} violates p > (d+alpha)/(alpha-1) "
                 f"= {bound:g}")
 
-    def lp_norm(self, grid: SpaceTimeGrid, time_nodes: int = 64) -> float:
+    def lp_norm(self, grid: SpaceTimeGrid) -> float:
         """L_p norm of |b| over [0, T] x [-L, L]^d (sup norm for p = inf)."""
-        return _slab_norm(lambda t: self.sample(t, grid), self.p_exponent,
-                          grid, time_nodes)
+        return _slab_norm(lambda t: self.sample(t, grid), self.p_exponent, grid)
 
-    def difference_lp_norm(self, other: "DriftField", grid: SpaceTimeGrid,
-                           time_nodes: int = 64) -> float:
+    def difference_lp_norm(self, other: "DriftField", grid: SpaceTimeGrid) -> float:
         """L_p norm of |b - other| on the same slab (shared p required)."""
         if not math.isclose(self.p_exponent, other.p_exponent):
             raise DriftError("stability comparisons require a common p")
         return _slab_norm(lambda t: self.sample(t, grid) - other.sample(t, grid),
-                          self.p_exponent, grid, time_nodes)
+                          self.p_exponent, grid)
 
 
-def _slab_norm(sample: Callable, p: float, grid: SpaceTimeGrid,
-               time_nodes: int) -> float:
+def _slab_norm(sample: Callable, p: float, grid: SpaceTimeGrid) -> float:
     """L_p norm of |sample(t)| over [0, T] x [-L, L]^d (sup norm for p = inf).
 
     sample(t) returns the d components on the lattice; time is integrated
-    by the trapezoid rule on time_nodes equal steps.
+    by the trapezoid rule on 64 equal steps.
     """
-    ts = np.linspace(0.0, grid.time_horizon, time_nodes + 1)
+    ts = np.linspace(0.0, grid.time_horizon, 65)
     mags = (np.sqrt((sample(t) ** 2).sum(axis=0)) for t in ts)
     if math.isinf(p):
         return max(float(m.max()) for m in mags)
@@ -141,14 +138,15 @@ def zero_drift(dim: int) -> DriftField:
 
 
 def mollified_time_drift(base: Callable, width: float, dim: int,
-                         p: float = math.inf, nodes: int = 257) -> DriftField:
+                         p: float = math.inf) -> DriftField:
     """Smooth b(t) from a rough scalar-in-time profile via top-hat averaging.
 
     `base(t)` may be discontinuous; given an array of n times it returns the
     d components at each, shape (d, n).  The returned drift averages it over
-    [t - width/2, t + width/2] with a fixed node count so that the
+    [t - width/2, t + width/2] at a fixed 257 nodes so that the
     mollification scale is the only moving part in stability studies.
     """
+    nodes = 257
     offs = (np.arange(nodes) / (nodes - 1) - 0.5) * width
 
     def smooth(t):

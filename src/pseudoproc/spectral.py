@@ -18,6 +18,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .grid import SpaceTimeGrid, synthesize, analyze, interior_mask
+from .quadrature import gauss_panels
 from .symbols import SymbolSpec, PseudoGradientSpec
 from .fields import ScalarKernelField, VectorKernelField
 
@@ -43,7 +44,6 @@ class ResolutionReport:
     wraparound_mass: float     # kernel mass beyond the box, continuum estimate
     dt_min: float
     tail_tol: float
-    boundary_tol: float
 
     @property
     def tail_ok(self) -> bool:
@@ -51,7 +51,7 @@ class ResolutionReport:
 
     @property
     def boundary_ok(self) -> bool:
-        return self.boundary_mass <= self.boundary_tol
+        return self.boundary_mass <= 1e-3
 
     @property
     def passed(self) -> bool:
@@ -70,8 +70,7 @@ class ResolutionReport:
 
 
 def check_resolution(sym: SymbolSpec, grid: SpaceTimeGrid, dt_min: float,
-                     tail_tol: float = 1e-6,
-                     boundary_tol: float = 1e-3) -> ResolutionReport:
+                     tail_tol: float = 1e-6) -> ResolutionReport:
     """Pure report: can this lattice hold exp(-a dt) kernels down to dt_min?
 
     The spectral tail measures how far the symbol has decayed at the lattice
@@ -95,12 +94,10 @@ def check_resolution(sym: SymbolSpec, grid: SpaceTimeGrid, dt_min: float,
     tail_const = peak * r0 ** (grid.dim + alpha)
     wrap = 2.0 * grid.dim * tail_const * L ** (-alpha) / alpha
 
-    return ResolutionReport(tail, boundary, wrap, dt_min, tail_tol, boundary_tol)
+    return ResolutionReport(tail, boundary, wrap, dt_min, tail_tol)
 
 
-def _gate(sym, grid, dt, enforce):
-    if not enforce:
-        return
+def _gate(sym, grid, dt):
     rep = check_resolution(sym, grid, dt)
     if not rep.tail_ok:
         raise ResolutionError(
@@ -109,27 +106,27 @@ def _gate(sym, grid, dt, enforce):
 
 
 def _gap_pair(grid: SpaceTimeGrid, dt: float):
-    """(0, steps) when dt is a partition gap of 1..M steps, else (0, M)."""
+    """(0, steps) for dt a partition gap of 1..M steps; no other dt has a pair."""
     steps = int(round(dt / grid.dt))
     if abs(steps * grid.dt - dt) < 1e-12 * max(dt, 1.0) \
             and 1 <= steps <= grid.time_steps:
         return (0, steps)
-    return (0, grid.time_steps)
+    raise UnsupportedConfiguration(
+        f"dt={dt:g} is not a multiple of the time step {grid.dt:g} between "
+        f"{grid.dt:g} and the horizon T={grid.time_horizon:g}")
 
 
 def synthesize_g0(sym: SymbolSpec, grid: SpaceTimeGrid, dt: float,
                   enforce_resolution: bool = True) -> ScalarKernelField:
-    """Base kernel at a single time gap dt, stored on the pair (0, ceil).
-
-    The slice is attached to the first representable pair of matching gap
-    when dt sits on the partition, else to pair (0, M) for bookkeeping.
-    """
+    """Base kernel at a partition gap dt, stored on the pair (0, dt / step);
+    the resolution gate runs before the gap is checked."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    _gate(sym, grid, dt, enforce_resolution)
-    vals = synthesize(grid, np.exp(-sym.on_grid(grid) * dt))
+    if enforce_resolution:
+        _gate(sym, grid, dt)
+    pair = _gap_pair(grid, dt)
     out = ScalarKernelField(grid, "g0")
-    out.set_slice(_gap_pair(grid, dt), vals)
+    out.set_slice(pair, synthesize(grid, np.exp(-sym.on_grid(grid) * dt)))
     return out
 
 
@@ -138,11 +135,8 @@ def g0_values(sym: SymbolSpec, grid: SpaceTimeGrid, dt: float) -> np.ndarray:
     return synthesize(grid, np.exp(-sym.on_grid(grid) * dt))
 
 
-def base_kernel_field(sym: SymbolSpec, grid: SpaceTimeGrid,
-                      enforce_resolution: bool = False) -> ScalarKernelField:
+def base_kernel_field(sym: SymbolSpec, grid: SpaceTimeGrid) -> ScalarKernelField:
     """g on every time pair of the partition (translation-invariant scope)."""
-    if enforce_resolution:
-        _gate(sym, grid, grid.dt, True)
     a = sym.on_grid(grid)
     out = ScalarKernelField(grid, "g")
     by_gap = {}
@@ -166,9 +160,9 @@ def drift_multiplier(pg: PseudoGradientSpec, grid: SpaceTimeGrid,
 
 def constant_drift_kernel(sym: SymbolSpec, pg: PseudoGradientSpec,
                           b_const: Sequence[float], grid: SpaceTimeGrid,
-                          dt: float,
-                          enforce_resolution: bool = True) -> ScalarKernelField:
-    """Exact perturbed kernel for a constant drift vector (isotropic symbol).
+                          dt: float) -> ScalarKernelField:
+    """Exact perturbed kernel for a constant drift vector (isotropic symbol),
+    stored on the pair (0, dt / step) like `synthesize_g0`.
 
     Synthesizes (2 pi)^{-d} Int exp{ i(w + dt b |lam|^{beta-1}, lam)
     - c dt |lam|^alpha } dlam.  Reduces to g0 at b = 0; the total lattice
@@ -180,10 +174,10 @@ def constant_drift_kernel(sym: SymbolSpec, pg: PseudoGradientSpec,
             "the closed-form drift kernel is only available for isotropic symbols")
     if dt <= 0:
         raise ValueError("dt must be positive")
-    _gate(sym, grid, dt, enforce_resolution)
-    vals = constant_drift_values(sym, pg, b_const, grid, dt)
+    _gate(sym, grid, dt)
+    pair = _gap_pair(grid, dt)
     out = ScalarKernelField(grid, "G")
-    out.set_slice(_gap_pair(grid, dt), vals)
+    out.set_slice(pair, constant_drift_values(sym, pg, b_const, grid, dt))
     return out
 
 
@@ -249,8 +243,9 @@ def apply_pseudo_gradient(f: FieldOrCallable, pg: PseudoGradientSpec,
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _panels(eps, R, osc_scale=None, per_decade=3, order=16):
-    """Geometric panels on [eps, R], capped in length once oscillation matters."""
+def _panels(eps, R, per_decade, osc_scale=None):
+    """16-point Gauss nodes and weights on geometric panels of [eps, R],
+    capped in length once oscillation matters."""
     edges = [eps]
     grow = 10.0 ** (1.0 / per_decade)
     while edges[-1] < R:
@@ -258,18 +253,11 @@ def _panels(eps, R, osc_scale=None, per_decade=3, order=16):
         if osc_scale is not None:
             nxt = min(nxt, edges[-1] + 8.0 * np.pi / osc_scale)
         edges.append(min(nxt, R))
-    gx, gw = np.polynomial.legendre.leggauss(order)
-    nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        nodes.append(mid + half * gx)
-        weights.append(half * gw)
-    return np.concatenate(nodes), np.concatenate(weights)
+    nodes, weights = gauss_panels(np.array(edges), 16)
+    return nodes.ravel(), weights.ravel()
 
 
 def singular_gradient_at(f: Callable, x: np.ndarray, pg: PseudoGradientSpec,
-                         osc_scale: Optional[float] = None,
-                         panels_per_decade: int = 3,
                          theta_nodes: int = 64) -> np.ndarray:
     """Truncated singular-integral pseudo-gradient of a callable at points x.
 
@@ -280,7 +268,7 @@ def singular_gradient_at(f: Callable, x: np.ndarray, pg: PseudoGradientSpec,
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     d = pg.dim
-    r, w = _panels(pg.eps_inner, pg.r_outer, osc_scale, panels_per_decade)
+    r, w = _panels(pg.eps_inner, pg.r_outer, 3)
     nb = pg.normalizer
     if d == 1:
         xs = x[:, 0]
@@ -328,7 +316,7 @@ def plane_wave_consistency(pg: PseudoGradientSpec, lam_norm: float,
     """
     beta, d = pg.beta, pg.dim
     z0, z1 = eps * lam_norm, r_outer * lam_norm
-    u, w = _panels(z0, z1, osc_scale=1.0, per_decade=panels_per_decade)
+    u, w = _panels(z0, z1, panels_per_decade, osc_scale=1.0)
     if d == 1:
         ang = 2.0 * np.sin(u)
         tail = 2.0 * (np.cos(z1) * z1 ** (-1 - beta)

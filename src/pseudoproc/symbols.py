@@ -131,18 +131,20 @@ class SymbolSpec:
         return vals
 
     # -- admissibility checks ----------------------------------------------
-    def sphere_samples(self, n: int = 64) -> np.ndarray:
+    def sphere_samples(self) -> np.ndarray:
+        """Points of the unit sphere: both of them in 1-D, 64 in 2-D."""
         if self.dim == 1:
             return np.array([[1.0], [-1.0]])
-        th = 2 * np.pi * np.arange(n) / n
+        th = 2 * np.pi * np.arange(64) / 64
         return np.column_stack([np.cos(th), np.sin(th)])
 
-    def validate(self, n_sphere: int = 64, rel_tol: float = 1e-9) -> dict:
-        """Check the lower bound on the sphere and homogeneity on sampled rays.
+    def validate(self) -> dict:
+        """Check the lower bound on the sphere and homogeneity on sampled rays
+        to a relative defect of 1e-9.
 
         Returns the worst margins; raises SymbolError on violation.
         """
-        pts = self.sphere_samples(n_sphere)
+        pts = self.sphere_samples()
         on_sphere = self(*(pts[:, j] for j in range(self.dim)))
         re_min = float(np.min(np.real(on_sphere)))
         if re_min < self.a0 * (1.0 - 1e-12) or re_min <= 0:
@@ -154,7 +156,7 @@ class SymbolSpec:
             expected = r ** self.alpha * on_sphere
             denom = np.maximum(np.abs(expected), 1e-300)
             worst = max(worst, float(np.max(np.abs(scaled - expected) / denom)))
-        if worst > rel_tol:
+        if worst > 1e-9:
             raise SymbolError(
                 f"symbol is not homogeneous of degree {self.alpha}: "
                 f"relative defect {worst:.3e}")

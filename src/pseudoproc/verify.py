@@ -1,12 +1,12 @@
 """Aggregated property suite: envelopes, scaling laws, oracles, stability.
 
-Every check is registered once with a name, a provenance tag for its
-expected values, and a runner producing one or more result rows.  The
-default selection reproduces the acceptance criteria of the build; a few
-supplemental rows (golden-fixture comparisons, positivity, analytic peak
-value) guard the harness itself.  Runs are deterministic: no randomness
-enters anywhere, so two consecutive runs on the same fixtures produce
-identical reports.
+Every check is registered once under its name, with the claim it tests and
+a runner producing one or more result rows; each row carries the provenance
+tag of its own expected value.  The default selection reproduces the
+acceptance criteria of the build; a few supplemental rows (golden-fixture
+comparisons, positivity, analytic peak value) guard the harness itself.
+Runs are deterministic: no randomness enters anywhere, so two consecutive
+runs on the same fixtures produce identical reports.
 """
 from __future__ import annotations
 
@@ -40,10 +40,6 @@ from .evolution import (TerminalValueProblem, GeneratorAction,
 # envelope fitting
 # ---------------------------------------------------------------------------
 
-ENVELOPE_FORMS = ("base_kernel", "pseudo_gradient", "series_kernel",
-                  "perturbed_kernel", "stability_difference")
-
-
 def envelope_shape(form: str, dt, r, alpha: float, beta: float,
                    gamma: float, dim: int):
     """The two-term kernel bound with unit constant(s), exponents fixed."""
@@ -58,8 +54,6 @@ def envelope_shape(form: str, dt, r, alpha: float, beta: float,
     if form == "perturbed_kernel":
         return dt ** (beta / alpha) / core ** (dim + beta) + \
             dt ** (1.0 - gamma / alpha) / core ** (dim + alpha - gamma)
-    if form == "stability_difference":
-        return core ** (-(dim + beta - gamma))
     raise ValueError(f"unknown envelope form {form!r}")
 
 
@@ -67,9 +61,7 @@ def envelope_shape(form: str, dt, r, alpha: float, beta: float,
 class EnvelopeFit:
     form: str
     constant: float          # tightest constant over the probe set
-    ls_constant: float       # log-space least-squares diagnostic
     violation: float         # max value / (constant * shape); 1 after fitting
-    spread: float            # max/min of value/shape across probes
 
     @property
     def passed(self) -> bool:
@@ -93,21 +85,18 @@ def fit_envelope(samples: Sequence, form: str, alpha: float, beta: float,
     shape = envelope_shape(form, arr[:, 0], arr[:, 1], alpha, beta, gamma, dim)
     ratio = np.abs(arr[:, 2]) / shape
     constant = float(ratio.max())
-    positive = ratio[ratio > 0]
-    ls = float(np.exp(np.mean(np.log(positive)))) if positive.size else 0.0
     violation = float((np.abs(arr[:, 2]) / (constant * shape)).max()) \
         if constant > 0 else 0.0
-    spread = float(ratio.max() / positive.min()) if positive.size else math.inf
-    return EnvelopeFit(form, constant, ls, violation, spread)
+    return EnvelopeFit(form, constant, violation)
 
 
 def self_similarity_defect(sym: SymbolSpec, grid: SpaceTimeGrid,
-                           dt: float, floor: float = 1e-10) -> float:
+                           dt: float) -> float:
     """Relative max-norm defect of the exact scaling law of the base kernel.
 
     Compares g0(dt, x) against dt^{-d/alpha} g0(1, dt^{-1/alpha} x), the
     latter synthesized on the conjugately scaled lattice so both sides share
-    one spectral truncation.
+    one spectral truncation, where g0(1) exceeds 1e-10.
     """
     g_dt = g0_values(sym, grid, dt)
     scale = dt ** (-1.0 / sym.alpha)
@@ -116,7 +105,7 @@ def self_similarity_defect(sym: SymbolSpec, grid: SpaceTimeGrid,
                            grid.time_steps)
     g_one = g0_values(sym, scaled, 1.0)
     pred = dt ** (-grid.dim / sym.alpha) * g_one
-    mask = g_one > floor
+    mask = g_one > 1e-10
     return float((np.abs(g_dt - pred)[mask] / np.abs(pred)[mask]).max())
 
 
@@ -143,9 +132,7 @@ class CheckResult:
 
 @dataclass
 class CheckSpec:
-    name: str
     claim: str
-    provenance: str
     runner: Callable
 
 
@@ -156,7 +143,6 @@ class MissingFixtureError(KeyError):
 @dataclass
 class SuiteReport:
     results: List[CheckResult]
-    selection: str
 
     @property
     def passed(self) -> bool:
@@ -255,7 +241,6 @@ class FixtureSet:
     half_extent: float = 40.0
     horizon: float = 1.0
     steps: int = 16
-    drift_magnitude: float = 1.0
     stop_tol: float = 1e-6
     goldens: Dict[str, dict] = field(default_factory=lambda: {
         k: dict(v) for k, v in GOLDEN_VALUES.items()})
@@ -280,18 +265,17 @@ class FixtureSet:
             raise MissingFixtureError(
                 f"fixture set has no golden value {name!r}") from err
 
-    def monitor(self, p=math.inf, stop_tol=None) -> ConvergenceMonitor:
+    def monitor(self) -> ConvergenceMonitor:
+        """Monitor of a drift bounded in time and space (p = inf)."""
         return ConvergenceMonitor.for_problem(
-            self.alpha, self.beta, self.dim, p,
-            stop_tol=stop_tol or self.stop_tol)
+            self.alpha, self.beta, self.dim, math.inf, stop_tol=self.stop_tol)
 
-    def solved_problem(self, magnitude=None, points=None, steps=None):
+    def solved_problem(self, magnitude=1.0, points=None, steps=None):
         """Cached kernel-level solve for a constant drift of given size."""
-        mag = self.drift_magnitude if magnitude is None else magnitude
-        key = ("solve", mag, points or self.points, steps or self.steps)
+        key = ("solve", magnitude, points or self.points, steps or self.steps)
         if key not in self._cache:
             grid = self.grid(points, steps)
-            b = constant_drift([mag] + [0.0] * (self.dim - 1))
+            b = constant_drift([magnitude] + [0.0] * (self.dim - 1))
             prob = PerturbationProblem(self.symbol(), self.pgrad(), grid, b)
             mon = self.monitor()
             self._cache[key] = (prob, mon, prob.solve_v(mon))
@@ -439,8 +423,7 @@ def check_constant_drift_oracle(fx: FixtureSet) -> List[CheckResult]:
 
 def check_negativity_witness(fx: FixtureSet) -> List[CheckResult]:
     sym, grid = fx.symbol(), fx.grid()
-    cf = constant_drift_values(sym, fx.pgrad(),
-                               [fx.drift_magnitude] + [0.0] * (fx.dim - 1),
+    cf = constant_drift_values(sym, fx.pgrad(), [1.0] + [0.0] * (fx.dim - 1),
                                grid, fx.horizon)
     cf_min = float(cf.min())
     prob, _, G_rows = fx.solved_problem()
@@ -556,13 +539,11 @@ def check_convolution_scaling(fx: FixtureSet) -> List[CheckResult]:
     return rows
 
 
-def _envelope_probes(fx: FixtureSet, values_by_gap, offsets):
-    grid_axis_cache = {}
+def _envelope_probes(values_by_gap, x, offsets):
+    """(gap, offset, value) at the lattice points x nearest each offset; the
+    value of a component stack is the largest component's."""
     samples = []
-    for gap, vals in values_by_gap.items():
-        grid = vals["grid"]
-        x = grid_axis_cache.setdefault(id(grid), grid.axis())
-        arr = vals["values"]
+    for gap, arr in values_by_gap.items():
         for r in offsets:
             idx = int(np.argmin(np.abs(x - r)))
             samples.append((gap, abs(x[idx]), float(np.abs(arr[..., idx]).max()
@@ -588,28 +569,24 @@ def check_envelope_fits(fx: FixtureSet) -> List[CheckResult]:
         grid = SpaceTimeGrid(fx.dim, fx.half_extent, points, fx.horizon,
                              fx.steps)
         gaps = (grid.dt, 4 * grid.dt * fx.steps / 16, fx.horizon)
-        by_gap_g0, by_gap_grad = {}, {}
-        for gap in gaps:
-            by_gap_g0[gap] = {"grid": grid, "values": g0_values(sym, grid, gap)}
-            by_gap_grad[gap] = {"grid": grid,
-                                "values": pseudo_gradient_g0(sym, fx.pgrad(),
-                                                             grid, gap)}
-        b = constant_drift([fx.drift_magnitude] + [0.0] * (fx.dim - 1))
+        by_gap_g0 = {gap: g0_values(sym, grid, gap) for gap in gaps}
+        by_gap_grad = {gap: pseudo_gradient_g0(sym, fx.pgrad(), grid, gap)
+                       for gap in gaps}
+        b = constant_drift([1.0] + [0.0] * (fx.dim - 1))
         prob = PerturbationProblem(sym, fx.pgrad(), grid, b)
         G_rows = prob.solve_v(fx.monitor())
         v_rows = prob.v_rows(G_rows)
         by_gap_v, by_gap_G = {}, {}
         for j in (1, 4, 16):
             gap = j * grid.dt
-            by_gap_v[gap] = {"grid": grid,
-                             "values": synthesize(grid, v_rows[j][0])}
-            by_gap_G[gap] = {"grid": grid,
-                             "values": synthesize(grid, G_rows[j][0])}
+            by_gap_v[gap] = synthesize(grid, v_rows[j][0])
+            by_gap_G[gap] = synthesize(grid, G_rows[j][0])
+        x = grid.axis()
         for form, data in (("base_kernel", by_gap_g0),
                            ("pseudo_gradient", by_gap_grad),
                            ("series_kernel", by_gap_v),
                            ("perturbed_kernel", by_gap_G)):
-            fit = fit_envelope(_envelope_probes(fx, data, offsets), form,
+            fit = fit_envelope(_envelope_probes(data, x, offsets), form,
                                fx.alpha, fx.beta, fx.gamma, fx.dim)
             fits.setdefault(form, []).append(fit)
     for form, (f1, f2) in fits.items():
@@ -707,7 +684,7 @@ def check_cauchy_residual_suite(fx: FixtureSet) -> List[CheckResult]:
 def check_terminal_average(fx: FixtureSet) -> List[CheckResult]:
     _one_dimensional(fx, "terminal-average")
     grid = SpaceTimeGrid(fx.dim, fx.half_extent, 1024, fx.horizon, fx.steps)
-    b = constant_drift([fx.drift_magnitude] + [0.0] * (fx.dim - 1))
+    b = constant_drift([1.0] + [0.0] * (fx.dim - 1))
     prob = PerturbationProblem(fx.symbol(), fx.pgrad(), grid, b)
     vf = prob.rows_to_vector_field(prob.v_rows(prob.solve_v(fx.monitor())),
                                    "v")
@@ -779,61 +756,61 @@ def check_kernel_positivity(fx: FixtureSet) -> List[CheckResult]:
 REGISTRY: Dict[str, CheckSpec] = {}
 
 
-def _register(name, claim, provenance, runner):
-    REGISTRY[name] = CheckSpec(name, claim, provenance, runner)
+def _register(name, claim, runner):
+    REGISTRY[name] = CheckSpec(claim, runner)
 
 
 _register("mass-conservation",
           "base and perturbed kernels integrate to one on the lattice",
-          "trivial", check_mass_conservation)
+          check_mass_conservation)
 _register("self-similarity",
           "base kernel obeys the exact homogeneity scaling law",
-          "trivial", check_self_similarity)
+          check_self_similarity)
 _register("pseudo-gradient",
           "spectral and singular-integral modes agree; plane-wave consistency",
-          "derived-oracle", check_pseudo_gradient_agreement)
+          check_pseudo_gradient_agreement)
 _register("constant-drift-oracle",
           "series solution matches the exact transform for drift constant "
           "in space; rows of constant drift depend on the gap alone",
-          "derived-oracle", check_constant_drift_oracle)
+          check_constant_drift_oracle)
 _register("negativity-witness",
           "perturbed kernel attains negative values (signed family)",
-          "derived-oracle", check_negativity_witness)
+          check_negativity_witness)
 _register("evolution-property",
           "two-parameter composition identity on all shipped data",
-          "derived-oracle", check_evolution_property_suite)
+          check_evolution_property_suite)
 _register("identity-limit",
           "operators tend to the identity as the gap closes, at the known rate",
-          "derived-oracle", check_identity_limit_suite)
+          check_identity_limit_suite)
 _register("series-residual",
           "converged series satisfies its own equation; term ratios decline "
           "with the Euler-beta factors",
-          "derived-oracle", check_series_residual)
+          check_series_residual)
 _register("convolution-scaling",
           "two-envelope space-time convolution carries the predicted exponent",
-          "derived-oracle", check_convolution_scaling)
+          check_convolution_scaling)
 _register("envelope-fits",
           "kernel families fit their two-term envelopes with stable constants",
-          "derived-oracle", check_envelope_fits)
+          check_envelope_fits)
 _register("drift-stability",
           "kernel distance scales linearly with the drift distance",
-          "derived-oracle", check_drift_stability)
+          check_drift_stability)
 _register("cauchy-residual",
           "backward equation residual vanishes under refinement",
-          "derived-oracle", check_cauchy_residual_suite)
+          check_cauchy_residual_suite)
 _register("terminal-average",
           "data-averaged kernel is Lipschitz at the predicted blow-up rate "
           "and kills constants",
-          "derived-oracle", check_terminal_average)
+          check_terminal_average)
 _register("resolution-golden",
           "frozen resolution diagnostics reproduce exactly",
-          "frozen-golden", check_resolution_golden)
+          check_resolution_golden)
 _register("normalizer-golden",
           "singular-integral normalizer matches its recorded value",
-          "frozen-golden", check_normalizer_golden)
+          check_normalizer_golden)
 _register("base-kernel",
           "positivity, two-gap identity and the analytic peak value",
-          "analytic", check_kernel_positivity)
+          check_kernel_positivity)
 
 ACCEPTANCE_CHECKS = (
     "mass-conservation", "self-similarity", "pseudo-gradient",
@@ -864,4 +841,4 @@ def run_suite(fixtures: Optional[FixtureSet] = None,
         for r in rows:
             r.wall_seconds = wall
         results.extend(rows)
-    return SuiteReport(results, selection if selection is not None else "all")
+    return SuiteReport(results)

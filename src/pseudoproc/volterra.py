@@ -333,13 +333,12 @@ def _envelope_kernel(sig, r, power_t, power_r, alpha):
 
 def kernel_convolution_scaling(kappa: float, lam: float, k: float, l: float,
                                alpha: float, dim: int,
-                               gaps=None, offset: float = 6.0,
-                               tolerance: float = 0.1) -> ScalingFitReport:
+                               gaps=None) -> ScalingFitReport:
     """Fit the time-gap exponent of the two-envelope space-time convolution.
 
     Evaluates Int_0^T dsig Int dz of the product of the two power-law
     envelopes (exponents kappa, lam in time and d+k, d+l in space) at fixed
-    spatial separation `offset`, over a decade of gaps small against
+    spatial separation offset = 6, over a decade of gaps small against
     offset^alpha, and fits log value against log gap.  The admissible range
     0 < k < alpha + kappa, 0 < l < alpha + lambda is enforced.
 
@@ -352,6 +351,7 @@ def kernel_convolution_scaling(kappa: float, lam: float, k: float, l: float,
     if not (0.0 < k < alpha + kappa and 0.0 < l < alpha + lam):
         raise ValueError("exponents must satisfy 0 < k < alpha + kappa and "
                          "0 < l < alpha + lambda")
+    offset = 6.0
     if gaps is None:
         # deep inside the fixed-separation regime: gaps well below offset^alpha
         gaps = offset ** alpha / 160.0 * np.logspace(-1.0, 0.0, 6)
@@ -379,4 +379,4 @@ def kernel_convolution_scaling(kappa: float, lam: float, k: float, l: float,
             vals[n] += (w * z.sum(axis=(1, 2))).sum()
     slope = np.polyfit(np.log(gaps), np.log(vals), 1)[0]
     predicted = 1.0 + (kappa + lam - max(k, l)) / alpha
-    return ScalingFitReport(float(slope), predicted, gaps, vals, tolerance)
+    return ScalingFitReport(float(slope), predicted, gaps, vals)

@@ -152,6 +152,41 @@ def test_kernel_resolution_gate_exit(tmp_path):
     assert code == EXIT_RESOLUTION
 
 
+@pytest.mark.parametrize("closed_form", [[], ["--closed-form"]])
+@pytest.mark.parametrize("dt", ["0.3", "2"])
+def test_kernel_refuses_a_gap_off_the_partition(tmp_path, capsys, closed_form,
+                                                dt):
+    code = main(["kernel", "--points", "512", "--half-extent", "40",
+                 "--dt", dt] + closed_form + ["--outdir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("unsupported configuration:")
+    assert f"dt={dt}" in err and "0.0625" in err and "T=1" in err
+    assert not list(tmp_path.glob("*.snap"))
+
+
+@pytest.mark.parametrize("closed_form, stem", [([], "g0"),
+                                               (["--closed-form"],
+                                                "G_closed_form")])
+def test_kernel_stores_a_partition_gap_on_its_pair(tmp_path, closed_form,
+                                                   stem):
+    code = main(["kernel", "--points", "512", "--half-extent", "40",
+                 "--dt", "0.5"] + closed_form + ["--outdir", str(tmp_path)])
+    assert code == EXIT_OK
+    assert [p.name for p in tmp_path.glob("*.snap")] == [f"{stem}_000_008.snap"]
+    _, _, _, dt, _, _ = read_snapshot(tmp_path / f"{stem}_000_008.snap")
+    assert dt == 0.5
+
+
+def test_verify_refusal_is_an_unsupported_configuration(tmp_path, capsys):
+    code = main(["verify", "--d", "2", "--only", "envelope-fits",
+                 "--outdir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("unsupported configuration: envelope-fits")
+    assert "config error" not in err
+
+
 def test_config_error_exit():
     assert main(["kernel", "--alpha", "3.0"]) == EXIT_CONFIG
 
