@@ -16,7 +16,7 @@ import csv
 import math
 import os
 import sys
-from dataclasses import dataclass, fields as dc_fields, asdict
+from dataclasses import dataclass, fields as dc_fields, replace
 
 import numpy as np
 
@@ -36,8 +36,7 @@ EXIT_NONCONVERGENCE = 4
 EXIT_VERIFY = 5
 
 _PHI_CHOICES = ("one", "mode8", "bump")
-_TRUE, _FALSE = ("true", "yes", "1"), ("false", "no", "0")
-_POSITIVE_KEYS = ("c", "half_extent", "horizon", "dt", "stop_tol", "tail_tol")
+_POSITIVE_KEYS = ("c", "half_extent", "horizon", "dt", "stop_tol")
 
 
 class ConfigError(ValueError):
@@ -62,10 +61,8 @@ class RunConfig:
     drift: str = "0.0"
     p_exponent: float = math.inf
     dt: float = 1.0
-    closed_form: bool = False
     phi: str = "one"
     stop_tol: float = 1e-6
-    tail_tol: float = 1e-6
     outdir: str = "out"
 
     # -- validation: report every problem at once --------------------------
@@ -141,7 +138,7 @@ class RunConfig:
                 fh.write(f"{f.name} = {getattr(self, f.name)}\n")
 
     @classmethod
-    def from_file(cls, path) -> "RunConfig":
+    def from_file(cls, path, base=None) -> "RunConfig":
         raw = {}
         with open(path) as fh:
             for lineno, line in enumerate(fh, 1):
@@ -153,10 +150,12 @@ class RunConfig:
                         [f"{path}:{lineno}: expected 'key = value'"])
                 key, val = (t.strip() for t in line.split("=", 1))
                 raw[key] = val
-        return cls.from_mapping(raw, source=path)
+        return cls.from_mapping(raw, source=path, base=base)
 
     @classmethod
-    def from_mapping(cls, raw: dict, source="<flags>") -> "RunConfig":
+    def from_mapping(cls, raw: dict, source="<flags>",
+                     base=None) -> "RunConfig":
+        """`base` (default: the field defaults) with the keys `raw` sets."""
         kwargs, errs = {}, []
         casts = {f.name: f.type for f in dc_fields(cls)}
         defaults = cls()
@@ -166,12 +165,7 @@ class RunConfig:
                 continue
             current = getattr(defaults, key)
             try:
-                if isinstance(current, bool):
-                    word = str(val).strip().lower()
-                    if word not in _TRUE + _FALSE:
-                        raise ValueError(word)
-                    kwargs[key] = word in _TRUE
-                elif isinstance(current, int):
+                if isinstance(current, int):
                     kwargs[key] = int(val)
                 elif isinstance(current, float):
                     kwargs[key] = float(val)
@@ -181,19 +175,18 @@ class RunConfig:
                 errs.append(f"{source}: cannot parse {key} = {val!r}")
         if errs:
             raise ConfigError(errs)
-        return cls(**kwargs)
+        return replace(base or cls(), **kwargs)
 
 
 def _resolve_config(args, command_defaults=None) -> RunConfig:
-    base = RunConfig.from_file(args.config) if args.config else RunConfig()
-    values = asdict(base)
-    if command_defaults and not args.config:
-        values.update(command_defaults)
-    for f in dc_fields(RunConfig):
-        flag = getattr(args, f.name, None)
-        if flag is not None:
-            values[f.name] = flag
-    cfg = RunConfig(**values).validate()
+    """Later sources win: the field defaults, the command's own defaults,
+    the keys the config file sets, then flags."""
+    cfg = RunConfig(**(command_defaults or {}))
+    if args.config:
+        cfg = RunConfig.from_file(args.config, base=cfg)
+    flags = {f.name: getattr(args, f.name, None) for f in dc_fields(RunConfig)}
+    cfg = replace(cfg, **{k: v for k, v in flags.items() if v is not None})
+    cfg.validate()
     if getattr(args, "dump_config", None):
         cfg.dump(args.dump_config)
     return cfg
@@ -209,11 +202,8 @@ def cmd_kernel(args) -> int:
     os.makedirs(cfg.outdir, exist_ok=True)
     sym, grid, pg = cfg.symbol(), cfg.grid(), cfg.pgrad()
     bvec = cfg.drift_vector()
-    if np.any(bvec) and not cfg.closed_form:
-        print(f"drift b = {cfg.drift} is nonzero: writing the closed-form "
-              "constant-drift kernel (as with --closed-form)")
     try:
-        if cfg.closed_form or np.any(bvec):
+        if np.any(bvec):
             field = constant_drift_kernel(sym, pg, bvec, grid, cfg.dt)
             stem = "G_closed_form"
         else:
@@ -290,11 +280,7 @@ def cmd_verify(args) -> int:
                                points=cfg.points, half_extent=cfg.half_extent,
                                horizon=cfg.horizon, steps=cfg.steps,
                                stop_tol=cfg.stop_tol)
-    try:
-        report = verify_mod.run_suite(fx, selection=args.only)
-    except verify_mod.MissingFixtureError as err:
-        print(f"fixture error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+    report = verify_mod.run_suite(fx, selection=args.only)
     print(report.table())
     report.to_csv(os.path.join(cfg.outdir, "verify_report.csv"))
     with open(os.path.join(cfg.outdir, "verify_summary.txt"), "w") as fh:
@@ -346,7 +332,7 @@ def cmd_emit(args) -> int:
         print(f"wrote {path}")
         return EXIT_OK
     if what == "resolution":
-        rep = check_resolution(sym, grid, grid.dt, tail_tol=cfg.tail_tol)
+        rep = check_resolution(sym, grid, grid.dt)
         path = os.path.join(cfg.outdir, "resolution.csv")
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
@@ -378,11 +364,8 @@ def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--drift", "--b", dest="drift")
     p.add_argument("--p-exponent", type=float, dest="p_exponent")
     p.add_argument("--dt", type=float)
-    p.add_argument("--closed-form", action="store_const", const=True,
-                   dest="closed_form")
     p.add_argument("--phi", choices=_PHI_CHOICES)
     p.add_argument("--stop-tol", type=float, dest="stop_tol")
-    p.add_argument("--tail-tol", type=float, dest="tail_tol")
     p.add_argument("--outdir")
 
 

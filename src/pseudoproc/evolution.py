@@ -128,11 +128,6 @@ class EvolutionOperator:
         return synthesize(grid, K * analyze(grid, samples),
                           require_real=True, tol=1e-6)
 
-    def conserves_constants(self) -> bool:
-        """T phi = phi for phi = 1, to 5e-3 in the lattice sup norm."""
-        u = self.apply(constant_one(self.kernel.grid.dim))
-        return bool(np.abs(u - 1.0).max() <= 5e-3)
-
 
 def apply_operator(kernel: ScalarKernelField, pair, phi: TestFunction) -> np.ndarray:
     return EvolutionOperator(kernel, pair).apply(phi)

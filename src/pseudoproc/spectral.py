@@ -13,14 +13,14 @@ perturbation identity, see tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
 from .grid import SpaceTimeGrid, synthesize, analyze, interior_mask
 from .quadrature import gauss_panels
 from .symbols import SymbolSpec, PseudoGradientSpec
-from .fields import ScalarKernelField, VectorKernelField
+from .fields import ScalarKernelField
 
 
 class ResolutionError(RuntimeError):
@@ -43,11 +43,10 @@ class ResolutionReport:
     boundary_mass: float       # |g0| mass in the outer 10% of the box
     wraparound_mass: float     # kernel mass beyond the box, continuum estimate
     dt_min: float
-    tail_tol: float
 
     @property
     def tail_ok(self) -> bool:
-        return self.spectral_tail <= self.tail_tol
+        return self.spectral_tail <= 1e-6
 
     @property
     def boundary_ok(self) -> bool:
@@ -69,13 +68,14 @@ class ResolutionReport:
         }
 
 
-def check_resolution(sym: SymbolSpec, grid: SpaceTimeGrid, dt_min: float,
-                     tail_tol: float = 1e-6) -> ResolutionReport:
+def check_resolution(sym: SymbolSpec, grid: SpaceTimeGrid,
+                     dt_min: float) -> ResolutionReport:
     """Pure report: can this lattice hold exp(-a dt) kernels down to dt_min?
 
     The spectral tail measures how far the symbol has decayed at the lattice
-    edge; the boundary mass measures periodic wrap-around of the synthesized
-    kernel at the fastest-spreading stored gap (dt = time horizon).
+    edge (at most 1e-6 passes, the kernels' gate); the boundary mass
+    measures periodic wrap-around of the synthesized kernel at the
+    fastest-spreading stored gap (dt = time horizon).
     """
     edge = np.pi / grid.dx  # per-axis Nyquist
     edge_vec = (edge,) if grid.dim == 1 else (edge / np.sqrt(2.0),) * 2
@@ -94,7 +94,7 @@ def check_resolution(sym: SymbolSpec, grid: SpaceTimeGrid, dt_min: float,
     tail_const = peak * r0 ** (grid.dim + alpha)
     wrap = 2.0 * grid.dim * tail_const * L ** (-alpha) / alpha
 
-    return ResolutionReport(tail, boundary, wrap, dt_min, tail_tol)
+    return ResolutionReport(tail, boundary, wrap, dt_min)
 
 
 def _gate(sym, grid, dt):
@@ -102,7 +102,7 @@ def _gate(sym, grid, dt):
     if not rep.tail_ok:
         raise ResolutionError(
             f"spectral tail {rep.spectral_tail:.3e} at dt={dt:g} exceeds "
-            f"{rep.tail_tol:g}; enlarge N or the time gap", rep.as_dict())
+            "1e-06; enlarge N or the time gap", rep.as_dict())
 
 
 def _gap_pair(grid: SpaceTimeGrid, dt: float):
@@ -194,35 +194,11 @@ def constant_drift_values(sym: SymbolSpec, pg: PseudoGradientSpec,
 # pseudo-gradient application
 # ---------------------------------------------------------------------------
 
-FieldOrCallable = Union[ScalarKernelField, np.ndarray, Callable]
-
-
-def apply_pseudo_gradient(f: FieldOrCallable, pg: PseudoGradientSpec,
-                          grid: Optional[SpaceTimeGrid] = None,
-                          mode: Optional[str] = None):
-    """Vector pseudo-gradient of f in the requested mode.
-
-    f may be a scalar kernel field (all stored pairs are transformed), a
-    centered sample array on `grid`, or a callable (sampled on `grid` for the
-    spectral mode, evaluated pointwise for the singular mode).  Returns a
-    VectorKernelField for field input, else a component-stacked array.
-    """
-    mode = mode or pg.mode
-    if isinstance(f, ScalarKernelField):
-        if mode != "spectral":
-            raise UnsupportedConfiguration(
-                "singular-integral mode needs a pointwise-evaluable function; "
-                "kernel fields are transformed spectrally")
-        out = VectorKernelField(f.grid, "v0")
-        mults = pg.multiplier(f.grid)
-        for pair in f.pairs():
-            F = f.spectrum(pair)
-            comps = [synthesize(f.grid, m * F) for m in mults]
-            out.set_slice(pair, np.stack(comps))
-        return out
-
-    if grid is None:
-        raise ValueError("grid is required for array or callable input")
+def apply_pseudo_gradient(f: Union[np.ndarray, Callable],
+                          pg: PseudoGradientSpec,
+                          grid: SpaceTimeGrid) -> np.ndarray:
+    """Spectral pseudo-gradient of f, a centered sample array on `grid` or a
+    callable sampled there; returns the component-stacked array."""
     if callable(f):
         samples = f(*grid.mesh())
     else:
@@ -231,16 +207,8 @@ def apply_pseudo_gradient(f: FieldOrCallable, pg: PseudoGradientSpec,
             raise ValueError("sample array does not match the grid")
     if np.any(~np.isfinite(samples)):
         raise ValueError("input contains non-finite values")
-
-    if mode == "spectral":
-        F = analyze(grid, samples)
-        return np.stack([synthesize(grid, m * F) for m in pg.multiplier(grid)])
-    if mode == "singular":
-        if not callable(f):
-            raise UnsupportedConfiguration(
-                "singular-integral mode operates on callables")
-        return _singular_gradient(f, pg, grid)
-    raise ValueError(f"unknown mode {mode!r}")
+    F = analyze(grid, samples)
+    return np.stack([synthesize(grid, m * F) for m in pg.multiplier(grid)])
 
 
 def _panels(eps, R, per_decade, osc_scale=None):
@@ -289,15 +257,6 @@ def singular_gradient_at(f: Callable, x: np.ndarray, pg: PseudoGradientSpec,
         ang = diff[:, :, None] * om.T[None, :, :]        # (npts, ntheta, 2)
         out += 0.5 * ww * rr ** (-1.0 - pg.beta) * ang.sum(axis=1) * dth
     return nb * out
-
-
-def _singular_gradient(f, pg, grid):
-    pts = np.stack([m.ravel() for m in grid.mesh()], axis=-1)
-    if grid.dim == 1:
-        vals = singular_gradient_at(lambda y: f(y), pts, pg)
-    else:
-        vals = singular_gradient_at(f, pts, pg)
-    return np.stack([vals[:, k].reshape(grid.shape()) for k in range(grid.dim)])
 
 
 def plane_wave_consistency(pg: PseudoGradientSpec, lam_norm: float,

@@ -169,24 +169,22 @@ def isotropic_symbol(alpha: float, scale_c: float = 1.0, dim: int = 1) -> Symbol
 
 @dataclass
 class PseudoGradientSpec:
-    """Order and evaluation mode of the pseudo-gradient.
+    """Order of the pseudo-gradient and the cutoffs of its singular form.
 
-    mode "spectral" multiplies transforms by i lam |lam|^{beta-1};
-    mode "singular" evaluates the truncated singular integral with the
-    cutoff pair (eps_inner, r_outer).
+    The operator multiplies transforms by i lam |lam|^{beta-1}
+    (`multiplier`).  Its singular-integral form, evaluated pointwise by
+    `spectral.singular_gradient_at` as a cross-check, is truncated to
+    eps_inner <= |y| <= r_outer.
     """
 
     beta: float
     dim: int = 1
-    mode: str = "spectral"
     eps_inner: float = 1e-8
     r_outer: float = 40.0
 
     def __post_init__(self):
         if not 0.0 < self.beta < 1.0:
             raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
-        if self.mode not in ("spectral", "singular"):
-            raise ValueError(f"unknown pseudo-gradient mode {self.mode!r}")
         if self.eps_inner <= 0 or self.r_outer <= self.eps_inner:
             raise ValueError("need 0 < eps_inner < r_outer")
 
@@ -213,13 +211,3 @@ class PseudoGradientSpec:
             m[kill] = 0.0
             comps.append(m)
         return np.stack(comps)
-
-    def inner_cutoff_error(self, lipschitz: float) -> float:
-        """Bound on the dropped |y| < eps_inner contribution.
-
-        The odd part of the kernel cancels to first order, leaving at most
-        2 L eps^{1-beta} / (1-beta) times the normalizer for an f with
-        Lipschitz constant L.
-        """
-        return abs(self.normalizer) * 2.0 * lipschitz * \
-            self.eps_inner ** (1.0 - self.beta) / (1.0 - self.beta)

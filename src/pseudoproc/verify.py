@@ -136,10 +136,6 @@ class CheckSpec:
     runner: Callable
 
 
-class MissingFixtureError(KeyError):
-    pass
-
-
 @dataclass
 class SuiteReport:
     results: List[CheckResult]
@@ -147,10 +143,6 @@ class SuiteReport:
     @property
     def passed(self) -> bool:
         return all(r.passed for r in self.results)
-
-    @property
-    def exit_code(self) -> int:
-        return 0 if self.passed else 5
 
     def failures(self):
         return [r for r in self.results if not r.passed]
@@ -230,7 +222,7 @@ GOLDEN_VALUES: Dict[str, dict] = {
 
 @dataclass
 class FixtureSet:
-    """Default parameter bundles, frozen goldens and shared solver caches."""
+    """Default parameter bundles and shared solver caches."""
 
     alpha: float = 1.5
     beta: float = 0.5
@@ -242,8 +234,6 @@ class FixtureSet:
     horizon: float = 1.0
     steps: int = 16
     stop_tol: float = 1e-6
-    goldens: Dict[str, dict] = field(default_factory=lambda: {
-        k: dict(v) for k, v in GOLDEN_VALUES.items()})
     _cache: dict = field(default_factory=dict, repr=False)
 
     # -- canonical objects ---------------------------------------------------
@@ -255,15 +245,8 @@ class FixtureSet:
     def symbol(self) -> SymbolSpec:
         return isotropic_symbol(self.alpha, self.scale_c, self.dim)
 
-    def pgrad(self, mode="spectral", **kw) -> PseudoGradientSpec:
-        return PseudoGradientSpec(beta=self.beta, dim=self.dim, mode=mode, **kw)
-
-    def golden(self, name):
-        try:
-            return self.goldens[name]
-        except KeyError as err:
-            raise MissingFixtureError(
-                f"fixture set has no golden value {name!r}") from err
+    def pgrad(self, **kw) -> PseudoGradientSpec:
+        return PseudoGradientSpec(beta=self.beta, dim=self.dim, **kw)
 
     def monitor(self) -> ConvergenceMonitor:
         """Monitor of a drift bounded in time and space (p = inf)."""
@@ -323,7 +306,7 @@ def check_pseudo_gradient_agreement(fx: FixtureSet) -> List[CheckResult]:
     grid = fx.grid()
     gauss = (lambda x: np.exp(-0.5 * x ** 2)) if fx.dim == 1 else \
         (lambda x, y: np.exp(-0.5 * (x ** 2 + y ** 2)))
-    spec = apply_pseudo_gradient(gauss, fx.pgrad(), grid, mode="spectral")
+    spec = apply_pseudo_gradient(gauss, fx.pgrad(), grid)
     xs = grid.axis()
     probe = np.abs(xs) <= 8.0
     # the line x_1 = 0, lattice column N // 2 (in 1-D the axis itself)
@@ -332,8 +315,7 @@ def check_pseudo_gradient_agreement(fx: FixtureSet) -> List[CheckResult]:
     line = spec[0][(probe,) + (grid.points_per_dim // 2,) * (fx.dim - 1)]
     diffs = []
     for eps_rel in (1e-2, 1e-4, 1e-6):
-        pgs = fx.pgrad(mode="singular", eps_inner=eps_rel * grid.dx,
-                       r_outer=30.0)
+        pgs = fx.pgrad(eps_inner=eps_rel * grid.dx, r_outer=30.0)
         sing = singular_gradient_at(gauss, pts, pgs)
         diffs.append(float(np.abs(sing[:, 0] - line).max()))
     monotone = all(d2 < d1 for d1, d2 in zip(diffs, diffs[1:]))
@@ -428,7 +410,7 @@ def check_negativity_witness(fx: FixtureSet) -> List[CheckResult]:
     cf_min = float(cf.min())
     prob, _, G_rows = fx.solved_problem()
     solver_min = float(synthesize(prob.grid, G_rows[fx.steps][0]).min())
-    golden = fx.golden("drift_kernel_min")
+    golden = GOLDEN_VALUES["drift_kernel_min"]
     lo, hi = golden["band"]
     return [
         _result("negativity-witness/closed-form", "b=1, dt=1, defaults",
@@ -507,7 +489,7 @@ def check_series_residual(fx: FixtureSet) -> List[CheckResult]:
     r_bar = np.sqrt(ratios[:-1] * ratios[1:])
     f_bar = np.sqrt(factors[:-1] * factors[1:])
     slope = float(np.polyfit(np.log(f_bar), np.log(r_bar), 1)[0])
-    lo, hi = fx.golden("series_ratio_slope_band")["value"]
+    lo, hi = GOLDEN_VALUES["series_ratio_slope_band"]["value"]
     return [
         _result("series-residual/fixed-point", "direct solve, v = multiplier * G",
                 res_v, 10 * fx.stop_tol, "absolute", res_v < 10 * fx.stop_tol,
@@ -706,8 +688,8 @@ def check_resolution_golden(fx: FixtureSet) -> List[CheckResult]:
     sym = fx.symbol()
     grid = SpaceTimeGrid(fx.dim, fx.half_extent, 1024, fx.horizon, fx.steps)
     rep = check_resolution(sym, grid, 0.05)
-    gt = fx.golden("resolution_tail")
-    gb = fx.golden("resolution_boundary")
+    gt = GOLDEN_VALUES["resolution_tail"]
+    gb = GOLDEN_VALUES["resolution_boundary"]
     tail_ok = math.isclose(rep.spectral_tail, gt["value"],
                            rel_tol=max(gt["rtol"], 1e-9))
     bd_ok = math.isclose(rep.boundary_mass, gb["value"],
@@ -721,7 +703,7 @@ def check_resolution_golden(fx: FixtureSet) -> List[CheckResult]:
 
 
 def check_normalizer_golden(fx: FixtureSet) -> List[CheckResult]:
-    g = fx.golden("normalizer_halforder_1d")
+    g = GOLDEN_VALUES["normalizer_halforder_1d"]
     val = pseudo_gradient_normalizer(0.5, 1)
     alt = pseudo_gradient_normalizer_neg_gamma(0.5, 1)
     ok = math.isclose(val, g["value"], rel_tol=g["rtol"]) and \
@@ -825,8 +807,7 @@ def run_suite(fixtures: Optional[FixtureSet] = None,
     """Execute the registered checks whose name contains `selection`.
 
     An empty selection string selects nothing and reports success; None
-    selects everything.  Missing fixtures raise MissingFixtureError naming
-    the absent entry.
+    selects everything.
     """
     fixtures = fixtures or FixtureSet()
     if selection is None:

@@ -20,7 +20,7 @@ from pseudoproc.fields import ScalarKernelField, read_snapshot
 
 def test_config_round_trip(tmp_path):
     cfg = RunConfig(alpha=1.7, beta=0.3, drift="0.5,0.25", dim=2,
-                    points=128, stop_tol=2.5e-7, closed_form=True)
+                    points=128, stop_tol=2.5e-7)
     path = tmp_path / "run.cfg"
     cfg.dump(path)
     again = RunConfig.from_file(path)
@@ -33,7 +33,7 @@ def test_config_round_trip(tmp_path):
 def test_config_round_trip_generated(alpha, beta, tol):
     cfg = RunConfig(alpha=alpha, beta=beta, stop_tol=tol)
     text = {f: str(getattr(cfg, f)) for f in
-            ("alpha", "beta", "stop_tol", "drift", "closed_form", "points")}
+            ("alpha", "beta", "stop_tol", "drift", "points")}
     assert RunConfig.from_mapping(text) == cfg
 
 
@@ -63,12 +63,11 @@ def test_config_file_syntax_errors(tmp_path):
 
 def test_config_file_comments_and_types(tmp_path):
     p = tmp_path / "ok.cfg"
-    p.write_text("# a comment\nalpha = 1.6\npoints = 128\n"
-                 "closed_form = true\ndrift = 0.5\n")
+    p.write_text("# a comment\nalpha = 1.6\npoints = 128\ndrift = 0.5\n")
     cfg = RunConfig.from_file(p)
     assert cfg.alpha == 1.6
     assert cfg.points == 128
-    assert cfg.closed_form is True
+    assert cfg.drift == "0.5"
 
 
 def test_kernel_peak_matches_analytic(tmp_path):
@@ -85,7 +84,7 @@ def test_kernel_peak_matches_analytic(tmp_path):
 
 def test_kernel_closed_form_reports_negative_min(tmp_path, capsys):
     out = tmp_path / "cf"
-    code = main(["kernel", "--closed-form", "--b", "1", "--dt", "1",
+    code = main(["kernel", "--b", "1", "--dt", "1",
                  "--points", "256", "--half-extent", "40",
                  "--outdir", str(out)])
     assert code == EXIT_OK
@@ -102,10 +101,9 @@ def test_kernel_announces_switch_to_closed_form(tmp_path, capsys, drift,
     code = main(["kernel", "--b", drift, "--dt", "1", "--points", "256",
                  "--half-extent", "40", "--outdir", str(out)])
     assert code == EXIT_OK
+    # the drift alone picks the kernel, and the report names it
     printed = capsys.readouterr().out
-    switched = stem == "G_closed_form"
-    assert (f"drift b = {drift} is nonzero: writing the closed-form"
-            in printed) == switched
+    assert f"wrote 1 snapshot(s) under {out}/{stem}_*" in printed
     assert [p.name for p in out.glob("*.snap")] == [f"{stem}_000_016.snap"]
 
 
@@ -152,7 +150,8 @@ def test_kernel_resolution_gate_exit(tmp_path):
     assert code == EXIT_RESOLUTION
 
 
-@pytest.mark.parametrize("closed_form", [[], ["--closed-form"]])
+# a nonzero drift selects the closed-form kernel
+@pytest.mark.parametrize("closed_form", [[], ["--b", "1"]])
 @pytest.mark.parametrize("dt", ["0.3", "2"])
 def test_kernel_refuses_a_gap_off_the_partition(tmp_path, capsys, closed_form,
                                                 dt):
@@ -166,7 +165,7 @@ def test_kernel_refuses_a_gap_off_the_partition(tmp_path, capsys, closed_form,
 
 
 @pytest.mark.parametrize("closed_form, stem", [([], "g0"),
-                                               (["--closed-form"],
+                                               (["--b", "1"],
                                                 "G_closed_form")])
 def test_kernel_stores_a_partition_gap_on_its_pair(tmp_path, closed_form,
                                                    stem):
@@ -194,13 +193,13 @@ def test_config_error_exit():
 @pytest.mark.parametrize("argv, config, key", [
     (["perturb", "--stop-tol", "nan"], None, "stop_tol"),
     (["perturb", "--horizon", "nan"], None, "horizon"),
-    (["emit", "--what", "resolution", "--tail-tol", "-1"], None, "tail_tol"),
+    (["emit", "--what", "resolution", "--steps", "0"], None, "steps"),
     (["perturb", "--c", "inf"], None, "c"),
     (["perturb", "--half-extent", "nan"], None, "half_extent"),
     (["kernel", "--dt", "nan"], None, "dt"),
     (["perturb", "--b", "nan"], None, "drift"),
     (["perturb", "--d", "2", "--b", "1,-inf"], None, "drift"),
-    (["kernel"], "closed_form = ture\n", "closed_form"),
+    (["kernel"], "points = many\n", "points"),
 ])
 def test_malformed_values_are_config_errors(tmp_path, capsys, argv, config,
                                             key):
@@ -364,6 +363,63 @@ def test_emit_decay_table(tmp_path):
     errs = [float(r["error"]) for r in rows]
     assert gaps == sorted(gaps)
     assert errs[0] < errs[-1]
+
+
+@pytest.mark.parametrize("argv", [["kernel", "--closed-form"],
+                                  ["emit", "--what", "resolution",
+                                   "--tail-tol", "0.5"]])
+def test_removed_flags_are_refused(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("line", ["closed_form = true", "tail_tol = 1e-3",
+                                  "max_iter = 50"])
+def test_removed_config_keys_are_refused(tmp_path, capsys, line):
+    (tmp_path / "run.cfg").write_text(line + "\n")
+    code = main(["kernel", "--config", str(tmp_path / "run.cfg"),
+                 "--outdir", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert f"unknown key {line.split()[0]!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, produced", [
+    ("perturb", "G.csv"), ("kernel", "g0_000_016.snap")])
+def test_config_file_keeps_the_command_defaults(tmp_path, command, produced):
+    # the file sets alpha alone: perturb keeps its drift 1, kernel its
+    # N=2048, L=160, so both match a run without the file
+    (tmp_path / "run.cfg").write_text("alpha = 1.5\n")
+    assert main([command, "--outdir", str(tmp_path / "plain")]) == EXIT_OK
+    assert main([command, "--config", str(tmp_path / "run.cfg"),
+                 "--outdir", str(tmp_path / "file")]) == EXIT_OK
+    assert (tmp_path / "file" / produced).read_bytes() == \
+        (tmp_path / "plain" / produced).read_bytes()
+
+
+def test_config_file_overrides_the_command_defaults(tmp_path):
+    # the file's points win over kernel's 2048, and kernel's L=160 stays
+    (tmp_path / "run.cfg").write_text("points = 4096\n")
+    assert main(["kernel", "--config", str(tmp_path / "run.cfg"),
+                 "--outdir", str(tmp_path)]) == EXIT_OK
+    _, N, L, _, _, _ = read_snapshot(tmp_path / "g0_000_016.snap")
+    assert (N, L) == (4096, 160.0)
+
+
+@pytest.mark.parametrize("steps, dt", [("1", "1"), ("16", "0.0625")])
+def test_resolution_report_and_kernel_gate_agree(tmp_path, capsys, steps, dt):
+    lattice = ["--points", "256", "--half-extent", "40", "--steps", steps,
+               "--dt", dt]
+    assert main(["emit", "--what", "resolution"] + lattice
+                + ["--outdir", str(tmp_path)]) == EXIT_OK
+    with open(tmp_path / "resolution.csv", newline="") as fh:
+        report = dict(csv.reader(fh))
+    capsys.readouterr()
+    code = main(["kernel"] + lattice + ["--outdir", str(tmp_path / "k")])
+    assert (report["tail_ok"] == "True") == (code == EXIT_OK)
+    if code != EXIT_OK:
+        assert code == EXIT_RESOLUTION
+        assert "exceeds 1e-06" in capsys.readouterr().err
 
 
 def test_dump_config_round_trip_through_cli(tmp_path):

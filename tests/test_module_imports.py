@@ -1,11 +1,21 @@
-"""Every module-level import of the package is used by its module."""
+"""Every module-level import of the package is used by its module, and every
+function, method and class of the package is reached by the package or
+named by the benchmark."""
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "pseudoproc"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "pseudoproc"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+# definitions kept although nothing in the package loads them, with the reason
+UNREACHED_BY_DESIGN = {
+    "mode_factor": "the per-mode reference the sign-convention tests of "
+                   "GeneratorAction compare against",
+}
 
 
 def _imported_names(tree):
@@ -52,3 +62,53 @@ def test_module_level_imports_are_used(path):
     unused = {name: line for name, line in _imported_names(tree).items()
               if name not in _used_names(tree)}
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def _unreached(trees, mentioned):
+    """Names of the functions, methods and classes of `trees` that no Name
+    or Attribute load outside their own body reads and `mentioned` does not
+    name; dunder methods, called by the language, are left out."""
+    loads = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loads.setdefault(node.id, []).append(id(node))
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                loads.setdefault(node.attr, []).append(id(node))
+    found = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            body = {id(n) for n in ast.walk(node)}
+            if any(i not in body for i in loads.get(name, ())):
+                continue
+            if not re.search(rf"\b{re.escape(name)}\b", mentioned):
+                found.add(name)
+    return found
+
+
+def test_the_reachability_scan_reports_an_unreached_definition():
+    tree = ast.parse("class A:\n"
+                     "    def used(self):\n        return 1\n"
+                     "    def recursive(self):\n"
+                     "        return self.recursive()\n"
+                     "    def hooked(self):\n        pass\n"
+                     "    def __repr__(self):\n        return ''\n"
+                     "x = A().used()\n")
+    assert _unreached([tree], "Hook('m:A.hooked')") == {"recursive"}
+
+
+def test_every_definition_is_reached():
+    trees = [ast.parse(p.read_text(), filename=str(p))
+             for p in PACKAGE.glob("*.py")]
+    mentioned = "\n".join(p.read_text()
+                          for p in (ROOT / "perfbench").glob("*.py"))
+    unreached = _unreached(trees, mentioned)
+    assert unreached - set(UNREACHED_BY_DESIGN) == set(), "unreached"
+    assert set(UNREACHED_BY_DESIGN) - unreached == set(), "stale exemptions"

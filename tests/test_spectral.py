@@ -91,17 +91,15 @@ def test_custom_symbol_kernel_is_real_with_unit_mass(default_grid):
 
 
 def test_pseudo_gradient_of_field_matches_direct_synthesis(sym, pg, default_grid):
-    field = synthesize_g0(sym, default_grid, 1.0, enforce_resolution=False)
-    out = apply_pseudo_gradient(field, pg)
+    samples = g0_values(sym, default_grid, 1.0)
+    out = apply_pseudo_gradient(samples, pg, default_grid)
     direct = pseudo_gradient_g0(sym, pg, default_grid, 1.0)
-    pair = field.pairs()[0]
-    assert out.meaning == "v0"
-    assert np.allclose(out.slice(pair), direct, atol=1e-13)
+    assert np.allclose(out, direct, atol=1e-13)
 
 
 def test_pseudo_gradient_parity(pg, default_grid):
     out = apply_pseudo_gradient(lambda x: np.exp(-0.5 * x ** 2), pg,
-                                default_grid, mode="spectral")
+                                default_grid)
     comp = out[0]
     # even input -> odd, real output
     assert np.allclose(comp[1:], -comp[1:][::-1], atol=1e-12)
@@ -114,20 +112,14 @@ def test_pseudo_gradient_rejects_nan(pg, default_grid):
         apply_pseudo_gradient(bad, pg, default_grid)
 
 
-def test_pseudo_gradient_field_singular_mode_unsupported(sym, pg, default_grid):
-    field = synthesize_g0(sym, default_grid, 1.0, enforce_resolution=False)
-    with pytest.raises(UnsupportedConfiguration):
-        apply_pseudo_gradient(field, pg, mode="singular")
-
-
 def test_cross_mode_agreement_improves_with_cutoff(pg, default_grid):
     gauss = lambda x: np.exp(-0.5 * x ** 2)
-    spec = apply_pseudo_gradient(gauss, pg, default_grid, mode="spectral")
+    spec = apply_pseudo_gradient(gauss, pg, default_grid)
     xs = default_grid.axis()
     probe = np.abs(xs) <= 8.0
     diffs = []
     for eps_rel in (1e-2, 1e-4, 1e-6):
-        pgs = PseudoGradientSpec(beta=0.5, dim=1, mode="singular",
+        pgs = PseudoGradientSpec(beta=0.5, dim=1,
                                  eps_inner=eps_rel * default_grid.dx,
                                  r_outer=30.0)
         sing = singular_gradient_at(gauss, xs[probe][:, None], pgs)
@@ -138,22 +130,12 @@ def test_cross_mode_agreement_improves_with_cutoff(pg, default_grid):
 
 def test_singular_mode_2d_bump_against_spectral():
     grid = SpaceTimeGrid(2, 15.0, 64, 1.0, 4)
-    pg2 = PseudoGradientSpec(beta=0.5, dim=2, mode="singular",
-                             eps_inner=1e-7, r_outer=40.0)
+    pg2 = PseudoGradientSpec(beta=0.5, dim=2, eps_inner=1e-7, r_outer=40.0)
     f = lambda x, y: np.exp(-0.5 * (x ** 2 + y ** 2))
-    spec = apply_pseudo_gradient(f, pg2, grid, mode="spectral")
+    spec = apply_pseudo_gradient(f, pg2, grid)
     x = grid.axis()
     idx = [(34, 31), (36, 33), (32, 34)]
     pts = np.array([[x[i], x[j]] for i, j in idx])
     sing = singular_gradient_at(f, pts, pg2, theta_nodes=96)
     for (i, j), s in zip(idx, sing):
         assert np.allclose(s, spec[:, i, j], atol=2e-3)
-
-
-def test_inner_cutoff_error_bar_scales(pg):
-    coarse = PseudoGradientSpec(beta=0.5, dim=1, mode="singular",
-                                eps_inner=1e-2)
-    fine = PseudoGradientSpec(beta=0.5, dim=1, mode="singular",
-                              eps_inner=1e-4)
-    ratio = coarse.inner_cutoff_error(1.0) / fine.inner_cutoff_error(1.0)
-    assert ratio == pytest.approx(10.0, rel=1e-9)

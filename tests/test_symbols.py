@@ -97,8 +97,6 @@ def test_pseudo_gradient_spec_validation():
     with pytest.raises(ValueError):
         PseudoGradientSpec(beta=1.0, dim=1)
     with pytest.raises(ValueError):
-        PseudoGradientSpec(beta=0.5, dim=1, mode="nonsense")
-    with pytest.raises(ValueError):
         PseudoGradientSpec(beta=0.5, dim=1, eps_inner=2.0, r_outer=1.0)
 
 

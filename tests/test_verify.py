@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pseudoproc.verify import (fit_envelope, envelope_shape, FixtureSet,
-                               run_suite, MissingFixtureError, REGISTRY,
+                               run_suite, REGISTRY, GOLDEN_VALUES,
                                ACCEPTANCE_CHECKS, SuiteReport, CheckResult)
 
 PARAMS = dict(alpha=1.5, beta=0.5, gamma=0.5, dim=1)
@@ -56,7 +56,6 @@ def test_empty_selection_reports_success():
     report = run_suite(FixtureSet(), selection="")
     assert report.results == []
     assert report.passed
-    assert report.exit_code == 0
 
 
 def test_suite_is_deterministic():
@@ -66,21 +65,16 @@ def test_suite_is_deterministic():
     assert [a.row() for a in r1.results] == [b.row() for b in r2.results]
 
 
-def test_missing_fixture_is_named():
-    fx = FixtureSet()
-    del fx.goldens["normalizer_halforder_1d"]
-    with pytest.raises(MissingFixtureError, match="normalizer_halforder_1d"):
-        run_suite(fx, selection="normalizer")
-
-
-def test_corrupted_golden_fails_exactly_one_check():
-    fx = FixtureSet()
-    fx.goldens["resolution_tail"]["value"] *= 1.5  # sabotage
-    report = run_suite(fx, selection="golden")
+def test_corrupted_golden_fails_exactly_one_check(monkeypatch):
+    tail = GOLDEN_VALUES["resolution_tail"]
+    monkeypatch.setitem(GOLDEN_VALUES, "resolution_tail",
+                        dict(tail, value=tail["value"] * 1.5))  # sabotage
+    report = run_suite(FixtureSet(), selection="golden")
     bad = [r for r in report.failures()]
     assert len(bad) == 1
     assert bad[0].check == "resolution-golden/tail"
-    assert report.exit_code == 5
+    assert not report.passed
+    monkeypatch.undo()
     # pristine fixtures pass the same selection
     clean = run_suite(FixtureSet(), selection="golden")
     assert clean.passed

@@ -282,10 +282,11 @@ def test_convergence_log_rows(small_problem):
 
 
 def test_scaling_report_validates_exponents():
+    gaps = [0.01, 0.1]
     with pytest.raises(ValueError):
-        kernel_convolution_scaling(0.0, 0.0, 2.0, 0.5, 1.5, 1)
+        kernel_convolution_scaling(0.0, 0.0, 2.0, 0.5, 1.5, 1, gaps)
     with pytest.raises(NotImplementedError):
-        kernel_convolution_scaling(0.0, 0.0, 0.5, 0.5, 1.5, 2)
+        kernel_convolution_scaling(0.0, 0.0, 0.5, 0.5, 1.5, 2, gaps)
 
 
 def test_scaling_equal_exponent_formula_reduction():
@@ -293,7 +294,7 @@ def test_scaling_equal_exponent_formula_reduction():
     gaps = 6.0 ** 1.5 / 1000.0 * np.logspace(-1, 0, 4)
     rep = kernel_convolution_scaling(0.0, 0.0, 0.5, 0.5, 1.5, 1, gaps=gaps)
     assert rep.predicted_exponent == pytest.approx(1.0 - 0.5 / 1.5)
-    assert abs(rep.fitted_exponent - rep.predicted_exponent) <= rep.tolerance
+    assert rep.passed
 
 
 def test_scaling_spec_bundle_tracks_dominant_far_zone_exponent():
