@@ -332,7 +332,7 @@ def cmd_emit(args) -> int:
         print(f"wrote {path}")
         return EXIT_OK
     if what == "resolution":
-        rep = check_resolution(sym, grid, grid.dt)
+        rep = check_resolution(sym, grid, cfg.dt)
         path = os.path.join(cfg.outdir, "resolution.csv")
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)

@@ -60,28 +60,29 @@ def _stencil(n, r):
     return table, np.clip(r - 1, 0, np.maximum(n - 3, 0))
 
 
-def kernel_rule(b_at, times: np.ndarray) -> list:
+def kernel_rule(b_at, times: np.ndarray, terminals) -> dict:
     """Weights of Int_{t_i}^{t_j} b_c(tau) H(tau) dtau for every i < j.
 
     b_at(tau) is the drift d-vector; times are the partition t_0..t_steps.
-    Entry j of the returned list is W of shape (d, j, j + 1): the integral
-    from t_i is sum_l W[c, i, l] H(t_l), with W[c, i, l] = 0 for l < i.
-    Building W takes O(j^2) memory.
+    Entry j, for each j of terminals, is W of shape (d, j, j + 1): the
+    integral from t_i is sum_l W[c, i, l] H(t_l), with W[c, i, l] = 0 for
+    l < i.  W takes O(d j^2) memory, every j O(d M^3): for b constant in
+    time the weights depend on j - i alone, so j = M serves every pair.
     """
     tau, weight = gauss_panels(times)
     drift = np.array([[b_at(t) for t in row] for row in tau])
-    steps, _, d = drift.shape
+    d = drift.shape[2]
     # step k with each table: sum_q weight_q b_c(node q) table[q, s]
     step = np.einsum("kq,kqc,tqs->tkcs", weight, drift, _TABLES)
-    rules = [np.zeros((d, 0, 1))]
-    for j in range(1, steps + 1):
+    rules = {}
+    for j in terminals:
         i, k = np.triu_indices(j)          # step k of the interval from t_i
         table, start = _stencil(j - i, k - i)
         first = i + start
         W = np.zeros((d, j, j + 4))        # spare columns: short stencils
         for s in range(4):
             np.add.at(W, (slice(None), i, first + s), step[table, k, :, s].T)
-        rules.append(W[..., :j + 1])
+        rules[j] = W[..., :j + 1]
     return rules
 
 

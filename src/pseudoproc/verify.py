@@ -382,7 +382,12 @@ def check_constant_drift_oracle(fx: FixtureSet) -> List[CheckResult]:
     prob_t = PerturbationProblem(fx.symbol(), fx.pgrad(), grid, bt)
     G_t = prob_t.solve_v(fx.monitor())
     err_t = rel_error_all(prob_t, G_t, prob_t.closed_form_G_rows())
-    # constant drift: rows depend on the gap j - i alone; first[n - 1] is row (0, n)
+    # constant drift: rows depend on the gap j - i alone; first[n - 1] is row
+    # (0, n).  b = 1 given as a time drift solves each pair, not each gap
+    b1 = DriftField(dim=fx.dim, kind="time", evaluator=lambda t: np.array(
+        [1.0] + [0.0] * (fx.dim - 1)))
+    G_rows = PerturbationProblem(fx.symbol(), fx.pgrad(), grid,
+                                 b1).solve_v(fx.monitor())
     first = np.stack([G_rows[n][0] for n in range(1, prob.M + 1)])
     peak = prob.row_max_norm(first)
     gap = max((prob.row_max_norm(G_rows[j] - first[j - 1::-1])

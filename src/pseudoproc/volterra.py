@@ -11,7 +11,9 @@ interpolate.  `kernel_rule` keeps its stencils inside [t_i, t_j], so per
 mode and terminal index j the system (I - K_j) G_j = g_j + c_j (c_j weighs
 the limit G(t_j, t_j) = 1) is upper triangular: `solve_v` back-substitutes
 the rows `pair_quad` gives, and the spectral radius is the largest
-diagonal modulus.  Rows travel as `KernelRows`, one stack per terminal
+diagonal modulus.  For b constant in time the identity is of convolution
+type: K_j is the last j rows of K_M, so only j = M is solved, and each G_j
+views G_M's tail.  Rows travel as `KernelRows`, one stack per terminal
 index j, the unit this system couples.  `ConvergenceError` (exit 4 of
 `pseudoproc perturb`) means that radius is at least one (the message names
 |m|max * dt), the residual reaches stop_tol, or the result is not finite.
@@ -139,10 +141,12 @@ class PerturbationProblem:
         self._mult = self.mult.reshape(grid.dim, -1)    # lattice flattened
         self.times = grid.times()
         self.M = grid.time_steps
+        # the j whose K_j is built: M alone, if b is constant in time
+        self._terminals = [self.M] if b.kind == "constant" else range(1, self.M + 1)
 
     @functools.cached_property
-    def _rule(self) -> list:
-        return kernel_rule(self.b.at_time, self.times)
+    def _rule(self) -> dict:
+        return kernel_rule(self.b.at_time, self.times, self._terminals)
 
     @functools.cached_property
     def _gap_decay(self) -> np.ndarray:
@@ -169,8 +173,11 @@ class PerturbationProblem:
 
         Shape (j + 1 - i, modes), m = (b, multiplier): per mode, the weights
         of f(t_i), ..., f(t_{j-1}) and of the limit f(t_j), each the rule's
-        weight for the smooth exp(a (t_j - tau)) f times g(t_l - t_i).
+        weight for the smooth exp(a (t_j - tau)) f times g(t_l - t_i).  For b
+        constant in time that is row M - (j - i) of K_M, the same numbers.
         """
+        if self.b.kind == "constant":
+            i, j = self.M - (j - i), self.M
         return (self._rule[j][:, i, i:].T @ self._mult) * self._gap_decay[:j + 1 - i]
 
     def row_max_norm(self, rows: np.ndarray) -> np.ndarray:
@@ -183,10 +190,10 @@ class PerturbationProblem:
     def solve_v(self, monitor: ConvergenceMonitor) -> KernelRows:
         """Solve the discrete kernel identity; returns the G rows.
 
-        K_j is upper triangular, so each terminal index j is solved by
-        back-substitution from i = j - 1 down to 0.  v = multiplier * G
-        follows from `v_rows`.  The monitor records the largest residual
-        (lattice sup norm) and spectral radius over j.
+        K_j is upper triangular, so each j of `_terminals` is solved by
+        back-substitution from i = j - 1 down to 0; for b constant in time
+        that is j = M alone, and G_j is the view G_M[M - j:].  The monitor
+        records the largest residual (lattice sup norm) and spectral radius.
         """
         if self.b.is_zero():
             # exact short-circuit: zero drift collapses the series to g
@@ -194,9 +201,8 @@ class PerturbationProblem:
             monitor.record(0.0, 0.0)
             return self.g_rows()
         start = _time.perf_counter()
-        rows = KernelRows([self._rows(np.empty((0, self.a.size), complex))])
-        radius = residual = 0.0
-        for j in range(1, self.M + 1):
+        solved, radius, residual = {}, 0.0, 0.0
+        for j in self._terminals:
             G = np.ones((j + 1, self.a.size), complex)  # G(t_l, t_j); limit 1
             defect = np.empty((j, self.a.size), complex)
             for i in range(j - 1, -1, -1):
@@ -206,7 +212,7 @@ class PerturbationProblem:
                 G[i] = (g + known) / (1.0 - K[0])
                 radius = max(radius, np.abs(K[0]).max())
                 defect[i] = (1.0 - K[0]) * G[i] - g - known
-            rows.append(self._rows(G[:j]))
+            solved[j] = G[:j]
             # np.maximum keeps a NaN, which fails the test below
             residual = np.maximum(residual,
                                   self.row_max_norm(self._rows(defect)).max())
@@ -221,7 +227,8 @@ class PerturbationProblem:
                 f"{m_dt:.3g}, residual {residual:.3e} (needs < "
                 f"{monitor.stop_tol:g}): the drift is too large for this time "
                 "step", monitor.iterate_norms, monitor.spectral_radius)
-        return rows
+        return KernelRows(self._rows(solved.get(j, solved[self.M][self.M - j:]))
+                          for j in range(self.M + 1))
 
     def iterate_terms(self, count: int) -> list:
         """First `count` series terms G_0 = g, G_{k+1} = Quad[g m G_k], each
@@ -238,16 +245,18 @@ class PerturbationProblem:
 
         rows are the scalar rows of f; limit is f(t_j, t_j).
         """
-        out = KernelRows()
-        for j in range(self.M + 1):
-            # samples at t_0, ..., t_{j-1}, then the limit
-            f = np.full((j + 1, self.a.size), limit, complex)
-            f[:j] = rows[j].reshape(j, self.a.size)
-            quad = np.empty((j, self.a.size), complex)
-            for i in range(j):
-                quad[i] = (self.pair_quad(i, j) * f[i:]).sum(axis=0)
-            out.append(self._rows(quad))
-        return out
+        # samples at t_0, ..., t_{j-1}, then the limit
+        f = [np.full((j + 1, self.a.size), limit, complex) for j in range(self.M + 1)]
+        out = [np.empty((j, self.a.size), complex) for j in range(self.M + 1)]
+        for j, stack in enumerate(rows):
+            f[j][:j] = stack.reshape(j, self.a.size)
+        shared = self.b.kind == "constant"   # row r of K_M serves gap M - r
+        for J in self._terminals:
+            for r in range(J):
+                K, gap = self.pair_quad(r, J), J - r
+                for j in range(gap, self.M + 1) if shared else [J]:
+                    out[j][j - gap] = (K * f[j][j - gap:]).sum(axis=0)
+        return KernelRows(self._rows(q) for q in out)
 
     def assemble_G_rows(self, G_rows: KernelRows) -> KernelRows:
         """G = g + Quad[g m G] for given G rows, m = (b, multiplier)."""

@@ -406,7 +406,8 @@ def test_config_file_overrides_the_command_defaults(tmp_path):
     assert (N, L) == (4096, 160.0)
 
 
-@pytest.mark.parametrize("steps, dt", [("1", "1"), ("16", "0.0625")])
+@pytest.mark.parametrize("steps, dt", [("1", "1"), ("16", "0.0625"),
+                                       ("16", "0.5"), ("16", "0.125")])
 def test_resolution_report_and_kernel_gate_agree(tmp_path, capsys, steps, dt):
     lattice = ["--points", "256", "--half-extent", "40", "--steps", steps,
                "--dt", dt]

@@ -193,7 +193,8 @@ def test_drift_within_contraction_range_solves(sym, pg, small_grid):
 def test_kernel_operator_has_no_entry_below_the_diagonal(small_grid):
     b = DriftField(dim=1, kind="time",
                    evaluator=lambda t: np.array([1.0 + np.sin(3.0 * t)]))
-    for j, W in enumerate(kernel_rule(b.at_time, small_grid.times())):
+    times = small_grid.times()
+    for j, W in kernel_rule(b.at_time, times, range(len(times))).items():
         assert W.shape == (1, j, j + 1)
         assert not np.any(np.tril(W[0], -1))
         assert np.all(np.diagonal(W[0]) > 0.0)
@@ -220,6 +221,55 @@ def test_constant_drift_rows_depend_on_the_gap_alone(sym, pg, steps):
     G = prob.solve_v(ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf))
     assert max(np.abs(row - G[j - i][0]).max()
                for (i, j), row in G.items()) <= 1e-13
+
+
+def _unit_drift_twins(sym, pg, grid):
+    """b = 1 as a constant drift (rows shared by gap) and as a time drift
+    (every pair solved on its own)."""
+    twin = DriftField(dim=1, kind="time", evaluator=lambda t: np.array([1.0]))
+    return (PerturbationProblem(sym, pg, grid, constant_drift([1.0])),
+            PerturbationProblem(sym, pg, grid, twin))
+
+
+@pytest.mark.parametrize("N, M, tol", [(256, 16, 0.0), (512, 32, 0.0),
+                                       (1024, 64, 0.0), (256, 10, 1e-14),
+                                       (256, 24, 1e-14)])
+def test_gap_path_equals_the_per_pair_path(sym, pg, N, M, tol):
+    # equal on dyadic partitions; elsewhere the times t_j differ at round-off
+    shared, per_pair = _unit_drift_twins(sym, pg, SpaceTimeGrid(1, 40.0, N, 1.0, M))
+    mon, mon_ref = (ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf)
+                    for _ in range(2))
+    G, G_ref = shared.solve_v(mon), per_pair.solve_v(mon_ref)
+    if tol == 0.0:
+        assert mon.spectral_radius == mon_ref.spectral_radius
+        assert mon.iterate_norms == mon_ref.iterate_norms
+    pairs = [(G, G_ref), (shared.assemble_G_rows(G), per_pair.assemble_G_rows(G_ref))]
+    pairs += zip(shared.iterate_terms(4), per_pair.iterate_terms(4))
+    for rows, ref in pairs:
+        assert len(rows) == len(ref) == M + 1
+        for r, f in zip(rows[1:], ref[1:]):
+            if tol == 0.0:
+                assert np.array_equal(r, f)
+            else:
+                assert np.abs(r - f).max() <= tol * np.abs(f).max()
+
+
+def test_constant_drift_solves_one_terminal_index(sym, pg, small_grid,
+                                                  monkeypatch):
+    calls = []
+    pair_quad = PerturbationProblem.pair_quad
+
+    def counted(self, i, j):
+        calls.append((i, j))
+        return pair_quad(self, i, j)
+
+    monkeypatch.setattr(PerturbationProblem, "pair_quad", counted)
+    M = small_grid.time_steps
+    for prob, most in zip(_unit_drift_twins(sym, pg, small_grid),
+                          (M, M * (M + 1) // 2)):
+        calls.clear()
+        prob.solve_v(ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf))
+        assert len(calls) == most
 
 
 def test_adjacent_pair_error_falls_under_refinement(sym, pg):
@@ -442,7 +492,8 @@ def _vector_quad_rows(prob, v_rows, limit):
     """The vector recursion the scalar operator replaced, kept as reference:
     Int_{t_i}^{t_j} g(tau - t_i) (b(tau), v(tau, t_j)) dtau for every pair,
     limit being v(t_j, t_j) of shape (d, modes)."""
-    rule, decay = kernel_rule(prob.b.at_time, prob.times), prob._gap_decay.T
+    rule = kernel_rule(prob.b.at_time, prob.times, range(1, prob.M + 1))
+    decay = prob._gap_decay.T
     mult = prob.mult.reshape(prob.grid.dim, -1)
     out = KernelRows()
     for j in range(prob.M + 1):
