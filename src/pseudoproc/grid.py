@@ -9,7 +9,9 @@ synthesis in this package goes through :func:`synthesize` /
     F(lam) = Int f(x) e^{-i(lam,x)} dx,
 
 discretized so that the discrete spectrum of a synthesized field equals
-the sampled transform exactly (no hidden scale factors).
+the sampled transform exactly (no hidden scale factors).  N is even, so
+fftshift and ifftshift are one swap of the halves of each lattice axis,
+done here by slicing.  No other module calls np.fft.
 """
 from __future__ import annotations
 
@@ -134,28 +136,48 @@ class SpaceTimeGrid:
 # transform helpers
 # ---------------------------------------------------------------------------
 
+_FFT, _IFFT = {1: np.fft.fft, 2: np.fft.fft2}, {1: np.fft.ifft, 2: np.fft.ifft2}
+
+
+def _lattice(grid: SpaceTimeGrid, a) -> np.ndarray:
+    """a as an array whose trailing grid.dim axes are the lattice."""
+    a = np.asarray(a)
+    if a.shape[-grid.dim:] != grid.shape():
+        raise GridError(f"an array of shape {a.shape} does not end in the "
+                        f"lattice shape {grid.shape()}")
+    return a
+
+
+def _half_swap(a: np.ndarray, dim: int) -> np.ndarray:
+    """Swap the halves of each trailing lattice axis: fftshift and ifftshift."""
+    h = a.shape[-1] // 2
+    a = np.concatenate((a[..., h:], a[..., :h]), axis=-1)
+    return a if dim == 1 else np.concatenate((a[..., h:, :], a[..., :h, :]), axis=-2)
+
+
 def synthesize(grid: SpaceTimeGrid, spectrum: np.ndarray,
                require_real: bool = True, tol: float = 1e-9) -> np.ndarray:
     """Centered field samples from FFT-ordered transform samples.
 
     Implements f(x_j) = (2 pi)^{-d} sum_k F(lam_k) e^{i(lam_k, x_j)} dlam^d,
     which reduces to ifftn up to the factor dx^{-d}.  Only the trailing
-    grid.dim axes are transformed, so a stack of spectra gives the stack of
-    fields, and with require_real every field passes the imaginary-residue
-    check on its own scale.
+    grid.dim axes, which must be the lattice, are transformed, so a stack
+    of spectra gives the stack of fields, and with require_real every field
+    passes the imaginary-residue check on its own scale.
     """
-    axes = tuple(range(-grid.dim, 0))
-    vals = np.fft.fftshift(np.fft.ifftn(spectrum, axes=axes), axes=axes)
+    vals = _IFFT[grid.dim](_lattice(grid, spectrum))
     vals /= grid.cell_volume
     if require_real:
+        # maxima over the lattice, which the half swap only permutes
+        axes = tuple(range(-grid.dim, 0))
         resid = np.abs(vals.imag).max(axis=axes)
         bad = resid > tol * np.maximum(np.abs(vals.real).max(axis=axes), 1.0)
         if bad.any():
             raise ImaginaryResidueError(
                 f"imaginary residue {resid[bad].max():.3e} above tolerance; "
                 "spectrum is not Hermitian")
-        return np.ascontiguousarray(vals.real)
-    return vals
+        vals = vals.real
+    return _half_swap(vals, grid.dim)
 
 
 def analyze(grid: SpaceTimeGrid, values: np.ndarray) -> np.ndarray:
@@ -163,17 +185,17 @@ def analyze(grid: SpaceTimeGrid, values: np.ndarray) -> np.ndarray:
 
     Like `synthesize`, it transforms only the trailing grid.dim axes.
     """
-    axes = tuple(range(-grid.dim, 0))
-    out = np.fft.fftn(np.fft.ifftshift(values, axes=axes), axes=axes)
+    out = _FFT[grid.dim](_half_swap(_lattice(grid, values), grid.dim))
     out *= grid.cell_volume
     return out
 
 
 def convolve(grid: SpaceTimeGrid, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Discrete (circular) convolution with cell-volume weight."""
-    out = np.fft.ifftn(np.fft.fftn(np.fft.ifftshift(f)) *
-                       np.fft.fftn(np.fft.ifftshift(g))) * grid.cell_volume
-    return np.fft.fftshift(out.real)
+    """Discrete (circular) convolution with cell-volume weight, taken like
+    `synthesize` over the trailing lattice axes."""
+    f, g = (_FFT[grid.dim](_half_swap(_lattice(grid, x), grid.dim)) for x in (f, g))
+    out = _IFFT[grid.dim](f * g) * grid.cell_volume
+    return _half_swap(out.real, grid.dim)
 
 
 def interior_mask(grid: SpaceTimeGrid, margin: float = 0.1) -> np.ndarray:

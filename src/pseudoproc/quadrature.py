@@ -121,20 +121,21 @@ def exponential_rules(tables: np.ndarray, z, steps: int):
     is sum_l W_n[l] f(t_{i+l}), l = 0 .. n, with tables from
     `exponential_tables(z, dt)`.  One more step changes the stencils of few
     steps (from three steps on, only the old last one's), so each W_n
-    updates the one before.
+    updates the one before, looking at its last three steps alone.
     """
     n, r = np.tril_indices(steps + 1, -1)
     table, start = _stencil(n, r)
+    decay = np.exp(-z * np.arange(steps).reshape((-1,) + (1,) * np.ndim(z)))
     W = np.zeros((steps + 4,) + tables.shape[2:], tables.dtype)
     placed = {}                        # step -> its (table, start) in W
     for m in range(steps + 1):
         lo = m * (m - 1) // 2          # the steps of [t_i, t_{i+m}] in n, r
-        for step, now in enumerate(zip(table[lo:lo + m], start[lo:lo + m])):
+        for step in range(max(0, m - 3), m):
+            now = table[lo + step], start[lo + step]
             if placed.get(step) != now:
-                decay = np.exp(-z * step)
                 if step in placed:     # the step changed its stencil
                     t, s0 = placed[step]
-                    W[s0:s0 + 4] -= decay * tables[t]
+                    W[s0:s0 + 4] -= decay[step] * tables[t]
                 t, s0 = placed[step] = now
-                W[s0:s0 + 4] += decay * tables[t]
+                W[s0:s0 + 4] += decay[step] * tables[t]
         yield W[:m + 1].copy()

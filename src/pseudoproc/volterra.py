@@ -182,9 +182,9 @@ class PerturbationProblem:
 
     def row_max_norm(self, rows: np.ndarray) -> np.ndarray:
         """Lattice sup of each synthesized scalar or vector row of a stack."""
-        comps = np.fft.ifftn(rows, axes=tuple(range(-self.grid.dim, 0)))
+        comps = synthesize(self.grid, rows, require_real=False)
         comps = comps.reshape((len(rows), -1, self.a.size))
-        return np.sqrt((np.abs(comps / self.grid.cell_volume) ** 2).sum(1)).max(1)
+        return np.sqrt((np.abs(comps) ** 2).sum(1)).max(1)
 
     # -- solve ---------------------------------------------------------------
     def solve_v(self, monitor: ConvergenceMonitor) -> KernelRows:
@@ -243,20 +243,26 @@ class PerturbationProblem:
     def _quad_rows(self, rows: KernelRows, limit: float) -> KernelRows:
         """Int_{t_i}^{t_j} g(tau - t_i) m(tau) f(tau, t_j) dtau, every pair.
 
-        rows are the scalar rows of f; limit is f(t_j, t_j).
+        rows are the scalar rows of f; limit is f(t_j, t_j).  For b constant
+        in time row r of K_M serves gap M - r, and if each rows[j] is the
+        tail of rows[M] (rows of one gap equal), so is each out[j] of out[M].
         """
+        M, shared = self.M, self.b.kind == "constant"
+        by_gap = shared and all(np.array_equal(rows[j], rows[M][M - j:])
+                                for j in range(M))
+        ends = [M] if by_gap else range(M + 1)
         # samples at t_0, ..., t_{j-1}, then the limit
-        f = [np.full((j + 1, self.a.size), limit, complex) for j in range(self.M + 1)]
-        out = [np.empty((j, self.a.size), complex) for j in range(self.M + 1)]
-        for j, stack in enumerate(rows):
-            f[j][:j] = stack.reshape(j, self.a.size)
-        shared = self.b.kind == "constant"   # row r of K_M serves gap M - r
+        f = {j: np.full((j + 1, self.a.size), limit, complex) for j in ends}
+        out = {j: np.empty((j, self.a.size), complex) for j in ends}
+        for j in ends:
+            f[j][:j] = rows[j].reshape(j, self.a.size)
         for J in self._terminals:
             for r in range(J):
                 K, gap = self.pair_quad(r, J), J - r
-                for j in range(gap, self.M + 1) if shared else [J]:
+                for j in range(gap, M + 1) if shared and not by_gap else [J]:
                     out[j][j - gap] = (K * f[j][j - gap:]).sum(axis=0)
-        return KernelRows(self._rows(q) for q in out)
+        return KernelRows(self._rows(out[M][M - j:] if by_gap else out[j])
+                          for j in range(M + 1))
 
     def assemble_G_rows(self, G_rows: KernelRows) -> KernelRows:
         """G = g + Quad[g m G] for given G rows, m = (b, multiplier)."""

@@ -399,6 +399,40 @@ def test_exponential_rules_integrate_cubics_exactly(z):
         assert abs(approx - exact) <= 1e-13 * max(1.0, abs(exact))
 
 
+def _rules_scanning_every_step(tables, z, steps):
+    """exponential_rules as it was, scanning all m steps per yield, kept as
+    reference."""
+    from pseudoproc.quadrature import _stencil
+    n, r = np.tril_indices(steps + 1, -1)
+    table, start = _stencil(n, r)
+    W = np.zeros((steps + 4,) + tables.shape[2:], tables.dtype)
+    placed = {}
+    for m in range(steps + 1):
+        lo = m * (m - 1) // 2
+        for step, now in enumerate(zip(table[lo:lo + m], start[lo:lo + m])):
+            if placed.get(step) != now:
+                decay = np.exp(-z * step)
+                if step in placed:
+                    t, s0 = placed[step]
+                    W[s0:s0 + 4] -= decay * tables[t]
+                t, s0 = placed[step] = now
+                W[s0:s0 + 4] += decay * tables[t]
+        yield W[:m + 1].copy()
+
+
+@pytest.mark.parametrize("imag", [0.0, 0.7])
+def test_exponential_rules_equal_the_scan_of_every_step(imag):
+    from pseudoproc.quadrature import exponential_tables, exponential_rules
+    z = np.linspace(0.0, 30.0, 17) ** 1.5 * 0.05 + 1j * imag * np.arange(17)
+    z = z.real if imag == 0.0 else z
+    tables = exponential_tables(z, 0.03)
+    for steps in range(1, 41):
+        got = list(exponential_rules(tables, z, steps))
+        ref = list(_rules_scanning_every_step(tables, z, steps))
+        assert len(got) == len(ref) == steps + 1
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+
 def test_stability_table_matches_per_pair_transforms(sym, pg, small_grid):
     from pseudoproc import generalized_solution_stability
     bt = DriftField(dim=1, kind="time", evaluator=lambda t: np.array(

@@ -97,6 +97,95 @@ def test_convolution_matches_direct_sum():
     assert np.allclose(conv, direct, atol=1e-12)
 
 
+def _reference_synthesize(grid, spectrum, require_real=True, tol=1e-9):
+    """synthesize in the numpy reference form: ifftn and fftshift."""
+    axes = tuple(range(-grid.dim, 0))
+    vals = np.fft.fftshift(np.fft.ifftn(spectrum, axes=axes), axes=axes)
+    vals /= grid.cell_volume
+    if require_real:
+        resid = np.abs(vals.imag).max(axis=axes)
+        if (resid > tol * np.maximum(np.abs(vals.real).max(axis=axes), 1.0)).any():
+            raise GridError("spectrum is not Hermitian")
+        return np.ascontiguousarray(vals.real)
+    return vals
+
+
+def _reference_analyze(grid, values):
+    """analyze in the numpy reference form: ifftshift and fftn."""
+    axes = tuple(range(-grid.dim, 0))
+    out = np.fft.fftn(np.fft.ifftshift(values, axes=axes), axes=axes)
+    out *= grid.cell_volume
+    return out
+
+
+def _reference_convolve(grid, f, g):
+    """convolve in the numpy reference form, over the lattice axes."""
+    axes = tuple(range(-grid.dim, 0))
+    out = np.fft.ifftn(np.fft.fftn(np.fft.ifftshift(f, axes=axes), axes=axes) *
+                       np.fft.fftn(np.fft.ifftshift(g, axes=axes), axes=axes),
+                       axes=axes) * grid.cell_volume
+    return np.fft.fftshift(out.real, axes=axes)
+
+
+@pytest.mark.parametrize("lead", [(), (3, 2)])
+@pytest.mark.parametrize("dim, points", [(1, 64), (2, 16)])
+def test_transforms_equal_the_numpy_reference_bit_for_bit(dim, points, lead):
+    grid = SpaceTimeGrid(dim, 5.0, points, 1.0, 4)
+    rng = np.random.default_rng(21)
+    fields = rng.normal(size=lead + grid.shape())
+    other = rng.normal(size=lead + grid.shape())
+    noise = fields + 1j * other
+    spectra = analyze(grid, fields)
+    assert np.array_equal(spectra, _reference_analyze(grid, fields))
+    assert np.array_equal(analyze(grid, noise), _reference_analyze(grid, noise))
+    assert np.array_equal(synthesize(grid, spectra),
+                          _reference_synthesize(grid, spectra))
+    assert np.array_equal(synthesize(grid, noise, require_real=False),
+                          _reference_synthesize(grid, noise, require_real=False))
+    assert np.array_equal(convolve(grid, fields, other),
+                          _reference_convolve(grid, fields, other))
+
+
+@pytest.mark.parametrize("dim, points, steps", [(1, 128, 8), (2, 16, 4)])
+def test_march_equals_the_march_on_reference_transforms(dim, points, steps,
+                                                        monkeypatch):
+    import pseudoproc.evolution as evolution
+    from pseudoproc import (DriftField, PseudoGradientSpec, TerminalValueProblem,
+                            compact_bump, isotropic_symbol)
+    bump = lambda t, *xs: (1.0 + 0.5 * np.cos(np.pi * t)) * np.exp(
+        -sum(x * x for x in xs) / 8)
+    b = DriftField(dim=dim, kind="space_time", evaluator=lambda t, *xs: np.stack(
+        [(0.7 - 1.1 * c) * bump(t, *xs) for c in range(dim)]))
+
+    def march():
+        return TerminalValueProblem(
+            isotropic_symbol(1.5, 1.0, dim), PseudoGradientSpec(beta=0.5, dim=dim),
+            SpaceTimeGrid(dim, 10.0, points, 1.0, steps), b,
+            compact_bump(4.0, dim=dim)).solve()
+
+    u = march()
+    monkeypatch.setattr(evolution, "synthesize", _reference_synthesize)
+    monkeypatch.setattr(evolution, "analyze", _reference_analyze)
+    ref = march()
+    assert sorted(u) == sorted(ref) == list(range(steps))
+    assert all(np.array_equal(u[i], ref[i]) for i in ref)
+
+
+@pytest.mark.parametrize("dim, points, wrong", [(1, 64, 63), (1, 64, 128),
+                                               (2, 16, 15), (2, 16, 32)])
+def test_transforms_reject_arrays_off_the_lattice(dim, points, wrong):
+    # an odd length or another N: the half swap needs the lattice's even N
+    grid = SpaceTimeGrid(dim, 5.0, points, 1.0, 4)
+    bad = np.ones((3,) + (wrong,) * dim)
+    for transform in (synthesize, analyze):
+        with pytest.raises(GridError) as err:
+            transform(grid, bad)
+        assert str(bad.shape) in str(err.value)
+        assert str(grid.shape()) in str(err.value)
+    with pytest.raises(GridError):
+        convolve(grid, bad, bad)
+
+
 def test_interior_mask(default_grid):
     m = interior_mask(default_grid, margin=0.1)
     x = default_grid.axis()

@@ -64,6 +64,40 @@ def test_module_level_imports_are_used(path):
     assert not unused, f"{path.name}: unused imports {unused}"
 
 
+def _fft_uses(tree):
+    """Lines that reach numpy.fft: np.fft / numpy.fft attributes and imports."""
+    lines = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "fft"
+                and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy")):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Import):
+            lines += [node.lineno for a in node.names
+                      if a.name.startswith("numpy.fft")]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if node.module.startswith("numpy.fft") or (
+                    node.module == "numpy"
+                    and any(a.name == "fft" for a in node.names)):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_the_fft_scan_reports_every_form():
+    tree = ast.parse("import numpy as np\nimport numpy.fft\n"
+                     "from numpy import fft\nfrom numpy.fft import ifft\n"
+                     "x = np.fft.fft(np.ones(4))\ny = np.abs(x)\n")
+    assert _fft_uses(tree) == [2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "grid.py"],
+                         ids=lambda p: p.name)
+def test_only_the_grid_module_calls_numpy_fft(path):
+    # every transform goes through grid, where the tracer counts it
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert not _fft_uses(tree), f"{path.name}: numpy.fft at lines {_fft_uses(tree)}"
+
+
 def _unreached(trees, mentioned):
     """Names of the functions, methods and classes of `trees` that no Name
     or Attribute load outside their own body reads and `mentioned` does not

@@ -254,6 +254,18 @@ def test_gap_path_equals_the_per_pair_path(sym, pg, N, M, tol):
                 assert np.abs(r - f).max() <= tol * np.abs(f).max()
 
 
+def test_quad_rows_shares_rows_only_when_they_depend_on_the_gap(sym, pg):
+    shared, per_pair = _unit_drift_twins(sym, pg, SpaceTimeGrid(1, 40.0, 256, 1.0, 16))
+    G = shared.solve_v(ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf))
+    out = shared._quad_rows(G, 1.0)
+    assert all(np.shares_memory(out[j], out[16]) for j in range(1, 17))
+    # rows that differ within a gap: every pair keeps its own input
+    rng = np.random.default_rng(5)
+    rows = KernelRows(rng.normal(size=(j, 256)) + 0j for j in range(17))
+    for r, f in zip(shared._quad_rows(rows, 1.0), per_pair._quad_rows(rows, 1.0)):
+        assert np.array_equal(r, f)
+
+
 def test_constant_drift_solves_one_terminal_index(sym, pg, small_grid,
                                                   monkeypatch):
     calls = []
