@@ -8,7 +8,9 @@ only; function-type fields (meanings "u", "w") use the same layout with the
 lattice coordinate read as x.
 
 Fields are containers filled once at synthesis time and treated as immutable
-afterwards; slices may be handed across threads freely.
+afterwards; slices may be handed across threads freely.  Slices may share
+memory: a field synthesized from rows that depend on the gap alone holds
+views of one stack.
 
 Snapshot layout (one time slice per file, little-endian):
 
@@ -24,13 +26,17 @@ and the whole field as one long-format CSV, ``<stem>.csv``, with columns
 ``i,j,i0[,i1],value``: one row per pair and lattice offset, the pairs in
 sorted order and the offsets in C order.  Every value is written as its
 repr, so it parses back to the snapshot's float exactly.  The CSV is
-formatted in bulk, one block of text and one write per pair.
+formatted in bulk, one write per pair, and the value text of each distinct
+slice is formatted once: pairs whose slices hold the same bytes (for drift
+constant in time, every pair of one gap) reuse it, and only their ``i,j,``
+lead is written afresh.
 """
 from __future__ import annotations
 
 import math
 import os
 import struct
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from operator import add
@@ -211,13 +217,26 @@ def write_csv(path, grid: SpaceTimeGrid, values):
     names = ["i", "j"] if keyed else []
     names += [f"i{k}" for k in range(grid.dim)]
     names += [f"value{k}" for k in range(shape[0])] if vector else ["value"]
+    slices = [np.asarray(vals, dtype=float) for _, vals in blocks]
+    # a slice's text is kept while a later slice may hold the same bytes
+    later = Counter(hash(s.tobytes()) for s in slices)
+    texts = {}
     with open(path, "w", newline="") as fh:
         fh.write(",".join(names) + "\n")
-        for key, vals in blocks:
-            comps = np.asarray(vals, dtype=float)
-            comps = comps if vector else comps[None, ...]
-            fh.write(format_rows("".join(f"{k}," for k in key), prefixes,
-                                 comps.reshape(len(comps), -1).tolist()))
+        for (key, _), vals in zip(blocks, slices):
+            data = vals.tobytes()
+            text = texts.pop(data, None)
+            if text is None:
+                comps = vals if vector else vals[None, ...]
+                text = format_rows("", prefixes,
+                                   comps.reshape(len(comps), -1).tolist())
+            later[hash(data)] -= 1
+            if later[hash(data)]:
+                texts[data] = text
+            head = "".join(f"{k}," for k in key)
+            # the lead on every row: each newline but the last gains it
+            fh.write(head + text.replace("\n", "\n" + head,
+                                         len(prefixes) - 1))
 
 
 def snapshot_field(field_obj, directory, stem: str):

@@ -812,7 +812,8 @@ def run_suite(fixtures: Optional[FixtureSet] = None,
     """Execute the registered checks whose name contains `selection`.
 
     An empty selection string selects nothing and reports success; None
-    selects everything.
+    selects everything.  An error raised inside a check propagates with its
+    class kept and the check's name leading its message.
     """
     fixtures = fixtures or FixtureSet()
     if selection is None:
@@ -822,7 +823,13 @@ def run_suite(fixtures: Optional[FixtureSet] = None,
     results: List[CheckResult] = []
     for name in names:
         start = time.perf_counter()
-        rows = REGISTRY[name].runner(fixtures)
+        try:
+            rows = REGISTRY[name].runner(fixtures)
+        except Exception as err:
+            if err.args and isinstance(err.args[0], str) \
+                    and not err.args[0].startswith(name):
+                err.args = (f"{name}: {err.args[0]}",) + err.args[1:]
+            raise
         wall = time.perf_counter() - start
         for r in rows:
             r.wall_seconds = wall

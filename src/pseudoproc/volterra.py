@@ -164,8 +164,20 @@ class PerturbationProblem:
                           for j in range(self.M + 1))
 
     def v_rows(self, G_rows: KernelRows) -> KernelRows:
-        """The vector kernel v = multiplier * G, row by row (output only)."""
+        """The vector kernel v = multiplier * G, row by row (output only);
+        rows that depend on the gap alone are multiplied once, as G_rows[M]."""
+        if self._gap_only(G_rows):
+            top = self.mult * G_rows[self.M][:, None]
+            return KernelRows(top[self.M - j:] for j in range(self.M + 1))
         return KernelRows(self.mult * G[:, None] for G in G_rows)
+
+    def _gap_only(self, rows: KernelRows) -> bool:
+        """Whether the rows depend on the gap j - i alone: b is constant in
+        time and each rows[j] equals the tail rows[M][M - j:] exactly.  Row
+        (i, j) is then row M - (j - i) of rows[M]."""
+        M = self.M
+        return self.b.kind == "constant" and all(
+            np.array_equal(rows[j], rows[M][M - j:]) for j in range(M))
 
     # -- the discrete operator -----------------------------------------------
     def pair_quad(self, i: int, j: int) -> np.ndarray:
@@ -248,8 +260,7 @@ class PerturbationProblem:
         tail of rows[M] (rows of one gap equal), so is each out[j] of out[M].
         """
         M, shared = self.M, self.b.kind == "constant"
-        by_gap = shared and all(np.array_equal(rows[j], rows[M][M - j:])
-                                for j in range(M))
+        by_gap = self._gap_only(rows)
         ends = [M] if by_gap else range(M + 1)
         # samples at t_0, ..., t_{j-1}, then the limit
         f = {j: np.full((j + 1, self.a.size), limit, complex) for j in ends}
@@ -285,9 +296,15 @@ class PerturbationProblem:
 
     # -- conversions ---------------------------------------------------------
     def _fill(self, out, rows: KernelRows):
-        """Set every row's synthesized slice, one `synthesize` per terminal index."""
-        for j in range(1, self.M + 1):
-            for i, values in enumerate(synthesize(self.grid, rows[j])):
+        """Set every row's synthesized slice, one `synthesize` per terminal
+        index; rows that depend on the gap alone are synthesized once, as
+        rows[M], and pair (i, j) holds the view of its slice M - (j - i)."""
+        M = self.M
+        top = synthesize(self.grid, rows[M]) if self._gap_only(rows) else None
+        for j in range(1, M + 1):
+            stack = top[M - j:] if top is not None \
+                else synthesize(self.grid, rows[j])
+            for i, values in enumerate(stack):
                 out.set_slice((i, j), values)
         return out
 

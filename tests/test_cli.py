@@ -332,6 +332,19 @@ def test_verify_single_check_and_outputs(tmp_path):
         .endswith("suite.passed = true")
 
 
+@pytest.mark.parametrize("check, message", [
+    ("drift-stability",
+     "symbol, pseudo-gradient, drift and grid dimensions differ"),
+    ("cauchy-residual", "component dimensions differ"),
+])
+def test_an_error_inside_a_verify_check_names_the_check(tmp_path, capsys,
+                                                         check, message):
+    code = main(["verify", "--d", "2", "--points", "32", "--only", check,
+                 "--outdir", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {check}: {message}\n"
+
+
 def test_verify_empty_selection(tmp_path):
     assert main(["verify", "--only", "", "--outdir", str(tmp_path)]) == EXIT_OK
 

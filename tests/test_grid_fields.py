@@ -9,6 +9,7 @@ from pseudoproc import (SpaceTimeGrid, GridError, ScalarKernelField,
                         VectorKernelField, FieldError, synthesize, analyze,
                         convolve, interior_mask, write_snapshot, read_snapshot,
                         write_csv)
+from pseudoproc.fields import csv_prefixes, format_rows
 
 
 def test_lattice_is_conjugate(default_grid):
@@ -285,6 +286,58 @@ def test_csv_matches_cell_by_cell_reference(tmp_path):
         cells = [str(int(k) - 4) for k in idx]
         rows.append(",".join(cells + [repr(float(c[idx])) for c in vals]))
     assert path.read_text() == "\n".join(rows) + "\n"
+
+
+def _reference_long_csv(grid, values):
+    """write_csv's text for a mapping as it was formatted before equal
+    slices shared their text: every pair's block formatted on its own."""
+    blocks = sorted(values.items())
+    shape = np.shape(blocks[0][1])
+    vector = len(shape) == grid.dim + 1
+    offsets = np.indices(grid.shape()).reshape(grid.dim, -1) \
+        - grid.points_per_dim // 2
+    prefixes = csv_prefixes(offsets.tolist())
+    names = ["i", "j"] + [f"i{k}" for k in range(grid.dim)]
+    names += [f"value{k}" for k in range(shape[0])] if vector else ["value"]
+    text = ",".join(names) + "\n"
+    for key, vals in blocks:
+        comps = np.asarray(vals, dtype=float)
+        comps = comps if vector else comps[None, ...]
+        text += format_rows("".join(f"{k}," for k in key), prefixes,
+                            comps.reshape(len(comps), -1).tolist())
+    return text
+
+
+def _long_csv_cases():
+    rng = np.random.default_rng(11)
+    g1, g2 = SpaceTimeGrid(1, 10.0, 8, 1.0, 4), SpaceTimeGrid(2, 10.0, 4, 1.0, 3)
+    pairs1 = [(i, j) for j in range(1, 5) for i in range(j)]
+    pairs2 = [(i, j) for j in range(1, 4) for i in range(j)]
+    by_gap = rng.standard_normal((5, 8))
+    signed = np.zeros((2, 8))
+    signed[1, 3] = -0.0
+    nan = by_gap[1].copy()
+    nan[[2, 5]] = np.nan
+    vec = rng.standard_normal((4, 2, 4, 4)) * 1e-7
+    return {
+        # copies, so equal slices share bytes, not memory
+        "repeated": (g1, {(i, j): by_gap[j - i].copy() for i, j in pairs1}),
+        "distinct": (g1, {p: rng.standard_normal(8) for p in pairs1}),
+        "signed-zero": (g1, {p: signed[n % 2].copy()
+                             for n, p in enumerate(pairs1)}),
+        "nan": (g1, {(i, j): (nan if j - i == 1 else by_gap[j - i]).copy()
+                     for i, j in pairs1}),
+        "vector-2d": (g2, {(i, j): vec[j - i].copy() for i, j in pairs2}),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_long_csv_cases()))
+def test_long_csv_equals_the_per_pair_formatting(tmp_path, case):
+    grid, values = _long_csv_cases()[case]
+    path = tmp_path / "f.csv"
+    write_csv(path, grid, values)
+    with open(path, newline="") as fh:
+        assert fh.read() == _reference_long_csv(grid, values)
 
 
 def test_mass_uses_cell_volume(default_grid):

@@ -266,6 +266,44 @@ def test_quad_rows_shares_rows_only_when_they_depend_on_the_gap(sym, pg):
         assert np.array_equal(r, f)
 
 
+def _pairs_sharing_memory(rows):
+    """Every two time pairs whose slices or rows share memory."""
+    items = list(rows.items())
+    return [(p, q) for n, (p, a) in enumerate(items)
+            for q, b in items[n + 1:] if np.shares_memory(a, b)]
+
+
+def test_gap_only_rows_are_synthesized_and_multiplied_once(sym, pg,
+                                                           small_grid):
+    prob = _unit_drift_twins(sym, pg, small_grid)[0]
+    M = prob.M
+    G = prob.solve_v(ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf))
+    field, v = prob.rows_to_scalar_field(G, "G"), prob.v_rows(G)
+    for (i, j), row in G.items():
+        # pair (i, j) holds row M - (j - i) of one stack
+        gap_row = M - (j - i)
+        assert np.shares_memory(field.slice((i, j)), field.slice((gap_row, M)))
+        assert np.array_equal(field.slice((i, j)), synthesize(prob.grid, row))
+        assert np.shares_memory(v[j][i], v[M][gap_row])
+        assert np.array_equal(v[j][i], prob.mult * row)
+
+
+def test_rows_of_distinct_pairs_keep_their_own_slices(sym, pg, small_grid):
+    shared, twin = _unit_drift_twins(sym, pg, small_grid)
+    mon = ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf)
+    # the time twin solves every pair on its own; the exact rows of one gap
+    # differ at round-off
+    for prob, G in ((twin, twin.solve_v(mon)),
+                    (shared, shared.closed_form_G_rows())):
+        field, v = prob.rows_to_scalar_field(G, "G"), prob.v_rows(G)
+        assert _pairs_sharing_memory(field.values) == []
+        assert _pairs_sharing_memory(v) == []
+        for (i, j), row in G.items():
+            assert np.array_equal(field.slice((i, j)),
+                                  synthesize(prob.grid, row))
+            assert np.array_equal(v[j][i], prob.mult * row)
+
+
 def test_constant_drift_solves_one_terminal_index(sym, pg, small_grid,
                                                   monkeypatch):
     calls = []
