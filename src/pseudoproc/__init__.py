@@ -12,8 +12,8 @@ from .grid import (SpaceTimeGrid, GridError, ImaginaryResidueError, synthesize,
 from .symbols import (SymbolSpec, PseudoGradientSpec, SymbolError,
                       isotropic_symbol, pseudo_gradient_normalizer,
                       pseudo_gradient_normalizer_neg_gamma, gamma_extended)
-from .fields import (ScalarKernelField, VectorKernelField, FieldError,
-                     write_snapshot, read_snapshot, write_csv, snapshot_field)
+from .fields import (KernelField, FieldError, write_snapshot, read_snapshot,
+                     write_csv, snapshot_field)
 from .spectral import (synthesize_g0, g0_values, base_kernel_field,
                        constant_drift_kernel, constant_drift_values,
                        apply_pseudo_gradient, pseudo_gradient_g0,

@@ -240,7 +240,7 @@ def cmd_perturb(args) -> int:
         _write_convergence_log(os.path.join(cfg.outdir, "convergence.csv"),
                                monitor)
         return EXIT_NONCONVERGENCE
-    G = prob.rows_to_scalar_field(G_rows, "G")
+    G = prob.rows_to_scalar_field(G_rows)
     paths = snapshot_field(G, cfg.outdir, "G")
     _write_convergence_log(os.path.join(cfg.outdir, "convergence.csv"), monitor)
     phi = cfg.phi_function()
@@ -320,7 +320,7 @@ def cmd_emit(args) -> int:
         monitor = ConvergenceMonitor.for_problem(cfg.alpha, cfg.beta, cfg.dim,
                                                  cfg.p_exponent,
                                                  stop_tol=cfg.stop_tol)
-        G = prob.rows_to_scalar_field(prob.solve_v(monitor), "G")
+        G = prob.rows_to_scalar_field(prob.solve_v(monitor))
         from .evolution import check_identity_limit
         table = check_identity_limit(G, cfg.phi_function())
         path = os.path.join(cfg.outdir, "identity_decay.csv")

@@ -43,7 +43,7 @@ import numpy as np
 
 from .grid import SpaceTimeGrid, GridError, synthesize, analyze
 from .symbols import SymbolSpec, PseudoGradientSpec
-from .fields import ScalarKernelField, VectorKernelField
+from .fields import KernelField
 from .drift import DriftField
 from .quadrature import gauss_panels, exponential_tables, exponential_rules
 from .volterra import ConvergenceMonitor, ConvergenceError, PerturbationProblem
@@ -113,11 +113,11 @@ def steep_step(scale: float, dim: int = 1) -> TestFunction:
 class EvolutionOperator:
     """One (s, t) member of the family, backed by a stored kernel slice."""
 
-    kernel: ScalarKernelField
+    kernel: KernelField
     pair: tuple
 
     def __post_init__(self):
-        if self.pair not in self.kernel.values:
+        if not self.kernel.holds(self.pair):
             raise GridError(f"kernel has no slice for the time pair {self.pair}")
 
     def apply(self, phi: TestFunction) -> np.ndarray:
@@ -129,11 +129,11 @@ class EvolutionOperator:
                           require_real=True, tol=1e-6)
 
 
-def apply_operator(kernel: ScalarKernelField, pair, phi: TestFunction) -> np.ndarray:
+def apply_operator(kernel: KernelField, pair, phi: TestFunction) -> np.ndarray:
     return EvolutionOperator(kernel, pair).apply(phi)
 
 
-def operator_bound_constant(kernel: ScalarKernelField) -> float:
+def operator_bound_constant(kernel: KernelField) -> float:
     """Fitted norm bound: max over pairs of the kernel's lattice L1 mass."""
     return max(float(np.abs(kernel.slice(k)).sum() * kernel.grid.cell_volume)
                for k in kernel.pairs())
@@ -339,7 +339,7 @@ class TerminalValueProblem:
 # property checks
 # ---------------------------------------------------------------------------
 
-def check_evolution_property(G: ScalarKernelField, s: int, u: int, t: int,
+def check_evolution_property(G: KernelField, s: int, u: int, t: int,
                              phi: TestFunction) -> float:
     """Sup norm of T_su(T_ut phi) - T_st phi on the stored kernel."""
     if not s < u < t:
@@ -369,23 +369,20 @@ class DecayTable:
                                 np.log(self.errors[good]), 1)[0])
 
 
-def check_identity_limit(G: ScalarKernelField, phi: TestFunction) -> DecayTable:
+def check_identity_limit(G: KernelField, phi: TestFunction) -> DecayTable:
     """Table of sup |T_st phi - phi| over shrinking gaps (s -> t fixed),
     the sup taken over the lattice points off the outer 20% of the box."""
     from .grid import interior_mask
     grid = G.grid
-    t_idx = max(j for (_, j) in G.pairs())
+    j = len(G.stacks) - 1
     samples = phi.sample(grid)
     probe_mask = interior_mask(grid, margin=0.2)
     gaps, errs = [], []
-    for (i, j) in sorted(G.pairs(), key=lambda p: p[1] - p[0]):
-        if j != t_idx:
-            continue
+    for i in reversed(range(len(G.stacks[j]))):     # increasing gap
         u = apply_operator(G, (i, j), phi)
         gaps.append(G.gap((i, j)))
         errs.append(float(np.abs(u - samples)[probe_mask].max()))
-    order = np.argsort(gaps)
-    return DecayTable(np.asarray(gaps)[order], np.asarray(errs)[order])
+    return DecayTable(np.asarray(gaps), np.asarray(errs))
 
 
 def identity_limit_floor(alpha: float, beta: float, dim: int, p: float) -> float:
@@ -477,7 +474,7 @@ class LipschitzReport:
         return abs(self.fitted_exponent - self.predicted_exponent) <= 0.15
 
 
-def check_w_lipschitz(v: VectorKernelField, phi: TestFunction,
+def check_w_lipschitz(v: KernelField, phi: TestFunction,
                       alpha: float, beta: float) -> LipschitzReport:
     """Fit the time-gap exponent of the Lipschitz quotient of w(s, ., t, phi).
 
@@ -491,23 +488,19 @@ def check_w_lipschitz(v: VectorKernelField, phi: TestFunction,
     from .grid import interior_mask, convolve
     samples = phi.sample(grid)
     mask = interior_mask(grid, margin=0.2)
-    t_idx = max(j for (_, j) in v.pairs())
+    j = len(v.stacks) - 1
     gaps, quotients = [], []
-    for (i, j) in sorted(v.pairs(), key=lambda p: p[1] - p[0]):
-        if j != t_idx:
-            continue
+    for i in reversed(range(len(v.stacks[j]))):     # increasing gap
         w = convolve(grid, v.slice((i, j))[0], samples)
         q = np.abs(np.diff(w)) / grid.dx
         gaps.append(v.gap((i, j)))
         quotients.append(float(q[mask[:-1]].max()))
-    order = np.argsort(gaps)
-    gaps = np.asarray(gaps)[order]
-    quotients = np.asarray(quotients)[order]
+    gaps, quotients = np.asarray(gaps), np.asarray(quotients)
     fit = float(np.polyfit(np.log(gaps), np.log(quotients), 1)[0])
     return LipschitzReport(gaps, quotients, fit, -(beta + 1.0) / alpha)
 
 
-def terminal_average_of_ones(v: VectorKernelField) -> float:
+def terminal_average_of_ones(v: KernelField) -> float:
     """Sup over pairs of |sum_y v(.,y) dx^d|; vanishes for the series solution."""
     worst = 0.0
     for k in v.pairs():

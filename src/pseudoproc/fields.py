@@ -1,31 +1,35 @@
 """Sampled kernel fields and their snapshot / CSV serialization.
 
-A scalar field stores real values over the centered offset lattice, one
-array per ordered time pair (i, j), i < j, of the grid partition.  Vector
-fields stack dim component arrays.  Translation invariance of the constant
-symbol scope means kernel-type fields are functions of the offset x - y
-only; function-type fields (meanings "u", "w") use the same layout with the
-lattice coordinate read as x.
+A field stores real values over the centered offset lattice for ordered
+time pairs (i, j), i < j, of the grid partition, held by terminal index:
+``stacks[j]`` holds the slices (i, j) for i < len(stacks[j]).  Translation
+invariance of the constant symbol scope means the fields are functions of
+the offset x - y only.  The meanings are "g0" (the base kernel at one gap),
+"g" (the base kernel on every pair) and "G" (the drift-perturbed kernel),
+whose slices have the lattice shape, and the vector "v" = grad_beta G,
+whose slices stack dim components, shape (dim,) + lattice; "v" stays in
+memory and is never written.
 
-Fields are containers filled once at synthesis time and treated as immutable
-afterwards; slices may be handed across threads freely.  Slices may share
-memory: a field synthesized from rows that depend on the gap alone holds
-views of one stack.
+Fields are built whole and treated as immutable afterwards; slices may be
+handed across threads freely.  Slices may share memory: a field
+synthesized from rows that depend on the gap alone holds views of one
+stack.
 
 Snapshot layout (one time slice per file, little-endian):
 
     int32 dim | int32 N | float64 L | float64 dt | 8 bytes meaning tag
-    payload: row-major float64 values (dim * N^dim reals for vector fields)
+    payload: row-major float64 values (N^dim reals)
 
-The reader checks the header (dim 1 or 2, N even and at least 4, L and dt
-finite and positive, a known meaning) and the file size it implies before
-it reads the payload.
+The writer refuses a meaning outside ``MEANINGS`` and a payload off the
+lattice shape.  The reader checks the header (dim 1 or 2, N even and at
+least 4, L and dt finite and positive, a known meaning) and the file size
+it implies before it reads the payload.
 
 :func:`snapshot_field` writes one snapshot per pair, ``<stem>_iii_jjj.snap``,
 and the whole field as one long-format CSV, ``<stem>.csv``, with columns
 ``i,j,i0[,i1],value``: one row per pair and lattice offset, the pairs in
-sorted order and the offsets in C order.  Every value is written as its
-repr, so it parses back to the snapshot's float exactly.  The CSV is
+sorted (i, j) order and the offsets in C order.  Every value is written as
+its repr, so it parses back to the snapshot's float exactly.  The CSV is
 formatted in bulk, one write per pair, and the value text of each distinct
 slice is formatted once: pairs whose slices hold the same bytes (for drift
 constant in time, every pair of one gap) reuse it, and only their ``i,j,``
@@ -37,17 +41,15 @@ import math
 import os
 import struct
 from collections import Counter
-from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import add
-from typing import Dict, List, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .grid import SpaceTimeGrid, analyze
 
-SCALAR_MEANINGS = ("g0", "g", "G", "h", "u")
-VECTOR_MEANINGS = ("v0", "v", "w0", "w")
+MEANINGS = ("g0", "g", "G")    # written to files; vector "v" is in memory only
 
 _HEADER = struct.Struct("<ii d d 8s")
 PairKey = Tuple[int, int]
@@ -57,39 +59,44 @@ class FieldError(ValueError):
     pass
 
 
-def _check_pair(grid: SpaceTimeGrid, pair: PairKey):
-    i, j = pair
-    if not 0 <= i < j <= grid.time_steps:
-        raise FieldError(
-            f"time pair {pair} invalid: kernels need 0 <= i < j <= M "
-            "(coincident times are the identity limit, not a stored slice)")
-
-
 @dataclass
-class ScalarKernelField:
-    """Real scalar kernel samples per time pair."""
+class KernelField:
+    """Real kernel samples per time pair, one stack per terminal index j."""
 
     grid: SpaceTimeGrid
     meaning: str
-    values: Dict[PairKey, np.ndarray] = field(default_factory=dict)
+    stacks: Sequence
 
     def __post_init__(self):
-        if self.meaning not in SCALAR_MEANINGS:
-            raise FieldError(f"unknown scalar meaning {self.meaning!r}")
+        if self.meaning not in MEANINGS + ("v",):
+            raise FieldError(f"unknown meaning {self.meaning!r}")
+        if len(self.stacks) > self.grid.time_steps + 1:
+            raise FieldError(f"{len(self.stacks)} stacks for the terminal "
+                             f"indices 0..{self.grid.time_steps}")
+        lead = (self.grid.dim,) if self.meaning == "v" else ()
+        want = lead + self.grid.shape()
+        for j, stack in enumerate(self.stacks):
+            if len(stack) > j:
+                raise FieldError(
+                    f"stack {j} holds {len(stack)} slices: kernels need "
+                    "i < j (coincident times are the identity limit, not a "
+                    "stored slice)")
+            for vals in stack:
+                if np.shape(vals) != want:
+                    raise FieldError(f"slice shape {np.shape(vals)} != {want}")
 
-    def set_slice(self, pair: PairKey, vals: np.ndarray):
-        _check_pair(self.grid, pair)
-        vals = np.asarray(vals, dtype=float)
-        if vals.shape != self.grid.shape():
-            raise FieldError(f"slice shape {vals.shape} != grid {self.grid.shape()}")
-        self.values[pair] = vals
+    def holds(self, pair: PairKey) -> bool:
+        i, j = pair
+        return 0 <= i < j < len(self.stacks) and i < len(self.stacks[j])
 
     def slice(self, pair: PairKey) -> np.ndarray:
-        _check_pair(self.grid, pair)
-        return self.values[pair]
+        if not self.holds(pair):
+            raise FieldError(f"no slice for the time pair {pair}")
+        return self.stacks[pair[1]][pair[0]]
 
     def pairs(self):
-        return sorted(self.values.keys())
+        return sorted((i, j) for j, stack in enumerate(self.stacks)
+                      for i in range(len(stack)))
 
     def gap(self, pair: PairKey) -> float:
         return (pair[1] - pair[0]) * self.grid.dt
@@ -102,43 +109,18 @@ class ScalarKernelField:
         return analyze(self.grid, self.slice(pair))
 
 
-@dataclass
-class VectorKernelField:
-    """Real vector kernel samples (dim components) per time pair."""
-
-    grid: SpaceTimeGrid
-    meaning: str
-    values: Dict[PairKey, np.ndarray] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.meaning not in VECTOR_MEANINGS:
-            raise FieldError(f"unknown vector meaning {self.meaning!r}")
-
-    def set_slice(self, pair: PairKey, vals: np.ndarray):
-        _check_pair(self.grid, pair)
-        vals = np.asarray(vals, dtype=float)
-        want = (self.grid.dim,) + self.grid.shape()
-        if vals.shape != want:
-            raise FieldError(f"slice shape {vals.shape} != {want}")
-        self.values[pair] = vals
-
-    def slice(self, pair: PairKey) -> np.ndarray:
-        _check_pair(self.grid, pair)
-        return self.values[pair]
-
-    def pairs(self):
-        return sorted(self.values.keys())
-
-    def gap(self, pair: PairKey) -> float:
-        return (pair[1] - pair[0]) * self.grid.dt
-
-
 # ---------------------------------------------------------------------------
 # snapshot + CSV
 # ---------------------------------------------------------------------------
 
 def write_snapshot(path, grid: SpaceTimeGrid, meaning: str,
                    dt: float, values: np.ndarray):
+    if meaning not in MEANINGS:
+        raise FieldError(f"snapshot {path}: meaning {meaning!r} is not one "
+                         f"of {MEANINGS}")
+    if np.shape(values) != grid.shape():
+        raise FieldError(f"snapshot {path}: payload shape {np.shape(values)} "
+                         f"!= grid {grid.shape()}")
     tag = meaning.encode("ascii").ljust(8, b"\x00")
     payload = np.ascontiguousarray(values, dtype="<f8")
     with open(path, "wb") as fh:
@@ -165,12 +147,11 @@ def read_snapshot(path):
             problems.append(f"L={L!r} is not finite and positive")
         if not (math.isfinite(dt) and dt > 0):
             problems.append(f"dt={dt!r} is not finite and positive")
-        if meaning not in SCALAR_MEANINGS + VECTOR_MEANINGS:
+        if meaning not in MEANINGS:
             problems.append(f"meaning tag {tag!r} is unknown")
         if problems:
             raise FieldError(f"snapshot {path}: " + "; ".join(problems))
-        shape = (N,) * dim if meaning in SCALAR_MEANINGS \
-            else (dim,) + (N,) * dim
+        shape = (N,) * dim
         expected = _HEADER.size + 8 * math.prod(shape)
         if size != expected:
             raise FieldError(f"snapshot {path}: {size} bytes, but a {meaning!r} "
@@ -199,41 +180,34 @@ def format_rows(head: str, prefixes: List[str], columns,
     return head + (newline + head).join(map(add, prefixes, cells)) + newline
 
 
-def write_csv(path, grid: SpaceTimeGrid, values):
-    """Plain-text table: offset indices then value(s), dot decimal, C order.
-
-    `values` is one slice, or a mapping from time pair (i, j) to slices (a
-    field's ``values``).  A mapping is written in long format: columns
-    ``i, j`` lead, and the pairs follow one another in sorted order, one row
-    per pair and offset.
-    """
-    keyed = isinstance(values, Mapping)
-    blocks = sorted(values.items()) if keyed else [((), values)]
-    shape = np.shape(blocks[0][1])
-    vector = len(shape) == grid.dim + 1
+def write_csv(path, field: KernelField):
+    """A field as a plain-text table in long format, dot decimal: columns
+    ``i, j``, the offset indices, then ``value``; the pairs follow one
+    another in sorted (i, j) order, one row per pair and offset in C order."""
+    grid = field.grid
+    if field.meaning not in MEANINGS:
+        raise FieldError(f"csv {path}: meaning {field.meaning!r} is not one "
+                         f"of {MEANINGS}")
     offsets = np.indices(grid.shape()).reshape(grid.dim, -1) \
         - grid.points_per_dim // 2
     prefixes = csv_prefixes(offsets.tolist())
-    names = ["i", "j"] if keyed else []
-    names += [f"i{k}" for k in range(grid.dim)]
-    names += [f"value{k}" for k in range(shape[0])] if vector else ["value"]
-    slices = [np.asarray(vals, dtype=float) for _, vals in blocks]
+    names = ["i", "j"] + [f"i{k}" for k in range(grid.dim)] + ["value"]
+    pairs = field.pairs()
+    slices = [field.slice(pair) for pair in pairs]
     # a slice's text is kept while a later slice may hold the same bytes
     later = Counter(hash(s.tobytes()) for s in slices)
     texts = {}
     with open(path, "w", newline="") as fh:
         fh.write(",".join(names) + "\n")
-        for (key, _), vals in zip(blocks, slices):
+        for (i, j), vals in zip(pairs, slices):
             data = vals.tobytes()
             text = texts.pop(data, None)
             if text is None:
-                comps = vals if vector else vals[None, ...]
-                text = format_rows("", prefixes,
-                                   comps.reshape(len(comps), -1).tolist())
+                text = format_rows("", prefixes, [vals.ravel().tolist()])
             later[hash(data)] -= 1
             if later[hash(data)]:
                 texts[data] = text
-            head = "".join(f"{k}," for k in key)
+            head = f"{i},{j},"
             # the lead on every row: each newline but the last gains it
             fh.write(head + text.replace("\n", "\n" + head,
                                          len(prefixes) - 1))
@@ -249,6 +223,5 @@ def snapshot_field(field_obj, directory, stem: str):
         write_snapshot(path, field_obj.grid, field_obj.meaning,
                        field_obj.gap((i, j)), field_obj.slice((i, j)))
         paths.append(path)
-    write_csv(os.path.join(directory, f"{stem}.csv"), field_obj.grid,
-              field_obj.values)
+    write_csv(os.path.join(directory, f"{stem}.csv"), field_obj)
     return paths

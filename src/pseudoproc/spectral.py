@@ -20,7 +20,7 @@ import numpy as np
 from .grid import SpaceTimeGrid, synthesize, analyze, interior_mask
 from .quadrature import gauss_panels
 from .symbols import SymbolSpec, PseudoGradientSpec
-from .fields import ScalarKernelField
+from .fields import KernelField
 
 
 class ResolutionError(RuntimeError):
@@ -105,29 +105,28 @@ def _gate(sym, grid, dt):
             "1e-06; enlarge N or the time gap", rep.as_dict())
 
 
-def _gap_pair(grid: SpaceTimeGrid, dt: float):
-    """(0, steps) for dt a partition gap of 1..M steps; no other dt has a pair."""
+def _gap_steps(grid: SpaceTimeGrid, dt: float) -> int:
+    """dt / step for dt a partition gap of 1..M steps; no other dt has a pair."""
     steps = int(round(dt / grid.dt))
     if abs(steps * grid.dt - dt) < 1e-12 * max(dt, 1.0) \
             and 1 <= steps <= grid.time_steps:
-        return (0, steps)
+        return steps
     raise UnsupportedConfiguration(
         f"dt={dt:g} is not a multiple of the time step {grid.dt:g} between "
         f"{grid.dt:g} and the horizon T={grid.time_horizon:g}")
 
 
 def synthesize_g0(sym: SymbolSpec, grid: SpaceTimeGrid, dt: float,
-                  enforce_resolution: bool = True) -> ScalarKernelField:
+                  enforce_resolution: bool = True) -> KernelField:
     """Base kernel at a partition gap dt, stored on the pair (0, dt / step);
     the resolution gate runs before the gap is checked."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     if enforce_resolution:
         _gate(sym, grid, dt)
-    pair = _gap_pair(grid, dt)
-    out = ScalarKernelField(grid, "g0")
-    out.set_slice(pair, synthesize(grid, np.exp(-sym.on_grid(grid) * dt)))
-    return out
+    steps = _gap_steps(grid, dt)
+    return KernelField(grid, "g0",
+                       [()] * steps + [g0_values(sym, grid, dt)[None]])
 
 
 def g0_values(sym: SymbolSpec, grid: SpaceTimeGrid, dt: float) -> np.ndarray:
@@ -135,18 +134,14 @@ def g0_values(sym: SymbolSpec, grid: SpaceTimeGrid, dt: float) -> np.ndarray:
     return synthesize(grid, np.exp(-sym.on_grid(grid) * dt))
 
 
-def base_kernel_field(sym: SymbolSpec, grid: SpaceTimeGrid) -> ScalarKernelField:
-    """g on every time pair of the partition (translation-invariant scope)."""
-    a = sym.on_grid(grid)
-    out = ScalarKernelField(grid, "g")
-    by_gap = {}
+def base_kernel_field(sym: SymbolSpec, grid: SpaceTimeGrid) -> KernelField:
+    """g on every time pair of the partition (translation-invariant scope):
+    the gaps M .. 1 synthesized as one stack, of which stack j views the
+    last j slices, so the pairs of one gap share memory."""
     M = grid.time_steps
-    for steps in range(1, M + 1):
-        by_gap[steps] = synthesize(grid, np.exp(-a * (steps * grid.dt)))
-    for j in range(1, M + 1):
-        for i in range(j):
-            out.set_slice((i, j), by_gap[j - i])
-    return out
+    gaps = grid.dt * np.arange(M, 0, -1).reshape((M,) + (1,) * grid.dim)
+    top = synthesize(grid, np.exp(-sym.on_grid(grid) * gaps))
+    return KernelField(grid, "g", [top[M - j:] for j in range(M + 1)])
 
 
 def drift_multiplier(pg: PseudoGradientSpec, grid: SpaceTimeGrid,
@@ -160,7 +155,7 @@ def drift_multiplier(pg: PseudoGradientSpec, grid: SpaceTimeGrid,
 
 def constant_drift_kernel(sym: SymbolSpec, pg: PseudoGradientSpec,
                           b_const: Sequence[float], grid: SpaceTimeGrid,
-                          dt: float) -> ScalarKernelField:
+                          dt: float) -> KernelField:
     """Exact perturbed kernel for a constant drift vector (isotropic symbol),
     stored on the pair (0, dt / step) like `synthesize_g0`.
 
@@ -175,10 +170,9 @@ def constant_drift_kernel(sym: SymbolSpec, pg: PseudoGradientSpec,
     if dt <= 0:
         raise ValueError("dt must be positive")
     _gate(sym, grid, dt)
-    pair = _gap_pair(grid, dt)
-    out = ScalarKernelField(grid, "G")
-    out.set_slice(pair, constant_drift_values(sym, pg, b_const, grid, dt))
-    return out
+    steps = _gap_steps(grid, dt)
+    return KernelField(grid, "G", [()] * steps + [
+        constant_drift_values(sym, pg, b_const, grid, dt)[None]])
 
 
 def constant_drift_values(sym: SymbolSpec, pg: PseudoGradientSpec,

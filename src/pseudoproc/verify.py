@@ -284,7 +284,7 @@ def check_mass_conservation(fx: FixtureSet) -> List[CheckResult]:
     worst_g0 = max(abs(g0_values(sym, grid, gap).sum() * grid.cell_volume - 1.0)
                    for gap in grid.gaps())
     prob, _, G_rows = fx.solved_problem()
-    Gf = prob.rows_to_scalar_field(G_rows, "G")
+    Gf = prob.rows_to_scalar_field(G_rows)
     worst_G = max(abs(Gf.mass(k) - 1.0) for k in Gf.pairs())
     return [
         _result("mass-conservation/base", "all gaps on the partition",
@@ -432,7 +432,7 @@ def check_negativity_witness(fx: FixtureSet) -> List[CheckResult]:
 def check_evolution_property_suite(fx: FixtureSet) -> List[CheckResult]:
     from .spectral import base_kernel_field
     prob, _, G_rows = fx.solved_problem()
-    Gf = prob.rows_to_scalar_field(G_rows, "G")
+    Gf = prob.rows_to_scalar_field(G_rows)
     gf = base_kernel_field(fx.symbol(), fx.grid())
     triples = ((0, 8, 16), (0, 4, 12), (2, 8, 14))
     rows = []
@@ -453,9 +453,9 @@ def check_identity_limit_suite(fx: FixtureSet) -> List[CheckResult]:
     freq = 2.0 * np.pi * 1 / (2.0 * fx.half_extent)
     phi = fourier_mode(freq, fx.dim)
     prob, _, G_rows = fx.solved_problem(magnitude=0.5)
-    Gf = prob.rows_to_scalar_field(G_rows, "G")
+    Gf = prob.rows_to_scalar_field(G_rows)
     table = check_identity_limit(Gf, phi)
-    Gcf = prob.rows_to_scalar_field(prob.closed_form_G_rows(), "G")
+    Gcf = prob.rows_to_scalar_field(prob.closed_form_G_rows())
     oracle = check_identity_limit(Gcf, phi)
     floor = identity_limit_floor(fx.alpha, fx.beta, fx.dim, math.inf)
     fit, ofit = table.fitted_exponent(), oracle.fitted_exponent()
@@ -673,8 +673,7 @@ def check_terminal_average(fx: FixtureSet) -> List[CheckResult]:
     grid = SpaceTimeGrid(fx.dim, fx.half_extent, 1024, fx.horizon, fx.steps)
     b = constant_drift([1.0] + [0.0] * (fx.dim - 1))
     prob = PerturbationProblem(fx.symbol(), fx.pgrad(), grid, b)
-    vf = prob.rows_to_vector_field(prob.v_rows(prob.solve_v(fx.monitor())),
-                                   "v")
+    vf = prob.rows_to_vector_field(prob.v_rows(prob.solve_v(fx.monitor())))
     rep = check_w_lipschitz(vf, steep_step(grid.dx / 4), fx.alpha, fx.beta)
     ones = terminal_average_of_ones(vf)
     return [

@@ -30,7 +30,7 @@ import numpy as np
 
 from .grid import SpaceTimeGrid, GridError, synthesize
 from .symbols import SymbolSpec, PseudoGradientSpec
-from .fields import ScalarKernelField, VectorKernelField
+from .fields import KernelField
 from .drift import DriftField, series_exponent
 from .quadrature import gauss_panels, kernel_rule
 
@@ -295,24 +295,24 @@ class PerturbationProblem:
         return self._defect(self.assemble_G_rows(G_rows), G_rows)
 
     # -- conversions ---------------------------------------------------------
-    def _fill(self, out, rows: KernelRows):
-        """Set every row's synthesized slice, one `synthesize` per terminal
-        index; rows that depend on the gap alone are synthesized once, as
-        rows[M], and pair (i, j) holds the view of its slice M - (j - i)."""
+    def _fill(self, meaning: str, rows: KernelRows) -> KernelField:
+        """The field of the rows' synthesized slices, one `synthesize` per
+        terminal index; rows that depend on the gap alone are synthesized
+        once, as rows[M], and stack j views its last j slices."""
         M = self.M
-        top = synthesize(self.grid, rows[M]) if self._gap_only(rows) else None
-        for j in range(1, M + 1):
-            stack = top[M - j:] if top is not None \
-                else synthesize(self.grid, rows[j])
-            for i, values in enumerate(stack):
-                out.set_slice((i, j), values)
-        return out
+        if self._gap_only(rows):
+            top = synthesize(self.grid, rows[M])
+            stacks = [top[M - j:] for j in range(M + 1)]
+        else:
+            stacks = [rows[0]] + [synthesize(self.grid, stack)
+                                  for stack in rows[1:]]
+        return KernelField(self.grid, meaning, stacks)
 
-    def rows_to_scalar_field(self, rows: KernelRows, meaning) -> ScalarKernelField:
-        return self._fill(ScalarKernelField(self.grid, meaning), rows)
+    def rows_to_scalar_field(self, rows: KernelRows) -> KernelField:
+        return self._fill("G", rows)
 
-    def rows_to_vector_field(self, rows: KernelRows, meaning) -> VectorKernelField:
-        return self._fill(VectorKernelField(self.grid, meaning), rows)
+    def rows_to_vector_field(self, rows: KernelRows) -> KernelField:
+        return self._fill("v", rows)
 
     def _closed_form_terms(self):
         """m[k] = (Int_0^{t_k} b, multiplier) and the gaps t_j - t_i, shaped

@@ -15,7 +15,7 @@ from pseudoproc.cli import (RunConfig, ConfigError, main, EXIT_OK,
                             EXIT_CONFIG, EXIT_RESOLUTION,
                             EXIT_NONCONVERGENCE, EXIT_VERIFY)
 from pseudoproc.evolution import apply_operator, constant_one
-from pseudoproc.fields import ScalarKernelField, read_snapshot
+from pseudoproc.fields import KernelField, read_snapshot
 
 
 def test_config_round_trip(tmp_path):
@@ -269,17 +269,19 @@ def test_perturb_output_layout_and_round_trip(tmp_path):
         assert next(reader) == ["i", "j", "i0", "value"]
         rows = list(reader)
     keys = [tuple(map(int, r[:3])) for r in rows]
-    offsets = range(-32, 32)
-    assert sorted(keys) == sorted((i, j, o) for i, j in pairs for o in offsets)
+    # the documented order: pairs sorted by (i, j), offsets in C order
+    assert keys == [(i, j, o) for i, j in sorted(pairs)
+                    for o in range(-32, 32)]
     values = {}
     for (i, j, _), r in zip(keys, rows):
         values.setdefault((i, j), []).append(float(r[3]))
-    G = ScalarKernelField(grid, "G")
-    for name, pair in snaps.items():
+    stacks = [[] for _ in range(17)]
+    for name, (i, j) in snaps.items():   # i ascending within each j
         *_, payload = read_snapshot(out / name)
         # rows of a pair run over the offsets in order: bit-for-bit the payload
-        assert np.array(values[pair]).tobytes() == payload.tobytes()
-        G.set_slice(pair, payload)
+        assert np.array(values[i, j]).tobytes() == payload.tobytes()
+        stacks[j].append(payload)
+    G = KernelField(grid, "G", stacks)
     assert (out / "u_slices.csv").read_bytes() == \
         _old_u_slices_text(grid, G, constant_one(1)).encode()
 

@@ -22,8 +22,8 @@ def solved(sym, pg, small_grid):
     prob = PerturbationProblem(sym, pg, small_grid, b)
     mon = ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf, stop_tol=1e-8)
     G_rows = prob.solve_v(mon)
-    G = prob.rows_to_scalar_field(G_rows, "G")
-    v = prob.rows_to_vector_field(prob.v_rows(G_rows), "v")
+    G = prob.rows_to_scalar_field(G_rows)
+    v = prob.rows_to_vector_field(prob.v_rows(G_rows))
     return prob, G, v
 
 
@@ -86,7 +86,7 @@ def test_boundedness_constant_stable_under_refinement(sym, pg):
         grid = SpaceTimeGrid(1, 20.0, N, 1.0, M)
         prob = PerturbationProblem(sym, pg, grid, constant_drift([1.0]))
         mon = ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf)
-        G = prob.rows_to_scalar_field(prob.solve_v(mon), "G")
+        G = prob.rows_to_scalar_field(prob.solve_v(mon))
         consts.append(operator_bound_constant(G))
     assert consts[0] > 1.0  # signed kernel: strictly above the mass
     assert max(consts) / min(consts) < 2.0
@@ -207,12 +207,12 @@ def test_identity_limit_monotone_and_fit(sym, pg, small_grid):
     b = constant_drift([0.5])
     prob = PerturbationProblem(sym, pg, small_grid, b)
     mon = ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf)
-    G = prob.rows_to_scalar_field(prob.solve_v(mon), "G")
+    G = prob.rows_to_scalar_field(prob.solve_v(mon))
     phi = fourier_mode(2 * np.pi * 1 / 40.0)
     table = check_identity_limit(G, phi)
     assert table.monotone
     oracle = check_identity_limit(
-        prob.rows_to_scalar_field(prob.closed_form_G_rows(), "G"), phi)
+        prob.rows_to_scalar_field(prob.closed_form_G_rows()), phi)
     assert abs(table.fitted_exponent() - oracle.fitted_exponent()) < 0.1
     assert table.fitted_exponent() >= identity_limit_floor(1.5, 0.5, 1,
                                                            math.inf) - 0.1

@@ -1,14 +1,14 @@
 import math
 import os
 import struct
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from pseudoproc import (SpaceTimeGrid, GridError, ScalarKernelField,
-                        VectorKernelField, FieldError, synthesize, analyze,
-                        convolve, interior_mask, write_snapshot, read_snapshot,
-                        write_csv)
+from pseudoproc import (SpaceTimeGrid, GridError, KernelField, FieldError,
+                        synthesize, analyze, convolve, interior_mask,
+                        write_snapshot, read_snapshot, write_csv)
 from pseudoproc.fields import csv_prefixes, format_rows
 
 
@@ -194,18 +194,32 @@ def test_interior_mask(default_grid):
     assert not m[np.abs(x) > 36.1].any()
 
 
-def test_field_pair_validation(default_grid):
-    f = ScalarKernelField(default_grid, "g0")
-    with pytest.raises(FieldError):
-        f.set_slice((3, 3), np.zeros(256))
-    with pytest.raises(FieldError):
-        f.set_slice((2, 1), np.zeros(256))
-    with pytest.raises(FieldError):
-        f.set_slice((0, 1), np.zeros(128))
-    with pytest.raises(FieldError):
-        ScalarKernelField(default_grid, "v0")
-    with pytest.raises(FieldError):
-        VectorKernelField(default_grid, "G")
+def _field(grid, meaning, values):
+    """The field of a mapping from time pair (i, j) to slices, whose pairs
+    of each terminal index j run i = 0, 1, ..."""
+    counts = Counter(j for _, j in values)
+    return KernelField(grid, meaning, [
+        [values[i, j] for i in range(counts[j])]
+        for j in range(max(counts) + 1)])
+
+
+def test_kernel_field_validation(default_grid):
+    with pytest.raises(FieldError, match="unknown meaning"):
+        KernelField(default_grid, "v0", [])
+    with pytest.raises(FieldError, match="stack 1 holds 2"):
+        KernelField(default_grid, "g0", [[], [np.zeros(256)] * 2])
+    with pytest.raises(FieldError, match="slice shape"):
+        KernelField(default_grid, "g0", [[], [np.zeros(128)]])
+    with pytest.raises(FieldError, match="slice shape"):
+        KernelField(default_grid, "v", [[], [np.zeros(256)]])
+    with pytest.raises(FieldError, match="stacks"):
+        KernelField(default_grid, "g0", [[]] * (default_grid.time_steps + 2))
+    f = KernelField(default_grid, "g0", [[], [], [np.zeros(256)]])
+    assert f.pairs() == [(0, 2)]
+    for pair in ((0, 1), (1, 2), (2, 2), (2, 1), (-1, 2), (0, 3)):
+        assert not f.holds(pair)
+        with pytest.raises(FieldError, match="no slice"):
+            f.slice(pair)
 
 
 def test_snapshot_roundtrip(tmp_path, default_grid):
@@ -217,14 +231,19 @@ def test_snapshot_roundtrip(tmp_path, default_grid):
     assert np.array_equal(out, vals)
 
 
-def test_snapshot_roundtrip_vector(tmp_path):
-    g = SpaceTimeGrid(2, 10.0, 16, 1.0, 4)
-    vals = np.arange(2 * 16 * 16, dtype=float).reshape(2, 16, 16)
-    path = tmp_path / "v.snap"
-    write_snapshot(path, g, "v0", 0.5, vals)
-    dim, N, L, dt, meaning, out = read_snapshot(path)
-    assert (dim, N, meaning) == (2, 16, "v0")
-    assert np.array_equal(out, vals)
+@pytest.mark.parametrize("meaning, shape, words", [
+    ("v0", (256,), "meaning 'v0'"),
+    ("v", (1, 256), "meaning 'v'"),
+    ("g0", (1, 256), "payload shape"),
+    ("G", (128,), "payload shape"),
+], ids=["vector-meaning", "in-memory-meaning", "vector-payload",
+        "short-payload"])
+def test_snapshot_writer_refuses_what_the_reader_refuses(
+        tmp_path, default_grid, meaning, shape, words):
+    path = tmp_path / "bad.snap"
+    with pytest.raises(FieldError, match=words):
+        write_snapshot(path, default_grid, meaning, 0.25, np.zeros(shape))
+    assert not path.exists()
 
 
 def _snapshot_with(path, grid, dim=None, N=None, tag=None, drop=0):
@@ -245,7 +264,8 @@ def _snapshot_with(path, grid, dim=None, N=None, tag=None, drop=0):
     ({"dim": 3}, "dim=3"),
     ({"N": 0}, "N=0"),
     ({"tag": b"q\x00"}, "meaning tag"),
-], ids=["truncated-payload", "dim-3", "N-0", "unknown-tag"])
+    ({"tag": b"v0\x00"}, "meaning tag"),
+], ids=["truncated-payload", "dim-3", "N-0", "unknown-tag", "v0-tag"])
 def test_snapshot_header_is_validated(tmp_path, default_grid, change, words):
     path = _snapshot_with(tmp_path / "bad.snap", default_grid, **change)
     with pytest.raises(FieldError, match=words):
@@ -262,49 +282,51 @@ def test_snapshot_shorter_than_header(tmp_path):
 def test_csv_mirror_locale_independent(tmp_path, default_grid):
     vals = np.linspace(-1.5, 1.5, 256)
     path = tmp_path / "k.csv"
-    write_csv(path, default_grid, vals)
+    write_csv(path, _field(default_grid, "g0", {(0, 1): vals}))
     text = path.read_text()
     lines = text.strip().split("\n")
-    assert lines[0] == "i0,value"
+    assert lines[0] == "i,j,i0,value"
     assert len(lines) == 257
     # dot decimal separator, offset index range centered at zero
     assert "," in lines[1] and ";" not in text
-    first_idx = int(lines[1].split(",")[0])
+    first_idx = int(lines[1].split(",")[2])
     assert first_idx == -128
-    for cell in lines[1].split(",")[1:]:
+    for cell in lines[1].split(",")[3:]:
         float(cell)  # parses with C locale semantics
 
 
 def test_csv_matches_cell_by_cell_reference(tmp_path):
     g = SpaceTimeGrid(2, 10.0, 8, 1.0, 4)
-    vals = np.random.default_rng(3).standard_normal((2, 8, 8)) * 1e-7
-    path = tmp_path / "v.csv"
-    write_csv(path, g, vals)
-    rows = ["i0,i1,value0,value1"]
-    for flat in range(64):
-        idx = np.unravel_index(flat, g.shape())
-        cells = [str(int(k) - 4) for k in idx]
-        rows.append(",".join(cells + [repr(float(c[idx])) for c in vals]))
+    vals = np.random.default_rng(3).standard_normal((3, 8, 8)) * 1e-7
+    blocks = {(0, 1): vals[0], (0, 2): vals[1], (1, 2): vals[2]}
+    path = tmp_path / "g.csv"
+    write_csv(path, _field(g, "G", blocks))
+    rows = ["i,j,i0,i1,value"]
+    for (i, j), block in sorted(blocks.items()):
+        for flat in range(64):
+            idx = np.unravel_index(flat, g.shape())
+            cells = [str(i), str(j)] + [str(int(k) - 4) for k in idx]
+            rows.append(",".join(cells + [repr(float(block[idx]))]))
     assert path.read_text() == "\n".join(rows) + "\n"
+
+
+def test_csv_refuses_the_vector_meaning(tmp_path):
+    g = SpaceTimeGrid(1, 10.0, 8, 1.0, 4)
+    with pytest.raises(FieldError, match="meaning 'v'"):
+        write_csv(tmp_path / "v.csv", _field(g, "v", {(0, 1): np.zeros((1, 8))}))
 
 
 def _reference_long_csv(grid, values):
     """write_csv's text for a mapping as it was formatted before equal
     slices shared their text: every pair's block formatted on its own."""
-    blocks = sorted(values.items())
-    shape = np.shape(blocks[0][1])
-    vector = len(shape) == grid.dim + 1
     offsets = np.indices(grid.shape()).reshape(grid.dim, -1) \
         - grid.points_per_dim // 2
     prefixes = csv_prefixes(offsets.tolist())
-    names = ["i", "j"] + [f"i{k}" for k in range(grid.dim)]
-    names += [f"value{k}" for k in range(shape[0])] if vector else ["value"]
+    names = ["i", "j"] + [f"i{k}" for k in range(grid.dim)] + ["value"]
     text = ",".join(names) + "\n"
-    for key, vals in blocks:
-        comps = np.asarray(vals, dtype=float)
-        comps = comps if vector else comps[None, ...]
+    for key, vals in sorted(values.items()):
         text += format_rows("".join(f"{k}," for k in key), prefixes,
-                            comps.reshape(len(comps), -1).tolist())
+                            [np.asarray(vals, dtype=float).ravel().tolist()])
     return text
 
 
@@ -318,7 +340,7 @@ def _long_csv_cases():
     signed[1, 3] = -0.0
     nan = by_gap[1].copy()
     nan[[2, 5]] = np.nan
-    vec = rng.standard_normal((4, 2, 4, 4)) * 1e-7
+    plane = rng.standard_normal((4, 4, 4)) * 1e-7
     return {
         # copies, so equal slices share bytes, not memory
         "repeated": (g1, {(i, j): by_gap[j - i].copy() for i, j in pairs1}),
@@ -327,7 +349,7 @@ def _long_csv_cases():
                              for n, p in enumerate(pairs1)}),
         "nan": (g1, {(i, j): (nan if j - i == 1 else by_gap[j - i]).copy()
                      for i, j in pairs1}),
-        "vector-2d": (g2, {(i, j): vec[j - i].copy() for i, j in pairs2}),
+        "scalar-2d": (g2, {(i, j): plane[j - i].copy() for i, j in pairs2}),
     }
 
 
@@ -335,12 +357,11 @@ def _long_csv_cases():
 def test_long_csv_equals_the_per_pair_formatting(tmp_path, case):
     grid, values = _long_csv_cases()[case]
     path = tmp_path / "f.csv"
-    write_csv(path, grid, values)
+    write_csv(path, _field(grid, "G", values))
     with open(path, newline="") as fh:
         assert fh.read() == _reference_long_csv(grid, values)
 
 
 def test_mass_uses_cell_volume(default_grid):
-    f = ScalarKernelField(default_grid, "g0")
-    f.set_slice((0, 1), np.ones(256))
+    f = KernelField(default_grid, "g0", [[], [np.ones(256)]])
     assert f.mass((0, 1)) == pytest.approx(256 * default_grid.dx)

@@ -9,7 +9,8 @@ from pseudoproc import (SpaceTimeGrid, PseudoGradientSpec,
                         apply_pseudo_gradient, pseudo_gradient_g0,
                         singular_gradient_at, check_resolution,
                         ResolutionError, UnsupportedConfiguration,
-                        chapman_defect)
+                        chapman_defect, base_kernel_field,
+                        isotropic_symbol)
 from pseudoproc.verify import self_similarity_defect
 
 
@@ -17,6 +18,22 @@ def test_mass_is_one_for_every_partition_gap(sym, default_grid):
     for gap in default_grid.gaps():
         vals = g0_values(sym, default_grid, gap)
         assert abs(vals.sum() * default_grid.dx - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_base_kernel_field_views_one_slice_per_gap(sym, small_grid, dim):
+    grid = small_grid if dim == 1 else SpaceTimeGrid(2, 10.0, 16, 1.0, 4)
+    symbol = sym if dim == 1 else isotropic_symbol(1.5, 1.0, 2)
+    f = base_kernel_field(symbol, grid)
+    M = grid.time_steps
+    pairs = [(i, j) for j in range(1, M + 1) for i in range(j)]
+    assert f.meaning == "g" and f.pairs() == sorted(pairs)
+    for i, j in pairs:
+        assert np.array_equal(f.slice((i, j)),
+                              g0_values(symbol, grid, (j - i) * grid.dt))
+        # every pair of one gap views the slice of the pair (0, gap)
+        assert np.shares_memory(f.slice((i, j)), f.slice((0, j - i)))
+    assert not np.shares_memory(f.slice((0, 1)), f.slice((0, 2)))
 
 
 def test_peak_value_matches_analytic_integral(sym):

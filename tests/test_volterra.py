@@ -21,11 +21,11 @@ def small_problem(sym, pg, small_grid):
 def test_zero_drift_collapses_exactly(sym, pg, small_grid):
     prob = PerturbationProblem(sym, pg, small_grid, zero_drift(1))
     G_rows = prob.solve_v(ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf))
-    vf = prob.rows_to_vector_field(prob.v_rows(G_rows), "v")
-    base = prob.rows_to_vector_field(prob.v_rows(prob.g_rows()), "v")
+    vf = prob.rows_to_vector_field(prob.v_rows(G_rows))
+    base = prob.rows_to_vector_field(prob.v_rows(prob.g_rows()))
     for k in vf.pairs():
         assert np.array_equal(vf.slice(k), base.slice(k))
-    Gf = prob.rows_to_scalar_field(G_rows, "G")
+    Gf = prob.rows_to_scalar_field(G_rows)
     from pseudoproc.spectral import base_kernel_field
     gf = base_kernel_field(sym, small_grid)
     for k in Gf.pairs():
@@ -186,7 +186,7 @@ def test_drift_within_contraction_range_solves(sym, pg, small_grid):
     assert mon.converged
     assert 0.5 < mon.spectral_radius < 1.0
     assert prob.perturbation_residual(G_rows) < 1e-12
-    Gf = prob.rows_to_scalar_field(G_rows, "G")
+    Gf = prob.rows_to_scalar_field(G_rows)
     assert max(abs(Gf.mass(k) - 1.0) for k in Gf.pairs()) < 1e-12
 
 
@@ -278,7 +278,7 @@ def test_gap_only_rows_are_synthesized_and_multiplied_once(sym, pg,
     prob = _unit_drift_twins(sym, pg, small_grid)[0]
     M = prob.M
     G = prob.solve_v(ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf))
-    field, v = prob.rows_to_scalar_field(G, "G"), prob.v_rows(G)
+    field, v = prob.rows_to_scalar_field(G), prob.v_rows(G)
     for (i, j), row in G.items():
         # pair (i, j) holds row M - (j - i) of one stack
         gap_row = M - (j - i)
@@ -295,8 +295,9 @@ def test_rows_of_distinct_pairs_keep_their_own_slices(sym, pg, small_grid):
     # differ at round-off
     for prob, G in ((twin, twin.solve_v(mon)),
                     (shared, shared.closed_form_G_rows())):
-        field, v = prob.rows_to_scalar_field(G, "G"), prob.v_rows(G)
-        assert _pairs_sharing_memory(field.values) == []
+        field, v = prob.rows_to_scalar_field(G), prob.v_rows(G)
+        assert _pairs_sharing_memory(
+            {p: field.slice(p) for p in field.pairs()}) == []
         assert _pairs_sharing_memory(v) == []
         for (i, j), row in G.items():
             assert np.array_equal(field.slice((i, j)),
@@ -360,7 +361,7 @@ def test_time_dependent_drift_solves(sym, pg, small_grid):
                              width=0.05, dim=1)
     prob = PerturbationProblem(sym, pg, small_grid, b)
     mon = ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf)
-    Gf = prob.rows_to_scalar_field(prob.solve_v(mon), "G")
+    Gf = prob.rows_to_scalar_field(prob.solve_v(mon))
     assert max(abs(Gf.mass(k) - 1.0) for k in Gf.pairs()) < 5e-3
 
 
@@ -431,7 +432,7 @@ def test_two_dimensional_solve_matches_transform():
             worst = max(worst, np.abs(num - exact)[mask].max()
                         / np.abs(exact).max())
     assert worst < 2e-2
-    Gf = prob.rows_to_scalar_field(G_rows, "G")
+    Gf = prob.rows_to_scalar_field(G_rows)
     assert max(abs(Gf.mass(k) - 1.0) for k in Gf.pairs()) < 1e-12
 
 
@@ -508,8 +509,8 @@ def test_kernel_rows_stack_each_terminal_index(dim, small_problem):
             # a view of the stack holding the same values
             assert np.shares_memory(row, rows[j]), name
             assert np.array_equal(row, rows[j][i]), name
-    assert prob.rows_to_scalar_field(G_rows, "G").pairs() == pairs
-    assert prob.rows_to_vector_field(v_rows, "v").pairs() == pairs
+    assert prob.rows_to_scalar_field(G_rows).pairs() == pairs
+    assert prob.rows_to_vector_field(v_rows).pairs() == pairs
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -518,8 +519,8 @@ def test_rows_to_fields_match_per_pair_synthesis(dim, small_problem):
     G_rows = prob.solve_v(ConvergenceMonitor.for_problem(1.5, 0.5, dim,
                                                          math.inf))
     v_rows = prob.v_rows(G_rows)
-    Gf = prob.rows_to_scalar_field(G_rows, "G")
-    vf = prob.rows_to_vector_field(v_rows, "v")
+    Gf = prob.rows_to_scalar_field(G_rows)
+    vf = prob.rows_to_vector_field(v_rows)
     assert Gf.pairs() == vf.pairs() == sorted(k for k, _ in G_rows.items())
     for (i, j), row in G_rows.items():
         assert np.array_equal(Gf.slice((i, j)), synthesize(prob.grid, row))
