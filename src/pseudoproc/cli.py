@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import os
 import sys
@@ -20,14 +21,14 @@ from dataclasses import dataclass, fields as dc_fields, replace
 
 import numpy as np
 
-from .grid import SpaceTimeGrid, ImaginaryResidueError
+from .grid import SpaceTimeGrid, ImaginaryResidueError, synthesize, analyze
 from .symbols import isotropic_symbol, PseudoGradientSpec, SymbolError
 from .spectral import (synthesize_g0, constant_drift_kernel, check_resolution,
                        ResolutionError, UnsupportedConfiguration)
 from .fields import snapshot_field, csv_prefixes, format_rows
 from .drift import constant_drift, min_p_exponent
 from .volterra import ConvergenceMonitor, ConvergenceError, PerturbationProblem
-from .evolution import constant_one, fourier_mode, compact_bump, apply_operator
+from .evolution import constant_one, fourier_mode, compact_bump
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -247,12 +248,14 @@ def cmd_perturb(args) -> int:
     # one row per slice and lattice point: s_index, coordinates x or x0, x1
     coords = ["x"] if grid.dim == 1 else [f"x{k}" for k in range(grid.dim)]
     prefixes = csv_prefixes([m.ravel().tolist() for m in grid.mesh()])
+    # u(t_i) = T_{t_i t} phi for every start index i, in one synthesis
+    u = synthesize(grid, analyze(grid, G.stacks[grid.time_steps])
+                   * analyze(grid, phi.sample(grid)), require_real=True, tol=1e-6)
     with open(os.path.join(cfg.outdir, "u_slices.csv"), "w",
               newline="") as fh:
         fh.write(",".join(["s_index"] + coords + ["u"]) + "\r\n")
-        for i in range(grid.time_steps):
-            u = apply_operator(G, (i, grid.time_steps), phi)
-            fh.write(format_rows(f"{i},", prefixes, [u.ravel().tolist()],
+        for i, slice_ in enumerate(u):
+            fh.write(format_rows(f"{i},", prefixes, [slice_.ravel().tolist()],
                                  newline="\r\n"))
     worst_mass = max(abs(G.mass(k) - 1.0) for k in G.pairs())
     print(f"wrote {len(paths)} kernel snapshots, convergence log and "
@@ -369,39 +372,38 @@ def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--outdir")
 
 
+def _commands() -> dict:
+    """subcommand -> (help, handler), read per call: the parser is built
+    once and holds no handler."""
+    return {"kernel": ("synthesize base or closed-form kernels", cmd_kernel),
+            "perturb": ("solve the perturbation system", cmd_perturb),
+            "verify": ("run the property suite", cmd_verify),
+            "emit": ("write plot-ready CSV data", cmd_emit)}
+
+
+@functools.lru_cache(maxsize=None)      # parsing leaves the tree as it is
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="pseudoproc",
         description="kernels and evolution operators of drift-perturbed "
                     "stable-type generators")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    pk = sub.add_parser("kernel", help="synthesize base or closed-form kernels")
-    _add_config_flags(pk)
-    pk.set_defaults(func=cmd_kernel)
-
-    pp_ = sub.add_parser("perturb", help="solve the perturbation system")
-    _add_config_flags(pp_)
-    pp_.set_defaults(func=cmd_perturb)
-
-    pv = sub.add_parser("verify", help="run the property suite")
-    _add_config_flags(pv)
-    pv.add_argument("--only", default=None,
-                    help="substring filter on check names ('' selects none)")
-    pv.set_defaults(func=cmd_verify)
-
-    pe = sub.add_parser("emit", help="write plot-ready CSV data")
-    _add_config_flags(pe)
-    pe.add_argument("--what", default="profiles",
-                    choices=("profiles", "decay", "resolution"))
-    pe.set_defaults(func=cmd_emit)
+    parsers = {name: sub.add_parser(name, help=text)
+               for name, (text, _) in _commands().items()}
+    for p in parsers.values():
+        _add_config_flags(p)
+    parsers["verify"].add_argument(
+        "--only", default=None,
+        help="substring filter on check names ('' selects none)")
+    parsers["emit"].add_argument(
+        "--what", default="profiles", choices=("profiles", "decay", "resolution"))
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _commands()[args.command][1](args)
     except ConfigError as err:
         for p in err.problems:
             print(f"config error: {p}", file=sys.stderr)

@@ -24,11 +24,13 @@ spectrum is the multiplier times g's).  `quadrature.exponential_rules`
 integrates the exponential exactly against a Lagrange interpolant of P_hat
 whose stencils stay inside [t_i, t], so u(t_i) depends on P at t_i and
 later nodes alone: `TerminalValueProblem` marches backward from the
-terminal time, one fixed-point solve per node.  Near tau = t, w inherits
-the (t - tau)^{-beta/alpha} amplitude of its leading part w0, so the
-terminal step integrates (b, w0) exactly at the Gauss nodes of the
-substituted variable u = (t - tau)^{1 - beta/alpha}, and only the
-remainder (b, w - w0), which vanishes at t, is interpolated there.
+terminal time, one fixed-point solve per node.  The march runs once, and
+u is its own iterate: the last spectrum at t_i, which the multiplier turns
+into w(t_i), is u_hat(t_i).  Near tau = t, w inherits the
+(t - tau)^{-beta/alpha} amplitude of its leading part w0, so the terminal
+step integrates (b, w0) exactly at the Gauss nodes of the substituted
+variable u = (t - tau)^{1 - beta/alpha}, and only the remainder
+(b, w - w0), which vanishes at t, is interpolated there.
 """
 from __future__ import annotations
 
@@ -36,12 +38,14 @@ import functools
 import math
 import time
 from dataclasses import dataclass
+from itertools import pairwise
 from types import SimpleNamespace
 from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
-from .grid import SpaceTimeGrid, GridError, synthesize, analyze
+from .grid import (SpaceTimeGrid, GridError, synthesize, analyze, convolve,
+                   interior_mask)
 from .symbols import SymbolSpec, PseudoGradientSpec
 from .fields import KernelField
 from .drift import DriftField
@@ -208,6 +212,7 @@ class TerminalValueProblem:
         self.mult = pg.multiplier(grid)
         self.times = grid.times()
         self.phi_hat = analyze(grid, phi.sample(grid))
+        self._spectra = None                  # u's spectra, once marched
 
     # exact leading objects at arbitrary times
     def _decay(self, gaps) -> np.ndarray:
@@ -235,9 +240,10 @@ class TerminalValueProblem:
 
         The drift is sampled once per node: at t_0 .. t_{j-1} and at the six
         Gauss nodes in u = (t - tau)^{1 - s2} of the terminal panel
-        [t_{j-1}, t], which integrates P0 = (b, w0) with w0 exact.  P0 is
-        interpolated on [t_0, t_{j-1}] only; base[i] sums the datum term,
-        the panel and that integral, the part of spectrum i no step changes.
+        [t_{j-1}, t], which integrates P0 = (b, w0) with w0 exact.  Kept are
+        P0 at t_0 .. t_{j-1}, w0 at t_{j-1}, where the march starts, and the
+        datum term plus the panel at t_{j-1}, carried to t_i by
+        exp(-a (t_{j-1} - t_i)).
         """
         grid, j = self.grid, self.j
         s2 = self.pg.beta / self.sym.alpha    # terminal amplitude exponent
@@ -248,56 +254,46 @@ class TerminalValueProblem:
         wt = wu / (1.0 - s2) * u ** (s2 / (1.0 - s2))
         panel = np.tensordot(wt, self._decay(tau - lo) * self._pairing(
             self._drift_at(tau), self.w0_at(tau)), 1)
-        z = self.a * grid.dt
-        rule = SimpleNamespace(b=self._drift_at(self.times[:j]), z=z,
-                               w0=self.w0_at(self.times[:j]),
-                               tables=exponential_tables(z, grid.dt))
-        P0 = self._pairing(rule.b, rule.w0)
-        rule.base = self._decay(t - self.times[:j]) * self.phi_hat
-        rule.base += self._decay(lo - self.times[:j]) * panel
-        for n, W in enumerate(exponential_rules(rule.tables, z, j - 1)):
-            # W integrates over [t_i, t_{j-1}], i = j - 1 - n
-            rule.base[j - 1 - n] += np.einsum("l...,l...->...", W, P0[j - 1 - n:])
-        return rule
-
-    def _march(self, R: np.ndarray):
-        """Yield (i, known, weight) for i = terminal - 1 down to 0.
-
-        Spectrum i, that of u(t_i), is known + weight * R[i], where R holds
-        the spectra of the remainder (b, w - w0); R[l] is read for l > i
-        once step i is drawn.
-        """
-        r, j = self._rule, self.j
-        rules = exponential_rules(r.tables, r.z, j)
-        next(rules)
-        for n, W in enumerate(rules, 1):
-            i = j - n
-            # R vanishes at t, so W's last weight has nothing to act on
-            known = r.base[i] + np.einsum("l...,l...->...", W[1:-1], R[i + 1:])
-            yield i, known, W[0]
+        z, b = self.a * grid.dt, self._drift_at(self.times[:j])
+        # the w0 stack is freed before the tables are built: a lower peak
+        return SimpleNamespace(
+            b=b, z=z, P0=self._pairing(b, self.w0_at(self.times[:j])),
+            w0_last=self.w0_at([lo])[0], tables=exponential_tables(z, grid.dt),
+            carried=self._decay([t - lo])[0] * self.phi_hat + panel)
 
     def solve_w(self, monitor: Optional[ConvergenceMonitor] = None
                 ) -> Dict[int, np.ndarray]:
         """March the w slices backward from i = terminal - 1 down to 0.
 
-        w(t_i) is the synthesis of multiplier * spectrum i, which depends on
-        w(t_i) through R[i] alone.  Fixed-point iteration solves each step
-        to an increment (lattice sup norm) below monitor.stop_tol; the
-        monitor records the largest final increment.
+        Spectrum i, that of u(t_i), sums the datum term, the terminal panel,
+        P0 over [t_i, t_{j-1}] and the remainder R = (b, w - w0) over
+        [t_i, t]: one `exponential_rules` generator's W_{j-i} weighs R, the
+        yield before it P0.  w(t_i), the synthesis of multiplier * spectrum
+        i, depends on w(t_i) through R[i] alone.  Fixed-point iteration
+        solves each step to an increment (lattice sup norm) below
+        monitor.stop_tol; the monitor records the largest final increment.
+        Each node's last spectrum is kept for `assemble_u`.
         """
         if monitor is None:
             monitor = ConvergenceMonitor.for_problem(
                 self.sym.alpha, self.pg.beta, self.grid.dim, self.b.p_exponent)
         self.monitor = monitor
         start = time.perf_counter()
-        r, tol = self._rule, monitor.stop_tol
-        R = np.empty((self.j,) + self.a.shape, complex)
-        W = np.empty_like(r.w0)
-        w, worst = r.w0[-1], 0.0              # w0(t_{j-1}) starts the march
-        for i, known, weight in self._march(R):
+        r, tol, j = self._rule, monitor.stop_tol, self.j
+        R, spectra = np.empty_like(r.P0), np.empty_like(r.P0)
+        W = np.empty((j,) + r.w0_last.shape)
+        w, worst = r.w0_last, 0.0             # w0(t_{j-1}) starts the march
+        rules = pairwise(exponential_rules(r.tables, r.z, j))
+        for n, (previous, Wn) in enumerate(rules, 1):
+            i = j - n
+            known = self._decay([self.times[j - 1] - self.times[i]])[0] * r.carried
+            known += np.einsum("l...,l...->...", previous, r.P0[i:])
+            # R vanishes at t, so W_n's last weight has nothing to act on
+            known += np.einsum("l...,l...->...", Wn[1:-1], R[i + 1:])
             for _ in range(_STEP_ITERATIONS):
-                R[i] = self._pairing(r.b[i], w - r.w0[i])
-                new = synthesize(self.grid, self.mult * (known + weight * R[i]),
+                R[i] = self._pairing(r.b[i], w) - r.P0[i]
+                spectra[i] = known + Wn[0] * R[i]
+                new = synthesize(self.grid, self.mult * spectra[i],
                                  require_real=True, tol=1e-6)
                 inc = float(np.sqrt(((new - w) ** 2).sum(axis=0)).max())
                 w = new
@@ -317,22 +313,21 @@ class TerminalValueProblem:
                     monitor.iterate_norms)
             W[i] = w
         monitor.record(worst, time.perf_counter() - start)
+        self._spectra = spectra
         return dict(enumerate(W))
 
-    def assemble_u(self, w: Dict[int, np.ndarray]) -> Dict[int, np.ndarray]:
-        """u slices for i < terminal from the marched w."""
-        r = self._rule
-        R = self._pairing(r.b, np.stack([w[i] for i in range(self.j)]) - r.w0)
-        spectra = np.empty_like(R)
-        for i, known, weight in self._march(R):
-            spectra[i] = known + weight * R[i]
-        del R                                 # lowers the synthesis's peak
-        return dict(enumerate(synthesize(self.grid, spectra,
+    def assemble_u(self) -> Dict[int, np.ndarray]:
+        """u slices for i < terminal, synthesized from the spectra of the
+        march that produced w (w is the multiplier times each of them)."""
+        if self._spectra is None:
+            raise RuntimeError("assemble_u needs a march: call solve_w first")
+        return dict(enumerate(synthesize(self.grid, self._spectra,
                                          require_real=True, tol=1e-6)))
 
     def solve(self, monitor: Optional[ConvergenceMonitor] = None
               ) -> Dict[int, np.ndarray]:
-        return self.assemble_u(self.solve_w(monitor))
+        self.solve_w(monitor)
+        return self.assemble_u()
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +367,6 @@ class DecayTable:
 def check_identity_limit(G: KernelField, phi: TestFunction) -> DecayTable:
     """Table of sup |T_st phi - phi| over shrinking gaps (s -> t fixed),
     the sup taken over the lattice points off the outer 20% of the box."""
-    from .grid import interior_mask
     grid = G.grid
     j = len(G.stacks) - 1
     samples = phi.sample(grid)
@@ -400,7 +394,6 @@ def cauchy_residual(u_slices: Dict[int, np.ndarray], gen: GeneratorAction,
     first and the two last slices are excluded (the terminal slice does not
     exist as data).
     """
-    from .grid import interior_mask
     idx = sorted(u_slices.keys())
     if len(idx) < 3:
         raise GridError("need at least three stored slices for the stencil")
@@ -485,7 +478,6 @@ def check_w_lipschitz(v: KernelField, phi: TestFunction,
     grid = v.grid
     if grid.dim != 1:
         raise NotImplementedError("the quotient fit probes the 1-d lattice")
-    from .grid import interior_mask, convolve
     samples = phi.sample(grid)
     mask = interior_mask(grid, margin=0.2)
     j = len(v.stacks) - 1

@@ -281,9 +281,11 @@ class PerturbationProblem:
             self.g_rows(), self._quad_rows(G_rows, 1.0)))
 
     def _defect(self, rows: KernelRows, target: KernelRows) -> float:
-        """Largest norm of rows - target, one transform per terminal index."""
-        return max(self.row_max_norm(rows[j] - target[j]).max()
-                   for j in range(1, self.M + 1))
+        """Largest norm of rows - target, one transform per terminal index:
+        j = M alone if both depend on the gap alone (it holds every row)."""
+        ends = ([self.M] if self._gap_only(rows) and self._gap_only(target)
+                else range(1, self.M + 1))
+        return max(self.row_max_norm(rows[j] - target[j]).max() for j in ends)
 
     def series_residual(self, G_rows: KernelRows) -> float:
         """Defect of v = multiplier * G against v0 + Quad[v0 (b, v)]."""

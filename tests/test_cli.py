@@ -186,6 +186,24 @@ def test_verify_refusal_is_an_unsupported_configuration(tmp_path, capsys):
     assert "config error" not in err
 
 
+def test_successive_commands_share_no_parser_state(tmp_path):
+    from pseudoproc.cli import build_parser
+    assert build_parser() is build_parser()    # built once per process
+    first, second, third = (tmp_path / n for n in ("a", "b", "c"))
+    assert main(["emit", "--what", "resolution", "--points", "64",
+                 "--steps", "8", "--dt", "0.5", "--outdir", str(first),
+                 "--dump-config", str(tmp_path / "a.cfg")]) == EXIT_OK
+    assert main(["kernel", "--outdir", str(second),
+                 "--dump-config", str(tmp_path / "b.cfg")]) == EXIT_OK
+    assert main(["emit", "--outdir", str(third)]) == EXIT_OK
+    assert RunConfig.from_file(tmp_path / "a.cfg") == RunConfig(
+        points=64, steps=8, dt=0.5, outdir=str(first))
+    # the kernel command's own defaults, none of the flags before it
+    assert RunConfig.from_file(tmp_path / "b.cfg") == RunConfig(
+        points=2048, half_extent=160.0, outdir=str(second))
+    assert os.listdir(third) == ["profiles.csv"]     # --what's default again
+
+
 def test_config_error_exit():
     assert main(["kernel", "--alpha", "3.0"]) == EXIT_CONFIG
 
@@ -284,6 +302,22 @@ def test_perturb_output_layout_and_round_trip(tmp_path):
     G = KernelField(grid, "G", stacks)
     assert (out / "u_slices.csv").read_bytes() == \
         _old_u_slices_text(grid, G, constant_one(1)).encode()
+
+
+@pytest.mark.parametrize("phi", ["bump", "mode8"])
+def test_perturb_u_slices_equal_the_per_index_operator(tmp_path, phi):
+    out = tmp_path / phi
+    cfg = RunConfig(points=64, half_extent=20.0, steps=8, phi=phi)
+    assert main(["perturb", "--points", "64", "--half-extent", "20",
+                 "--steps", "8", "--phi", phi, "--outdir", str(out)]) == EXIT_OK
+    grid = cfg.grid()
+    stacks = [[] for _ in range(9)]
+    for j in range(1, 9):
+        stacks[j] = [read_snapshot(out / f"G_{i:03d}_{j:03d}.snap")[-1]
+                     for i in range(j)]
+    G = KernelField(grid, "G", stacks)
+    assert (out / "u_slices.csv").read_bytes() == \
+        _old_u_slices_text(grid, G, cfg.phi_function()).encode()
 
 
 def test_perturb_two_dimensional_u_slices(tmp_path):

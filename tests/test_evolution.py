@@ -12,7 +12,7 @@ from pseudoproc import (SpaceTimeGrid, GridError, PerturbationProblem,
                         check_w_lipschitz, terminal_average_of_ones,
                         constant_one, fourier_mode, compact_bump, steep_step,
                         constant_drift, zero_drift, DriftField, analyze,
-                        synthesize)
+                        synthesize, SymbolSpec)
 from pseudoproc.spectral import base_kernel_field
 
 
@@ -201,6 +201,128 @@ def test_drift_beyond_step_contraction_names_its_cause(sym, pg, small_grid):
     with pytest.raises(ConvergenceError, match=r"\|m\|max \* dt = 11") as err:
         prob.solve_w(mon)
     assert err.value.norms == mon.iterate_norms and not mon.converged
+
+
+def _two_pass_march(prob):
+    """The march as it was before u came from its own iterates, kept as
+    reference: P0's integral pre-summed over a separate generator of j - 1
+    steps, R = (b, w - w0), and u marched a second time from the final w.
+    Returns the w and u stacks."""
+    from pseudoproc.evolution import _STEP_ITERATIONS
+    from pseudoproc.quadrature import (gauss_panels, exponential_tables,
+                                       exponential_rules)
+    grid, j, times = prob.grid, prob.j, prob.times
+    tol = ConvergenceMonitor.for_problem(prob.sym.alpha, prob.pg.beta,
+                                         grid.dim, prob.b.p_exponent).stop_tol
+    s2 = prob.pg.beta / prob.sym.alpha
+    t, lo = times[j], times[j - 1]
+    (u,), (wu,) = gauss_panels(np.array([0.0, (t - lo) ** (1.0 - s2)]), 6)
+    tau = np.clip(t - u ** (1.0 / (1.0 - s2)), lo, t - 1e-300)
+    wt = wu / (1.0 - s2) * u ** (s2 / (1.0 - s2))
+    panel = np.tensordot(wt, prob._decay(tau - lo) * prob._pairing(
+        prob._drift_at(tau), prob.w0_at(tau)), 1)
+    z = prob.a * grid.dt
+    tables = exponential_tables(z, grid.dt)
+    b, w0 = prob._drift_at(times[:j]), prob.w0_at(times[:j])
+    P0 = prob._pairing(b, w0)
+    base = prob._decay(t - times[:j]) * prob.phi_hat
+    base += prob._decay(lo - times[:j]) * panel
+    for n, W in enumerate(exponential_rules(tables, z, j - 1)):
+        base[j - 1 - n] += np.einsum("l...,l...->...", W, P0[j - 1 - n:])
+
+    def march(R):
+        rules = exponential_rules(tables, z, j)
+        next(rules)
+        for n, W in enumerate(rules, 1):
+            i = j - n
+            yield i, base[i] + np.einsum("l...,l...->...", W[1:-1],
+                                         R[i + 1:]), W[0]
+
+    R, w_all, w = np.empty((j,) + prob.a.shape, complex), np.empty_like(w0), w0[-1]
+    for i, known, weight in march(R):
+        for _ in range(_STEP_ITERATIONS):
+            R[i] = prob._pairing(b[i], w - w0[i])
+            new = synthesize(grid, prob.mult * (known + weight * R[i]),
+                             require_real=True, tol=1e-6)
+            inc, w = float(np.sqrt(((new - w) ** 2).sum(axis=0)).max()), new
+            if not inc >= tol:
+                break
+        w_all[i] = w
+    R = prob._pairing(b, w_all - w0)
+    spectra = np.empty_like(R)
+    for i, known, weight in march(R):
+        spectra[i] = known + weight * R[i]
+    return w_all, synthesize(grid, spectra, require_real=True, tol=1e-6)
+
+
+def _space_time_problem(dim, terminal_index=None, symbol=None):
+    from pseudoproc import PseudoGradientSpec, isotropic_symbol
+    bump = lambda t, *xs: np.exp(-sum(x * x for x in xs) / 32)
+    b = DriftField(dim=dim, kind="space_time", evaluator=lambda t, *xs: np.stack(
+        [0.8 * bump(t, *xs) * (1 + 0.3 * np.cos(np.pi * t)),
+         0.3 * bump(t, *xs)][:dim]))
+    grid = (SpaceTimeGrid(1, 40.0, 256, 1.0, 16) if dim == 1
+            else SpaceTimeGrid(2, 20.0, 32, 1.0, 8))
+    return TerminalValueProblem(symbol or isotropic_symbol(1.5, 1.0, dim),
+                                PseudoGradientSpec(beta=0.5, dim=dim), grid,
+                                b, compact_bump(5.0, dim=dim), terminal_index)
+
+
+def _stack(slices):
+    return np.stack([slices[i] for i in sorted(slices)])
+
+
+# a complex symbol: the rule weights are complex
+_SKEW = SymbolSpec(alpha=1.5, variant="custom", dim=1, a0=1.0,
+                   evaluator=lambda lam: np.abs(lam) ** 1.5
+                   * (1.0 + 0.2j * np.sign(lam)))
+
+
+@pytest.mark.parametrize("dim, terminal_index, symbol", [
+    (1, None, None), (1, 1, None), (1, 3, None), (2, None, None),
+    pytest.param(1, None, _SKEW, id="1-None-skew")])
+def test_one_march_matches_the_two_pass_march(dim, terminal_index, symbol):
+    # R is formed from the kept P0 spectra, so w moves at round-off; u is
+    # now the spectrum of the march's last iterate, within the step tolerance
+    w_ref, u_ref = _two_pass_march(_space_time_problem(dim, terminal_index,
+                                                       symbol))
+    prob = _space_time_problem(dim, terminal_index, symbol)
+    w = _stack(prob.solve_w())
+    u = _stack(prob.assemble_u())
+    assert w.shape == w_ref.shape and u.shape == u_ref.shape
+    assert np.abs(w - w_ref).max() <= 1e-14 * np.abs(w_ref).max()
+    assert np.abs(u - u_ref).max() <= 1e-6 * np.abs(u_ref).max()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_u_is_the_march_own_iterate(dim):
+    # w(t_i) is the synthesis of multiplier * u_hat(t_i), exactly
+    prob = _space_time_problem(dim)
+    w, u = prob.solve_w(), prob.assemble_u()
+    assert sorted(w) == sorted(u) == list(range(prob.j))
+    for i in w:
+        back = synthesize(prob.grid, prob.mult * analyze(prob.grid, u[i]))
+        assert np.abs(back - w[i]).max() <= 1e-12 * np.abs(w[i]).max()
+
+
+def test_a_solve_draws_one_rule_generator(monkeypatch):
+    import pseudoproc.evolution as evolution
+    drawn = []
+
+    def counted(*args):
+        drawn.append(args[2])
+        return exponential_rules(*args)
+
+    from pseudoproc.quadrature import exponential_rules
+    monkeypatch.setattr(evolution, "exponential_rules", counted)
+    prob = _space_time_problem(1)
+    prob.solve()
+    assert drawn == [prob.j]
+
+
+def test_assemble_u_refuses_before_a_march():
+    with pytest.raises(RuntimeError, match="solve_w"):
+        _space_time_problem(1).assemble_u()
 
 
 def test_identity_limit_monotone_and_fit(sym, pg, small_grid):

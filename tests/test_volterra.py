@@ -133,6 +133,22 @@ def test_residuals_meet_solver_contract(small_problem):
                for a, g in zip(assembled[1:], G_rows[1:])) < 1e-12
 
 
+def test_gap_only_defect_reads_the_last_terminal_index(small_problem,
+                                                       monkeypatch):
+    # both inputs depend on the gap alone: one transform, the value of all M
+    G_rows = small_problem.solve_v(
+        ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf))
+    assembled = small_problem.assemble_G_rows(G_rows)
+    every_j = max(small_problem.row_max_norm(a - g).max()
+                  for a, g in zip(assembled[1:], G_rows[1:]))
+    calls = []
+    norm = small_problem.row_max_norm
+    monkeypatch.setattr(small_problem, "row_max_norm",
+                        lambda rows: calls.append(len(rows)) or norm(rows))
+    assert small_problem.perturbation_residual(G_rows) == every_j
+    assert calls == [small_problem.M]
+
+
 def test_residual_decreases_under_refinement(sym, pg):
     res = {}
     for N, M in ((64, 8), (128, 16)):
