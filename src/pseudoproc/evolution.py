@@ -20,17 +20,22 @@ invariant.  Per Fourier mode, with P = (b, w) and a the symbol,
     u_hat(t_i) = exp(-a (t - t_i)) phi_hat + Int_{t_i}^t exp(-a (tau - t_i)) P_hat(tau) dtau,
 
 and w(t_i) is the synthesis of the multiplier times u_hat(t_i) (v0's
-spectrum is the multiplier times g's).  `quadrature.exponential_rules`
-integrates the exponential exactly against a Lagrange interpolant of P_hat
-whose stencils stay inside [t_i, t], so u(t_i) depends on P at t_i and
-later nodes alone: `TerminalValueProblem` marches backward from the
-terminal time, one fixed-point solve per node.  The march runs once, and
-u is its own iterate: the last spectrum at t_i, which the multiplier turns
-into w(t_i), is u_hat(t_i).  Near tau = t, w inherits the
-(t - tau)^{-beta/alpha} amplitude of its leading part w0, so the terminal
-step integrates (b, w0) exactly at the Gauss nodes of the substituted
-variable u = (t - tau)^{1 - beta/alpha}, and only the remainder
-(b, w - w0), which vanishes at t, is interpolated there.
+spectrum is the multiplier times g's).  `quadrature` integrates the
+exponential exactly against a Lagrange interpolant of P_hat whose
+stencils stay inside [t_i, t], so u(t_i) depends on P at t_i and later
+nodes alone: `TerminalValueProblem` marches backward from the terminal
+time, one fixed-point solve per node.  Since exp(-a (tau - t_i)) is
+exp(-a dt) exp(-a (tau - t_{i+1})), from five steps before t on the
+spectrum at t_i is exp(-a dt) times the one at t_{i+1} plus five local
+weights on P(t_i), ..., P(t_{i+4}); the four nodes nearest t take their
+weights directly.  The march runs once, and u is its own iterate: the
+last spectrum at t_i, which the multiplier turns into w(t_i), is
+u_hat(t_i).  Near tau = t, w inherits the (t - tau)^{-beta/alpha}
+amplitude of its leading part w0, so the terminal step integrates
+(b, w0) exactly at the Gauss nodes of the substituted variable
+u = (t - tau)^{1 - beta/alpha}, and only the remainder (b, w - w0),
+which vanishes at t, is interpolated there.  The split enters the four
+direct nodes alone: the carry's local weights never reach the last step.
 """
 from __future__ import annotations
 
@@ -38,18 +43,18 @@ import functools
 import math
 import time
 from dataclasses import dataclass
-from itertools import pairwise
 from types import SimpleNamespace
 from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
 from .grid import (SpaceTimeGrid, GridError, synthesize, analyze, convolve,
-                   interior_mask)
+                   interior_mask, real_part)
 from .symbols import SymbolSpec, PseudoGradientSpec
 from .fields import KernelField
 from .drift import DriftField
-from .quadrature import gauss_panels, exponential_tables, exponential_rules
+from .quadrature import (gauss_panels, exponential_tables, interval_rule,
+                         carry_weights)
 from .volterra import ConvergenceMonitor, ConvergenceError, PerturbationProblem
 
 
@@ -241,9 +246,10 @@ class TerminalValueProblem:
         The drift is sampled once per node: at t_0 .. t_{j-1} and at the six
         Gauss nodes in u = (t - tau)^{1 - s2} of the terminal panel
         [t_{j-1}, t], which integrates P0 = (b, w0) with w0 exact.  Kept are
-        P0 at t_0 .. t_{j-1}, w0 at t_{j-1}, where the march starts, and the
-        datum term plus the panel at t_{j-1}, carried to t_i by
-        exp(-a (t_{j-1} - t_i)).
+        P0 at the (at most) four nodes nearest t, w0 at t_{j-1}, where the
+        march starts, the datum term plus the panel at t_{j-1}, carried to
+        t_i by exp(-a (t_{j-1} - t_i)), the direct weights of up to four
+        steps and the five carry weights.
         """
         grid, j = self.grid, self.j
         s2 = self.pg.beta / self.sym.alpha    # terminal amplitude exponent
@@ -255,24 +261,50 @@ class TerminalValueProblem:
         panel = np.tensordot(wt, self._decay(tau - lo) * self._pairing(
             self._drift_at(tau), self.w0_at(tau)), 1)
         z, b = self.a * grid.dt, self._drift_at(self.times[:j])
-        # the w0 stack is freed before the tables are built: a lower peak
+        tables, e = exponential_tables(z, grid.dt), np.exp(-z)
+        near = self.times[max(j - 4, 0):j]
+        w0 = self.w0_at(near)
         return SimpleNamespace(
-            b=b, z=z, P0=self._pairing(b, self.w0_at(self.times[:j])),
-            w0_last=self.w0_at([lo])[0], tables=exponential_tables(z, grid.dt),
+            b=b, e=e, P0=self._pairing(b[j - len(near):], w0), w0_last=w0[-1],
+            direct=[interval_rule(lambda table, r: np.exp(-z * r) * tables[table],
+                                  n) for n in range(len(near) + 1)],
+            carry=carry_weights(tables, tables, e),
             carried=self._decay([t - lo])[0] * self.phi_hat + panel)
+
+    def _known(self, i: int, spectra: np.ndarray, P: list) -> tuple:
+        """Spectrum i without its own P(t_i) term, and that term's weight.
+
+        P holds (b, w) at the nodes after t_i, nearest first.  From five
+        steps before t on, spectrum i carries spectrum i + 1; the four
+        nodes nearest t sum the datum term, the terminal panel, P0 over
+        [t_i, t_{j-1}] and the remainder R = P - P0 over [t_i, t] directly.
+        """
+        r, n = self._rule, self.j - i
+        if n > 4:
+            known = r.e * spectra[i + 1]
+            for c, p in zip(r.carry[1:], P):
+                known += c * p
+            return known, r.carry[0]
+        P0, before, now = r.P0[-n:], r.direct[n - 1], r.direct[n]
+        known = self._decay([self.times[self.j - 1] - self.times[i]])[0] * r.carried
+        known += np.einsum("l...,l...->...", before, P0) - now[0] * P0[0]
+        # R vanishes at t, so the last weight has nothing to act on
+        for c, p, p0 in zip(now[1:-1], P, P0[1:]):
+            known += c * (p - p0)
+        return known, now[0]
 
     def solve_w(self, monitor: Optional[ConvergenceMonitor] = None
                 ) -> Dict[int, np.ndarray]:
         """March the w slices backward from i = terminal - 1 down to 0.
 
-        Spectrum i, that of u(t_i), sums the datum term, the terminal panel,
-        P0 over [t_i, t_{j-1}] and the remainder R = (b, w - w0) over
-        [t_i, t]: one `exponential_rules` generator's W_{j-i} weighs R, the
-        yield before it P0.  w(t_i), the synthesis of multiplier * spectrum
-        i, depends on w(t_i) through R[i] alone.  Fixed-point iteration
-        solves each step to an increment (lattice sup norm) below
-        monitor.stop_tol; the monitor records the largest final increment.
-        Each node's last spectrum is kept for `assemble_u`.
+        Spectrum i, that of u(t_i), is `_known` plus a weight times
+        P(t_i) = (b, w)(t_i); w(t_i), the synthesis of multiplier *
+        spectrum i, thus depends on itself through P(t_i) alone.
+        Fixed-point iteration solves each step to an increment (lattice sup
+        norm) below monitor.stop_tol; the monitor records the largest final
+        increment.  The accepted iterate of each node passes the
+        imaginary-residue check.  Each node's last spectrum is kept for
+        `assemble_u`.
         """
         if monitor is None:
             monitor = ConvergenceMonitor.for_problem(
@@ -280,25 +312,22 @@ class TerminalValueProblem:
         self.monitor = monitor
         start = time.perf_counter()
         r, tol, j = self._rule, monitor.stop_tol, self.j
-        R, spectra = np.empty_like(r.P0), np.empty_like(r.P0)
+        spectra = np.empty((j,) + self.a.shape, complex)
         W = np.empty((j,) + r.w0_last.shape)
-        w, worst = r.w0_last, 0.0             # w0(t_{j-1}) starts the march
-        rules = pairwise(exponential_rules(r.tables, r.z, j))
-        for n, (previous, Wn) in enumerate(rules, 1):
-            i = j - n
-            known = self._decay([self.times[j - 1] - self.times[i]])[0] * r.carried
-            known += np.einsum("l...,l...->...", previous, r.P0[i:])
-            # R vanishes at t, so W_n's last weight has nothing to act on
-            known += np.einsum("l...,l...->...", Wn[1:-1], R[i + 1:])
+        w, worst, P = r.w0_last, 0.0, []      # w0(t_{j-1}) starts the march
+        for i in range(j - 1, -1, -1):
+            known, weight = self._known(i, spectra, P)
             for _ in range(_STEP_ITERATIONS):
-                R[i] = self._pairing(r.b[i], w) - r.P0[i]
-                spectra[i] = known + Wn[0] * R[i]
-                new = synthesize(self.grid, self.mult * spectra[i],
-                                 require_real=True, tol=1e-6)
+                p = self._pairing(r.b[i], w)
+                spectra[i] = known + weight * p
+                field = synthesize(self.grid, self.mult * spectra[i],
+                                   require_real=False)
+                new = field.real
                 inc = float(np.sqrt(((new - w) ** 2).sum(axis=0)).max())
                 w = new
                 if not inc >= tol:             # converged, or not finite
                     break
+            real_part(self.grid, field, tol=1e-6)
             worst = max(worst, inc)
             if not inc < tol:
                 monitor.record(inc, time.perf_counter() - start)
@@ -311,7 +340,7 @@ class TerminalValueProblem:
                     f"(needs < {tol:g}) at |m|max * dt = {m * self.grid.dt:.3g}:"
                     " the drift is too large for this time step",
                     monitor.iterate_norms)
-            W[i] = w
+            W[i], P = w, [p] + P[:3]
         monitor.record(worst, time.perf_counter() - start)
         self._spectra = spectra
         return dict(enumerate(W))

@@ -3,9 +3,15 @@
 Both rules integrate over [t_i, t_j] step by step, against the Lagrange
 interpolant through the (at most four) samples nearest each step inside
 [t_i, t_j], never below t_i; `_stencil` alone knows which samples.
-`kernel_rule` (kernel level) integrates b H with b exact at 4-point
-`gauss_panels` nodes; `exponential_rules` (function level) integrates
-exp(-a (tau - t_i)) exactly against the interpolant.
+`kernel_rule` (kernel level) gives every step's weights for b H with b
+exact at 4-point `gauss_panels` nodes; `exponential_tables` (function
+level) integrates exp(-a (tau - t_i)) exactly against the interpolant.
+`interval_rule` sums the steps of one interval directly.  From four steps
+on, moving the start from t_{i+1} to t_i changes one stencil only: the
+old first step becomes an inner step.  So an integral from t_i is the one
+from t_{i+1}, carried by the factor that moves it to t_i (exp(-a dt) for
+the exponential), plus the five `carry_weights` on f(t_i), ..., f(t_{i+4}):
+each solver sums O(1) samples per node instead of O(j - i).
 """
 from __future__ import annotations
 
@@ -60,30 +66,54 @@ def _stencil(n, r):
     return table, np.clip(r - 1, 0, np.maximum(n - 3, 0))
 
 
-def kernel_rule(b_at, times: np.ndarray, terminals) -> dict:
-    """Weights of Int_{t_i}^{t_j} b_c(tau) H(tau) dtau for every i < j.
+def kernel_rule(b_at, times: np.ndarray) -> np.ndarray:
+    """Every step's weights for Int b_c(tau) H(tau) dtau, with each table.
 
     b_at(tau) is the drift d-vector; times are the partition t_0..t_steps.
-    Entry j, for each j of terminals, is W of shape (d, j, j + 1): the
-    integral from t_i is sum_l W[c, i, l] H(t_l), with W[c, i, l] = 0 for
-    l < i.  W takes O(d j^2) memory, every j O(d M^3): for b constant in
-    time the weights depend on j - i alone, so j = M serves every pair.
+    Entry [table, s, k, c] weighs H at sample s of the table's stencil on
+    step k: shape (6, 4, steps, d), O(M d) numbers for any b.
     """
     tau, weight = gauss_panels(times)
     drift = np.array([[b_at(t) for t in row] for row in tau])
-    d = drift.shape[2]
     # step k with each table: sum_q weight_q b_c(node q) table[q, s]
-    step = np.einsum("kq,kqc,tqs->tkcs", weight, drift, _TABLES)
-    rules = {}
-    for j in terminals:
-        i, k = np.triu_indices(j)          # step k of the interval from t_i
-        table, start = _stencil(j - i, k - i)
-        first = i + start
-        W = np.zeros((d, j, j + 4))        # spare columns: short stencils
-        for s in range(4):
-            np.add.at(W, (slice(None), i, first + s), step[table, k, :, s].T)
-        rules[j] = W[..., :j + 1]
-    return rules
+    return np.einsum("kq,kqc,tqs->tskc", weight, drift, _TABLES)
+
+
+@functools.lru_cache(maxsize=None)
+def _steps_of(n: int) -> tuple:
+    """(table, first sample) of each step of an interval of n steps."""
+    table, start = _stencil(n, np.arange(n))
+    return tuple(zip(table.tolist(), start.tolist()))
+
+
+def interval_rule(step_weights, n: int) -> np.ndarray:
+    """Weights on the samples t_i..t_{i+n} of an interval of n steps.
+
+    step_weights(table, r) gives step r's weights on the four samples of
+    its stencil (first axis); the result stacks the sample weights.
+    """
+    probe = step_weights(_ALONE, 0)      # shape and type of one step's weights
+    W = np.zeros((n + 4,) + probe.shape[1:], probe.dtype)
+    for r, (table, start) in enumerate(_steps_of(n)):
+        W[start:start + 4] += step_weights(table, r)
+    return W[:n + 1]
+
+
+def carry_weights(step, next_step, e=1.0) -> np.ndarray:
+    """c_0..c_4 with S_i = e S_{i+1} + sum_l c_l f(t_{i+l}), for intervals
+    of at least four steps from t_i (at least three from t_{i+1}).
+
+    step and next_step are the tables of steps i and i + 1, laid out as
+    `kernel_rule`'s or `exponential_tables`' (table, sample, ...); e
+    carries an integral from t_{i+1} to t_i.  Step i enters as a first
+    step, and step i + 1 turns from a first step into an inner one.
+    """
+    first, inner, old = step[_FIRST], next_step[_INNER], next_step[_FIRST]
+    c = np.zeros((5,) + np.broadcast_shapes(first.shape[1:], np.shape(e)),
+                 np.result_type(first, e))
+    c[:4] = first + e * inner
+    c[1:] -= e * old
+    return c
 
 
 def _moments(z) -> np.ndarray:
@@ -114,28 +144,3 @@ def exponential_tables(z, dt: float) -> np.ndarray:
     # most, fixed by its values at the four Gauss nodes
     C = np.linalg.solve(np.vander(_unit_gauss(4)[0], 4, increasing=True), _TABLES)
     return dt * np.einsum("tks,k...->ts...", C, _moments(z))
-
-
-def exponential_rules(tables: np.ndarray, z, steps: int):
-    """Yield W_n, n = 0 .. steps: Int_{t_i}^{t_{i+n}} exp(-a (tau - t_i)) f(tau) dtau
-    is sum_l W_n[l] f(t_{i+l}), l = 0 .. n, with tables from
-    `exponential_tables(z, dt)`.  One more step changes the stencils of few
-    steps (from three steps on, only the old last one's), so each W_n
-    updates the one before, looking at its last three steps alone.
-    """
-    n, r = np.tril_indices(steps + 1, -1)
-    table, start = _stencil(n, r)
-    decay = np.exp(-z * np.arange(steps).reshape((-1,) + (1,) * np.ndim(z)))
-    W = np.zeros((steps + 4,) + tables.shape[2:], tables.dtype)
-    placed = {}                        # step -> its (table, start) in W
-    for m in range(steps + 1):
-        lo = m * (m - 1) // 2          # the steps of [t_i, t_{i+m}] in n, r
-        for step in range(max(0, m - 3), m):
-            now = table[lo + step], start[lo + step]
-            if placed.get(step) != now:
-                if step in placed:     # the step changed its stencil
-                    t, s0 = placed[step]
-                    W[s0:s0 + 4] -= decay[step] * tables[t]
-                t, s0 = placed[step] = now
-                W[s0:s0 + 4] += decay[step] * tables[t]
-        yield W[:m + 1].copy()

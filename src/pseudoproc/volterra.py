@@ -9,15 +9,20 @@ factor, G(s, t) = exp(-a (t - s)) H(s, t), the identity becomes
 H(s, t) = 1 + Int_s^t m(tau) H(tau, t) dtau, with nothing stiff left to
 interpolate.  `kernel_rule` keeps its stencils inside [t_i, t_j], so per
 mode and terminal index j the system (I - K_j) G_j = g_j + c_j (c_j weighs
-the limit G(t_j, t_j) = 1) is upper triangular: `solve_v` back-substitutes
-the rows `pair_quad` gives, and the spectral radius is the largest
-diagonal modulus.  For b constant in time the identity is of convolution
-type: K_j is the last j rows of K_M, so only j = M is solved, and each G_j
-views G_M's tail.  Rows travel as `KernelRows`, one stack per terminal
-index j, the unit this system couples.  `ConvergenceError` (exit 4 of
-`pseudoproc perturb`) means that radius is at least one (the message names
-|m|max * dt), the residual reaches stop_tol, or the result is not finite.
-`iterate_terms` builds the series of the same operator.
+the limit G(t_j, t_j) = 1) is upper triangular, and the spectral radius
+is the largest diagonal modulus.  Row i of K_j weighs G(t_l) by
+exp(-a (t_l - t_i)) = exp(-a dt) exp(-a (t_l - t_{i+1})), so from four
+steps on its sum is exp(-a dt) times row i + 1's plus five local weights
+on G(t_i), ..., G(t_{i+4}) (`quadrature.carry_weights`); the rows of
+three steps or fewer come from `pair_quad`.  `solve_v` back-substitutes
+with that carried sum, O(M^2) rows for b varying in time.  For b constant
+in time the identity is of convolution type: K_j is the last j rows of
+K_M, so only j = M is solved, and each G_j views G_M's tail.  Rows travel
+as `KernelRows`, one stack per terminal index j, the unit this system
+couples.  `ConvergenceError` (exit 4 of `pseudoproc perturb`) means that
+radius is at least one (the message names |m|max * dt), the residual
+reaches stop_tol, or the result is not finite.  `iterate_terms` builds
+the series of the same operator.
 """
 from __future__ import annotations
 
@@ -32,7 +37,7 @@ from .grid import SpaceTimeGrid, GridError, synthesize
 from .symbols import SymbolSpec, PseudoGradientSpec
 from .fields import KernelField
 from .drift import DriftField, series_exponent
-from .quadrature import gauss_panels, kernel_rule
+from .quadrature import gauss_panels, kernel_rule, interval_rule, carry_weights
 
 
 class ConvergenceError(RuntimeError):
@@ -145,8 +150,17 @@ class PerturbationProblem:
         self._terminals = [self.M] if b.kind == "constant" else range(1, self.M + 1)
 
     @functools.cached_property
-    def _rule(self) -> dict:
-        return kernel_rule(self.b.at_time, self.times, self._terminals)
+    def _rule(self) -> np.ndarray:
+        """`kernel_rule`'s per-step table, (6, 4, steps, d)."""
+        return kernel_rule(self.b.at_time, self.times)
+
+    @functools.cached_property
+    def _carry(self) -> np.ndarray:
+        """c[i, l], l = 0..4, shape (M - 1, 5, modes): for j - i >= 4, row i
+        of K_j sums to exp(-a dt) times row i + 1's plus c[i, l] times the
+        sample at t_{i+l}."""
+        c = carry_weights(self._rule[:, :, :-1], self._rule[:, :, 1:])
+        return np.einsum("lkc,cm->klm", c, self._mult) * self._gap_decay[:5]
 
     @functools.cached_property
     def _gap_decay(self) -> np.ndarray:
@@ -157,27 +171,31 @@ class PerturbationProblem:
         """A (j, modes) array of rows (i, j) as a (j,) + lattice stack."""
         return np.ascontiguousarray(flat).reshape((len(flat),) + self.a.shape)
 
+    def _by_gap(self, top) -> KernelRows:
+        """Rows that depend on the gap j - i alone, as views of their top
+        stack: rows[j] is top[M - j:]."""
+        return KernelRows(top[self.M - j:] for j in range(self.M + 1))
+
     # base kernels on the frequency lattice
     def g_rows(self) -> KernelRows:
-        # row (i, j) decays over the gap j - i: rows j, ..., 1
-        return KernelRows(self._rows(self._gap_decay[j:0:-1])
-                          for j in range(self.M + 1))
+        # row (i, j) decays over the gap j - i: rows M, ..., 1
+        return self._by_gap(self._rows(self._gap_decay[self.M:0:-1]))
 
     def v_rows(self, G_rows: KernelRows) -> KernelRows:
         """The vector kernel v = multiplier * G, row by row (output only);
         rows that depend on the gap alone are multiplied once, as G_rows[M]."""
         if self._gap_only(G_rows):
-            top = self.mult * G_rows[self.M][:, None]
-            return KernelRows(top[self.M - j:] for j in range(self.M + 1))
+            return self._by_gap(self.mult * G_rows[self.M][:, None])
         return KernelRows(self.mult * G[:, None] for G in G_rows)
 
     def _gap_only(self, rows: KernelRows) -> bool:
         """Whether the rows depend on the gap j - i alone: b is constant in
-        time and each rows[j] equals the tail rows[M][M - j:] exactly.  Row
-        (i, j) is then row M - (j - i) of rows[M]."""
+        time and each rows[j] is the view rows[M][M - j:], as `_by_gap`
+        makes them.  Row (i, j) is then row M - (j - i) of rows[M]."""
         M = self.M
         return self.b.kind == "constant" and all(
-            np.array_equal(rows[j], rows[M][M - j:]) for j in range(M))
+            rows[j].__array_interface__ == rows[M][M - j:].__array_interface__
+            for j in range(1, M))
 
     # -- the discrete operator -----------------------------------------------
     def pair_quad(self, i: int, j: int) -> np.ndarray:
@@ -185,12 +203,37 @@ class PerturbationProblem:
 
         Shape (j + 1 - i, modes), m = (b, multiplier): per mode, the weights
         of f(t_i), ..., f(t_{j-1}) and of the limit f(t_j), each the rule's
-        weight for the smooth exp(a (t_j - tau)) f times g(t_l - t_i).  For b
-        constant in time that is row M - (j - i) of K_M, the same numbers.
+        weight for the smooth exp(a (t_j - tau)) f times g(t_l - t_i), summed
+        from the per-step table in O(j - i).  The solver takes it for
+        j - i <= 3 and carries the longer rows.
         """
-        if self.b.kind == "constant":
-            i, j = self.M - (j - i), self.M
-        return (self._rule[j][:, i, i:].T @ self._mult) * self._gap_decay[:j + 1 - i]
+        W = interval_rule(lambda table, r: self._rule[table, :, i + r], j - i)
+        return (W @ self._mult) * self._gap_decay[:j + 1 - i]
+
+    def _sums(self, j: int, f: np.ndarray, g=None) -> tuple:
+        """S_i = sum_l K_j[i, l] f[l] for i = j - 1 down to 0, and the
+        largest diagonal modulus |K_j[i, i]|.
+
+        f holds the samples at t_0, ..., t_{j-1}, then the limit.  Given g,
+        the g rows of j, each f[i] is first solved from f[i] = g[i] + S_i,
+        which the triangle of K_j allows: f then holds G_j.
+        """
+        S, e = np.empty((j, f.shape[1]), complex), self._gap_decay[1]
+        # the carried rows' diagonals, c[i, 0], for i <= j - 4
+        radius = np.abs(self._carry[:j - 3, 0]).max() if j > 3 else 0.0
+        for i in range(j - 1, -1, -1):
+            if j - i <= 3:
+                K = self.pair_quad(i, j)
+                diag, known = K[0], (K[1:] * f[i + 1:]).sum(axis=0)
+                radius = max(radius, np.abs(diag).max())
+            else:
+                c = self._carry[i]
+                diag = c[0]
+                known = e * S[i + 1] + (c[1:] * f[i + 1:i + 5]).sum(axis=0)
+            if g is not None:
+                f[i] = (g[i] + known) / (1.0 - diag)
+            S[i] = known + diag * f[i]
+        return S, radius
 
     def row_max_norm(self, rows: np.ndarray) -> np.ndarray:
         """Lattice sup of each synthesized scalar or vector row of a stack."""
@@ -216,18 +259,12 @@ class PerturbationProblem:
         solved, radius, residual = {}, 0.0, 0.0
         for j in self._terminals:
             G = np.ones((j + 1, self.a.size), complex)  # G(t_l, t_j); limit 1
-            defect = np.empty((j, self.a.size), complex)
-            for i in range(j - 1, -1, -1):
-                K = self.pair_quad(i, j)                # row i of K_j and c_j
-                g = self._gap_decay[j - i]
-                known = (K[1:] * G[i + 1:]).sum(axis=0)  # samples l > i
-                G[i] = (g + known) / (1.0 - K[0])
-                radius = max(radius, np.abs(K[0]).max())
-                defect[i] = (1.0 - K[0]) * G[i] - g - known
-            solved[j] = G[:j]
+            g = self._gap_decay[j:0:-1]
+            S, r = self._sums(j, G, g)
+            radius, solved[j] = max(radius, r), G[:j]
+            defect = self._rows(G[:j] - g - S)
             # np.maximum keeps a NaN, which fails the test below
-            residual = np.maximum(residual,
-                                  self.row_max_norm(self._rows(defect)).max())
+            residual = np.maximum(residual, self.row_max_norm(defect).max())
         monitor.spectral_radius = float(radius)
         monitor.record(float(residual), _time.perf_counter() - start)
         if not monitor.converged:
@@ -255,30 +292,24 @@ class PerturbationProblem:
     def _quad_rows(self, rows: KernelRows, limit: float) -> KernelRows:
         """Int_{t_i}^{t_j} g(tau - t_i) m(tau) f(tau, t_j) dtau, every pair.
 
-        rows are the scalar rows of f; limit is f(t_j, t_j).  For b constant
-        in time row r of K_M serves gap M - r, and if each rows[j] is the
-        tail of rows[M] (rows of one gap equal), so is each out[j] of out[M].
+        rows are the scalar rows of f; limit is f(t_j, t_j).  Rows that
+        depend on the gap alone give such rows, from j = M alone.
         """
-        M, shared = self.M, self.b.kind == "constant"
-        by_gap = self._gap_only(rows)
-        ends = [M] if by_gap else range(M + 1)
-        # samples at t_0, ..., t_{j-1}, then the limit
-        f = {j: np.full((j + 1, self.a.size), limit, complex) for j in ends}
-        out = {j: np.empty((j, self.a.size), complex) for j in ends}
-        for j in ends:
-            f[j][:j] = rows[j].reshape(j, self.a.size)
-        for J in self._terminals:
-            for r in range(J):
-                K, gap = self.pair_quad(r, J), J - r
-                for j in range(gap, M + 1) if shared and not by_gap else [J]:
-                    out[j][j - gap] = (K * f[j][j - gap:]).sum(axis=0)
-        return KernelRows(self._rows(out[M][M - j:] if by_gap else out[j])
-                          for j in range(M + 1))
+        M, by_gap = self.M, self._gap_only(rows)
+        out = {}
+        for j in [M] if by_gap else range(M + 1):
+            # samples at t_0, ..., t_{j-1}, then the limit
+            f = np.full((j + 1, self.a.size), limit, complex)
+            f[:j] = rows[j].reshape(j, self.a.size)
+            out[j] = self._rows(self._sums(j, f)[0])
+        return self._by_gap(out[M]) if by_gap else KernelRows(out.values())
 
     def assemble_G_rows(self, G_rows: KernelRows) -> KernelRows:
         """G = g + Quad[g m G] for given G rows, m = (b, multiplier)."""
-        return KernelRows(g + q for g, q in zip(
-            self.g_rows(), self._quad_rows(G_rows, 1.0)))
+        g, q = self.g_rows(), self._quad_rows(G_rows, 1.0)
+        if self._gap_only(q):
+            return self._by_gap(g[self.M] + q[self.M])
+        return KernelRows(a + b for a, b in zip(g, q))
 
     def _defect(self, rows: KernelRows, target: KernelRows) -> float:
         """Largest norm of rows - target, one transform per terminal index:
@@ -301,10 +332,8 @@ class PerturbationProblem:
         """The field of the rows' synthesized slices, one `synthesize` per
         terminal index; rows that depend on the gap alone are synthesized
         once, as rows[M], and stack j views its last j slices."""
-        M = self.M
         if self._gap_only(rows):
-            top = synthesize(self.grid, rows[M])
-            stacks = [top[M - j:] for j in range(M + 1)]
+            stacks = self._by_gap(synthesize(self.grid, rows[self.M]))
         else:
             stacks = [rows[0]] + [synthesize(self.grid, stack)
                                   for stack in rows[1:]]

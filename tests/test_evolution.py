@@ -209,8 +209,7 @@ def _two_pass_march(prob):
     steps, R = (b, w - w0), and u marched a second time from the final w.
     Returns the w and u stacks."""
     from pseudoproc.evolution import _STEP_ITERATIONS
-    from pseudoproc.quadrature import (gauss_panels, exponential_tables,
-                                       exponential_rules)
+    from pseudoproc.quadrature import gauss_panels, exponential_tables
     grid, j, times = prob.grid, prob.j, prob.times
     tol = ConvergenceMonitor.for_problem(prob.sym.alpha, prob.pg.beta,
                                          grid.dim, prob.b.p_exponent).stop_tol
@@ -227,11 +226,11 @@ def _two_pass_march(prob):
     P0 = prob._pairing(b, w0)
     base = prob._decay(t - times[:j]) * prob.phi_hat
     base += prob._decay(lo - times[:j]) * panel
-    for n, W in enumerate(exponential_rules(tables, z, j - 1)):
+    for n, W in enumerate(_rules_scanning_every_step(tables, z, j - 1)):
         base[j - 1 - n] += np.einsum("l...,l...->...", W, P0[j - 1 - n:])
 
     def march(R):
-        rules = exponential_rules(tables, z, j)
+        rules = _rules_scanning_every_step(tables, z, j)
         next(rules)
         for n, W in enumerate(rules, 1):
             i = j - n
@@ -305,19 +304,13 @@ def test_u_is_the_march_own_iterate(dim):
         assert np.abs(back - w[i]).max() <= 1e-12 * np.abs(w[i]).max()
 
 
-def test_a_solve_draws_one_rule_generator(monkeypatch):
-    import pseudoproc.evolution as evolution
-    drawn = []
-
-    def counted(*args):
-        drawn.append(args[2])
-        return exponential_rules(*args)
-
-    from pseudoproc.quadrature import exponential_rules
-    monkeypatch.setattr(evolution, "exponential_rules", counted)
+def test_a_non_hermitian_march_raises_imaginary_residue():
+    from pseudoproc import ImaginaryResidueError
     prob = _space_time_problem(1)
-    prob.solve()
-    assert drawn == [prob.j]
+    # a datum term without the Hermitian symmetry: no real w solves the step
+    prob._rule.carried = prob._rule.carried * (1.0 + 0.5j)
+    with pytest.raises(ImaginaryResidueError, match="not Hermitian"):
+        prob.solve_w()
 
 
 def test_assemble_u_refuses_before_a_march():
@@ -505,14 +498,29 @@ def test_two_dimensional_march_matches_etdrk4_reference():
     assert err < 1.2e-4
 
 
+def _carried_rules(z, dt, steps):
+    """W_n, n = 0 .. steps, of Int_{t_i}^{t_{i+n}} exp(-a (tau - t_i)) f(tau)
+    dtau as the march applies them: direct weights up to three steps, then
+    W_n = exp(-z) W_{n-1}, moved one sample on, plus the five carry weights."""
+    from pseudoproc.quadrature import (exponential_tables, interval_rule,
+                                       carry_weights)
+    tables, e = exponential_tables(z, dt), np.exp(-z)
+    carry = carry_weights(tables, tables, e)
+    for n in range(steps + 1):
+        if n <= 3:
+            W = interval_rule(lambda table, r: np.exp(-z * r) * tables[table], n)
+        else:
+            W = np.concatenate([np.zeros_like(W[:1]), e * W])
+            W[:5] += carry
+        yield W
+
+
 @pytest.mark.parametrize("z", [0.0, 0.3, 2.0, 5.0, 40.0, 3.0 + 4.0j])
 def test_exponential_rules_integrate_cubics_exactly(z):
-    from pseudoproc.quadrature import exponential_tables, exponential_rules
     # the stencils hold min(n, 3) + 1 samples: exact up to that degree
-    dt, steps = 0.25, 7
+    dt, steps = 0.25, 8
     x, wx = np.polynomial.legendre.leggauss(30)
-    for n, W in enumerate(exponential_rules(
-            exponential_tables(np.array([z]), dt), np.array([z]), steps)):
+    for n, W in enumerate(_carried_rules(np.array([z]), dt, steps)):
         assert W.shape == (n + 1, 1)
         f = np.polynomial.Polynomial([0.3, -1.0, 0.5, 2.0][:min(n, 3) + 1])
         tau = dt * (np.arange(n)[:, None] + 0.5 * (x + 1.0))  # Gauss per step
@@ -522,8 +530,8 @@ def test_exponential_rules_integrate_cubics_exactly(z):
 
 
 def _rules_scanning_every_step(tables, z, steps):
-    """exponential_rules as it was, scanning all m steps per yield, kept as
-    reference."""
+    """The function-level weights W_0 .. W_steps as a generator once gave
+    them, scanning all m steps per yield, kept as reference."""
     from pseudoproc.quadrature import _stencil
     n, r = np.tril_indices(steps + 1, -1)
     table, start = _stencil(n, r)
@@ -542,17 +550,22 @@ def _rules_scanning_every_step(tables, z, steps):
         yield W[:m + 1].copy()
 
 
-@pytest.mark.parametrize("imag", [0.0, 0.7])
+@pytest.mark.parametrize("imag", [0.0, 0.7, "skew"])
 def test_exponential_rules_equal_the_scan_of_every_step(imag):
-    from pseudoproc.quadrature import exponential_tables, exponential_rules
-    z = np.linspace(0.0, 30.0, 17) ** 1.5 * 0.05 + 1j * imag * np.arange(17)
-    z = z.real if imag == 0.0 else z
-    tables = exponential_tables(z, 0.03)
-    for steps in range(1, 41):
-        got = list(exponential_rules(tables, z, steps))
-        ref = list(_rules_scanning_every_step(tables, z, steps))
-        assert len(got) == len(ref) == steps + 1
-        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+    from pseudoproc.quadrature import exponential_tables
+    if imag == "skew":
+        grid = SpaceTimeGrid(1, 40.0, 64, 1.0, 8)
+        z = _SKEW.on_grid(grid) * grid.dt
+    else:
+        z = np.linspace(0.0, 30.0, 17) ** 1.5 * 0.05 + 1j * imag * np.arange(17)
+        z = z.real if imag == 0.0 else z
+    dt, steps = 0.03, 8
+    ref = list(_rules_scanning_every_step(exponential_tables(z, dt), z, steps))
+    got = list(_carried_rules(z, dt, steps))
+    assert len(got) == len(ref) == steps + 1
+    for a, b in zip(got, ref):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert np.abs(a - b).max() <= 1e-15 * np.abs(b).max()
 
 
 def test_stability_table_matches_per_pair_transforms(sym, pg, small_grid):

@@ -10,7 +10,6 @@ from pseudoproc import (SpaceTimeGrid,
                         beta_rate_factor, kernel_convolution_scaling,
                         synthesize, min_p_exponent, series_exponent)
 from pseudoproc.spectral import constant_drift_values
-from pseudoproc.quadrature import kernel_rule
 
 
 @pytest.fixture(scope="module")
@@ -206,11 +205,42 @@ def test_drift_within_contraction_range_solves(sym, pg, small_grid):
     assert max(abs(Gf.mass(k) - 1.0) for k in Gf.pairs()) < 1e-12
 
 
+def _per_terminal_rule(b_at, times, terminals):
+    """The kernel rule as it once was, one table per terminal index, kept as
+    the per-pair reference: entry j is W of shape (d, j, j + 1), and
+    Int_{t_i}^{t_j} b_c H is sum_l W[c, i, l] H(t_l), W[c, i, l] = 0 for l < i."""
+    from pseudoproc.quadrature import gauss_panels, _TABLES, _stencil
+    tau, weight = gauss_panels(times)
+    drift = np.array([[b_at(t) for t in row] for row in tau])
+    d = drift.shape[2]
+    step = np.einsum("kq,kqc,tqs->tkcs", weight, drift, _TABLES)
+    rules = {}
+    for j in terminals:
+        i, k = np.triu_indices(j)          # step k of the interval from t_i
+        table, start = _stencil(j - i, k - i)
+        first = i + start
+        W = np.zeros((d, j, j + 4))        # spare columns: short stencils
+        for s in range(4):
+            np.add.at(W, (slice(None), i, first + s), step[table, k, :, s].T)
+        rules[j] = W[..., :j + 1]
+    return rules
+
+
+def _reference_K(prob, j):
+    """K_j from the per-terminal rule, shape (j, j + 1, modes); the last
+    column weighs the limit."""
+    W = _per_terminal_rule(prob.b.at_time, prob.times, [j])[j]
+    K = np.zeros((j, j + 1, prob.a.size), complex)
+    for i in range(j):
+        K[i, i:] = (W[:, i, i:].T @ prob._mult) * prob._gap_decay[:j + 1 - i]
+    return K
+
+
 def test_kernel_operator_has_no_entry_below_the_diagonal(small_grid):
     b = DriftField(dim=1, kind="time",
                    evaluator=lambda t: np.array([1.0 + np.sin(3.0 * t)]))
     times = small_grid.times()
-    for j, W in kernel_rule(b.at_time, times, range(len(times))).items():
+    for j, W in _per_terminal_rule(b.at_time, times, range(len(times))).items():
         assert W.shape == (1, j, j + 1)
         assert not np.any(np.tril(W[0], -1))
         assert np.all(np.diagonal(W[0]) > 0.0)
@@ -323,20 +353,79 @@ def test_rows_of_distinct_pairs_keep_their_own_slices(sym, pg, small_grid):
 
 def test_constant_drift_solves_one_terminal_index(sym, pg, small_grid,
                                                   monkeypatch):
-    calls = []
+    terminals = set()
     pair_quad = PerturbationProblem.pair_quad
 
     def counted(self, i, j):
-        calls.append((i, j))
+        terminals.add(j)
         return pair_quad(self, i, j)
 
     monkeypatch.setattr(PerturbationProblem, "pair_quad", counted)
     M = small_grid.time_steps
-    for prob, most in zip(_unit_drift_twins(sym, pg, small_grid),
-                          (M, M * (M + 1) // 2)):
-        calls.clear()
+    for prob, solved in zip(_unit_drift_twins(sym, pg, small_grid),
+                            ({M}, set(range(1, M + 1)))):
+        terminals.clear()
         prob.solve_v(ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf))
-        assert len(calls) == most
+        assert terminals == solved
+
+
+def _carry_problem(dim, drift):
+    """b = 1 (in 2-D, (1, -0.5)) as a constant drift, as its time twin, or
+    times 0.75 + 0.5 cos(2 pi t), in 1-D (12 steps) or 2-D (8 steps)."""
+    from pseudoproc import PseudoGradientSpec, isotropic_symbol
+    grid = (SpaceTimeGrid(1, 20.0, 64, 1.0, 12) if dim == 1
+            else SpaceTimeGrid(2, 10.0, 16, 1.0, 8))
+    unit = np.array([1.0, -0.5][:dim])
+    b = {"constant": constant_drift(unit),
+         "twin": DriftField(dim=dim, kind="time", evaluator=lambda t: unit),
+         "time": DriftField(dim=dim, kind="time", evaluator=lambda t: unit
+                            * (0.75 + 0.5 * np.cos(2.0 * np.pi * t)))}[drift]
+    return PerturbationProblem(isotropic_symbol(1.5, 1.0, dim),
+                               PseudoGradientSpec(0.5, dim), grid, b)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("drift", ["constant", "twin", "time"])
+def test_carried_rows_equal_the_per_terminal_operator(dim, drift):
+    prob = _carry_problem(dim, drift)
+    M, modes = prob.M, prob.a.size
+    rng = np.random.default_rng(7)
+    rows = KernelRows(rng.normal(size=(j,) + prob.a.shape)
+                      + 1j * rng.normal(size=(j,) + prob.a.shape)
+                      for j in range(M + 1))
+    quad = prob._quad_rows(rows, 0.5)
+    G = prob.solve_v(ConvergenceMonitor.for_problem(1.5, 0.5, prob.grid.dim,
+                                                    math.inf))
+    for j in range(1, M + 1):
+        K = _reference_K(prob, j)
+        for i in range(j):
+            assert np.abs(prob.pair_quad(i, j) - K[i, i:]).max() \
+                <= 1e-15 * np.abs(K).max()
+        f = np.concatenate([rows[j].reshape(j, modes),
+                            np.full((1, modes), 0.5)])
+        ref = np.einsum("ilm,lm->im", K, f)
+        assert np.abs(quad[j].reshape(j, modes) - ref).max() \
+            <= 1e-13 * np.abs(ref).max()
+        # back-substitution of (I - K_j) G_j = g_j + c_j with K_j's rows
+        G_ref = np.ones((j + 1, modes), complex)
+        for i in range(j - 1, -1, -1):
+            G_ref[i] = ((prob._gap_decay[j - i] + (K[i, i + 1:] * G_ref[i + 1:])
+                         .sum(axis=0)) / (1.0 - K[i, i]))
+        assert np.abs(G[j].reshape(j, modes) - G_ref[:j]).max() \
+            <= 1e-13 * np.abs(G_ref).max()
+
+
+def test_gap_only_accepts_views_and_solves_equal_copies_per_terminal(sym, pg):
+    prob = _unit_drift_twins(sym, pg, SpaceTimeGrid(1, 40.0, 256, 1.0, 16))[0]
+    G = prob.solve_v(ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf))
+    copies = KernelRows(stack.copy() for stack in G)
+    assert prob._gap_only(G) and not prob._gap_only(copies)
+    for made in (prob._quad_rows, prob.assemble_G_rows, prob.v_rows):
+        args = (1.0,) if made == prob._quad_rows else ()
+        by_gap, per_j = made(G, *args), made(copies, *args)
+        assert prob._gap_only(by_gap) and not prob._gap_only(per_j)
+        # a dyadic partition: every step's weights are the same numbers
+        assert all(np.array_equal(a, b) for a, b in zip(by_gap, per_j))
 
 
 def test_adjacent_pair_error_falls_under_refinement(sym, pg):
@@ -559,7 +648,7 @@ def _vector_quad_rows(prob, v_rows, limit):
     """The vector recursion the scalar operator replaced, kept as reference:
     Int_{t_i}^{t_j} g(tau - t_i) (b(tau), v(tau, t_j)) dtau for every pair,
     limit being v(t_j, t_j) of shape (d, modes)."""
-    rule = kernel_rule(prob.b.at_time, prob.times, range(1, prob.M + 1))
+    rule = _per_terminal_rule(prob.b.at_time, prob.times, range(1, prob.M + 1))
     decay = prob._gap_decay.T
     mult = prob.mult.reshape(prob.grid.dim, -1)
     out = KernelRows()
