@@ -21,21 +21,18 @@ invariant.  Per Fourier mode, with P = (b, w) and a the symbol,
 
 and w(t_i) is the synthesis of the multiplier times u_hat(t_i) (v0's
 spectrum is the multiplier times g's).  `quadrature` integrates the
-exponential exactly against a Lagrange interpolant of P_hat whose
-stencils stay inside [t_i, t], so u(t_i) depends on P at t_i and later
-nodes alone: `TerminalValueProblem` marches backward from the terminal
-time, one fixed-point solve per node.  Since exp(-a (tau - t_i)) is
-exp(-a dt) exp(-a (tau - t_{i+1})), from five steps before t on the
-spectrum at t_i is exp(-a dt) times the one at t_{i+1} plus five local
-weights on P(t_i), ..., P(t_{i+4}); the four nodes nearest t take their
-weights directly.  The march runs once, and u is its own iterate: the
-last spectrum at t_i, which the multiplier turns into w(t_i), is
-u_hat(t_i).  Near tau = t, w inherits the (t - tau)^{-beta/alpha}
-amplitude of its leading part w0, so the terminal step integrates
-(b, w0) exactly at the Gauss nodes of the substituted variable
-u = (t - tau)^{1 - beta/alpha}, and only the remainder (b, w - w0),
-which vanishes at t, is interpolated there.  The split enters the four
-direct nodes alone: the carry's local weights never reach the last step.
+exponential exactly against a Lagrange interpolant of P_hat whose stencils
+stay inside [t_i, t], so u(t_i) depends on P at t_i and later nodes
+alone: `TerminalValueProblem` marches backward from t once, one
+fixed-point solve per node, and u is its own iterate: the last spectrum
+at t_i, which the multiplier turns into w(t_i), is u_hat(t_i).  The four
+nodes nearest t take direct weights; as exp(-a (tau - t_i)) is
+exp(-a dt) exp(-a (tau - t_{i+1})), every earlier spectrum carries the
+next one plus five local weights on P(t_i..t_{i+4}).  Near tau = t, w
+inherits the (t - tau)^{-beta/alpha} amplitude of its leading part w0, so
+the terminal step integrates (b, w0) exactly at the Gauss nodes of
+u = (t - tau)^{1 - beta/alpha}, and only the remainder (b, w - w0), which
+vanishes at t, is interpolated there.
 """
 from __future__ import annotations
 
@@ -241,16 +238,10 @@ class TerminalValueProblem:
 
     @functools.cached_property
     def _rule(self) -> SimpleNamespace:
-        """What every step of the march shares.
-
-        The drift is sampled once per node: at t_0 .. t_{j-1} and at the six
-        Gauss nodes in u = (t - tau)^{1 - s2} of the terminal panel
-        [t_{j-1}, t], which integrates P0 = (b, w0) with w0 exact.  Kept are
-        P0 at the (at most) four nodes nearest t, w0 at t_{j-1}, where the
-        march starts, the datum term plus the panel at t_{j-1}, carried to
-        t_i by exp(-a (t_{j-1} - t_i)), the direct weights of up to four
-        steps and the five carry weights.
-        """
+        """What every step of the march shares: the drift at t_0 .. t_{j-1}
+        and at the six Gauss nodes in u = (t - tau)^{1 - s2} of [t_{j-1}, t],
+        which integrate P0 = (b, w0) with w0 exact; P0 at the four nodes
+        nearest t, w0 at t_{j-1}, the datum term plus that panel, weights."""
         grid, j = self.grid, self.j
         s2 = self.pg.beta / self.sym.alpha    # terminal amplitude exponent
         t, lo = self.times[j], self.times[j - 1]
@@ -271,41 +262,17 @@ class TerminalValueProblem:
             carry=carry_weights(tables, tables, e),
             carried=self._decay([t - lo])[0] * self.phi_hat + panel)
 
-    def _known(self, i: int, spectra: np.ndarray, P: list) -> tuple:
-        """Spectrum i without its own P(t_i) term, and that term's weight.
-
-        P holds (b, w) at the nodes after t_i, nearest first.  From five
-        steps before t on, spectrum i carries spectrum i + 1; the four
-        nodes nearest t sum the datum term, the terminal panel, P0 over
-        [t_i, t_{j-1}] and the remainder R = P - P0 over [t_i, t] directly.
-        """
-        r, n = self._rule, self.j - i
-        if n > 4:
-            known = r.e * spectra[i + 1]
-            for c, p in zip(r.carry[1:], P):
-                known += c * p
-            return known, r.carry[0]
-        P0, before, now = r.P0[-n:], r.direct[n - 1], r.direct[n]
-        known = self._decay([self.times[self.j - 1] - self.times[i]])[0] * r.carried
-        known += np.einsum("l...,l...->...", before, P0) - now[0] * P0[0]
-        # R vanishes at t, so the last weight has nothing to act on
-        for c, p, p0 in zip(now[1:-1], P, P0[1:]):
-            known += c * (p - p0)
-        return known, now[0]
-
     def solve_w(self, monitor: Optional[ConvergenceMonitor] = None
                 ) -> Dict[int, np.ndarray]:
         """March the w slices backward from i = terminal - 1 down to 0.
 
-        Spectrum i, that of u(t_i), is `_known` plus a weight times
-        P(t_i) = (b, w)(t_i); w(t_i), the synthesis of multiplier *
-        spectrum i, thus depends on itself through P(t_i) alone.
-        Fixed-point iteration solves each step to an increment (lattice sup
-        norm) below monitor.stop_tol; the monitor records the largest final
-        increment.  The accepted iterate of each node passes the
-        imaginary-residue check.  Each node's last spectrum is kept for
-        `assemble_u`.
-        """
+        Spectrum i, that of u(t_i), is what later nodes give plus a weight
+        times P(t_i) = (b, w)(t_i), so w(t_i), the synthesis of multiplier *
+        spectrum i, depends on itself through P(t_i) alone.  Fixed-point
+        iteration solves each step to an increment (lattice sup norm) below
+        monitor.stop_tol, and the accepted iterate passes the imaginary-
+        residue check; the monitor records the largest final increment.
+        Each node's last spectrum is kept for `assemble_u`."""
         if monitor is None:
             monitor = ConvergenceMonitor.for_problem(
                 self.sym.alpha, self.pg.beta, self.grid.dim, self.b.p_exponent)
@@ -315,11 +282,18 @@ class TerminalValueProblem:
         spectra = np.empty((j,) + self.a.shape, complex)
         W = np.empty((j,) + r.w0_last.shape)
         w, worst, P = r.w0_last, 0.0, []      # w0(t_{j-1}) starts the march
-        for i in range(j - 1, -1, -1):
-            known, weight = self._known(i, spectra, P)
+        for i, n in zip(range(j - 1, -1, -1), range(1, j + 1)):
+            if n > 4:                          # carry spectrum i + 1
+                known, weights = r.e * spectra[i + 1], r.carry
+            else:   # the datum term and the panel, P0 to t_{j-1}, P - P0 to t
+                weights, before = r.direct[n], r.direct[n - 1]
+                known = r.e ** (n - 1) * r.carried + np.einsum(
+                    "l...,l...->...", before - weights[:-1], r.P0[-n:])
+            for c, p in zip(weights[1:], P):   # P: (b, w) after t_i, nearest first
+                known += c * p
             for _ in range(_STEP_ITERATIONS):
                 p = self._pairing(r.b[i], w)
-                spectra[i] = known + weight * p
+                spectra[i] = known + weights[0] * p
                 field = synthesize(self.grid, self.mult * spectra[i],
                                    require_real=False)
                 new = field.real

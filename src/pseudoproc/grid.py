@@ -174,8 +174,7 @@ def synthesize(grid: SpaceTimeGrid, spectrum: np.ndarray,
 
 def real_part(grid: SpaceTimeGrid, vals: np.ndarray,
               tol: float = 1e-9) -> np.ndarray:
-    """The real part of synthesized fields, each of which must pass the
-    imaginary-residue check on its own scale, over the trailing lattice axes."""
+    """Real part of synthesized fields that pass the imaginary-residue check."""
     # maxima over the lattice, which the half swap only permutes
     axes = tuple(range(-grid.dim, 0))
     resid = np.abs(vals.imag).max(axis=axes)

@@ -3,15 +3,11 @@
 Both rules integrate over [t_i, t_j] step by step, against the Lagrange
 interpolant through the (at most four) samples nearest each step inside
 [t_i, t_j], never below t_i; `_stencil` alone knows which samples.
-`kernel_rule` (kernel level) gives every step's weights for b H with b
-exact at 4-point `gauss_panels` nodes; `exponential_tables` (function
-level) integrates exp(-a (tau - t_i)) exactly against the interpolant.
-`interval_rule` sums the steps of one interval directly.  From four steps
-on, moving the start from t_{i+1} to t_i changes one stencil only: the
-old first step becomes an inner step.  So an integral from t_i is the one
-from t_{i+1}, carried by the factor that moves it to t_i (exp(-a dt) for
-the exponential), plus the five `carry_weights` on f(t_i), ..., f(t_{i+4}):
-each solver sums O(1) samples per node instead of O(j - i).
+`kernel_rule` (kernel level) weighs b H on each step with b exact at
+4-point `gauss_panels` nodes; `exponential_tables` (function level)
+integrates exp(-a (tau - t_i)) exactly against the interpolant.  From four
+steps on, an integral from t_i is the one from t_{i+1}, carried, plus five
+local `carry_weights`; `interval_rule` sums the shorter intervals.
 """
 from __future__ import annotations
 
@@ -58,62 +54,43 @@ _TABLES = np.stack([_step_table(n, r) for n, r in _STENCILS])
 _ALONE, _FIRST_OF_TWO, _LAST_OF_TWO, _FIRST, _INNER, _LAST = range(6)
 
 
-def _stencil(n, r):
-    """Table and first sample (in steps after t_i) of step r of [t_i, t_{i+n}]."""
-    n, r = np.broadcast_arrays(n, r)
-    table = np.select([n == 1, n == 2, r == 0, r == n - 1],
-                      [_ALONE, _FIRST_OF_TWO + r, _FIRST, _LAST], _INNER)
-    return table, np.clip(r - 1, 0, np.maximum(n - 3, 0))
+@functools.lru_cache(maxsize=None)
+def _stencil(n: int) -> tuple:
+    """(table, first sample in steps after t_i) of each step of [t_i, t_{i+n}]."""
+    def table(r):
+        if n <= 2:
+            return _ALONE if n == 1 else _FIRST_OF_TWO + r
+        return _FIRST if r == 0 else _LAST if r == n - 1 else _INNER
+    return tuple((table(r), min(max(r - 1, 0), max(n - 3, 0))) for r in range(n))
 
 
 def kernel_rule(b_at, times: np.ndarray) -> np.ndarray:
-    """Every step's weights for Int b_c(tau) H(tau) dtau, with each table.
-
-    b_at(tau) is the drift d-vector; times are the partition t_0..t_steps.
-    Entry [table, s, k, c] weighs H at sample s of the table's stencil on
-    step k: shape (6, 4, steps, d), O(M d) numbers for any b.
-    """
+    """Every step's weights for Int b_c(tau) H(tau) dtau with every table:
+    entry [table, s, k, c] weighs H at sample s of the table's stencil on
+    step k of the partition times; b_at(tau) is the drift d-vector."""
     tau, weight = gauss_panels(times)
     drift = np.array([[b_at(t) for t in row] for row in tau])
     # step k with each table: sum_q weight_q b_c(node q) table[q, s]
     return np.einsum("kq,kqc,tqs->tskc", weight, drift, _TABLES)
 
 
-@functools.lru_cache(maxsize=None)
-def _steps_of(n: int) -> tuple:
-    """(table, first sample) of each step of an interval of n steps."""
-    table, start = _stencil(n, np.arange(n))
-    return tuple(zip(table.tolist(), start.tolist()))
-
-
 def interval_rule(step_weights, n: int) -> np.ndarray:
-    """Weights on the samples t_i..t_{i+n} of an interval of n steps.
-
-    step_weights(table, r) gives step r's weights on the four samples of
-    its stencil (first axis); the result stacks the sample weights.
-    """
-    probe = step_weights(_ALONE, 0)      # shape and type of one step's weights
+    """Weights on the samples t_i..t_{i+n} of an interval of n steps, given
+    step r's weights on its four stencil samples as step_weights(table, r)."""
+    probe = step_weights(_ALONE, 0)
     W = np.zeros((n + 4,) + probe.shape[1:], probe.dtype)
-    for r, (table, start) in enumerate(_steps_of(n)):
+    for r, (table, start) in enumerate(_stencil(n)):
         W[start:start + 4] += step_weights(table, r)
     return W[:n + 1]
 
 
 def carry_weights(step, next_step, e=1.0) -> np.ndarray:
-    """c_0..c_4 with S_i = e S_{i+1} + sum_l c_l f(t_{i+l}), for intervals
-    of at least four steps from t_i (at least three from t_{i+1}).
-
-    step and next_step are the tables of steps i and i + 1, laid out as
-    `kernel_rule`'s or `exponential_tables`' (table, sample, ...); e
-    carries an integral from t_{i+1} to t_i.  Step i enters as a first
-    step, and step i + 1 turns from a first step into an inner one.
-    """
-    first, inner, old = step[_FIRST], next_step[_INNER], next_step[_FIRST]
-    c = np.zeros((5,) + np.broadcast_shapes(first.shape[1:], np.shape(e)),
-                 np.result_type(first, e))
-    c[:4] = first + e * inner
-    c[1:] -= e * old
-    return c
+    """c_0..c_4 with S_i = e S_{i+1} + sum_l c_l f(t_{i+l}) on [t_i, t_j],
+    j - i >= 4, from the tables (table, sample, ...) of steps i and i + 1:
+    step i enters as first step, step i + 1 turns from first to inner."""
+    first, inner, old = step[_FIRST], e * next_step[_INNER], e * next_step[_FIRST]
+    pad = np.zeros_like(old[:1])
+    return np.concatenate([first + inner, pad]) - np.concatenate([pad, old])
 
 
 def _moments(z) -> np.ndarray:

@@ -9,20 +9,15 @@ factor, G(s, t) = exp(-a (t - s)) H(s, t), the identity becomes
 H(s, t) = 1 + Int_s^t m(tau) H(tau, t) dtau, with nothing stiff left to
 interpolate.  `kernel_rule` keeps its stencils inside [t_i, t_j], so per
 mode and terminal index j the system (I - K_j) G_j = g_j + c_j (c_j weighs
-the limit G(t_j, t_j) = 1) is upper triangular, and the spectral radius
-is the largest diagonal modulus.  Row i of K_j weighs G(t_l) by
-exp(-a (t_l - t_i)) = exp(-a dt) exp(-a (t_l - t_{i+1})), so from four
-steps on its sum is exp(-a dt) times row i + 1's plus five local weights
-on G(t_i), ..., G(t_{i+4}) (`quadrature.carry_weights`); the rows of
-three steps or fewer come from `pair_quad`.  `solve_v` back-substitutes
-with that carried sum, O(M^2) rows for b varying in time.  For b constant
-in time the identity is of convolution type: K_j is the last j rows of
-K_M, so only j = M is solved, and each G_j views G_M's tail.  Rows travel
-as `KernelRows`, one stack per terminal index j, the unit this system
-couples.  `ConvergenceError` (exit 4 of `pseudoproc perturb`) means that
-radius is at least one (the message names |m|max * dt), the residual
-reaches stop_tol, or the result is not finite.  `iterate_terms` builds
-the series of the same operator.
+the limit G(t_j, t_j) = 1) is upper triangular: `solve_v` back-substitutes
+it, carrying row i + 1's sum to row i by exp(-a dt) plus five local
+weights for j - i >= 4 (`pair_quad` gives the rest), and the spectral
+radius is the largest diagonal modulus.  For b constant in time K_j is
+the last j rows of K_M, so only j = M is solved, and each G_j views G_M's
+tail.  Rows travel as `KernelRows`, one stack per terminal index j.
+`ConvergenceError` (exit 4 of `pseudoproc perturb`) means that radius is
+at least one (the message names |m|max * dt), the residual reaches
+stop_tol, or the result is not finite.  `iterate_terms` builds the series.
 """
 from __future__ import annotations
 
@@ -146,19 +141,14 @@ class PerturbationProblem:
         self._mult = self.mult.reshape(grid.dim, -1)    # lattice flattened
         self.times = grid.times()
         self.M = grid.time_steps
-        # the j whose K_j is built: M alone, if b is constant in time
-        self._terminals = [self.M] if b.kind == "constant" else range(1, self.M + 1)
 
     @functools.cached_property
     def _rule(self) -> np.ndarray:
-        """`kernel_rule`'s per-step table, (6, 4, steps, d)."""
         return kernel_rule(self.b.at_time, self.times)
 
     @functools.cached_property
     def _carry(self) -> np.ndarray:
-        """c[i, l], l = 0..4, shape (M - 1, 5, modes): for j - i >= 4, row i
-        of K_j sums to exp(-a dt) times row i + 1's plus c[i, l] times the
-        sample at t_{i+l}."""
+        """c[i, l]: row i of K_j adds c[i, l] f(t_{i+l}) to row i + 1's, carried."""
         c = carry_weights(self._rule[:, :, :-1], self._rule[:, :, 1:])
         return np.einsum("lkc,cm->klm", c, self._mult) * self._gap_decay[:5]
 
@@ -172,8 +162,7 @@ class PerturbationProblem:
         return np.ascontiguousarray(flat).reshape((len(flat),) + self.a.shape)
 
     def _by_gap(self, top) -> KernelRows:
-        """Rows that depend on the gap j - i alone, as views of their top
-        stack: rows[j] is top[M - j:]."""
+        """Rows that depend on the gap alone: rows[j] views top[M - j:]."""
         return KernelRows(top[self.M - j:] for j in range(self.M + 1))
 
     # base kernels on the frequency lattice
@@ -189,9 +178,8 @@ class PerturbationProblem:
         return KernelRows(self.mult * G[:, None] for G in G_rows)
 
     def _gap_only(self, rows: KernelRows) -> bool:
-        """Whether the rows depend on the gap j - i alone: b is constant in
-        time and each rows[j] is the view rows[M][M - j:], as `_by_gap`
-        makes them.  Row (i, j) is then row M - (j - i) of rows[M]."""
+        """Whether b is constant in time and each rows[j] is the view
+        rows[M][M - j:]: row (i, j) is then row M - (j - i) of rows[M]."""
         M = self.M
         return self.b.kind == "constant" and all(
             rows[j].__array_interface__ == rows[M][M - j:].__array_interface__
@@ -204,32 +192,25 @@ class PerturbationProblem:
         Shape (j + 1 - i, modes), m = (b, multiplier): per mode, the weights
         of f(t_i), ..., f(t_{j-1}) and of the limit f(t_j), each the rule's
         weight for the smooth exp(a (t_j - tau)) f times g(t_l - t_i), summed
-        from the per-step table in O(j - i).  The solver takes it for
-        j - i <= 3 and carries the longer rows.
+        over the steps: the solver's rows for j - i <= 3, and the reference.
         """
         W = interval_rule(lambda table, r: self._rule[table, :, i + r], j - i)
         return (W @ self._mult) * self._gap_decay[:j + 1 - i]
 
     def _sums(self, j: int, f: np.ndarray, g=None) -> tuple:
-        """S_i = sum_l K_j[i, l] f[l] for i = j - 1 down to 0, and the
-        largest diagonal modulus |K_j[i, i]|.
-
-        f holds the samples at t_0, ..., t_{j-1}, then the limit.  Given g,
-        the g rows of j, each f[i] is first solved from f[i] = g[i] + S_i,
-        which the triangle of K_j allows: f then holds G_j.
-        """
+        """S_i = sum_l K_j[i, l] f[l], i < j, and the largest |K_j[i, i]|;
+        f holds the samples at t_0, ..., t_{j-1}, then the limit.  Given the
+        g rows of j, each f[i] is first solved from f[i] = g[i] + S_i."""
         S, e = np.empty((j, f.shape[1]), complex), self._gap_decay[1]
-        # the carried rows' diagonals, c[i, 0], for i <= j - 4
         radius = np.abs(self._carry[:j - 3, 0]).max() if j > 3 else 0.0
         for i in range(j - 1, -1, -1):
             if j - i <= 3:
                 K = self.pair_quad(i, j)
-                diag, known = K[0], (K[1:] * f[i + 1:]).sum(axis=0)
+                diag, c, known = K[0], K[1:], 0.0
                 radius = max(radius, np.abs(diag).max())
             else:
-                c = self._carry[i]
-                diag = c[0]
-                known = e * S[i + 1] + (c[1:] * f[i + 1:i + 5]).sum(axis=0)
+                diag, c, known = self._carry[i, 0], self._carry[i, 1:], e * S[i + 1]
+            known = known + (c * f[i + 1:i + 1 + len(c)]).sum(axis=0)
             if g is not None:
                 f[i] = (g[i] + known) / (1.0 - diag)
             S[i] = known + diag * f[i]
@@ -245,11 +226,10 @@ class PerturbationProblem:
     def solve_v(self, monitor: ConvergenceMonitor) -> KernelRows:
         """Solve the discrete kernel identity; returns the G rows.
 
-        K_j is upper triangular, so each j of `_terminals` is solved by
-        back-substitution from i = j - 1 down to 0; for b constant in time
-        that is j = M alone, and G_j is the view G_M[M - j:].  The monitor
-        records the largest residual (lattice sup norm) and spectral radius.
-        """
+        K_j is upper triangular, so each j is solved by back-substitution
+        from i = j - 1 down to 0; for b constant in time that is j = M
+        alone, and G_j is the view G_M[M - j:].  The monitor records the
+        largest residual (lattice sup norm) and spectral radius."""
         if self.b.is_zero():
             # exact short-circuit: zero drift collapses the series to g
             monitor.spectral_radius = 0.0
@@ -257,7 +237,7 @@ class PerturbationProblem:
             return self.g_rows()
         start = _time.perf_counter()
         solved, radius, residual = {}, 0.0, 0.0
-        for j in self._terminals:
+        for j in [self.M] if self.b.kind == "constant" else range(1, self.M + 1):
             G = np.ones((j + 1, self.a.size), complex)  # G(t_l, t_j); limit 1
             g = self._gap_decay[j:0:-1]
             S, r = self._sums(j, G, g)
@@ -292,9 +272,8 @@ class PerturbationProblem:
     def _quad_rows(self, rows: KernelRows, limit: float) -> KernelRows:
         """Int_{t_i}^{t_j} g(tau - t_i) m(tau) f(tau, t_j) dtau, every pair.
 
-        rows are the scalar rows of f; limit is f(t_j, t_j).  Rows that
-        depend on the gap alone give such rows, from j = M alone.
-        """
+        rows are the scalar rows of f; limit is f(t_j, t_j).  Gap-only rows
+        give gap-only rows, from j = M alone."""
         M, by_gap = self.M, self._gap_only(rows)
         out = {}
         for j in [M] if by_gap else range(M + 1):
@@ -307,9 +286,8 @@ class PerturbationProblem:
     def assemble_G_rows(self, G_rows: KernelRows) -> KernelRows:
         """G = g + Quad[g m G] for given G rows, m = (b, multiplier)."""
         g, q = self.g_rows(), self._quad_rows(G_rows, 1.0)
-        if self._gap_only(q):
-            return self._by_gap(g[self.M] + q[self.M])
-        return KernelRows(a + b for a, b in zip(g, q))
+        return (self._by_gap(g[self.M] + q[self.M]) if self._gap_only(q)
+                else KernelRows(a + b for a, b in zip(g, q)))
 
     def _defect(self, rows: KernelRows, target: KernelRows) -> float:
         """Largest norm of rows - target, one transform per terminal index:

@@ -533,13 +533,10 @@ def _rules_scanning_every_step(tables, z, steps):
     """The function-level weights W_0 .. W_steps as a generator once gave
     them, scanning all m steps per yield, kept as reference."""
     from pseudoproc.quadrature import _stencil
-    n, r = np.tril_indices(steps + 1, -1)
-    table, start = _stencil(n, r)
     W = np.zeros((steps + 4,) + tables.shape[2:], tables.dtype)
     placed = {}
     for m in range(steps + 1):
-        lo = m * (m - 1) // 2
-        for step, now in enumerate(zip(table[lo:lo + m], start[lo:lo + m])):
+        for step, now in enumerate(_stencil(m)):
             if placed.get(step) != now:
                 decay = np.exp(-z * step)
                 if step in placed:

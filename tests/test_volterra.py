@@ -216,12 +216,10 @@ def _per_terminal_rule(b_at, times, terminals):
     step = np.einsum("kq,kqc,tqs->tkcs", weight, drift, _TABLES)
     rules = {}
     for j in terminals:
-        i, k = np.triu_indices(j)          # step k of the interval from t_i
-        table, start = _stencil(j - i, k - i)
-        first = i + start
         W = np.zeros((d, j, j + 4))        # spare columns: short stencils
-        for s in range(4):
-            np.add.at(W, (slice(None), i, first + s), step[table, k, :, s].T)
+        for i in range(j):
+            for r, (table, start) in enumerate(_stencil(j - i)):
+                W[:, i, i + start:i + start + 4] += step[table, i + r]
         rules[j] = W[..., :j + 1]
     return rules
 
