@@ -57,11 +57,9 @@ _ALONE, _FIRST_OF_TWO, _LAST_OF_TWO, _FIRST, _INNER, _LAST = range(6)
 @functools.lru_cache(maxsize=None)
 def _stencil(n: int) -> tuple:
     """(table, first sample in steps after t_i) of each step of [t_i, t_{i+n}]."""
-    def table(r):
-        if n <= 2:
-            return _ALONE if n == 1 else _FIRST_OF_TWO + r
-        return _FIRST if r == 0 else _LAST if r == n - 1 else _INNER
-    return tuple((table(r), min(max(r - 1, 0), max(n - 3, 0))) for r in range(n))
+    tables = ([[], [_ALONE], [_FIRST_OF_TWO, _LAST_OF_TWO]][n] if n <= 2
+              else [_FIRST] + [_INNER] * (n - 2) + [_LAST])
+    return tuple(zip(tables, (min(max(r - 1, 0), max(n - 3, 0)) for r in range(n))))
 
 
 def kernel_rule(b_at, times: np.ndarray) -> np.ndarray:

@@ -198,11 +198,10 @@ class PerturbationProblem:
         return (W @ self._mult) * self._gap_decay[:j + 1 - i]
 
     def _sums(self, j: int, f: np.ndarray, g=None) -> tuple:
-        """S_i = sum_l K_j[i, l] f[l], i < j, and the largest |K_j[i, i]|;
-        f holds the samples at t_0, ..., t_{j-1}, then the limit.  Given the
-        g rows of j, each f[i] is first solved from f[i] = g[i] + S_i."""
-        S, e = np.empty((j, f.shape[1]), complex), self._gap_decay[1]
-        radius = np.abs(self._carry[:j - 3, 0]).max() if j > 3 else 0.0
+        """S_i = sum_l K_j[i, l] f[l], i < j, and the largest |K_j[i, i]|
+        with j - i <= 3; f holds the samples at t_0 .. t_{j-1}, then the
+        limit.  Given the g rows of j, f[i] is first solved as g[i] + S_i."""
+        S, e, radius = np.empty((j, f.shape[1]), complex), self._gap_decay[1], 0.0
         for i in range(j - 1, -1, -1):
             if j - i <= 3:
                 K = self.pair_quad(i, j)
@@ -236,7 +235,9 @@ class PerturbationProblem:
             monitor.record(0.0, 0.0)
             return self.g_rows()
         start = _time.perf_counter()
-        solved, radius, residual = {}, 0.0, 0.0
+        # the carried rows' diagonals: c[i, 0] for i <= M - 4
+        radius = np.abs(self._carry[:self.M - 3, 0]).max() if self.M > 3 else 0.0
+        solved, residual = {}, 0.0
         for j in [self.M] if self.b.kind == "constant" else range(1, self.M + 1):
             G = np.ones((j + 1, self.a.size), complex)  # G(t_l, t_j); limit 1
             g = self._gap_decay[j:0:-1]

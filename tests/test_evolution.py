@@ -500,8 +500,9 @@ def test_two_dimensional_march_matches_etdrk4_reference():
 
 def _carried_rules(z, dt, steps):
     """W_n, n = 0 .. steps, of Int_{t_i}^{t_{i+n}} exp(-a (tau - t_i)) f(tau)
-    dtau as the march applies them: direct weights up to three steps, then
-    W_n = exp(-z) W_{n-1}, moved one sample on, plus the five carry weights."""
+    dtau by the recursion that carries the march's spectra: direct weights
+    up to three steps, then W_n = exp(-z) W_{n-1}, moved one sample on, plus
+    the five carry weights."""
     from pseudoproc.quadrature import (exponential_tables, interval_rule,
                                        carry_weights)
     tables, e = exponential_tables(z, dt), np.exp(-z)
