@@ -148,9 +148,14 @@ class PerturbationProblem:
 
     @functools.cached_property
     def _carry(self) -> np.ndarray:
-        """c[i, l]: row i of K_j adds c[i, l] f(t_{i+l}) to row i + 1's, carried."""
-        c = carry_weights(self._rule[:, :, :-1], self._rule[:, :, 1:])
-        return np.einsum("lkc,cm->klm", c, self._mult) * self._gap_decay[:5]
+        """c[i, l]: row i of K_j adds c[i, l] f(t_{i+l}) to row i + 1's,
+        carried.  For b constant in time every step has the same weights,
+        so one row, viewed M - 1 times, serves every step."""
+        rule = self._rule[:, :, :2] if self.b.kind == "constant" else self._rule
+        c = np.einsum("lkc,cm->klm", carry_weights(rule[:, :, :-1], rule[:, :, 1:]),
+                      self._mult)
+        c *= self._gap_decay[:5]
+        return np.broadcast_to(c, (self.M - 1,) + c.shape[1:])
 
     @functools.cached_property
     def _gap_decay(self) -> np.ndarray:
