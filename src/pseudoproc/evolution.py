@@ -253,12 +253,11 @@ class TerminalValueProblem:
             self._drift_at(tau), self.w0_at(tau)), 1)
         z, b = self.a * grid.dt, self._drift_at(self.times[:j])
         tables, e = exponential_tables(z, grid.dt), np.exp(-z)
-        near = self.times[max(j - 4, 0):j]
-        w0 = self.w0_at(near)
+        w0 = self.w0_at(self.times[max(j - 4, 0):j])
         return SimpleNamespace(
-            b=b, e=e, P0=self._pairing(b[j - len(near):], w0), w0_last=w0[-1],
+            b=b, e=e, P0=self._pairing(b[j - len(w0):], w0), w0_last=w0[-1],
             direct=[interval_rule(lambda table, r: np.exp(-z * r) * tables[table],
-                                  n) for n in range(len(near) + 1)],
+                                  n) for n in range(len(w0) + 1)],
             carry=carry_weights(tables, tables, e),
             carried=self._decay([t - lo])[0] * self.phi_hat + panel)
 

@@ -172,8 +172,7 @@ def synthesize(grid: SpaceTimeGrid, spectrum: np.ndarray,
     return _half_swap(vals, grid.dim)
 
 
-def real_part(grid: SpaceTimeGrid, vals: np.ndarray,
-              tol: float = 1e-9) -> np.ndarray:
+def real_part(grid: SpaceTimeGrid, vals, tol: float = 1e-9) -> np.ndarray:
     """Real part of synthesized fields that pass the imaginary-residue check."""
     # maxima over the lattice, which the half swap only permutes
     axes = tuple(range(-grid.dim, 0))

@@ -148,9 +148,8 @@ class PerturbationProblem:
 
     @functools.cached_property
     def _carry(self) -> np.ndarray:
-        """c[i, l]: row i of K_j adds c[i, l] f(t_{i+l}) to row i + 1's,
-        carried.  For b constant in time every step has the same weights,
-        so one row, viewed M - 1 times, serves every step."""
+        """c[i, l]: row i of K_j adds c[i, l] f(t_{i+l}) to row i + 1's, carried;
+        for b constant in time all steps weigh alike, and one row serves."""
         rule = self._rule[:, :, :2] if self.b.kind == "constant" else self._rule
         c = np.einsum("lkc,cm->klm", carry_weights(rule[:, :, :-1], rule[:, :, 1:]),
                       self._mult)
@@ -197,8 +196,7 @@ class PerturbationProblem:
         Shape (j + 1 - i, modes), m = (b, multiplier): per mode, the weights
         of f(t_i), ..., f(t_{j-1}) and of the limit f(t_j), each the rule's
         weight for the smooth exp(a (t_j - tau)) f times g(t_l - t_i), summed
-        over the steps: the solver's rows for j - i <= 3, and the reference.
-        """
+        over the steps: the solver's rows for j - i <= 3, and the reference."""
         W = interval_rule(lambda table, r: self._rule[table, :, i + r], j - i)
         return (W @ self._mult) * self._gap_decay[:j + 1 - i]
 
