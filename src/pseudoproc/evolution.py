@@ -284,7 +284,7 @@ class TerminalValueProblem:
         for i, n in zip(range(j - 1, -1, -1), range(1, j + 1)):
             if n > 4:                          # carry spectrum i + 1
                 known, weights = r.e * spectra[i + 1], r.carry
-            else:   # the datum term and the panel, P0 to t_{j-1}, P - P0 to t
+            else:   # the datum term and the panel, P0 to t_{j-1}, P - P0 (0 at t) to t
                 weights, before = r.direct[n], r.direct[n - 1]
                 known = r.e ** (n - 1) * r.carried + np.einsum(
                     "l...,l...->...", before - weights[:-1], r.P0[-n:])
