@@ -13,7 +13,7 @@ from .symbols import (SymbolSpec, PseudoGradientSpec, SymbolError,
                       isotropic_symbol, pseudo_gradient_normalizer,
                       pseudo_gradient_normalizer_neg_gamma, gamma_extended)
 from .fields import (KernelField, FieldError, write_snapshot, read_snapshot,
-                     write_csv, snapshot_field)
+                     write_csv, snapshot_field, read_snapshot_fields)
 from .spectral import (synthesize_g0, g0_values, base_kernel_field,
                        constant_drift_kernel, constant_drift_values,
                        apply_pseudo_gradient, pseudo_gradient_g0,

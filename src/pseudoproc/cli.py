@@ -6,8 +6,9 @@ override.  Environment variables are never consulted.
 
 Exit codes: 0 success, 2 configuration error, unsupported configuration or
 a file that cannot be read or written (such as an --outdir under a regular
-file), 3 resolution gate, 4 solver non-convergence or another numerical
-failure (a synthesized field with an imaginary residue), 5 verification failure.
+file, or a snapshot off its layout), 3 resolution gate, 4 solver
+non-convergence or another numerical failure (a synthesized field with an
+imaginary residue), 5 verification failure.
 """
 from __future__ import annotations
 
@@ -25,7 +26,8 @@ from .grid import SpaceTimeGrid, ImaginaryResidueError, synthesize, analyze
 from .symbols import isotropic_symbol, PseudoGradientSpec, SymbolError
 from .spectral import (synthesize_g0, constant_drift_kernel, check_resolution,
                        ResolutionError, UnsupportedConfiguration)
-from .fields import snapshot_field, csv_prefixes, format_rows
+from .fields import (FieldError, snapshot_field, read_snapshot_fields,
+                     write_csv, csv_prefixes, format_rows)
 from .drift import constant_drift, min_p_exponent
 from .volterra import ConvergenceMonitor, ConvergenceError, PerturbationProblem
 from .evolution import constant_one, fourier_mode, compact_bump
@@ -257,13 +259,17 @@ def cmd_perturb(args) -> int:
         for i, slice_ in enumerate(u):
             fh.write(format_rows(f"{i},", prefixes, [slice_.ravel().tolist()],
                                  newline="\r\n"))
-    worst_mass = max(abs(G.mass(k) - 1.0) for k in G.pairs())
+    # one reduction per stack: for drift constant in time, G.stacks[M] alone
+    stacks = G.distinct_stacks()
+    masses = np.concatenate([s.reshape(len(s), -1).sum(axis=1)
+                             for s in stacks])
+    worst_mass = np.abs(masses * grid.cell_volume - 1.0).max()
     print(f"wrote {len(paths)} kernel snapshots, convergence log and "
           f"u slices under {cfg.outdir}")
     print(f"residual = {monitor.iterate_norms[-1]:.3e}")
     print(f"spectral radius = {monitor.spectral_radius:.3g}")
     print(f"worst mass defect = {worst_mass:.3e}")
-    print(f"min G = {min(G.slice(k).min() for k in G.pairs()):.6e}")
+    print(f"min G = {min(s.min() for s in stacks):.6e}")
     return EXIT_OK
 
 
@@ -334,6 +340,16 @@ def cmd_emit(args) -> int:
                 w.writerow([repr(float(g)), repr(float(e))])
         print(f"wrote {path}")
         return EXIT_OK
+    if what == "csv":
+        fields = read_snapshot_fields(cfg.outdir)
+        if not fields:
+            raise FieldError("no <stem>_iii_jjj.snap snapshots to convert",
+                             cfg.outdir)
+        for stem, field in fields.items():
+            path = os.path.join(cfg.outdir, f"{stem}.csv")
+            write_csv(path, field)
+            print(f"wrote {path}")
+        return EXIT_OK
     if what == "resolution":
         rep = check_resolution(sym, grid, cfg.dt)
         path = os.path.join(cfg.outdir, "resolution.csv")
@@ -378,7 +394,9 @@ def _commands() -> dict:
     return {"kernel": ("synthesize base or closed-form kernels", cmd_kernel),
             "perturb": ("solve the perturbation system", cmd_perturb),
             "verify": ("run the property suite", cmd_verify),
-            "emit": ("write plot-ready CSV data", cmd_emit)}
+            "emit": ("write plot-ready CSV data, or convert the snapshots "
+                     "under --outdir to long-format CSV (--what csv)",
+                     cmd_emit)}
 
 
 @functools.lru_cache(maxsize=None)      # parsing leaves the tree as it is
@@ -396,7 +414,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--only", default=None,
         help="substring filter on check names ('' selects none)")
     parsers["emit"].add_argument(
-        "--what", default="profiles", choices=("profiles", "decay", "resolution"))
+        "--what", default="profiles",
+        choices=("profiles", "decay", "resolution", "csv"),
+        help="csv: one <stem>.csv per <stem>_iii_jjj.snap group in --outdir")
     return ap
 
 
@@ -411,6 +431,9 @@ def main(argv=None) -> int:
     except ImaginaryResidueError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
+    except FieldError as err:
+        print(f"file error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
     except UnsupportedConfiguration as err:
         print(f"unsupported configuration: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -25,25 +25,33 @@ lattice shape.  The reader checks the header (dim 1 or 2, N even and at
 least 4, L and dt finite and positive, a known meaning) and the file size
 it implies before it reads the payload.
 
-:func:`snapshot_field` writes one snapshot per pair, ``<stem>_iii_jjj.snap``,
-and the whole field as one long-format CSV, ``<stem>.csv``, with columns
-``i,j,i0[,i1],value``: one row per pair and lattice offset, the pairs in
-sorted (i, j) order and the offsets in C order.  Every value is written as
-its repr, so it parses back to the snapshot's float exactly.  The CSV is
-formatted in bulk, one write per pair, and the value text of each distinct
-slice is formatted once: pairs whose slices hold the same bytes (for drift
-constant in time, every pair of one gap) reuse it, and only their ``i,j,``
-lead is written afresh.
+:func:`snapshot_field` writes one snapshot per pair, ``<stem>_iii_jjj.snap``.
+Each distinct file content is written once; every other pair whose file
+would hold the same bytes (for drift constant in time, every pair of one
+gap) is a hard link to that file.  A name already in the directory is
+unlinked before it is written or linked, so no file of an earlier run is
+rewritten in place; edit a snapshot in place only after copying it.
+
+:func:`read_snapshot_fields` reads the snapshot groups of a directory back
+into fields, and :func:`write_csv` writes a field as one long-format CSV,
+``<stem>.csv``, with columns ``i,j,i0[,i1],value``: one row per pair and
+lattice offset, the pairs in sorted (i, j) order and the offsets in C
+order.  Every value is written as its repr, so it parses back to the
+snapshot's float exactly.  The CSV is formatted in bulk, one write per
+pair, and the value text of each distinct slice is formatted once: pairs
+whose slices hold the same bytes reuse it, and only their ``i,j,`` lead is
+written afresh.
 """
 from __future__ import annotations
 
 import math
 import os
+import re
 import struct
 from collections import Counter
 from dataclasses import dataclass
 from operator import add
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -52,11 +60,17 @@ from .grid import SpaceTimeGrid, analyze
 MEANINGS = ("g0", "g", "G")    # written to files; vector "v" is in memory only
 
 _HEADER = struct.Struct("<ii d d 8s")
+_SNAPSHOT_NAME = re.compile(r"(.+)_(\d{3,})_(\d{3,})\.snap")
 PairKey = Tuple[int, int]
 
 
 class FieldError(ValueError):
-    pass
+    """A field, snapshot or CSV off the layout; `path` names the file it
+    concerns, if any, and leads the message."""
+
+    def __init__(self, cause: str, path=None):
+        super().__init__(cause if path is None else f"{path}: {cause}")
+        self.path = path
 
 
 @dataclass
@@ -108,25 +122,57 @@ class KernelField:
     def spectrum(self, pair: PairKey) -> np.ndarray:
         return analyze(self.grid, self.slice(pair))
 
+    def distinct_stacks(self) -> List[np.ndarray]:
+        """The non-empty stacks as arrays, less each stack that views the tail
+        of the last one: together they hold every stored slice, and the
+        slices of a field synthesized from rows that depend on the gap alone
+        once each."""
+        last = np.asarray(self.stacks[-1]) if self.stacks else np.empty(0)
+        return [np.asarray(s) for s in self.stacks[:-1]
+                if len(s) and not _views_tail(s, last)] + \
+            ([last] if len(last) else [])
+
+
+def _views_tail(stack, last: np.ndarray) -> bool:
+    """Whether stack is the view last[len(last) - len(stack):]."""
+    return isinstance(stack, np.ndarray) and stack.__array_interface__ == \
+        last[len(last) - len(stack):].__array_interface__
+
 
 # ---------------------------------------------------------------------------
 # snapshot + CSV
 # ---------------------------------------------------------------------------
 
-def write_snapshot(path, grid: SpaceTimeGrid, meaning: str,
-                   dt: float, values: np.ndarray):
+def _snapshot_bytes(path, grid: SpaceTimeGrid, meaning: str, dt: float,
+                    values: np.ndarray) -> bytes:
+    """The content of a snapshot file: header, then payload."""
     if meaning not in MEANINGS:
-        raise FieldError(f"snapshot {path}: meaning {meaning!r} is not one "
-                         f"of {MEANINGS}")
+        raise FieldError(f"snapshot meaning {meaning!r} is not one of "
+                         f"{MEANINGS}", path)
     if np.shape(values) != grid.shape():
-        raise FieldError(f"snapshot {path}: payload shape {np.shape(values)} "
-                         f"!= grid {grid.shape()}")
+        raise FieldError(f"snapshot payload shape {np.shape(values)} != grid "
+                         f"{grid.shape()}", path)
     tag = meaning.encode("ascii").ljust(8, b"\x00")
     payload = np.ascontiguousarray(values, dtype="<f8")
+    return _HEADER.pack(grid.dim, grid.points_per_dim, grid.half_extent,
+                        dt, tag) + payload.tobytes()
+
+
+def _unlink(path):
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+
+
+def write_snapshot(path, grid: SpaceTimeGrid, meaning: str,
+                   dt: float, values: np.ndarray):
+    """Write one snapshot as a new file: a file already at `path` is
+    unlinked, not rewritten, so the names linked to it keep their bytes."""
+    data = _snapshot_bytes(path, grid, meaning, dt, values)
+    _unlink(path)
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(grid.dim, grid.points_per_dim,
-                              grid.half_extent, dt, tag))
-        fh.write(payload.tobytes())
+        fh.write(data)
 
 
 def read_snapshot(path):
@@ -134,8 +180,8 @@ def read_snapshot(path):
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if size < _HEADER.size:
-            raise FieldError(f"snapshot {path}: {size} bytes, shorter than "
-                             f"its {_HEADER.size}-byte header")
+            raise FieldError(f"snapshot of {size} bytes, shorter than its "
+                             f"{_HEADER.size}-byte header", path)
         dim, N, L, dt, tag = _HEADER.unpack(fh.read(_HEADER.size))
         meaning = tag.rstrip(b"\x00").decode("ascii", errors="replace")
         problems = []
@@ -150,12 +196,13 @@ def read_snapshot(path):
         if meaning not in MEANINGS:
             problems.append(f"meaning tag {tag!r} is unknown")
         if problems:
-            raise FieldError(f"snapshot {path}: " + "; ".join(problems))
+            raise FieldError("snapshot header: " + "; ".join(problems), path)
         shape = (N,) * dim
         expected = _HEADER.size + 8 * math.prod(shape)
         if size != expected:
-            raise FieldError(f"snapshot {path}: {size} bytes, but a {meaning!r} "
-                             f"header with dim={dim}, N={N} implies {expected}")
+            raise FieldError(f"snapshot of {size} bytes, but a {meaning!r} "
+                             f"header with dim={dim}, N={N} implies {expected}",
+                             path)
         values = np.fromfile(fh, dtype="<f8").reshape(shape)
     return dim, N, L, dt, meaning, values
 
@@ -186,8 +233,8 @@ def write_csv(path, field: KernelField):
     another in sorted (i, j) order, one row per pair and offset in C order."""
     grid = field.grid
     if field.meaning not in MEANINGS:
-        raise FieldError(f"csv {path}: meaning {field.meaning!r} is not one "
-                         f"of {MEANINGS}")
+        raise FieldError(f"csv meaning {field.meaning!r} is not one of "
+                         f"{MEANINGS}", path)
     offsets = np.indices(grid.shape()).reshape(grid.dim, -1) \
         - grid.points_per_dim // 2
     prefixes = csv_prefixes(offsets.tolist())
@@ -215,13 +262,77 @@ def write_csv(path, field: KernelField):
 
 def snapshot_field(field_obj, directory, stem: str):
     """Write one snapshot per stored pair of a field, named
-    ``<stem>_<i>_<j>.snap``, and the whole field as one long-format CSV,
-    ``<stem>.csv``; return the snapshot paths."""
-    paths = []
+    ``<stem>_<i>_<j>.snap``, and return their paths.  Each distinct file
+    content (header and payload) is written once; a later pair with the
+    same content is a hard link to that file, or a file of its own where
+    the directory takes no link."""
+    grid, meaning = field_obj.grid, field_obj.meaning
+    first, paths = {}, []
     for (i, j) in field_obj.pairs():
         path = os.path.join(directory, f"{stem}_{i:03d}_{j:03d}.snap")
-        write_snapshot(path, field_obj.grid, field_obj.meaning,
-                       field_obj.gap((i, j)), field_obj.slice((i, j)))
+        dt, values = field_obj.gap((i, j)), field_obj.slice((i, j))
+        data = _snapshot_bytes(path, grid, meaning, dt, values)
+        source = first.get(data)
+        if source is None:
+            first[data] = path
+        if source is None or not _link(source, path):
+            write_snapshot(path, grid, meaning, dt, values)
         paths.append(path)
-    write_csv(os.path.join(directory, f"{stem}.csv"), field_obj)
     return paths
+
+
+def _link(source, path) -> bool:
+    """Make `path` a new name of the file `source`; False if the link fails."""
+    _unlink(path)
+    try:
+        os.link(source, path)
+    except OSError:
+        return False
+    return True
+
+
+def read_snapshot_fields(directory) -> Dict[str, KernelField]:
+    """The field of every snapshot group ``<stem>_iii_jjj.snap`` in a
+    directory, by stem.  The lattice and meaning come from the headers, which
+    must agree within a group, the pairs from the file names, and the grid's
+    step from the headers' gaps; names of one file (hard links) are read
+    once.  A group must hold the pairs (0, j) .. (n - 1, j) of each j it
+    names."""
+    groups: Dict[str, Dict[PairKey, str]] = {}
+    for name in os.listdir(directory):
+        m = _SNAPSHOT_NAME.fullmatch(name)
+        if m:
+            groups.setdefault(m[1], {})[int(m[2]), int(m[3])] = \
+                os.path.join(directory, name)
+    return {stem: _read_group(pairs) for stem, pairs in sorted(groups.items())}
+
+
+def _read_group(paths: Dict[PairKey, str]) -> KernelField:
+    by_inode, slices, head = {}, {}, None
+    for (i, j), path in sorted(paths.items()):
+        st = os.stat(path)
+        if (st.st_dev, st.st_ino) not in by_inode:
+            by_inode[st.st_dev, st.st_ino] = read_snapshot(path)
+        dim, N, L, dt, meaning, values = by_inode[st.st_dev, st.st_ino]
+        if i >= j:
+            raise FieldError(f"pair ({i}, {j}) needs i < j", path)
+        if head is None:
+            head, first, step = (dim, N, L, meaning), path, dt / (j - i)
+        for key, want, got in zip(("dim", "N", "L", "meaning"), head,
+                                  (dim, N, L, meaning)):
+            if got != want:
+                raise FieldError(f"headers disagree on {key}: {got!r} here, "
+                                 f"{want!r} in {first}", path)
+        if not math.isclose(dt, (j - i) * step, rel_tol=1e-9):
+            raise FieldError(f"gap dt={dt!r} is not {j - i} steps of "
+                             f"{step!r}, the step of {first}", path)
+        slices[i, j] = values
+    M = max(j for _, j in slices)
+    stacks = [[] for _ in range(M + 1)]
+    for (i, j), values in sorted(slices.items()):
+        if i != len(stacks[j]):
+            raise FieldError(f"no snapshot of the pair ({len(stacks[j])}, "
+                             f"{j}) beside that of ({i}, {j})", paths[i, j])
+        stacks[j].append(values)
+    dim, N, L, meaning = head
+    return KernelField(SpaceTimeGrid(dim, L, N, M * step, M), meaning, stacks)

@@ -165,11 +165,20 @@ def synthesize(grid: SpaceTimeGrid, spectrum: np.ndarray,
     of spectra gives the stack of fields, and with require_real every field
     passes the imaginary-residue check on its own scale.
     """
-    vals = _IFFT[grid.dim](_lattice(grid, spectrum))
-    vals /= grid.cell_volume
+    vals = synthesize_unshifted(grid, spectrum)
     if require_real:
         vals = real_part(grid, vals, tol)
     return _half_swap(vals, grid.dim)
+
+
+def synthesize_unshifted(grid: SpaceTimeGrid,
+                         spectrum: np.ndarray) -> np.ndarray:
+    """`synthesize` with require_real=False, its points left in FFT order:
+    the complex samples without the half swap, which only permutes them,
+    for reductions over the lattice such as a sup norm."""
+    vals = _IFFT[grid.dim](_lattice(grid, spectrum))
+    vals /= grid.cell_volume
+    return vals
 
 
 def real_part(grid: SpaceTimeGrid, vals, tol: float = 1e-9) -> np.ndarray:

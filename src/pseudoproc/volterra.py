@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import SpaceTimeGrid, GridError, synthesize
+from .grid import SpaceTimeGrid, GridError, synthesize, synthesize_unshifted
 from .symbols import SymbolSpec, PseudoGradientSpec
 from .fields import KernelField
 from .drift import DriftField, series_exponent
@@ -220,7 +220,7 @@ class PerturbationProblem:
 
     def row_max_norm(self, rows: np.ndarray) -> np.ndarray:
         """Lattice sup of each synthesized scalar or vector row of a stack."""
-        comps = synthesize(self.grid, rows, require_real=False)
+        comps = synthesize_unshifted(self.grid, rows)
         comps = comps.reshape((len(rows), -1, self.a.size))
         return np.sqrt((np.abs(comps) ** 2).sum(1)).max(1)
 

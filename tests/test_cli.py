@@ -1,4 +1,5 @@
 import csv
+import errno
 import io
 import math
 import os
@@ -15,7 +16,11 @@ from pseudoproc.cli import (RunConfig, ConfigError, main, EXIT_OK,
                             EXIT_CONFIG, EXIT_RESOLUTION,
                             EXIT_NONCONVERGENCE, EXIT_VERIFY)
 from pseudoproc.evolution import apply_operator, constant_one
-from pseudoproc.fields import KernelField, read_snapshot
+from pseudoproc.drift import constant_drift
+from pseudoproc.fields import (KernelField, read_snapshot, write_csv,
+                               write_snapshot)
+from pseudoproc.spectral import constant_drift_kernel, synthesize_g0
+from pseudoproc.volterra import ConvergenceMonitor, PerturbationProblem
 
 
 def test_config_round_trip(tmp_path):
@@ -75,6 +80,7 @@ def test_kernel_peak_matches_analytic(tmp_path):
     code = main(["kernel", "--alpha", "1.5", "--c", "1", "--d", "1",
                  "--dt", "1", "--outdir", str(out)])
     assert code == EXIT_OK
+    assert main(["emit", "--what", "csv", "--outdir", str(out)]) == EXIT_OK
     with open(out / "g0.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     peak = [r for r in rows if (r["i"], r["j"], r["i0"]) == ("0", "16", "0")]
@@ -270,18 +276,44 @@ def _old_u_slices_text(grid, G, phi):
     return buf.getvalue()
 
 
+def _desk_field(cfg):
+    """The in-memory G field of a perturb run at cfg."""
+    prob = PerturbationProblem(cfg.symbol(), cfg.pgrad(), cfg.grid(),
+                               constant_drift(cfg.drift_vector()))
+    monitor = ConvergenceMonitor.for_problem(cfg.alpha, cfg.beta, cfg.dim,
+                                             cfg.p_exponent)
+    return prob.rows_to_scalar_field(prob.solve_v(monitor))
+
+
 def test_perturb_output_layout_and_round_trip(tmp_path):
     out = tmp_path / "p"
     cfg = RunConfig(points=64, half_extent=20.0, steps=16, drift="1.0",
                     outdir=str(out))
     assert main(["perturb", "--points", "64", "--half-extent", "20",
                  "--steps", "16", "--outdir", str(out)]) == EXIT_OK
-    grid = cfg.grid()
+    grid, G = cfg.grid(), _desk_field(cfg)
     pairs = [(i, j) for j in range(1, 17) for i in range(j)]
     snaps = {f"G_{i:03d}_{j:03d}.snap": (i, j) for i, j in pairs}
     assert len(snaps) == 136
     assert sorted(os.listdir(out)) == sorted(
-        list(snaps) + ["G.csv", "convergence.csv", "u_slices.csv"])
+        list(snaps) + ["convergence.csv", "u_slices.csv"])
+    # the pairs of one gap are names of one file: 16 files in all
+    inodes = {}
+    for name, (i, j) in snaps.items():
+        inodes.setdefault(j - i, set()).add(os.stat(out / name).st_ino)
+    assert all(len(ino) == 1 for ino in inodes.values())
+    assert len(set.union(*inodes.values())) == 16
+    stacks = [[] for _ in range(17)]
+    for name, (i, j) in snaps.items():   # i ascending within each j
+        _, _, _, dt, _, payload = read_snapshot(out / name)
+        assert payload.tobytes() == G.slice((i, j)).tobytes()
+        assert dt == G.gap((i, j))
+        stacks[j].append(payload)
+    assert (out / "u_slices.csv").read_bytes() == \
+        _old_u_slices_text(grid, KernelField(grid, "G", stacks),
+                           constant_one(1)).encode()
+    # the long CSV comes from emit, in the documented order
+    assert main(["emit", "--what", "csv", "--outdir", str(out)]) == EXIT_OK
     with open(out / "G.csv", newline="") as fh:
         reader = csv.reader(fh)
         assert next(reader) == ["i", "j", "i0", "value"]
@@ -293,15 +325,141 @@ def test_perturb_output_layout_and_round_trip(tmp_path):
     values = {}
     for (i, j, _), r in zip(keys, rows):
         values.setdefault((i, j), []).append(float(r[3]))
-    stacks = [[] for _ in range(17)]
-    for name, (i, j) in snaps.items():   # i ascending within each j
-        *_, payload = read_snapshot(out / name)
-        # rows of a pair run over the offsets in order: bit-for-bit the payload
-        assert np.array(values[i, j]).tobytes() == payload.tobytes()
-        stacks[j].append(payload)
-    G = KernelField(grid, "G", stacks)
+    for pair, vals in values.items():
+        # rows of a pair run over the offsets in order: bit-for-bit the slice
+        assert np.array(vals).tobytes() == G.slice(pair).tobytes()
+
+
+def _snapshot_bytes_by_name(directory):
+    return {p.name: p.read_bytes() for p in directory.glob("*.snap")}
+
+
+def test_perturb_into_a_used_outdir_leaves_stale_files_alone(tmp_path):
+    lattice = ["--points", "32", "--half-extent", "10"]
+    out, fresh = tmp_path / "used", tmp_path / "fresh"
+    assert main(["perturb", "--steps", "8", "--drift", "0.5"] + lattice
+                + ["--outdir", str(out)]) == EXIT_OK
+    before = _snapshot_bytes_by_name(out)
+    run = ["perturb", "--steps", "4", "--drift", "1.0"] + lattice
+    assert main(run + ["--outdir", str(out)]) == EXIT_OK
+    assert main(run + ["--outdir", str(fresh)]) == EXIT_OK
+    # every current name holds the new run's bytes, and every stale name
+    # keeps the earlier run's, though it shared a file with a current name
+    current = _snapshot_bytes_by_name(fresh)
+    assert len(current) == 10
+    after = _snapshot_bytes_by_name(out)
+    for name, data in current.items():
+        assert after[name] == data != before[name]
+    stale = set(before) - set(current)
+    assert len(stale) == 26
+    assert all(after[name] == before[name] for name in stale)
     assert (out / "u_slices.csv").read_bytes() == \
-        _old_u_slices_text(grid, G, constant_one(1)).encode()
+        (fresh / "u_slices.csv").read_bytes()
+    # convergence.csv: equal but for its wall time
+    used, new = ([line.rsplit(",", 1)[0] for line in
+                  (d / "convergence.csv").read_text().splitlines()]
+                 for d in (out, fresh))
+    assert used == new
+
+
+def test_perturb_writes_every_file_where_links_fail(tmp_path, monkeypatch):
+    run = ["perturb", "--points", "64", "--half-extent", "20"]
+    assert main(run + ["--outdir", str(tmp_path / "linked")]) == EXIT_OK
+
+    def refuse(src, dst, *args, **kwargs):
+        raise OSError(errno.EPERM, "links refused", dst)
+
+    monkeypatch.setattr(os, "link", refuse)
+    assert main(run + ["--outdir", str(tmp_path / "copied")]) == EXIT_OK
+    copied = _snapshot_bytes_by_name(tmp_path / "copied")
+    assert len(copied) == 136
+    assert copied == _snapshot_bytes_by_name(tmp_path / "linked")
+    assert all(os.stat(p).st_nlink == 1
+               for p in (tmp_path / "copied").glob("*.snap"))
+
+
+def test_perturb_summary_equals_the_per_pair_reductions(tmp_path, capsys):
+    cfg = RunConfig(dim=2, points=16, steps=4, drift="1.0,0.5")
+    assert main(["perturb", "--d", "2", "--points", "16", "--steps", "4",
+                 "--drift", "1.0,0.5", "--outdir", str(tmp_path)]) == EXIT_OK
+    printed = capsys.readouterr().out.splitlines()
+    G = _desk_field(cfg)
+    worst = max(abs(G.mass(k) - 1.0) for k in G.pairs())
+    assert printed[-2:] == [
+        f"worst mass defect = {worst:.3e}",
+        f"min G = {min(G.slice(k).min() for k in G.pairs()):.6e}"]
+
+
+def _kernel_fields(dim):
+    """(argv, in-memory field) of each command whose snapshots emit reads."""
+    lattice = (["--d", "1", "--points", "64", "--half-extent", "8"] if dim == 1
+               else ["--d", "2", "--points", "32", "--half-extent", "4"])
+    lattice += ["--steps", "4"]
+    cfg = RunConfig(dim=dim, points=64 // dim, half_extent=8.0 / dim, steps=4,
+                    drift="1.0")
+    sym, grid, pg = cfg.symbol(), cfg.grid(), cfg.pgrad()
+    return {
+        "G": (["perturb"] + lattice, _desk_field(cfg)),
+        "g0": (["kernel"] + lattice, synthesize_g0(sym, grid, 1.0)),
+        "G_closed_form": (["kernel", "--b", "1"] + lattice,
+                          constant_drift_kernel(sym, pg, cfg.drift_vector(),
+                                                grid, 1.0)),
+    }
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_emit_csv_equals_the_csv_of_the_field(tmp_path, dim):
+    out = tmp_path / "out"
+    expected = {}
+    for stem, (argv, field) in _kernel_fields(dim).items():
+        assert main(argv + ["--outdir", str(out)]) == EXIT_OK
+        write_csv(tmp_path / f"{stem}.csv", field)
+        expected[f"{stem}.csv"] = (tmp_path / f"{stem}.csv").read_bytes()
+    # kernel and perturb write no long CSV of their own
+    assert sorted(p.name for p in out.glob("*.csv")) == \
+        ["convergence.csv", "u_slices.csv"]
+    assert main(["emit", "--what", "csv", "--outdir", str(out)]) == EXIT_OK
+    for name, data in expected.items():
+        assert (out / name).read_bytes() == data
+
+
+def test_emit_csv_without_snapshots_is_a_file_error(tmp_path, capsys):
+    assert main(["emit", "--what", "csv", "--outdir", str(tmp_path)]) == \
+        EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"file error: {tmp_path}: ")
+
+
+def _corrupt_group(directory, case):
+    """A perturb group of three pairs with one file spoiled; its path."""
+    grid = RunConfig(points=16, steps=2).grid()
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        write_snapshot(directory / f"G_{i:03d}_{j:03d}.snap", grid, "G",
+                       (j - i) * grid.dt, np.full(16, 0.0625))
+    path = directory / "G_001_002.snap"
+    raw = path.read_bytes()
+    if case == "truncated":
+        path.write_bytes(raw[:-8])
+    elif case == "unknown-tag":
+        path.write_bytes(raw[:24] + b"q".ljust(8, b"\x00") + raw[32:])
+    else:                                           # a lattice of N = 32
+        write_snapshot(path, RunConfig(points=32, steps=2).grid(), "G",
+                       grid.dt, np.full(32, 0.03125))
+    return path
+
+
+@pytest.mark.parametrize("case, cause", [
+    ("truncated", "implies"),
+    ("unknown-tag", "meaning tag"),
+    ("N-disagrees", "headers disagree on N: 32 here, 16 in"),
+])
+def test_a_corrupt_snapshot_is_a_file_error(tmp_path, capsys, case, cause):
+    path = _corrupt_group(tmp_path, case)
+    assert main(["emit", "--what", "csv", "--outdir", str(tmp_path)]) == \
+        EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"file error: {path}: ") and cause in err
+    assert "config error" not in err and "Traceback" not in err
+    assert not (tmp_path / "G.csv").exists()
 
 
 @pytest.mark.parametrize("phi", ["bump", "mode8"])
@@ -434,7 +592,7 @@ def test_removed_config_keys_are_refused(tmp_path, capsys, line):
 
 
 @pytest.mark.parametrize("command, produced", [
-    ("perturb", "G.csv"), ("kernel", "g0_000_016.snap")])
+    ("perturb", "u_slices.csv"), ("kernel", "g0_000_016.snap")])
 def test_config_file_keeps_the_command_defaults(tmp_path, command, produced):
     # the file sets alpha alone: perturb keeps its drift 1, kernel its
     # N=2048, L=160, so both match a run without the file

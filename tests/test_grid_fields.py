@@ -9,7 +9,8 @@ import pytest
 from pseudoproc import (SpaceTimeGrid, GridError, KernelField, FieldError,
                         synthesize, analyze, convolve, interior_mask,
                         write_snapshot, read_snapshot, write_csv)
-from pseudoproc.fields import csv_prefixes, format_rows
+from pseudoproc.fields import (csv_prefixes, format_rows, snapshot_field,
+                               read_snapshot_fields)
 
 
 def test_lattice_is_conjugate(default_grid):
@@ -360,6 +361,87 @@ def test_long_csv_equals_the_per_pair_formatting(tmp_path, case):
     write_csv(path, _field(grid, "G", values))
     with open(path, newline="") as fh:
         assert fh.read() == _reference_long_csv(grid, values)
+
+
+def _gap_field(grid, top):
+    """A field whose stack j views the last j slices of top, by gap."""
+    M = grid.time_steps
+    return KernelField(grid, "G", [top[M - j:] for j in range(M + 1)])
+
+
+def test_distinct_stacks_hold_each_viewed_slice_once():
+    grid = SpaceTimeGrid(1, 10.0, 8, 1.0, 4)
+    top = np.random.default_rng(5).standard_normal((4, 8))
+    shared = _gap_field(grid, top)
+    [only] = shared.distinct_stacks()
+    assert only.__array_interface__ == top.__array_interface__
+    # equal values in stacks of their own are all kept
+    copies = KernelField(grid, "G", [s.copy() for s in shared.stacks])
+    assert [len(s) for s in copies.distinct_stacks()] == [1, 2, 3, 4]
+    lists = _field(grid, "G", {(0, 2): top[0], (1, 2): top[1]})
+    [stack] = lists.distinct_stacks()
+    assert np.array_equal(stack, top[:2])
+
+
+def test_snapshot_field_links_the_pairs_of_equal_content(tmp_path):
+    grid = SpaceTimeGrid(1, 10.0, 8, 1.0, 4)
+    top = np.random.default_rng(7).standard_normal((4, 8))
+    for sub in ("gaps", "flat"):
+        (tmp_path / sub).mkdir()
+    paths = snapshot_field(_gap_field(grid, top), tmp_path / "gaps", "G")
+    assert len(paths) == 10 == len(os.listdir(tmp_path / "gaps"))
+    names = {}
+    for path in paths:
+        i, j = (int(k) for k in os.path.basename(path)[2:-5].split("_"))
+        names.setdefault(j - i, set()).add(os.stat(path).st_ino)
+        *_, dt, meaning, values = read_snapshot(path)
+        assert (dt, meaning) == ((j - i) * grid.dt, "G")
+        assert np.array_equal(values, top[4 - (j - i)])
+    assert [len(inodes) for _, inodes in sorted(names.items())] == [1] * 4
+    # equal payloads at different gaps differ in the header's dt: no link
+    paths = snapshot_field(_gap_field(grid, np.ones((4, 8))),
+                           tmp_path / "flat", "G")
+    assert len({os.stat(p).st_ino for p in paths}) == 4
+
+
+def test_snapshot_groups_read_back_as_their_fields(tmp_path):
+    g1 = SpaceTimeGrid(1, 10.0, 8, 1.0, 4)
+    g2 = SpaceTimeGrid(2, 5.0, 4, 2.0, 2)
+    rng = np.random.default_rng(9)
+    fields = {"G": _gap_field(g1, rng.standard_normal((4, 8))),
+              "g0": KernelField(g2, "g0",
+                                [(), (), rng.standard_normal((1, 4, 4))])}
+    for stem, field in fields.items():
+        snapshot_field(field, tmp_path, stem)
+    (tmp_path / "G.csv").write_text("not a snapshot\n")
+    read = read_snapshot_fields(tmp_path)
+    assert sorted(read) == ["G", "g0"]
+    for stem, field in fields.items():
+        got = read[stem]
+        assert (got.grid.dim, got.grid.points_per_dim, got.grid.half_extent,
+                got.meaning, got.pairs()) == \
+            (field.grid.dim, field.grid.points_per_dim,
+             field.grid.half_extent, field.meaning, field.pairs())
+        assert got.grid.dt == pytest.approx(field.grid.dt, rel=1e-12)
+        for pair in field.pairs():
+            assert got.slice(pair).tobytes() == field.slice(pair).tobytes()
+
+
+def test_a_snapshot_group_with_a_missing_pair_is_refused(tmp_path):
+    grid = SpaceTimeGrid(1, 10.0, 8, 1.0, 4)
+    snapshot_field(_gap_field(grid, np.ones((4, 8))), tmp_path, "G")
+    os.unlink(tmp_path / "G_000_003.snap")
+    with pytest.raises(FieldError, match=r"no snapshot of the pair \(0, 3\)"):
+        read_snapshot_fields(tmp_path)
+
+
+def test_field_errors_lead_with_the_path(tmp_path):
+    path = _snapshot_with(tmp_path / "bad.snap",
+                          SpaceTimeGrid(1, 10.0, 8, 1.0, 4), tag=b"q\x00")
+    with pytest.raises(FieldError) as err:
+        read_snapshot(path)
+    assert err.value.path == path
+    assert str(err.value).startswith(f"{path}: snapshot header: meaning tag")
 
 
 def test_mass_uses_cell_volume(default_grid):

@@ -642,6 +642,33 @@ def test_row_max_norm_of_a_stack_matches_single_rows(dim, small_problem):
         assert norms.tolist() == [prob.row_max_norm(r[None])[0] for r in rows]
 
 
+def _swapped_row_max_norm(prob, rows):
+    """row_max_norm as taken from the centered (half-swapped) samples."""
+    comps = synthesize(prob.grid, rows, require_real=False)
+    comps = comps.reshape((len(rows), -1, prob.a.size))
+    return np.sqrt((np.abs(comps) ** 2).sum(1)).max(1)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_row_max_norm_equals_the_half_swapped_sup(dim, sym, pg, small_grid):
+    prob = (_time_dependent_problem(sym, pg, small_grid) if dim == 1
+            else _two_dimensional_problem())
+    G_rows = prob.solve_v(ConvergenceMonitor.for_problem(1.5, 0.5, dim,
+                                                         math.inf))
+    # the rows the residuals reduce: defects of G and of v, scalar and vector
+    assembled = prob.assemble_G_rows(G_rows)
+    v, v_assembled = prob.v_rows(G_rows), prob.v_rows(assembled)
+    for j in range(1, prob.M + 1):
+        for rows in (assembled[j] - G_rows[j], v_assembled[j] - v[j], v[j]):
+            assert prob.row_max_norm(rows).tobytes() == \
+                _swapped_row_max_norm(prob, rows).tobytes()
+    swapped = PerturbationProblem(prob.sym, prob.pg, prob.grid, prob.b)
+    swapped.row_max_norm = lambda rows: _swapped_row_max_norm(swapped, rows)
+    for residual in ("perturbation_residual", "series_residual"):
+        assert repr(getattr(prob, residual)(G_rows)) == \
+            repr(getattr(swapped, residual)(G_rows))
+
+
 def _vector_quad_rows(prob, v_rows, limit):
     """The vector recursion the scalar operator replaced, kept as reference:
     Int_{t_i}^{t_j} g(tau - t_i) (b(tau), v(tau, t_j)) dtau for every pair,
