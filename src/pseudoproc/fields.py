@@ -304,10 +304,11 @@ def read_snapshot_fields(directory) -> Dict[str, KernelField]:
         if m:
             groups.setdefault(m[1], {})[int(m[2]), int(m[3])] = \
                 os.path.join(directory, name)
-    return {stem: _read_group(pairs) for stem, pairs in sorted(groups.items())}
+    return {stem: _read_group(stem, pairs)
+            for stem, pairs in sorted(groups.items())}
 
 
-def _read_group(paths: Dict[PairKey, str]) -> KernelField:
+def _read_group(stem: str, paths: Dict[PairKey, str]) -> KernelField:
     by_inode, slices, head = {}, {}, None
     for (i, j), path in sorted(paths.items()):
         st = os.stat(path)
@@ -324,8 +325,11 @@ def _read_group(paths: Dict[PairKey, str]) -> KernelField:
                 raise FieldError(f"headers disagree on {key}: {got!r} here, "
                                  f"{want!r} in {first}", path)
         if not math.isclose(dt, (j - i) * step, rel_tol=1e-9):
-            raise FieldError(f"gap dt={dt!r} is not {j - i} steps of "
-                             f"{step!r}, the step of {first}", path)
+            raise FieldError(
+                f"gap dt={dt!r} is not {j - i} steps of {step!r}, the step "
+                f"of {first}: snapshots of runs with different time steps "
+                "share the directory; use a fresh --outdir, or remove the "
+                f"stale {stem}_iii_jjj.snap names", path)
         slices[i, j] = values
     M = max(j for _, j in slices)
     stacks = [[] for _ in range(M + 1)]

@@ -136,10 +136,15 @@ _ONE_D_RUN = textwrap.dedent("""
                          compact_bump(5.0)).solve()
     print(sorted(m for m in ("scipy.special", "pseudoproc.verify")
                  if m in sys.modules))
+    # the full registry, the 2-D plane-wave row included
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "--outdir", outdir]) == 0
+    print(sorted(m for m in ("scipy.special", "pseudoproc.verify")
+                 if m in sys.modules))
 """)
 
 
-def test_one_dimensional_commands_leave_scipy_unloaded(tmp_path):
+def test_no_command_loads_scipy(tmp_path):
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -147,7 +152,7 @@ def test_one_dimensional_commands_leave_scipy_unloaded(tmp_path):
     run = subprocess.run([sys.executable, "-c", _ONE_D_RUN, str(tmp_path)],
                          env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "[]"
+    assert run.stdout.splitlines() == ["[]", "['pseudoproc.verify']"]
 
 
 def test_kernel_resolution_gate_exit(tmp_path):
@@ -360,6 +365,22 @@ def test_perturb_into_a_used_outdir_leaves_stale_files_alone(tmp_path):
                   (d / "convergence.csv").read_text().splitlines()]
                  for d in (out, fresh))
     assert used == new
+
+
+def test_emit_csv_names_runs_of_another_step_in_its_outdir(tmp_path, capsys):
+    lattice = ["--points", "32", "--half-extent", "10", "--outdir",
+               str(tmp_path)]
+    assert main(["perturb", "--steps", "8"] + lattice) == EXIT_OK
+    assert main(["perturb", "--steps", "4"] + lattice) == EXIT_OK
+    capsys.readouterr()
+    assert main(["emit", "--what", "csv", "--outdir", str(tmp_path)]) == \
+        EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"file error: {tmp_path / 'G_000_005.snap'}: "
+                          "gap dt=0.625 is not 5 steps of 0.25")
+    assert "snapshots of runs with different time steps share the " \
+        "directory; use a fresh --outdir, or remove the stale " \
+        "G_iii_jjj.snap names" in err
 
 
 def test_perturb_writes_every_file_where_links_fail(tmp_path, monkeypatch):

@@ -1,6 +1,6 @@
-"""Every module-level import of the package is used by its module, and every
-function, method and class of the package is reached by the package or
-named by the benchmark."""
+"""Every module-level import of the package is used by its module, no module
+imports scipy, and every function, method and class of the package is
+reached by the package or named by the benchmark."""
 import ast
 import re
 from pathlib import Path
@@ -96,6 +96,36 @@ def test_only_the_grid_module_calls_numpy_fft(path):
     # every transform goes through grid, where the tracer counts it
     tree = ast.parse(path.read_text(), filename=str(path))
     assert not _fft_uses(tree), f"{path.name}: numpy.fft at lines {_fft_uses(tree)}"
+
+
+def _scipy_imports(tree):
+    """Lines that import scipy, at module level or inside a function."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            lines += [node.lineno for a in node.names
+                      if a.name.split(".")[0] == "scipy"]
+        elif isinstance(node, ast.ImportFrom) and node.module \
+                and node.module.split(".")[0] == "scipy":
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_the_scipy_scan_reports_every_form():
+    tree = ast.parse("import scipy\nimport scipy.special as sp\n"
+                     "from scipy import special\n"
+                     "def f(x):\n    from scipy.special import j1\n"
+                     "    import scipyx\n    return j1(x)\n")
+    assert _scipy_imports(tree) == [1, 2, 3, 5]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_the_package_imports_no_scipy(path):
+    # scipy is an oracle of the tests only; no command may load it
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert not _scipy_imports(tree), \
+        f"{path.name}: scipy import at lines {_scipy_imports(tree)}"
 
 
 def _unreached(trees, mentioned):

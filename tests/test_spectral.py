@@ -11,6 +11,7 @@ from pseudoproc import (SpaceTimeGrid, PseudoGradientSpec,
                         ResolutionError, UnsupportedConfiguration,
                         chapman_defect, base_kernel_field,
                         isotropic_symbol)
+from pseudoproc.spectral import _bessel_j, _panels
 from pseudoproc.verify import self_similarity_defect
 
 
@@ -156,3 +157,20 @@ def test_singular_mode_2d_bump_against_spectral():
     sing = singular_gradient_at(f, pts, pg2, theta_nodes=96)
     for (i, j), s in zip(idx, sing):
         assert np.allclose(s, spec[:, i, j], atol=2e-3)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_bessel_j_matches_scipy(n):
+    from scipy.special import j0, j1
+    oracle = (j0, j1)[n]
+    cutoffs = [v for c in (1.0, 25.0)
+               for v in (np.nextafter(c, 0.0), c, np.nextafter(c, 2 * c))]
+    x = np.concatenate([np.geomspace(1e-25, 2e4, 4000),
+                        np.linspace(0.5, 40.0, 2000), cutoffs])
+    got, want = _bessel_j(n, x), oracle(x)
+    assert np.abs(got - want).max() <= 2e-15
+    small = x <= 1.0
+    assert (np.abs(got - want)[small] / np.abs(want[small])).max() <= 1e-14
+    # the nodes of the fine 2-D plane-wave row
+    u, _ = _panels(1.3e-22, 1.3e4, 6, osc_scale=1.0)
+    assert np.abs(_bessel_j(n, u) - oracle(u)).max() <= 2e-15
