@@ -102,21 +102,33 @@ class DriftField:
 
     def lp_norm(self, grid: SpaceTimeGrid) -> float:
         """L_p norm of |b| over [0, T] x [-L, L]^d (sup norm for p = inf)."""
-        return _slab_norm(lambda t: self.sample(t, grid), self.p_exponent, grid)
+        at = _sampler((self,), grid)
+        return _slab_norm(lambda t: at(self, t), self.p_exponent, grid)
 
     def difference_lp_norm(self, other: "DriftField", grid: SpaceTimeGrid) -> float:
         """L_p norm of |b - other| on the same slab (shared p required)."""
         if not math.isclose(self.p_exponent, other.p_exponent):
             raise DriftError("stability comparisons require a common p")
-        return _slab_norm(lambda t: self.sample(t, grid) - other.sample(t, grid),
+        at = _sampler((self, other), grid)
+        return _slab_norm(lambda t: at(self, t) - at(other, t),
                           self.p_exponent, grid)
+
+
+def _sampler(drifts, grid: SpaceTimeGrid) -> Callable:
+    """(b, t) -> b at time t: the d-vector when every drift is constant in
+    space (its magnitude is then the value at every lattice point), else
+    the components on the lattice."""
+    if all(b.spatially_constant for b in drifts):
+        return lambda b, t: b.at_time(t)
+    return lambda b, t: b.sample(t, grid)
 
 
 def _slab_norm(sample: Callable, p: float, grid: SpaceTimeGrid) -> float:
     """L_p norm of |sample(t)| over [0, T] x [-L, L]^d (sup norm for p = inf).
 
-    sample(t) returns the d components on the lattice; time is integrated
-    by the trapezoid rule on 64 equal steps.
+    sample(t) returns the d components on the lattice, or one d-vector
+    that holds at every lattice point; time is integrated by the trapezoid
+    rule on 64 equal steps.
     """
     ts = np.linspace(0.0, grid.time_horizon, 65)
     mags = (np.sqrt((sample(t) ** 2).sum(axis=0)) for t in ts)

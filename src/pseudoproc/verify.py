@@ -509,21 +509,15 @@ def check_series_residual(fx: FixtureSet) -> List[CheckResult]:
 
 
 def check_convolution_scaling(fx: FixtureSet) -> List[CheckResult]:
-    bundles = (
-        {"kappa": 0.0, "lam": 0.0, "k": 0.5, "l": 0.5},
-        {"kappa": 0.45, "lam": 0.75, "k": 0.9, "l": 0.9},
-    )
-    rows = []
-    for nb, p in enumerate(bundles):
-        gaps = 6.0 ** fx.alpha / 1000.0 * np.logspace(-1.0, 0.0, 6)
-        rep = kernel_convolution_scaling(p["kappa"], p["lam"], p["k"], p["l"],
-                                         fx.alpha, 1, gaps=gaps)
-        rows.append(_result(
-            f"convolution-scaling/bundle-{nb}",
-            f"kappa={p['kappa']} lambda={p['lam']} k={p['k']} l={p['l']}",
-            rep.fitted_exponent, rep.predicted_exponent, "exponent-fit",
-            rep.passed, "derived-oracle"))
-    return rows
+    bundles = ((0.0, 0.0, 0.5, 0.5), (0.45, 0.75, 0.9, 0.9))
+    gaps = 6.0 ** fx.alpha / 1000.0 * np.logspace(-1.0, 0.0, 6)
+    reports = kernel_convolution_scaling(bundles, fx.alpha, 1, gaps=gaps)
+    return [_result(f"convolution-scaling/bundle-{nb}",
+                    f"kappa={kappa} lambda={lam} k={k} l={l}",
+                    rep.fitted_exponent, rep.predicted_exponent,
+                    "exponent-fit", rep.passed, "derived-oracle")
+            for nb, ((kappa, lam, k, l), rep) in enumerate(zip(bundles,
+                                                                reports))]
 
 
 def _envelope_probes(values_by_gap, x, offsets):

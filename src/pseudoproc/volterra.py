@@ -371,21 +371,57 @@ class ScalingFitReport:
         return abs(self.fitted_exponent - self.predicted_exponent) <= 0.1
 
 
-def _envelope_kernel(sig, r, power_t, power_r, alpha):
-    return sig ** (power_t / alpha) / ((sig ** (1.0 / alpha) + np.abs(r)) ** power_r)
+# time nodes per block of the z quadrature: the block's (rows, 71, 10) node
+# arrays stay near 60 kB each
+_SCALING_ROWS = 10
+_OFFSET, _FAR = 6.0, 420.0          # spatial separation; z range +-60 (offset + 1)
+_SCALES = 2.0 ** np.arange(-3.0, 14.0)
 
 
-def kernel_convolution_scaling(kappa: float, lam: float, k: float, l: float,
-                               alpha: float, dim: int,
-                               gaps) -> ScalingFitReport:
+def _z_integrals(sig, T, alpha, powers) -> np.ndarray:
+    """Int dz (sig^(1/a) + |z|)^-p ((T-sig)^(1/a) + |offset - z|)^-q at
+    each time node sig (a column) for each row (p, q) of powers: an array
+    (bundles, nodes).  Each node's z-edges are graded around the two kernel
+    centers (width scales sig^(1/a)); clipped or repeated ones add no
+    weight.  The logs of the two denominators are shared by every bundle,
+    whose integrand is then one exp of their linear combination."""
+    w1, w2 = sig ** (1.0 / alpha), (T - sig) ** (1.0 / alpha)
+    e = np.hstack([np.tile([0.0, _OFFSET, -_FAR, _FAR], (len(sig), 1)),
+                   -w1 * _SCALES, w1 * _SCALES,
+                   _OFFSET - w2 * _SCALES, _OFFSET + w2 * _SCALES])
+    zq, wq = gauss_panels(np.sort(np.clip(e, -_FAR, _FAR), axis=1), 10)
+    zq, wq = zq.reshape(len(sig), -1), wq.reshape(len(sig), -1)
+    logs = np.empty((2,) + zq.shape)
+    near, apart = logs
+    np.add(np.abs(zq, out=near), w1, out=near)
+    np.subtract(_OFFSET, zq, out=apart)
+    np.add(np.abs(apart, out=apart), w2, out=apart)
+    del zq
+    np.log(logs, out=logs)
+    z = -powers @ logs.reshape(2, -1)
+    np.exp(z, out=z)
+    z = z.reshape((len(powers),) + wq.shape)
+    z *= wq
+    return z.sum(axis=2)
+
+
+def kernel_convolution_scaling(bundles, alpha: float, dim: int,
+                               gaps) -> list:
     """Fit the time-gap exponent of the two-envelope space-time convolution.
 
-    Evaluates Int_0^T dsig Int dz of the product of the two power-law
-    envelopes (exponents kappa, lam in time and d+k, d+l in space) at fixed
-    spatial separation offset = 6 at the given gaps, which belong well below
-    offset^alpha, and fits log value against log gap; the report passes
+    bundles is a sequence of exponent bundles (kappa, lam, k, l); one
+    `ScalingFitReport` is returned per bundle, in order.  Each evaluates
+    Int_0^T dsig Int dz of the product of the two power-law envelopes
+    (exponents kappa, lam in time and d+k, d+l in space) at fixed spatial
+    separation offset = 6 at the given gaps, which belong well below
+    offset^alpha, and fits log value against log gap; a report passes
     within 0.1 of the predicted exponent.  The admissible range
-    0 < k < alpha + kappa, 0 < l < alpha + lambda is enforced.
+    0 < k < alpha + kappa, 0 < l < alpha + lambda is enforced per bundle.
+
+    The quadrature nodes depend on alpha and the gap alone, so every bundle
+    shares them and the logs of the envelopes' denominators: per bundle the
+    z integrand is one exp of a linear combination of those logs, built
+    `_SCALING_ROWS` time nodes at a time.
 
     The short-gap law at fixed separation carries the exponent
     1 + (kappa + lam - max(k, l))/alpha; with k = l the two envelope terms
@@ -393,32 +429,28 @@ def kernel_convolution_scaling(kappa: float, lam: float, k: float, l: float,
     """
     if dim != 1:
         raise NotImplementedError("scaling report is implemented for dim = 1")
-    if not (0.0 < k < alpha + kappa and 0.0 < l < alpha + lam):
+    bundles = np.array(bundles, dtype=float).reshape(len(bundles), 4)
+    kappa, lam, k, l = bundles.T
+    if not (np.all((0.0 < k) & (k < alpha + kappa))
+            and np.all((0.0 < l) & (l < alpha + lam))):
         raise ValueError("exponents must satisfy 0 < k < alpha + kappa and "
                          "0 < l < alpha + lambda")
-    offset = 6.0
+    powers = 1.0 + np.column_stack([l, k])      # of the envelopes in space
     gaps = np.asarray(gaps, dtype=float)
-
-    far = 60.0 * (offset + 1.0)
-    scales = 2.0 ** np.arange(-3.0, 14.0)
-    vals = np.zeros(len(gaps))
+    vals = np.zeros((len(bundles), len(gaps)))
     for n, T in enumerate(gaps):
         edges = np.unique(np.concatenate([
             [0.0], T * 0.5 * 2.0 ** (-np.arange(18, -1, -1.0)),
             T - T * 0.5 * 2.0 ** (-np.arange(0, 19.0)), [T]]))
-        tq, tw = gauss_panels(edges, 10)
-        for sig, w in zip(tq[:, :, None], tw):
-            # a time panel's z-edges, graded around the two kernel centers
-            # (width scales sig^{1/a}); clipped or repeated ones add no weight
-            w1 = sig ** (1.0 / alpha) * scales
-            w2 = (T - sig) ** (1.0 / alpha) * scales
-            e = np.hstack([np.tile([0.0, offset, -far, far], (len(sig), 1)),
-                           -w1, w1, offset - w2, offset + w2])
-            zq, wq = gauss_panels(np.sort(np.clip(e, -far, far), axis=1), 10)
-            sig = sig[..., None]
-            z = (wq * _envelope_kernel(sig, zq, lam, 1 + l, alpha)
-                 * _envelope_kernel(T - sig, offset - zq, kappa, 1 + k, alpha))
-            vals[n] += (w * z.sum(axis=(1, 2))).sum()
-    slope = np.polyfit(np.log(gaps), np.log(vals), 1)[0]
-    predicted = 1.0 + (kappa + lam - max(k, l)) / alpha
-    return ScalingFitReport(float(slope), predicted, gaps, vals)
+        tq, tw = (a.ravel() for a in gauss_panels(edges, 10))
+        for lo in range(0, len(tq), _SCALING_ROWS):
+            sig, w = tq[lo:lo + _SCALING_ROWS], tw[lo:lo + _SCALING_ROWS]
+            # the time factors sig^(lam/a) (T-sig)^(kappa/a) weigh each node
+            lead = np.exp((np.outer(lam, np.log(sig))
+                           + np.outer(kappa, np.log(T - sig))) / alpha)
+            z = _z_integrals(sig[:, None], T, alpha, powers)
+            vals[:, n] += (w * lead * z).sum(axis=1)
+    predicted = 1.0 + (kappa + lam - np.maximum(k, l)) / alpha
+    return [ScalingFitReport(float(np.polyfit(np.log(gaps), np.log(v), 1)[0]),
+                             float(p), gaps, v)
+            for p, v in zip(predicted, vals)]

@@ -547,6 +547,23 @@ def test_verify_single_check_and_outputs(tmp_path):
         .endswith("suite.passed = true")
 
 
+def _report_rows(path):
+    """The rows of a verify report, each without its wall_seconds."""
+    with open(path, newline="") as fh:
+        return [{k: v for k, v in row.items() if k != "wall_seconds"}
+                for row in csv.DictReader(fh)]
+
+
+def test_one_dimensional_verify_report_is_pinned(tmp_path, capsys):
+    # every field but the wall time matches the committed 1-D report; a
+    # change that moves a value rewrites verify_report_1d.csv and says why
+    assert main(["verify", "--outdir", str(tmp_path)]) == EXIT_OK
+    pinned = Path(__file__).resolve().parent / "verify_report_1d.csv"
+    got = _report_rows(tmp_path / "verify_report.csv")
+    assert len(got) == 47
+    assert got == _report_rows(pinned)
+
+
 @pytest.mark.parametrize("check, message", [
     ("drift-stability",
      "symbol, pseudo-gradient, drift and grid dimensions differ"),

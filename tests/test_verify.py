@@ -1,9 +1,12 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pseudoproc.verify import (fit_envelope, envelope_shape, FixtureSet,
                                run_suite, REGISTRY, GOLDEN_VALUES,
-                               ACCEPTANCE_CHECKS, SuiteReport, CheckResult)
+                               ACCEPTANCE_CHECKS, SuiteReport, CheckResult,
+                               check_convolution_scaling)
 
 PARAMS = dict(alpha=1.5, beta=0.5, gamma=0.5, dim=1)
 
@@ -135,3 +138,18 @@ def test_fixed_lattice_checks_refuse_two_dimensions(name):
     from pseudoproc.spectral import UnsupportedConfiguration
     with pytest.raises(UnsupportedConfiguration, match=name):
         REGISTRY[name].runner(FixtureSet(dim=2))
+
+
+def test_convolution_scaling_peak_memory_is_bounded():
+    # the check builds its quadrature nodes ten time nodes at a time, for
+    # both bundles at once: a traced peak of 0.30 MB, where one time panel
+    # per bundle took 0.48 MB and a whole gap at once takes 11 MB
+    fx = FixtureSet()
+    check_convolution_scaling(fx)   # first-call caches
+    tracemalloc.start()
+    try:
+        check_convolution_scaling(fx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.48e6

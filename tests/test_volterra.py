@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -72,6 +73,52 @@ def test_lp_norm_constant_slab(default_grid):
     assert b.lp_norm(default_grid) == pytest.approx(2.0 * 80.0 ** (1 / 8), rel=1e-6)
     bi = constant_drift([2.0])
     assert bi.lp_norm(default_grid) == pytest.approx(2.0)
+
+
+def _lattice_slab_norm(sample, p, grid):
+    """L_p slab norm of |sample(t)| summed over the lattice, kept as the
+    reference of the lattice-free norms of drifts constant in space."""
+    ts = np.linspace(0.0, grid.time_horizon, 65)
+    mags = [np.sqrt((sample(t) ** 2).sum(axis=0)) for t in ts]
+    if math.isinf(p):
+        return max(float(m.max()) for m in mags)
+    box = (2.0 * grid.half_extent) ** grid.dim
+    slab = np.array([(m ** p).mean() * box for m in mags])
+    return float(np.trapezoid(slab, ts) ** (1.0 / p))
+
+
+def _drift_pair(family, p):
+    cosine = DriftField(dim=1, kind="time", p_exponent=p, evaluator=lambda t:
+                        np.array([0.75 + 0.5 * np.cos(2.0 * np.pi * t)]))
+    if family == "constant":
+        return constant_drift([1.0], p=p), constant_drift([1.01], p=p)
+    if family == "time":
+        return cosine, DriftField(dim=1, kind="time", p_exponent=p,
+                                  evaluator=lambda t: np.array([0.75 + t]))
+    if family == "mollified":
+        square = lambda t: np.where((t * 8) % 2 < 1, 1.0, -1.0)
+        return (mollified_time_drift(lambda t: 0.75 + 0.01 * square(t), 0.05,
+                                     1, p=p), cosine)
+    # a drift varying in space keeps the lattice path, for both members
+    return (DriftField(dim=1, kind="space_time", p_exponent=p,
+                       evaluator=lambda t, x: (np.exp(-x * x / 8) + t)[None]),
+            constant_drift([0.5], p=p))
+
+
+@pytest.mark.parametrize("p", [math.inf, 8.0])
+@pytest.mark.parametrize("family", ["constant", "time", "mollified",
+                                    "space_time"])
+def test_drift_distances_equal_the_lattice_sum(default_grid, family, p):
+    b1, b2 = _drift_pair(family, p)
+    grid = default_grid
+    for got, ref in [
+            (b1.difference_lp_norm(b2, grid), _lattice_slab_norm(
+                lambda t: b1.sample(t, grid) - b2.sample(t, grid), p, grid)),
+            (b1.lp_norm(grid), _lattice_slab_norm(
+                lambda t: b1.sample(t, grid), p, grid)),
+            (b2.lp_norm(grid), _lattice_slab_norm(
+                lambda t: b2.sample(t, grid), p, grid))]:
+        assert got == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
 def test_series_terms_decay_with_beta_factors(small_problem):
@@ -488,15 +535,19 @@ def test_convergence_log_rows(small_problem):
 def test_scaling_report_validates_exponents():
     gaps = [0.01, 0.1]
     with pytest.raises(ValueError):
-        kernel_convolution_scaling(0.0, 0.0, 2.0, 0.5, 1.5, 1, gaps)
+        kernel_convolution_scaling([(0.0, 0.0, 2.0, 0.5)], 1.5, 1, gaps)
+    with pytest.raises(ValueError):  # every bundle is checked
+        kernel_convolution_scaling([(0.0, 0.0, 0.5, 0.5),
+                                    (0.0, 0.0, 0.5, 1.6)], 1.5, 1, gaps)
     with pytest.raises(NotImplementedError):
-        kernel_convolution_scaling(0.0, 0.0, 0.5, 0.5, 1.5, 2, gaps)
+        kernel_convolution_scaling([(0.0, 0.0, 0.5, 0.5)], 1.5, 2, gaps)
 
 
 def test_scaling_equal_exponent_formula_reduction():
     # with kappa = lambda = 0 and k = l both predicted exponents coincide
     gaps = 6.0 ** 1.5 / 1000.0 * np.logspace(-1, 0, 4)
-    rep = kernel_convolution_scaling(0.0, 0.0, 0.5, 0.5, 1.5, 1, gaps=gaps)
+    rep, = kernel_convolution_scaling([(0.0, 0.0, 0.5, 0.5)], 1.5, 1,
+                                      gaps=gaps)
     assert rep.predicted_exponent == pytest.approx(1.0 - 0.5 / 1.5)
     assert rep.passed
 
@@ -505,7 +556,8 @@ def test_scaling_spec_bundle_tracks_dominant_far_zone_exponent():
     # unequal spatial exponents: the short-gap law at fixed separation is
     # governed by the larger of the two
     gaps = 6.0 ** 1.5 / 1000.0 * np.logspace(-1, 0, 4)
-    rep = kernel_convolution_scaling(0.0, 0.0, 0.5, 1.0, 1.5, 1, gaps=gaps)
+    rep, = kernel_convolution_scaling([(0.0, 0.0, 0.5, 1.0)], 1.5, 1,
+                                      gaps=gaps)
     assert rep.predicted_exponent == pytest.approx(1.0 + (0.0 - 1.0) / 1.5)
     assert abs(rep.fitted_exponent - rep.predicted_exponent) <= 0.1
 
@@ -573,14 +625,37 @@ def _scaling_values_per_node(kappa, lam, k, l, alpha, gaps, offset=6.0):
     return np.asarray(vals)
 
 
-@pytest.mark.parametrize("kappa, lam, k, l", [
-    (0.0, 0.0, 0.5, 0.5), (0.45, 0.75, 0.9, 0.9), (0.0, 0.0, 0.5, 1.0)])
+# the two acceptance bundles and one bundle with k != l
+_SCALING_BUNDLES = [(0.0, 0.0, 0.5, 0.5), (0.45, 0.75, 0.9, 0.9),
+                    (0.0, 0.0, 0.5, 1.0)]
+_SCALING_GAPS = 6.0 ** 1.5 / 1000.0 * np.logspace(-1, 0, 3)
+
+
+@functools.lru_cache(maxsize=None)
+def _per_node_reference(bundle):
+    return _scaling_values_per_node(*bundle, 1.5, _SCALING_GAPS)
+
+
+@pytest.mark.parametrize("kappa, lam, k, l", _SCALING_BUNDLES)
 def test_scaling_matches_per_node_quadrature(kappa, lam, k, l):
-    # the two acceptance bundles and one bundle with k != l
-    gaps = 6.0 ** 1.5 / 1000.0 * np.logspace(-1, 0, 3)
-    rep = kernel_convolution_scaling(kappa, lam, k, l, 1.5, 1, gaps=gaps)
-    ref = _scaling_values_per_node(kappa, lam, k, l, 1.5, gaps)
-    np.testing.assert_allclose(rep.values, ref, rtol=1e-13, atol=0.0)
+    rep, = kernel_convolution_scaling([(kappa, lam, k, l)], 1.5, 1,
+                                      gaps=_SCALING_GAPS)
+    np.testing.assert_allclose(rep.values,
+                               _per_node_reference((kappa, lam, k, l)),
+                               rtol=1e-13, atol=0.0)
+
+
+def test_scaling_bundles_in_one_call_match_per_node_quadrature():
+    # the bundles share the nodes and the logs; each keeps its own report
+    reps = kernel_convolution_scaling(_SCALING_BUNDLES, 1.5, 1,
+                                      gaps=_SCALING_GAPS)
+    assert len(reps) == len(_SCALING_BUNDLES)
+    for (kappa, lam, k, l), rep in zip(_SCALING_BUNDLES, reps):
+        np.testing.assert_allclose(rep.values,
+                                   _per_node_reference((kappa, lam, k, l)),
+                                   rtol=1e-13, atol=0.0)
+        assert rep.predicted_exponent == pytest.approx(
+            1.0 + (kappa + lam - max(k, l)) / 1.5)
 
 
 def _two_dimensional_problem():
