@@ -30,7 +30,8 @@ from .fields import (FieldError, snapshot_field, read_snapshot_fields,
                      write_csv, csv_prefixes, format_rows)
 from .drift import constant_drift, min_p_exponent
 from .volterra import ConvergenceMonitor, ConvergenceError, PerturbationProblem
-from .evolution import constant_one, fourier_mode, compact_bump
+from .evolution import (constant_one, fourier_mode, compact_bump,
+                        FUNCTION_RESIDUE_TOL)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -38,7 +39,7 @@ EXIT_RESOLUTION = 3
 EXIT_NONCONVERGENCE = 4
 EXIT_VERIFY = 5
 
-_PHI_CHOICES = ("one", "mode8", "bump")
+PHI_CHOICES = ("one", "mode8", "bump")
 _POSITIVE_KEYS = ("c", "half_extent", "horizon", "dt", "stop_tol")
 
 
@@ -87,8 +88,8 @@ class RunConfig:
             errs.append(f"points={self.points} must be even and >= 4")
         if self.steps < 1:
             errs.append("steps must be >= 1")
-        if self.phi not in _PHI_CHOICES:
-            errs.append(f"phi={self.phi!r} not one of {_PHI_CHOICES}")
+        if self.phi not in PHI_CHOICES:
+            errs.append(f"phi={self.phi!r} not one of {PHI_CHOICES}")
         try:
             self.drift_vector()
         except ValueError as e:
@@ -116,23 +117,24 @@ class RunConfig:
             raise ValueError(f"drift={self.drift!r} has a non-finite component")
         return vec
 
-    def grid(self) -> SpaceTimeGrid:
-        return SpaceTimeGrid(self.dim, self.half_extent, self.points,
-                             self.horizon, self.steps)
+    def grid(self, points=None, steps=None) -> SpaceTimeGrid:
+        """The run's lattice, or one with other points or steps."""
+        return SpaceTimeGrid(self.dim, self.half_extent, points or self.points,
+                             self.horizon, steps or self.steps)
 
     def symbol(self):
         return isotropic_symbol(self.alpha, self.c, self.dim)
 
-    def pgrad(self) -> PseudoGradientSpec:
-        return PseudoGradientSpec(beta=self.beta, dim=self.dim)
+    def pgrad(self, **cutoffs) -> PseudoGradientSpec:
+        return PseudoGradientSpec(beta=self.beta, dim=self.dim, **cutoffs)
 
     def phi_function(self):
+        """The datum `phi` names; "mode8" is lattice mode 8 of the box."""
         if self.phi == "one":
-            return constant_one(self.dim)
+            return constant_one()
         if self.phi == "mode8":
-            return fourier_mode(2.0 * np.pi * 8 / (2.0 * self.half_extent),
-                                self.dim)
-        return compact_bump(5.0, self.dim)
+            return fourier_mode(2.0 * np.pi * 8 / (2.0 * self.half_extent))
+        return compact_bump(5.0)
 
     # -- file round trip ------------------------------------------------------
     def dump(self, path):
@@ -160,25 +162,21 @@ class RunConfig:
                      base=None) -> "RunConfig":
         """`base` (default: the field defaults) with the keys `raw` sets."""
         kwargs, errs = {}, []
-        casts = {f.name: f.type for f in dc_fields(cls)}
-        defaults = cls()
         for key, val in raw.items():
-            if key not in casts:
+            if key not in _FIELD_TYPES:
                 errs.append(f"{source}: unknown key {key!r}")
                 continue
-            current = getattr(defaults, key)
             try:
-                if isinstance(current, int):
-                    kwargs[key] = int(val)
-                elif isinstance(current, float):
-                    kwargs[key] = float(val)
-                else:
-                    kwargs[key] = str(val)
+                kwargs[key] = _FIELD_TYPES[key](val)
             except ValueError:
                 errs.append(f"{source}: cannot parse {key} = {val!r}")
         if errs:
             raise ConfigError(errs)
         return replace(base or cls(), **kwargs)
+
+
+# a field parses as the type of its default, from a flag or a config file
+_FIELD_TYPES = {f.name: type(f.default) for f in dc_fields(RunConfig)}
 
 
 def _resolve_config(args, command_defaults=None) -> RunConfig:
@@ -187,7 +185,7 @@ def _resolve_config(args, command_defaults=None) -> RunConfig:
     cfg = RunConfig(**(command_defaults or {}))
     if args.config:
         cfg = RunConfig.from_file(args.config, base=cfg)
-    flags = {f.name: getattr(args, f.name, None) for f in dc_fields(RunConfig)}
+    flags = {key: getattr(args, key) for key in _FIELD_TYPES}
     cfg = replace(cfg, **{k: v for k, v in flags.items() if v is not None})
     cfg.validate()
     if getattr(args, "dump_config", None):
@@ -233,9 +231,7 @@ def cmd_perturb(args) -> int:
     sym, grid, pg = cfg.symbol(), cfg.grid(), cfg.pgrad()
     b = constant_drift(cfg.drift_vector(), p=cfg.p_exponent)
     prob = PerturbationProblem(sym, pg, grid, b)
-    monitor = ConvergenceMonitor.for_problem(cfg.alpha, cfg.beta, cfg.dim,
-                                             cfg.p_exponent,
-                                             stop_tol=cfg.stop_tol)
+    monitor = ConvergenceMonitor(stop_tol=cfg.stop_tol)
     try:
         G_rows = prob.solve_v(monitor)
     except ConvergenceError as err:
@@ -252,7 +248,8 @@ def cmd_perturb(args) -> int:
     prefixes = csv_prefixes([m.ravel().tolist() for m in grid.mesh()])
     # u(t_i) = T_{t_i t} phi for every start index i, in one synthesis
     u = synthesize(grid, analyze(grid, G.stacks[grid.time_steps])
-                   * analyze(grid, phi.sample(grid)), require_real=True, tol=1e-6)
+                   * analyze(grid, phi.sample(grid)), require_real=True,
+                   tol=FUNCTION_RESIDUE_TOL)
     with open(os.path.join(cfg.outdir, "u_slices.csv"), "w",
               newline="") as fh:
         fh.write(",".join(["s_index"] + coords + ["u"]) + "\r\n")
@@ -284,12 +281,8 @@ def cmd_verify(args) -> int:
     from . import verify as verify_mod   # the registry loads only for verify
     cfg = _resolve_config(args)
     os.makedirs(cfg.outdir, exist_ok=True)
-    fx = verify_mod.FixtureSet(alpha=cfg.alpha, beta=cfg.beta,
-                               gamma=cfg.gamma, scale_c=cfg.c, dim=cfg.dim,
-                               points=cfg.points, half_extent=cfg.half_extent,
-                               horizon=cfg.horizon, steps=cfg.steps,
-                               stop_tol=cfg.stop_tol)
-    report = verify_mod.run_suite(fx, selection=args.only)
+    report = verify_mod.run_suite(verify_mod.FixtureSet(**vars(cfg)),
+                                  selection=args.only)
     print(report.table())
     report.to_csv(os.path.join(cfg.outdir, "verify_report.csv"))
     with open(os.path.join(cfg.outdir, "verify_summary.txt"), "w") as fh:
@@ -326,10 +319,8 @@ def cmd_emit(args) -> int:
     if what == "decay":
         b = constant_drift(cfg.drift_vector(), p=cfg.p_exponent)
         prob = PerturbationProblem(sym, cfg.pgrad(), grid, b)
-        monitor = ConvergenceMonitor.for_problem(cfg.alpha, cfg.beta, cfg.dim,
-                                                 cfg.p_exponent,
-                                                 stop_tol=cfg.stop_tol)
-        G = prob.rows_to_scalar_field(prob.solve_v(monitor))
+        G = prob.rows_to_scalar_field(
+            prob.solve_v(ConvergenceMonitor(stop_tol=cfg.stop_tol)))
         from .evolution import check_identity_limit
         table = check_identity_limit(G, cfg.phi_function())
         path = os.path.join(cfg.outdir, "identity_decay.csv")
@@ -368,24 +359,22 @@ def cmd_emit(args) -> int:
 # argument wiring
 # ---------------------------------------------------------------------------
 
+# the paper's symbols, as short aliases of the long flags
+_SHORT_FLAGS = {"dim": "--d", "points": "--N", "half_extent": "--L",
+                "horizon": "--T", "steps": "--M", "drift": "--b"}
+
+
 def _add_config_flags(p: argparse.ArgumentParser):
+    """--config, --dump-config and one flag per `RunConfig` field, named
+    --field-name; an unset flag is None and leaves the field alone."""
     p.add_argument("--config", help="flat key-value config file")
     p.add_argument("--dump-config", help="write the resolved config and continue")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--c", type=float)
-    p.add_argument("--dim", "--d", type=int, dest="dim")
-    p.add_argument("--points", "--N", type=int, dest="points")
-    p.add_argument("--half-extent", "--L", type=float, dest="half_extent")
-    p.add_argument("--horizon", "--T", type=float, dest="horizon")
-    p.add_argument("--steps", "--M", type=int, dest="steps")
-    p.add_argument("--drift", "--b", dest="drift")
-    p.add_argument("--p-exponent", type=float, dest="p_exponent")
-    p.add_argument("--dt", type=float)
-    p.add_argument("--phi", choices=_PHI_CHOICES)
-    p.add_argument("--stop-tol", type=float, dest="stop_tol")
-    p.add_argument("--outdir")
+    for key, cast in _FIELD_TYPES.items():
+        names = ["--" + key.replace("_", "-")]
+        if key in _SHORT_FLAGS:
+            names.append(_SHORT_FLAGS[key])
+        p.add_argument(*names, dest=key, type=cast,
+                       choices=PHI_CHOICES if key == "phi" else None)
 
 
 def _commands() -> dict:

@@ -54,6 +54,10 @@ from .quadrature import (gauss_panels, exponential_tables, interval_rule,
                          carry_weights)
 from .volterra import ConvergenceMonitor, ConvergenceError, PerturbationProblem
 
+# imaginary-residue tolerance of a synthesized function-level field (u, w, an
+# operator's image); kernels keep the synthesis default
+FUNCTION_RESIDUE_TOL = 1e-6
+
 
 @dataclass
 class TestFunction:
@@ -80,19 +84,17 @@ class TestFunction:
         return vals
 
 
-def constant_one(dim: int = 1) -> TestFunction:
+def constant_one() -> TestFunction:
     return TestFunction(lambda *xs: np.ones_like(xs[0]), 1.0, name="one")
 
 
-def fourier_mode(freq: float, dim: int = 1) -> TestFunction:
-    if dim == 1:
-        ev = lambda x: np.cos(freq * x)
-    else:
-        ev = lambda x, y: np.cos(freq * x)
-    return TestFunction(ev, 1.0, name=f"cos_{freq:g}")
+def fourier_mode(freq: float) -> TestFunction:
+    """cos(freq x_0), in every dimension."""
+    return TestFunction(lambda x, *rest: np.cos(freq * x), 1.0,
+                        name=f"cos_{freq:g}")
 
 
-def compact_bump(width: float, dim: int = 1) -> TestFunction:
+def compact_bump(width: float) -> TestFunction:
     def ev(*xs):
         r2 = sum(np.asarray(x) ** 2 for x in xs) / width ** 2
         out = np.zeros_like(r2)
@@ -102,13 +104,10 @@ def compact_bump(width: float, dim: int = 1) -> TestFunction:
     return TestFunction(ev, 1.0, name=f"bump_{width:g}")
 
 
-def steep_step(scale: float, dim: int = 1) -> TestFunction:
-    """tanh ramp, effectively a lattice jump for scale below the spacing."""
-    if dim == 1:
-        ev = lambda x: np.tanh(x / scale)
-    else:
-        ev = lambda x, y: np.tanh(x / scale)
-    return TestFunction(ev, 1.0, name=f"step_{scale:g}")
+def steep_step(scale: float) -> TestFunction:
+    """tanh ramp in x_0, a lattice jump for scale below the spacing."""
+    return TestFunction(lambda x, *rest: np.tanh(x / scale), 1.0,
+                        name=f"step_{scale:g}")
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +131,7 @@ class EvolutionOperator:
         samples = phi.sample(grid)
         K = self.kernel.spectrum(self.pair)
         return synthesize(grid, K * analyze(grid, samples),
-                          require_real=True, tol=1e-6)
+                          require_real=True, tol=FUNCTION_RESIDUE_TOL)
 
 
 def apply_operator(kernel: KernelField, pair, phi: TestFunction) -> np.ndarray:
@@ -165,7 +164,7 @@ class GeneratorAction:
         # -A u and the d pseudo-gradient components in one batched synthesis
         fields = synthesize(grid, np.concatenate(
             [(self.sym.on_grid(grid) * F)[None], self.pg.multiplier(grid) * F]),
-            require_real=True, tol=1e-6)
+            require_real=True, tol=FUNCTION_RESIDUE_TOL)
         bvals = self.drift.sample(t, grid)
         return -fields[0] + (bvals * fields[1:]).sum(axis=0)
 
@@ -226,7 +225,7 @@ class TerminalValueProblem:
         """w0 slices at the times taus, shape (len(taus), d) + grid shape."""
         u0 = self._decay(self.times[self.j] - np.asarray(taus)) * self.phi_hat
         return synthesize(self.grid, self.mult * u0[:, None],
-                          require_real=True, tol=1e-6)
+                          require_real=True, tol=FUNCTION_RESIDUE_TOL)
 
     def _drift_at(self, taus) -> np.ndarray:
         """Drift samples at the times taus, shape (len(taus), d) + grid shape."""
@@ -273,8 +272,7 @@ class TerminalValueProblem:
         residue check; the monitor records the largest final increment.
         Each node's last spectrum is kept for `assemble_u`."""
         if monitor is None:
-            monitor = ConvergenceMonitor.for_problem(
-                self.sym.alpha, self.pg.beta, self.grid.dim, self.b.p_exponent)
+            monitor = ConvergenceMonitor()
         self.monitor = monitor
         start = time.perf_counter()
         r, tol, j = self._rule, monitor.stop_tol, self.j
@@ -300,7 +298,7 @@ class TerminalValueProblem:
                 w = new
                 if not inc >= tol:             # converged, or not finite
                     break
-            real_part(self.grid, field, tol=1e-6)
+            real_part(self.grid, field, tol=FUNCTION_RESIDUE_TOL)
             worst = max(worst, inc)
             if not inc < tol:
                 monitor.record(inc, time.perf_counter() - start)
@@ -323,8 +321,8 @@ class TerminalValueProblem:
         march that produced w (w is the multiplier times each of them)."""
         if self._spectra is None:
             raise RuntimeError("assemble_u needs a march: call solve_w first")
-        return dict(enumerate(synthesize(self.grid, self._spectra,
-                                         require_real=True, tol=1e-6)))
+        return dict(enumerate(synthesize(self.grid, self._spectra, require_real=True,
+                                         tol=FUNCTION_RESIDUE_TOL)))
 
     def solve(self, monitor: Optional[ConvergenceMonitor] = None
               ) -> Dict[int, np.ndarray]:
@@ -441,9 +439,7 @@ def generalized_solution_stability(sym: SymbolSpec, pg: PseudoGradientSpec,
                 continue
             try:
                 prob = PerturbationProblem(sym, pg, grid, bb)
-                mon = ConvergenceMonitor.for_problem(sym.alpha, pg.beta,
-                                                     grid.dim, bb.p_exponent,
-                                                     stop_tol=stop_tol)
+                mon = ConvergenceMonitor(stop_tol=stop_tol)
                 solved[id(bb)] = (bb, prob.solve_v(mon))
             except ConvergenceError as err:
                 raise ConvergenceError(

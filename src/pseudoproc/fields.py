@@ -123,20 +123,30 @@ class KernelField:
         return analyze(self.grid, self.slice(pair))
 
     def distinct_stacks(self) -> List[np.ndarray]:
-        """The non-empty stacks as arrays, less each stack that views the tail
-        of the last one: together they hold every stored slice, and the
-        slices of a field synthesized from rows that depend on the gap alone
-        once each."""
-        last = np.asarray(self.stacks[-1]) if self.stacks else np.empty(0)
-        return [np.asarray(s) for s in self.stacks[:-1]
-                if len(s) and not _views_tail(s, last)] + \
-            ([last] if len(last) else [])
+        """The non-empty stacks as arrays: together they hold every stored
+        slice.  For stacks that depend on the gap alone, the last stack
+        alone, which holds each slice once."""
+        if depends_on_gap(self.stacks):
+            return [np.asarray(self.stacks[-1])]
+        return [np.asarray(s) for s in self.stacks if len(s)]
 
 
-def _views_tail(stack, last: np.ndarray) -> bool:
-    """Whether stack is the view last[len(last) - len(stack):]."""
-    return isinstance(stack, np.ndarray) and stack.__array_interface__ == \
-        last[len(last) - len(stack):].__array_interface__
+def by_gap(top: np.ndarray) -> list:
+    """Stacks that depend on the time gap alone: for M = len(top), stack j
+    views top[M - j:], so the slice (i, j) is top[M - (j - i)]."""
+    M = len(top)
+    return [top[M - j:] for j in range(M + 1)]
+
+
+def depends_on_gap(stacks) -> bool:
+    """Whether each non-empty stack j views the last j slices of the last
+    stack M, as `by_gap` makes them; copies of equal values do not count."""
+    M = len(stacks) - 1
+    last = stacks[M] if stacks else None
+    return isinstance(last, np.ndarray) and all(
+        isinstance(s, np.ndarray)
+        and s.__array_interface__ == last[M - j:].__array_interface__
+        for j, s in enumerate(stacks) if len(s))
 
 
 # ---------------------------------------------------------------------------

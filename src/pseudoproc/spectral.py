@@ -20,7 +20,7 @@ import numpy as np
 from .grid import SpaceTimeGrid, synthesize, analyze, interior_mask
 from .quadrature import gauss_panels
 from .symbols import SymbolSpec, PseudoGradientSpec
-from .fields import KernelField
+from .fields import KernelField, by_gap
 
 
 class ResolutionError(RuntimeError):
@@ -116,14 +116,13 @@ def _gap_steps(grid: SpaceTimeGrid, dt: float) -> int:
         f"{grid.dt:g} and the horizon T={grid.time_horizon:g}")
 
 
-def synthesize_g0(sym: SymbolSpec, grid: SpaceTimeGrid, dt: float,
-                  enforce_resolution: bool = True) -> KernelField:
+def synthesize_g0(sym: SymbolSpec, grid: SpaceTimeGrid,
+                  dt: float) -> KernelField:
     """Base kernel at a partition gap dt, stored on the pair (0, dt / step);
     the resolution gate runs before the gap is checked."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if enforce_resolution:
-        _gate(sym, grid, dt)
+    _gate(sym, grid, dt)
     steps = _gap_steps(grid, dt)
     return KernelField(grid, "g0",
                        [()] * steps + [g0_values(sym, grid, dt)[None]])
@@ -141,7 +140,7 @@ def base_kernel_field(sym: SymbolSpec, grid: SpaceTimeGrid) -> KernelField:
     M = grid.time_steps
     gaps = grid.dt * np.arange(M, 0, -1).reshape((M,) + (1,) * grid.dim)
     top = synthesize(grid, np.exp(-sym.on_grid(grid) * gaps))
-    return KernelField(grid, "g", [top[M - j:] for j in range(M + 1)])
+    return KernelField(grid, "g", by_gap(top))
 
 
 def drift_multiplier(pg: PseudoGradientSpec, grid: SpaceTimeGrid,

@@ -13,27 +13,28 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from .grid import SpaceTimeGrid, synthesize, analyze
-from .symbols import SymbolSpec, PseudoGradientSpec, isotropic_symbol, \
+from .symbols import SymbolSpec, PseudoGradientSpec, \
     pseudo_gradient_normalizer, pseudo_gradient_normalizer_neg_gamma
 from .spectral import (g0_values, constant_drift_values, check_resolution,
                        apply_pseudo_gradient, singular_gradient_at,
                        plane_wave_consistency, chapman_defect,
                        pseudo_gradient_g0, UnsupportedConfiguration)
-from .drift import DriftField, constant_drift, zero_drift, mollified_time_drift
+from .drift import (DriftField, constant_drift, zero_drift,
+                    mollified_time_drift, series_exponent)
 from .volterra import (ConvergenceMonitor, PerturbationProblem,
                        beta_rate_factor, kernel_convolution_scaling)
 from .evolution import (TerminalValueProblem, GeneratorAction,
                         check_evolution_property,
                         check_identity_limit, identity_limit_floor,
                         cauchy_residual, check_w_lipschitz,
-                        terminal_average_of_ones, constant_one, fourier_mode,
-                        compact_bump, steep_step)
+                        terminal_average_of_ones, fourier_mode, steep_step)
+from .cli import RunConfig, PHI_CHOICES
 
 
 # ---------------------------------------------------------------------------
@@ -221,53 +222,25 @@ GOLDEN_VALUES: Dict[str, dict] = {
 
 
 @dataclass
-class FixtureSet:
-    """Default parameter bundles and shared solver caches."""
+class FixtureSet(RunConfig):
+    """A run's parameters with the solves the checks share.  The checks
+    read no drift, p exponent, dt or datum of the run: they set their own."""
 
-    alpha: float = 1.5
-    beta: float = 0.5
-    gamma: float = 0.5
-    scale_c: float = 1.0
-    dim: int = 1
-    points: int = 256
-    half_extent: float = 40.0
-    horizon: float = 1.0
-    steps: int = 16
-    stop_tol: float = 1e-6
     _cache: dict = field(default_factory=dict, repr=False)
 
-    # -- canonical objects ---------------------------------------------------
-    def grid(self, points=None, steps=None) -> SpaceTimeGrid:
-        return SpaceTimeGrid(self.dim, self.half_extent,
-                             points or self.points, self.horizon,
-                             steps or self.steps)
-
-    def symbol(self) -> SymbolSpec:
-        return isotropic_symbol(self.alpha, self.scale_c, self.dim)
-
-    def pgrad(self, **kw) -> PseudoGradientSpec:
-        return PseudoGradientSpec(beta=self.beta, dim=self.dim, **kw)
-
     def monitor(self) -> ConvergenceMonitor:
-        """Monitor of a drift bounded in time and space (p = inf)."""
-        return ConvergenceMonitor.for_problem(
-            self.alpha, self.beta, self.dim, math.inf, stop_tol=self.stop_tol)
+        return ConvergenceMonitor(stop_tol=self.stop_tol)
 
     def solved_problem(self, magnitude=1.0, points=None, steps=None):
-        """Cached kernel-level solve for a constant drift of given size."""
+        """Cached kernel-level solve for a constant drift of given size: the
+        problem and its G rows."""
         key = ("solve", magnitude, points or self.points, steps or self.steps)
         if key not in self._cache:
             grid = self.grid(points, steps)
             b = constant_drift([magnitude] + [0.0] * (self.dim - 1))
             prob = PerturbationProblem(self.symbol(), self.pgrad(), grid, b)
-            mon = self.monitor()
-            self._cache[key] = (prob, mon, prob.solve_v(mon))
+            self._cache[key] = (prob, prob.solve_v(self.monitor()))
         return self._cache[key]
-
-    def phis(self):
-        freq = 2.0 * np.pi * 8 / (2.0 * self.half_extent)
-        return (constant_one(self.dim), fourier_mode(freq, self.dim),
-                compact_bump(5.0, self.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +256,7 @@ def check_mass_conservation(fx: FixtureSet) -> List[CheckResult]:
     sym, grid = fx.symbol(), fx.grid()
     worst_g0 = max(abs(g0_values(sym, grid, gap).sum() * grid.cell_volume - 1.0)
                    for gap in grid.gaps())
-    prob, _, G_rows = fx.solved_problem()
+    prob, G_rows = fx.solved_problem()
     Gf = prob.rows_to_scalar_field(G_rows)
     worst_G = max(abs(Gf.mass(k) - 1.0) for k in Gf.pairs())
     return [
@@ -341,7 +314,7 @@ def check_pseudo_gradient_agreement(fx: FixtureSet) -> List[CheckResult]:
 
 
 def check_constant_drift_oracle(fx: FixtureSet) -> List[CheckResult]:
-    prob, _, G_rows = fx.solved_problem()
+    prob, G_rows = fx.solved_problem()
     Gcf = prob.closed_form_G_rows()
     grid = prob.grid
 
@@ -360,8 +333,7 @@ def check_constant_drift_oracle(fx: FixtureSet) -> List[CheckResult]:
 
     err_all = rel_error_all(prob, G_rows, Gcf)
     # refinement at fixed physical pairs
-    prob2, _, G2 = fx.solved_problem(points=2 * fx.points,
-                                     steps=2 * fx.steps)
+    prob2, G2 = fx.solved_problem(points=2 * fx.points, steps=2 * fx.steps)
     phys = [(0.0, 1.0), (0.0, 0.5), (0.5, 1.0)]
 
     def phys_pairs(M):
@@ -413,7 +385,7 @@ def check_negativity_witness(fx: FixtureSet) -> List[CheckResult]:
     cf = constant_drift_values(sym, fx.pgrad(), [1.0] + [0.0] * (fx.dim - 1),
                                grid, fx.horizon)
     cf_min = float(cf.min())
-    prob, _, G_rows = fx.solved_problem()
+    prob, G_rows = fx.solved_problem()
     solver_min = float(synthesize(prob.grid, G_rows[fx.steps][0]).min())
     golden = GOLDEN_VALUES["drift_kernel_min"]
     lo, hi = golden["band"]
@@ -431,12 +403,12 @@ def check_negativity_witness(fx: FixtureSet) -> List[CheckResult]:
 
 def check_evolution_property_suite(fx: FixtureSet) -> List[CheckResult]:
     from .spectral import base_kernel_field
-    prob, _, G_rows = fx.solved_problem()
+    prob, G_rows = fx.solved_problem()
     Gf = prob.rows_to_scalar_field(G_rows)
     gf = base_kernel_field(fx.symbol(), fx.grid())
     triples = ((0, 8, 16), (0, 4, 12), (2, 8, 14))
     rows = []
-    for phi in fx.phis():
+    for phi in (replace(fx, phi=name).phi_function() for name in PHI_CHOICES):
         w0 = max(check_evolution_property(gf, *tr, phi) for tr in triples)
         wp = max(check_evolution_property(Gf, *tr, phi) for tr in triples)
         rows.append(_result(f"evolution-property/unperturbed-{phi.name}",
@@ -451,8 +423,8 @@ def check_evolution_property_suite(fx: FixtureSet) -> List[CheckResult]:
 
 def check_identity_limit_suite(fx: FixtureSet) -> List[CheckResult]:
     freq = 2.0 * np.pi * 1 / (2.0 * fx.half_extent)
-    phi = fourier_mode(freq, fx.dim)
-    prob, _, G_rows = fx.solved_problem(magnitude=0.5)
+    phi = fourier_mode(freq)
+    prob, G_rows = fx.solved_problem(magnitude=0.5)
     Gf = prob.rows_to_scalar_field(G_rows)
     table = check_identity_limit(Gf, phi)
     Gcf = prob.rows_to_scalar_field(prob.closed_form_G_rows())
@@ -478,7 +450,7 @@ def check_identity_limit_suite(fx: FixtureSet) -> List[CheckResult]:
 
 
 def check_series_residual(fx: FixtureSet) -> List[CheckResult]:
-    prob, mon, G_rows = fx.solved_problem()
+    prob, G_rows = fx.solved_problem()
     res_v = prob.series_residual(G_rows)
     res_G = prob.perturbation_residual(G_rows)
     terms = prob.iterate_terms(10)
@@ -486,10 +458,12 @@ def check_series_residual(fx: FixtureSet) -> List[CheckResult]:
     norms = [prob.row_max_norm(t[fx.steps][:1])[0] for t in terms]
     ratios = np.array([norms[k + 1] / norms[k] for k in range(len(norms) - 1)])
     q = 1.0
-    # ratio of term k+1 to term k follows the k-th Euler-beta decline factor;
-    # successive terms alternate spatial parity, so geometric pair averaging
-    # removes the structural sawtooth before the regression
-    factors = np.array([beta_rate_factor(k, mon.theta, q)
+    # ratio of term k+1 to term k follows the k-th Euler-beta decline factor
+    # of the fixture's drift, bounded (p = inf); successive terms alternate
+    # spatial parity, so geometric pair averaging removes the structural
+    # sawtooth before the regression
+    theta = series_exponent(fx.alpha, fx.beta, fx.dim, math.inf)
+    factors = np.array([beta_rate_factor(k, theta, q)
                         for k in range(len(ratios))])
     r_bar = np.sqrt(ratios[:-1] * ratios[1:])
     f_bar = np.sqrt(factors[:-1] * factors[1:])
@@ -617,8 +591,7 @@ def check_drift_stability(fx: FixtureSet) -> List[CheckResult]:
 
 def check_cauchy_residual_suite(fx: FixtureSet) -> List[CheckResult]:
     sym, pg = fx.symbol(), fx.pgrad()
-    freq = 2.0 * np.pi * 8 / (2.0 * fx.half_extent)
-    phi_mode = fourier_mode(freq, fx.dim)
+    phi_mode = replace(fx, phi="mode8").phi_function()
     grid = fx.grid()
     b0 = zero_drift(fx.dim)
     u0 = TerminalValueProblem(sym, pg, grid, b0, phi_mode).solve()
@@ -631,7 +604,7 @@ def check_cauchy_residual_suite(fx: FixtureSet) -> List[CheckResult]:
     # drift constant in space: u(t_i) has the closed form on every mode
     bt = DriftField(dim=fx.dim, kind="time", evaluator=lambda t: np.array(
         [0.75 + 0.5 * np.cos(2.0 * np.pi * t)] + [0.0] * (fx.dim - 1)))
-    phi = compact_bump(5.0, fx.dim)
+    phi = replace(fx, phi="bump").phi_function()
     res, err = {}, {}
     for points, steps in ((fx.points, fx.steps), (2 * fx.points, 2 * fx.steps)):
         g = fx.grid(points, steps)

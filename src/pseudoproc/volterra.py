@@ -30,8 +30,8 @@ import numpy as np
 
 from .grid import SpaceTimeGrid, GridError, synthesize, synthesize_unshifted
 from .symbols import SymbolSpec, PseudoGradientSpec
-from .fields import KernelField
-from .drift import DriftField, series_exponent
+from .fields import KernelField, by_gap, depends_on_gap
+from .drift import DriftField
 from .quadrature import gauss_panels, kernel_rule, interval_rule, carry_weights
 
 
@@ -48,29 +48,18 @@ class ConvergenceError(RuntimeError):
 class ConvergenceMonitor:
     """Stopping tolerance and record of one solve.
 
-    theta is the contraction exponent 1 - ((d + alpha)/p + beta)/alpha; the
-    hypotheses force theta > (1 - beta)/alpha, which is validated here.
     A solve records once: the direct kernel solve its residual and the
     spectral radius of its operators, the function-level march its largest
     final step increment.  It has converged when that norm is below
-    stop_tol and the radius, where one is set, below one.
+    stop_tol and the radius, where one is set, below one.  The drift's
+    admissibility, p > (d + alpha)/(alpha - 1), is checked by the problem
+    (`DriftField.validate_exponent`), not here.
     """
 
-    theta: float
     stop_tol: float = 1e-6
     iterate_norms: list = field(default_factory=list)
     wall_times: list = field(default_factory=list)
     spectral_radius: float = math.nan
-
-    @classmethod
-    def for_problem(cls, alpha: float, beta: float, dim: int, p: float,
-                    stop_tol: float = 1e-6):
-        th = series_exponent(alpha, beta, dim, p)
-        if not th > (1.0 - beta) / alpha:
-            raise ValueError(
-                f"theta = {th:.4g} must exceed (1-beta)/alpha = "
-                f"{(1.0 - beta) / alpha:.4g}; increase p")
-        return cls(theta=th, stop_tol=stop_tol)
 
     def record(self, norm: float, wall: float):
         self.iterate_norms.append(norm)
@@ -165,29 +154,25 @@ class PerturbationProblem:
         """A (j, modes) array of rows (i, j) as a (j,) + lattice stack."""
         return np.ascontiguousarray(flat).reshape((len(flat),) + self.a.shape)
 
-    def _by_gap(self, top) -> KernelRows:
-        """Rows that depend on the gap alone: rows[j] views top[M - j:]."""
-        return KernelRows(top[self.M - j:] for j in range(self.M + 1))
+    def _per_terminal(self, stack, *inputs) -> KernelRows:
+        """stack(j) for each terminal index j = 1..M, the stack of the rows
+        (i, j).  When b is constant in time and every input depends on the
+        gap alone, stack(M) holds every row: it runs at j = M alone, and
+        stack j views its last j rows (`fields.by_gap`)."""
+        if self.b.kind == "constant" and all(map(depends_on_gap, inputs)):
+            return KernelRows(by_gap(stack(self.M)))
+        stacks = [stack(j) for j in range(1, self.M + 1)]
+        return KernelRows([stacks[-1][:0]] + stacks)
 
     # base kernels on the frequency lattice
     def g_rows(self) -> KernelRows:
         # row (i, j) decays over the gap j - i: rows M, ..., 1
-        return self._by_gap(self._rows(self._gap_decay[self.M:0:-1]))
+        return KernelRows(by_gap(self._rows(self._gap_decay[self.M:0:-1])))
 
     def v_rows(self, G_rows: KernelRows) -> KernelRows:
-        """The vector kernel v = multiplier * G, row by row (output only);
-        rows that depend on the gap alone are multiplied once, as G_rows[M]."""
-        if self._gap_only(G_rows):
-            return self._by_gap(self.mult * G_rows[self.M][:, None])
-        return KernelRows(self.mult * G[:, None] for G in G_rows)
-
-    def _gap_only(self, rows: KernelRows) -> bool:
-        """Whether b is constant in time and each rows[j] is the view
-        rows[M][M - j:]: row (i, j) is then row M - (j - i) of rows[M]."""
-        M = self.M
-        return self.b.kind == "constant" and all(
-            rows[j].__array_interface__ == rows[M][M - j:].__array_interface__
-            for j in range(1, M))
+        """The vector kernel v = multiplier * G, row by row (output only)."""
+        return self._per_terminal(lambda j: self.mult * G_rows[j][:, None],
+                                  G_rows)
 
     # -- the discrete operator -----------------------------------------------
     def pair_quad(self, i: int, j: int) -> np.ndarray:
@@ -239,16 +224,21 @@ class PerturbationProblem:
             return self.g_rows()
         start = _time.perf_counter()
         # the carried rows' diagonals: c[i, 0] for i <= M - 4
-        radius = np.abs(self._carry[:self.M - 3, 0]).max() if self.M > 3 else 0.0
-        solved, residual = {}, 0.0
-        for j in [self.M] if self.b.kind == "constant" else range(1, self.M + 1):
+        radii = [np.abs(self._carry[:self.M - 3, 0]).max() if self.M > 3 else 0.0]
+        residuals = [0.0]
+
+        def solve(j):
             G = np.ones((j + 1, self.a.size), complex)  # G(t_l, t_j); limit 1
             g = self._gap_decay[j:0:-1]
             S, r = self._sums(j, G, g)
-            radius, solved[j] = max(radius, r), G[:j]
-            defect = self._rows(G[:j] - g - S)
-            # np.maximum keeps a NaN, which fails the test below
-            residual = np.maximum(residual, self.row_max_norm(defect).max())
+            radii.append(r)
+            residuals.append(self.row_max_norm(self._rows(G[:j] - g - S)).max())
+            return self._rows(G[:j])
+
+        G_rows = self._per_terminal(solve)
+        radius = max(radii)
+        # np.max keeps a NaN, which fails the test below
+        residual = np.max(residuals)
         monitor.spectral_radius = float(radius)
         monitor.record(float(residual), _time.perf_counter() - start)
         if not monitor.converged:
@@ -260,8 +250,7 @@ class PerturbationProblem:
                 f"{m_dt:.3g}, residual {residual:.3e} (needs < "
                 f"{monitor.stop_tol:g}): the drift is too large for this time "
                 "step", monitor.iterate_norms, monitor.spectral_radius)
-        return KernelRows(self._rows(solved.get(j, solved[self.M][self.M - j:]))
-                          for j in range(self.M + 1))
+        return G_rows
 
     def iterate_terms(self, count: int) -> list:
         """First `count` series terms G_0 = g, G_{k+1} = Quad[g m G_k], each
@@ -276,29 +265,25 @@ class PerturbationProblem:
     def _quad_rows(self, rows: KernelRows, limit: float) -> KernelRows:
         """Int_{t_i}^{t_j} g(tau - t_i) m(tau) f(tau, t_j) dtau, every pair.
 
-        rows are the scalar rows of f; limit is f(t_j, t_j).  Gap-only rows
-        give gap-only rows, from j = M alone."""
-        M, by_gap = self.M, self._gap_only(rows)
-        out = {}
-        for j in [M] if by_gap else range(M + 1):
+        rows are the scalar rows of f; limit is f(t_j, t_j)."""
+        def quad(j):
             # samples at t_0, ..., t_{j-1}, then the limit
             f = np.full((j + 1, self.a.size), limit, complex)
             f[:j] = rows[j].reshape(j, self.a.size)
-            out[j] = self._rows(self._sums(j, f)[0])
-        return self._by_gap(out[M]) if by_gap else KernelRows(out.values())
+            return self._rows(self._sums(j, f)[0])
+
+        return self._per_terminal(quad, rows)
 
     def assemble_G_rows(self, G_rows: KernelRows) -> KernelRows:
         """G = g + Quad[g m G] for given G rows, m = (b, multiplier)."""
         g, q = self.g_rows(), self._quad_rows(G_rows, 1.0)
-        return (self._by_gap(g[self.M] + q[self.M]) if self._gap_only(q)
-                else KernelRows(a + b for a, b in zip(g, q)))
+        return self._per_terminal(lambda j: g[j] + q[j], g, q)
 
     def _defect(self, rows: KernelRows, target: KernelRows) -> float:
-        """Largest norm of rows - target, one transform per terminal index:
-        j = M alone if both depend on the gap alone (it holds every row)."""
-        ends = ([self.M] if self._gap_only(rows) and self._gap_only(target)
-                else range(1, self.M + 1))
-        return max(self.row_max_norm(rows[j] - target[j]).max() for j in ends)
+        """Largest norm of rows - target, one transform per terminal index."""
+        norms = self._per_terminal(
+            lambda j: self.row_max_norm(rows[j] - target[j]), rows, target)
+        return np.concatenate(norms).max()
 
     def series_residual(self, G_rows: KernelRows) -> float:
         """Defect of v = multiplier * G against v0 + Quad[v0 (b, v)]."""
@@ -312,14 +297,9 @@ class PerturbationProblem:
     # -- conversions ---------------------------------------------------------
     def _fill(self, meaning: str, rows: KernelRows) -> KernelField:
         """The field of the rows' synthesized slices, one `synthesize` per
-        terminal index; rows that depend on the gap alone are synthesized
-        once, as rows[M], and stack j views its last j slices."""
-        if self._gap_only(rows):
-            stacks = self._by_gap(synthesize(self.grid, rows[self.M]))
-        else:
-            stacks = [rows[0]] + [synthesize(self.grid, stack)
-                                  for stack in rows[1:]]
-        return KernelField(self.grid, meaning, stacks)
+        terminal index."""
+        return KernelField(self.grid, meaning, self._per_terminal(
+            lambda j: synthesize(self.grid, rows[j]), rows))
 
     def rows_to_scalar_field(self, rows: KernelRows) -> KernelField:
         return self._fill("G", rows)

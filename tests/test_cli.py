@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import errno
 import io
 import math
@@ -215,6 +216,43 @@ def test_successive_commands_share_no_parser_state(tmp_path):
     assert os.listdir(third) == ["profiles.csv"]     # --what's default again
 
 
+def test_help_texts_are_pinned(monkeypatch, capsys):
+    # argparse wraps the help to the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    texts = []
+    for command in ("kernel", "perturb", "verify", "emit"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert "".join(texts) == (Path(__file__).parent / "cli_help.txt").read_text()
+
+
+@pytest.mark.parametrize("command", ["kernel", "perturb", "verify", "emit"])
+def test_every_config_field_is_a_flag_of_every_command(command):
+    from pseudoproc.cli import build_parser
+    defaults = RunConfig()
+    unset = build_parser().parse_args([command])
+    for f in dataclasses.fields(RunConfig):
+        assert getattr(unset, f.name) is None     # leaves the field alone
+        value = getattr(defaults, f.name)
+        args = build_parser().parse_args(
+            [command, "--" + f.name.replace("_", "-"), str(value)])
+        assert getattr(args, f.name) == value
+        assert type(getattr(args, f.name)) is type(value)
+
+
+def test_short_aliases_set_their_fields(tmp_path):
+    dumped = tmp_path / "resolved.cfg"
+    assert main(["emit", "--what", "resolution", "--d", "1", "--N", "64",
+                 "--L", "20", "--T", "0.5", "--M", "4", "--b", "0.5",
+                 "--dump-config", str(dumped),
+                 "--outdir", str(tmp_path / "out")]) == EXIT_OK
+    assert RunConfig.from_file(dumped) == RunConfig(
+        dim=1, points=64, half_extent=20.0, horizon=0.5, steps=4,
+        drift="0.5", outdir=str(tmp_path / "out"))
+
+
 def test_config_error_exit():
     assert main(["kernel", "--alpha", "3.0"]) == EXIT_CONFIG
 
@@ -285,8 +323,7 @@ def _desk_field(cfg):
     """The in-memory G field of a perturb run at cfg."""
     prob = PerturbationProblem(cfg.symbol(), cfg.pgrad(), cfg.grid(),
                                constant_drift(cfg.drift_vector()))
-    monitor = ConvergenceMonitor.for_problem(cfg.alpha, cfg.beta, cfg.dim,
-                                             cfg.p_exponent)
+    monitor = ConvergenceMonitor()
     return prob.rows_to_scalar_field(prob.solve_v(monitor))
 
 
@@ -316,7 +353,7 @@ def test_perturb_output_layout_and_round_trip(tmp_path):
         stacks[j].append(payload)
     assert (out / "u_slices.csv").read_bytes() == \
         _old_u_slices_text(grid, KernelField(grid, "G", stacks),
-                           constant_one(1)).encode()
+                           constant_one()).encode()
     # the long CSV comes from emit, in the documented order
     assert main(["emit", "--what", "csv", "--outdir", str(out)]) == EXIT_OK
     with open(out / "G.csv", newline="") as fh:

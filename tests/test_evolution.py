@@ -20,7 +20,7 @@ from pseudoproc.spectral import base_kernel_field
 def solved(sym, pg, small_grid):
     b = constant_drift([1.0])
     prob = PerturbationProblem(sym, pg, small_grid, b)
-    mon = ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf, stop_tol=1e-8)
+    mon = ConvergenceMonitor(stop_tol=1e-8)
     G_rows = prob.solve_v(mon)
     G = prob.rows_to_scalar_field(G_rows)
     v = prob.rows_to_vector_field(prob.v_rows(G_rows))
@@ -51,7 +51,7 @@ def test_apply_is_linear(solved, small_grid):
 
 def test_operator_conserves_constants(solved):
     _, G, _ = solved
-    u = EvolutionOperator(G, (0, 8)).apply(constant_one(1))
+    u = EvolutionOperator(G, (0, 8)).apply(constant_one())
     assert np.abs(u - 1.0).max() < 5e-3
 
 
@@ -85,7 +85,7 @@ def test_boundedness_constant_stable_under_refinement(sym, pg):
     for N, M in ((64, 8), (128, 16)):
         grid = SpaceTimeGrid(1, 20.0, N, 1.0, M)
         prob = PerturbationProblem(sym, pg, grid, constant_drift([1.0]))
-        mon = ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf)
+        mon = ConvergenceMonitor()
         G = prob.rows_to_scalar_field(prob.solve_v(mon))
         consts.append(operator_bound_constant(G))
     assert consts[0] > 1.0  # signed kernel: strictly above the mass
@@ -95,7 +95,7 @@ def test_boundedness_constant_stable_under_refinement(sym, pg):
 def test_evolution_property_requires_ordered_indices(solved):
     _, G, _ = solved
     with pytest.raises(GridError):
-        check_evolution_property(G, 3, 3, 5, constant_one(1))
+        check_evolution_property(G, 3, 3, 5, constant_one())
 
 
 def test_evolution_property_perturbed(solved):
@@ -141,8 +141,7 @@ def test_superposition_of_the_march(sym, pg, small_grid):
     phi1 = fourier_mode(2 * np.pi * 2 / 40.0)
     phi2 = compact_bump(4.0)
     combo = TestFunction(lambda x: phi1.evaluator(x) + phi2.evaluator(x), 2.0)
-    mons = [ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf, stop_tol=1e-12)
-            for _ in range(3)]
+    mons = [ConvergenceMonitor(stop_tol=1e-12) for _ in range(3)]
     w1 = TerminalValueProblem(sym, pg, small_grid, b, phi1).solve_w(mons[0])
     w2 = TerminalValueProblem(sym, pg, small_grid, b, phi2).solve_w(mons[1])
     wc = TerminalValueProblem(sym, pg, small_grid, b, combo).solve_w(mons[2])
@@ -184,7 +183,7 @@ def test_march_matches_closed_form_at_every_terminal_index(
 def test_drift_within_step_contraction_solves(sym, pg, small_grid):
     # |m|max * dt = 1.66: each step still contracts; measured 1.53e-2
     phi = compact_bump(4.0)
-    mon = ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf)
+    mon = ConvergenceMonitor()
     u = TerminalValueProblem(sym, pg, small_grid, constant_drift([6.0]),
                              phi).solve(mon)
     assert mon.converged and len(mon.iterate_norms) == 1
@@ -195,7 +194,7 @@ def test_drift_within_step_contraction_solves(sym, pg, small_grid):
 
 def test_drift_beyond_step_contraction_names_its_cause(sym, pg, small_grid):
     from pseudoproc import ConvergenceError
-    mon = ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf)
+    mon = ConvergenceMonitor()
     prob = TerminalValueProblem(sym, pg, small_grid, constant_drift([40.0]),
                                 compact_bump(4.0))
     with pytest.raises(ConvergenceError, match=r"\|m\|max \* dt = 11") as err:
@@ -211,8 +210,7 @@ def _two_pass_march(prob):
     from pseudoproc.evolution import _STEP_ITERATIONS
     from pseudoproc.quadrature import gauss_panels, exponential_tables
     grid, j, times = prob.grid, prob.j, prob.times
-    tol = ConvergenceMonitor.for_problem(prob.sym.alpha, prob.pg.beta,
-                                         grid.dim, prob.b.p_exponent).stop_tol
+    tol = ConvergenceMonitor().stop_tol
     s2 = prob.pg.beta / prob.sym.alpha
     t, lo = times[j], times[j - 1]
     (u,), (wu,) = gauss_panels(np.array([0.0, (t - lo) ** (1.0 - s2)]), 6)
@@ -264,7 +262,7 @@ def _space_time_problem(dim, terminal_index=None, symbol=None):
             else SpaceTimeGrid(2, 20.0, 32, 1.0, 8))
     return TerminalValueProblem(symbol or isotropic_symbol(1.5, 1.0, dim),
                                 PseudoGradientSpec(beta=0.5, dim=dim), grid,
-                                b, compact_bump(5.0, dim=dim), terminal_index)
+                                b, compact_bump(5.0), terminal_index)
 
 
 def _stack(slices):
@@ -321,7 +319,7 @@ def test_assemble_u_refuses_before_a_march():
 def test_identity_limit_monotone_and_fit(sym, pg, small_grid):
     b = constant_drift([0.5])
     prob = PerturbationProblem(sym, pg, small_grid, b)
-    mon = ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf)
+    mon = ConvergenceMonitor()
     G = prob.rows_to_scalar_field(prob.solve_v(mon))
     phi = fourier_mode(2 * np.pi * 1 / 40.0)
     table = check_identity_limit(G, phi)
@@ -335,7 +333,7 @@ def test_identity_limit_monotone_and_fit(sym, pg, small_grid):
 
 def test_constant_data_decay_is_conservation_error_only(solved, small_grid):
     _, G, _ = solved
-    table = check_identity_limit(G, constant_one(1))
+    table = check_identity_limit(G, constant_one())
     assert table.errors.max() < 1e-12
 
 
@@ -418,8 +416,7 @@ def test_mollified_sequence_is_cauchy(sym, pg, small_grid):
     for width in (0.4, 0.2, 0.1, 0.05):
         b = mollified_time_drift(rough, width, 1)
         prob = PerturbationProblem(sym, pg, small_grid, b)
-        mon = ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf,
-                                             stop_tol=1e-9)
+        mon = ConvergenceMonitor(stop_tol=1e-9)
         kernels.append(prob.solve_v(mon))
     gaps = []
     for a, b_ in zip(kernels, kernels[1:]):
@@ -494,7 +491,7 @@ def test_two_dimensional_march_matches_etdrk4_reference():
     err = _reference_error(isotropic_symbol(1.5, 1.0, 2),
                            PseudoGradientSpec(beta=0.5, dim=2),
                            SpaceTimeGrid(2, 10.0, 32, 1.0, 8), b,
-                           compact_bump(4.0, dim=2))
+                           compact_bump(4.0))
     assert err < 1.2e-4
 
 
@@ -576,8 +573,7 @@ def test_stability_table_matches_per_pair_transforms(sym, pg, small_grid):
                                            stop_tol=1e-9)
     for row, (_, b1, b2) in zip(table, pairs):
         kernels = [PerturbationProblem(sym, pg, small_grid, b).solve_v(
-            ConvergenceMonitor.for_problem(1.5, 0.5, 1, b.p_exponent,
-                                           stop_tol=1e-9)) for b in (b1, b2)]
+            ConvergenceMonitor(stop_tol=1e-9)) for b in (b1, b2)]
         worst = max(float((np.abs(np.fft.ifftn(row - kernels[1][j][i]))
                            / small_grid.cell_volume).max())
                     for (i, j), row in kernels[0].items())

@@ -10,7 +10,7 @@ from pseudoproc import (SpaceTimeGrid, GridError, KernelField, FieldError,
                         synthesize, analyze, convolve, interior_mask,
                         write_snapshot, read_snapshot, write_csv)
 from pseudoproc.fields import (csv_prefixes, format_rows, snapshot_field,
-                               read_snapshot_fields)
+                               read_snapshot_fields, by_gap, depends_on_gap)
 
 
 def test_lattice_is_conjugate(default_grid):
@@ -163,7 +163,7 @@ def test_march_equals_the_march_on_reference_transforms(dim, points, steps,
         return TerminalValueProblem(
             isotropic_symbol(1.5, 1.0, dim), PseudoGradientSpec(beta=0.5, dim=dim),
             SpaceTimeGrid(dim, 10.0, points, 1.0, steps), b,
-            compact_bump(4.0, dim=dim)).solve()
+            compact_bump(4.0)).solve()
 
     u = march()
     monkeypatch.setattr(evolution, "synthesize", _reference_synthesize)
@@ -365,19 +365,27 @@ def test_long_csv_equals_the_per_pair_formatting(tmp_path, case):
 
 def _gap_field(grid, top):
     """A field whose stack j views the last j slices of top, by gap."""
-    M = grid.time_steps
-    return KernelField(grid, "G", [top[M - j:] for j in range(M + 1)])
+    return KernelField(grid, "G", by_gap(top))
 
 
 def test_distinct_stacks_hold_each_viewed_slice_once():
     grid = SpaceTimeGrid(1, 10.0, 8, 1.0, 4)
     top = np.random.default_rng(5).standard_normal((4, 8))
     shared = _gap_field(grid, top)
+    assert depends_on_gap(shared.stacks)
     [only] = shared.distinct_stacks()
     assert only.__array_interface__ == top.__array_interface__
     # equal values in stacks of their own are all kept
     copies = KernelField(grid, "G", [s.copy() for s in shared.stacks])
     assert [len(s) for s in copies.distinct_stacks()] == [1, 2, 3, 4]
+    # one copied stack: the field no longer depends on the gap alone, and
+    # every non-empty stack is kept, the views among them
+    one_copied = KernelField(grid, "G", shared.stacks[:2]
+                             + [shared.stacks[2].copy()] + shared.stacks[3:])
+    assert not depends_on_gap(one_copied.stacks)
+    kept = one_copied.distinct_stacks()
+    assert [len(s) for s in kept] == [1, 2, 3, 4]
+    assert all(np.array_equal(s, top[4 - len(s):]) for s in kept)
     lists = _field(grid, "G", {(0, 2): top[0], (1, 2): top[1]})
     [stack] = lists.distinct_stacks()
     assert np.array_equal(stack, top[:2])

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from pseudoproc import (SpaceTimeGrid,
                         constant_drift, zero_drift, mollified_time_drift,
@@ -10,6 +11,7 @@ from pseudoproc import (SpaceTimeGrid,
                         ConvergenceError, PerturbationProblem, KernelRows,
                         beta_rate_factor, kernel_convolution_scaling,
                         synthesize, min_p_exponent, series_exponent)
+from pseudoproc.fields import depends_on_gap
 from pseudoproc.spectral import constant_drift_values
 
 
@@ -20,7 +22,7 @@ def small_problem(sym, pg, small_grid):
 
 def test_zero_drift_collapses_exactly(sym, pg, small_grid):
     prob = PerturbationProblem(sym, pg, small_grid, zero_drift(1))
-    G_rows = prob.solve_v(ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf))
+    G_rows = prob.solve_v(ConvergenceMonitor())
     vf = prob.rows_to_vector_field(prob.v_rows(G_rows))
     base = prob.rows_to_vector_field(prob.v_rows(prob.g_rows()))
     for k in vf.pairs():
@@ -32,14 +34,19 @@ def test_zero_drift_collapses_exactly(sym, pg, small_grid):
         assert np.array_equal(Gf.slice(k), gf.slice(k))
 
 
-def test_monitor_enforces_exponent_bound():
-    # p below the threshold (d+alpha)/(alpha-1) puts theta under its floor
-    bad_p = min_p_exponent(1.5, 1) * 0.98
-    with pytest.raises(ValueError, match="theta"):
-        ConvergenceMonitor.for_problem(1.5, 0.5, 1, bad_p)
-    mon = ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf)
-    assert mon.theta == pytest.approx(1.0 - 0.5 / 1.5)
-    assert mon.theta > (1.0 - 0.5) / 1.5
+@settings(max_examples=300, deadline=None)
+@given(alpha=st.floats(1.0, 2.0, exclude_min=True, exclude_max=True),
+       beta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       dim=st.sampled_from([1, 2]),
+       p=st.one_of(st.just(math.inf),
+                   st.floats(1.0, 1e6, exclude_min=True)))
+def test_theta_floor_holds_exactly_above_the_p_bound(alpha, beta, dim, p):
+    # theta > (1 - beta)/alpha is p > (d + alpha)/(alpha - 1) with beta
+    # cancelled: the drift's bound makes a check on theta redundant
+    bound = min_p_exponent(alpha, dim)
+    assume(abs(p - bound) > 1e-9 * bound)
+    theta = series_exponent(alpha, beta, dim, p)
+    assert (theta > (1.0 - beta) / alpha) == (p > bound)
 
 
 def test_drift_field_validation():
@@ -150,7 +157,7 @@ def test_beta_rate_factor_matches_library_beta(theta, q):
 def test_solver_matches_constant_drift_transform(sym, pg, small_grid):
     b = constant_drift([1.0])
     prob = PerturbationProblem(sym, pg, small_grid, b)
-    mon = ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf)
+    mon = ConvergenceMonitor()
     G_rows = prob.solve_v(mon)
     worst = 0.0
     for k, row in G_rows.items():
@@ -168,7 +175,7 @@ def test_zero_drift_residual_is_roundoff(sym, pg, small_grid):
 
 
 def test_residuals_meet_solver_contract(small_problem):
-    mon = ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf, stop_tol=1e-6)
+    mon = ConvergenceMonitor(stop_tol=1e-6)
     G_rows = small_problem.solve_v(mon)
     assert mon.converged
     assert small_problem.series_residual(G_rows) < 10 * mon.stop_tol
@@ -182,8 +189,7 @@ def test_residuals_meet_solver_contract(small_problem):
 def test_gap_only_defect_reads_the_last_terminal_index(small_problem,
                                                        monkeypatch):
     # both inputs depend on the gap alone: one transform, the value of all M
-    G_rows = small_problem.solve_v(
-        ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf))
+    G_rows = small_problem.solve_v(ConvergenceMonitor())
     assembled = small_problem.assemble_G_rows(G_rows)
     every_j = max(small_problem.row_max_norm(a - g).max()
                   for a, g in zip(assembled[1:], G_rows[1:]))
@@ -200,8 +206,7 @@ def test_residual_decreases_under_refinement(sym, pg):
     for N, M in ((64, 8), (128, 16)):
         grid = SpaceTimeGrid(1, 20.0, N, 1.0, M)
         prob = PerturbationProblem(sym, pg, grid, constant_drift([1.0]))
-        mon = ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf,
-                                             stop_tol=1e-10)
+        mon = ConvergenceMonitor(stop_tol=1e-10)
         G_rows = prob.solve_v(mon)
         # continuum defect against the exact transform at the full horizon
         exact = constant_drift_values(sym, pg, [1.0], grid, 1.0)
@@ -212,7 +217,7 @@ def test_residual_decreases_under_refinement(sym, pg):
 
 def test_uniqueness_probe_two_seeds(small_problem):
     # the partial sums of the series converge to the direct solution
-    mon = ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf, stop_tol=1e-9)
+    mon = ConvergenceMonitor(stop_tol=1e-9)
     v = small_problem.v_rows(small_problem.solve_v(mon))
     terms = small_problem.iterate_terms(14)
     partial = [np.zeros_like(stack) for stack in v]
@@ -230,7 +235,7 @@ def test_nonconvergence_carries_spectral_radius(sym, pg, small_grid):
     # successive approximations of the discrete system diverge
     b = constant_drift([40.0])
     prob = PerturbationProblem(sym, pg, small_grid, b)
-    mon = ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf)
+    mon = ConvergenceMonitor()
     with pytest.raises(ConvergenceError, match="spectral radius") as err:
         prob.solve_v(mon)
     assert err.value.spectral_radius > 1.0
@@ -243,7 +248,7 @@ def test_drift_within_contraction_range_solves(sym, pg, small_grid):
     # b = 6 needs more than 40 successive approximations at this tolerance,
     # yet the discrete system's spectral radius is below one
     prob = PerturbationProblem(sym, pg, small_grid, constant_drift([6.0]))
-    mon = ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf)
+    mon = ConvergenceMonitor()
     G_rows = prob.solve_v(mon)
     assert mon.converged
     assert 0.5 < mon.spectral_radius < 1.0
@@ -293,7 +298,7 @@ def test_kernel_operator_has_no_entry_below_the_diagonal(small_grid):
 
 def test_reported_radius_is_the_largest_eigenvalue(sym, pg, small_grid):
     prob = PerturbationProblem(sym, pg, small_grid, constant_drift([6.0]))
-    mon = ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf)
+    mon = ConvergenceMonitor()
     prob.solve_v(mon)
     worst = 0.0
     for j in range(1, prob.M + 1):
@@ -309,7 +314,7 @@ def test_reported_radius_is_the_largest_eigenvalue(sym, pg, small_grid):
 def test_constant_drift_rows_depend_on_the_gap_alone(sym, pg, steps):
     grid = SpaceTimeGrid(1, 20.0, 64, 1.0, steps)
     prob = PerturbationProblem(sym, pg, grid, constant_drift([1.0]))
-    G = prob.solve_v(ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf))
+    G = prob.solve_v(ConvergenceMonitor())
     assert max(np.abs(row - G[j - i][0]).max()
                for (i, j), row in G.items()) <= 1e-13
 
@@ -328,8 +333,7 @@ def _unit_drift_twins(sym, pg, grid):
 def test_gap_path_equals_the_per_pair_path(sym, pg, N, M, tol):
     # equal on dyadic partitions; elsewhere the times t_j differ at round-off
     shared, per_pair = _unit_drift_twins(sym, pg, SpaceTimeGrid(1, 40.0, N, 1.0, M))
-    mon, mon_ref = (ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf)
-                    for _ in range(2))
+    mon, mon_ref = ConvergenceMonitor(), ConvergenceMonitor()
     G, G_ref = shared.solve_v(mon), per_pair.solve_v(mon_ref)
     if tol == 0.0:
         assert mon.spectral_radius == mon_ref.spectral_radius
@@ -347,7 +351,7 @@ def test_gap_path_equals_the_per_pair_path(sym, pg, N, M, tol):
 
 def test_quad_rows_shares_rows_only_when_they_depend_on_the_gap(sym, pg):
     shared, per_pair = _unit_drift_twins(sym, pg, SpaceTimeGrid(1, 40.0, 256, 1.0, 16))
-    G = shared.solve_v(ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf))
+    G = shared.solve_v(ConvergenceMonitor())
     out = shared._quad_rows(G, 1.0)
     assert all(np.shares_memory(out[j], out[16]) for j in range(1, 17))
     # rows that differ within a gap: every pair keeps its own input
@@ -368,7 +372,7 @@ def test_gap_only_rows_are_synthesized_and_multiplied_once(sym, pg,
                                                            small_grid):
     prob = _unit_drift_twins(sym, pg, small_grid)[0]
     M = prob.M
-    G = prob.solve_v(ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf))
+    G = prob.solve_v(ConvergenceMonitor())
     field, v = prob.rows_to_scalar_field(G), prob.v_rows(G)
     for (i, j), row in G.items():
         # pair (i, j) holds row M - (j - i) of one stack
@@ -381,7 +385,7 @@ def test_gap_only_rows_are_synthesized_and_multiplied_once(sym, pg,
 
 def test_rows_of_distinct_pairs_keep_their_own_slices(sym, pg, small_grid):
     shared, twin = _unit_drift_twins(sym, pg, small_grid)
-    mon = ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf)
+    mon = ConvergenceMonitor()
     # the time twin solves every pair on its own; the exact rows of one gap
     # differ at round-off
     for prob, G in ((twin, twin.solve_v(mon)),
@@ -410,7 +414,7 @@ def test_constant_drift_solves_one_terminal_index(sym, pg, small_grid,
     for prob, solved in zip(_unit_drift_twins(sym, pg, small_grid),
                             ({M}, set(range(1, M + 1)))):
         terminals.clear()
-        prob.solve_v(ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf))
+        prob.solve_v(ConvergenceMonitor())
         assert terminals == solved
 
 
@@ -439,8 +443,7 @@ def test_carried_rows_equal_the_per_terminal_operator(dim, drift):
                       + 1j * rng.normal(size=(j,) + prob.a.shape)
                       for j in range(M + 1))
     quad = prob._quad_rows(rows, 0.5)
-    G = prob.solve_v(ConvergenceMonitor.for_problem(1.5, 0.5, prob.grid.dim,
-                                                    math.inf))
+    G = prob.solve_v(ConvergenceMonitor())
     for j in range(1, M + 1):
         K = _reference_K(prob, j)
         for i in range(j):
@@ -462,13 +465,13 @@ def test_carried_rows_equal_the_per_terminal_operator(dim, drift):
 
 def test_gap_only_accepts_views_and_solves_equal_copies_per_terminal(sym, pg):
     prob = _unit_drift_twins(sym, pg, SpaceTimeGrid(1, 40.0, 256, 1.0, 16))[0]
-    G = prob.solve_v(ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf))
+    G = prob.solve_v(ConvergenceMonitor())
     copies = KernelRows(stack.copy() for stack in G)
-    assert prob._gap_only(G) and not prob._gap_only(copies)
+    assert depends_on_gap(G) and not depends_on_gap(copies)
     for made in (prob._quad_rows, prob.assemble_G_rows, prob.v_rows):
         args = (1.0,) if made == prob._quad_rows else ()
         by_gap, per_j = made(G, *args), made(copies, *args)
-        assert prob._gap_only(by_gap) and not prob._gap_only(per_j)
+        assert depends_on_gap(by_gap) and not depends_on_gap(per_j)
         # a dyadic partition: every step's weights are the same numbers
         assert all(np.array_equal(a, b) for a, b in zip(by_gap, per_j))
 
@@ -478,7 +481,7 @@ def test_adjacent_pair_error_falls_under_refinement(sym, pg):
     for N, M in ((256, 16), (512, 32)):
         grid = SpaceTimeGrid(1, 40.0, N, 1.0, M)
         prob = PerturbationProblem(sym, pg, grid, constant_drift([1.0]))
-        G = prob.solve_v(ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf))
+        G = prob.solve_v(ConvergenceMonitor())
         exact = prob.closed_form_G_rows()
         # the adjacent pairs (i, i + 1)
         num = np.stack([G[i + 1][i] for i in range(M)])
@@ -491,7 +494,7 @@ def test_adjacent_pair_error_falls_under_refinement(sym, pg):
 
 def test_large_drift_names_the_step_coupling(sym, pg, default_grid):
     prob = PerturbationProblem(sym, pg, default_grid, constant_drift([12.0]))
-    mon = ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf)
+    mon = ConvergenceMonitor()
     with pytest.raises(ConvergenceError, match="dt") as err:
         prob.solve_v(mon)
     assert "|m|max * dt" in str(err.value)
@@ -500,7 +503,7 @@ def test_large_drift_names_the_step_coupling(sym, pg, default_grid):
 
 def test_time_dependent_drift_matches_closed_form(sym, pg, small_grid):
     prob = _time_dependent_problem(sym, pg, small_grid)
-    G = prob.solve_v(ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf))
+    G = prob.solve_v(ConvergenceMonitor())
     exact = prob.closed_form_G_rows()
     assert max(prob.row_max_norm(g - e).max()
                for g, e in zip(G[1:], exact[1:])) < 2e-3
@@ -510,7 +513,7 @@ def test_time_dependent_drift_solves(sym, pg, small_grid):
     b = mollified_time_drift(lambda t: np.array([0.5 + 0.5 * np.sign(np.sin(8 * t))]),
                              width=0.05, dim=1)
     prob = PerturbationProblem(sym, pg, small_grid, b)
-    mon = ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf)
+    mon = ConvergenceMonitor()
     Gf = prob.rows_to_scalar_field(prob.solve_v(mon))
     assert max(abs(Gf.mass(k) - 1.0) for k in Gf.pairs()) < 5e-3
 
@@ -523,7 +526,7 @@ def test_kernel_solver_rejects_space_dependent_drift(sym, pg, small_grid):
 
 
 def test_convergence_log_rows(small_problem):
-    mon = ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf)
+    mon = ConvergenceMonitor()
     small_problem.solve_v(mon)
     rows = mon.convergence_log()
     # the direct solve records once: its residual and spectral radius
@@ -575,7 +578,7 @@ def test_two_dimensional_solve_matches_transform():
     pg2 = PseudoGradientSpec(beta=0.5, dim=2)
     b2 = constant_drift([0.6, -0.3])
     prob = PerturbationProblem(sym2, pg2, grid, b2)
-    mon = ConvergenceMonitor.for_problem(1.5, 0.5, 2, math.inf)
+    mon = ConvergenceMonitor()
     G_rows = prob.solve_v(mon)
     Gcf = prob.closed_form_G_rows()
     worst = 0.0
@@ -669,8 +672,7 @@ def _two_dimensional_problem():
 @pytest.mark.parametrize("dim", [1, 2])
 def test_kernel_rows_stack_each_terminal_index(dim, small_problem):
     prob = small_problem if dim == 1 else _two_dimensional_problem()
-    G_rows = prob.solve_v(ConvergenceMonitor.for_problem(1.5, 0.5, dim,
-                                                         math.inf))
+    G_rows = prob.solve_v(ConvergenceMonitor())
     v_rows = prob.v_rows(G_rows)
     made = {"g_rows": (prob.g_rows(), ()), "solve_v": (G_rows, ()),
             "v_rows": (v_rows, (dim,)),
@@ -694,8 +696,7 @@ def test_kernel_rows_stack_each_terminal_index(dim, small_problem):
 @pytest.mark.parametrize("dim", [1, 2])
 def test_rows_to_fields_match_per_pair_synthesis(dim, small_problem):
     prob = small_problem if dim == 1 else _two_dimensional_problem()
-    G_rows = prob.solve_v(ConvergenceMonitor.for_problem(1.5, 0.5, dim,
-                                                         math.inf))
+    G_rows = prob.solve_v(ConvergenceMonitor())
     v_rows = prob.v_rows(G_rows)
     Gf = prob.rows_to_scalar_field(G_rows)
     vf = prob.rows_to_vector_field(v_rows)
@@ -709,8 +710,7 @@ def test_rows_to_fields_match_per_pair_synthesis(dim, small_problem):
 @pytest.mark.parametrize("dim", [1, 2])
 def test_row_max_norm_of_a_stack_matches_single_rows(dim, small_problem):
     prob = small_problem if dim == 1 else _two_dimensional_problem()
-    G_rows = prob.solve_v(ConvergenceMonitor.for_problem(1.5, 0.5, dim,
-                                                         math.inf))
+    G_rows = prob.solve_v(ConvergenceMonitor())
     for rows in (G_rows[-1], prob.v_rows(G_rows)[-1]):
         norms = prob.row_max_norm(rows)
         assert norms.shape == (prob.M,)
@@ -728,8 +728,7 @@ def _swapped_row_max_norm(prob, rows):
 def test_row_max_norm_equals_the_half_swapped_sup(dim, sym, pg, small_grid):
     prob = (_time_dependent_problem(sym, pg, small_grid) if dim == 1
             else _two_dimensional_problem())
-    G_rows = prob.solve_v(ConvergenceMonitor.for_problem(1.5, 0.5, dim,
-                                                         math.inf))
+    G_rows = prob.solve_v(ConvergenceMonitor())
     # the rows the residuals reduce: defects of G and of v, scalar and vector
     assembled = prob.assemble_G_rows(G_rows)
     v, v_assembled = prob.v_rows(G_rows), prob.v_rows(assembled)
@@ -787,8 +786,7 @@ def test_scalar_operator_matches_the_vector_recursion(dim, sym, pg,
         limit = np.zeros_like(mult)
     for term, expected in zip(prob.iterate_terms(10), ref):
         assert _relative_gap(term, expected) <= 1e-13
-    G_rows = prob.solve_v(ConvergenceMonitor.for_problem(1.5, 0.5, dim,
-                                                         math.inf))
+    G_rows = prob.solve_v(ConvergenceMonitor())
     assembled = KernelRows(g + q for g, q in zip(
         prob.g_rows(), _vector_quad_rows(prob, prob.v_rows(G_rows), mult)))
     assert _relative_gap(prob.assemble_G_rows(G_rows), assembled) <= 1e-13
@@ -796,8 +794,7 @@ def test_scalar_operator_matches_the_vector_recursion(dim, sym, pg,
 
 def test_time_dependent_solve_meets_its_own_identity(sym, pg, small_grid):
     prob = _time_dependent_problem(sym, pg, small_grid)
-    G_rows = prob.solve_v(ConvergenceMonitor.for_problem(1.5, 0.5, 1,
-                                                         math.inf))
+    G_rows = prob.solve_v(ConvergenceMonitor())
     assert prob.perturbation_residual(G_rows) < 1e-12
 
 
@@ -808,7 +805,7 @@ def test_nan_in_one_mode_of_one_terminal_index_fails_the_solve(small_problem):
     # row M feeds only the pair (0, M): one mode of the last terminal index
     decay[prob.M, 5] = np.nan
     prob._gap_decay = decay
-    mon = ConvergenceMonitor.for_problem(1.5, 0.5, 1, math.inf)
+    mon = ConvergenceMonitor()
     with pytest.raises(ConvergenceError, match="residual nan"):
         prob.solve_v(mon)
     assert math.isnan(mon.iterate_norms[-1])
