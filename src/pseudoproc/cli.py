@@ -1,8 +1,8 @@
 """Command-line front end: kernel synthesis, perturbation, verification, emission.
 
 One binary with subcommands; all numerics live in the library modules.  A
-flat key-value config file can seed any run and every field has a flag
-override.  Environment variables are never consulted.
+flat key-value config file can seed any run; each command has flags for, and
+reads, only its own keys (`_commands`).  Environment variables are unused.
 
 Exit codes: 0 success, 2 configuration error, unsupported configuration or
 a file that cannot be read or written (such as an --outdir under a regular
@@ -28,7 +28,7 @@ from .spectral import (synthesize_g0, constant_drift_kernel, check_resolution,
                        ResolutionError, UnsupportedConfiguration)
 from .fields import (FieldError, snapshot_field, read_snapshot_fields,
                      write_csv, csv_prefixes, format_rows)
-from .drift import constant_drift, min_p_exponent
+from .drift import constant_drift
 from .volterra import ConvergenceMonitor, ConvergenceError, PerturbationProblem
 from .evolution import (constant_one, fourier_mode, compact_bump,
                         FUNCTION_RESIDUE_TOL)
@@ -63,7 +63,6 @@ class RunConfig:
     horizon: float = 1.0
     steps: int = 16
     drift: str = "0.0"
-    p_exponent: float = math.inf
     dt: float = 1.0
     phi: str = "one"
     stop_tol: float = 1e-6
@@ -94,11 +93,6 @@ class RunConfig:
             self.drift_vector()
         except ValueError as e:
             errs.append(str(e))
-        if self.dim in (1, 2) and 1.0 < self.alpha < 2.0:
-            bound = min_p_exponent(self.alpha, self.dim)
-            if not self.p_exponent > bound:
-                errs.append(f"p_exponent={self.p_exponent:g} must exceed "
-                            f"(d+alpha)/(alpha-1) = {bound:g}")
         if errs:
             raise ConfigError(errs)
         return self
@@ -143,7 +137,7 @@ class RunConfig:
                 fh.write(f"{f.name} = {getattr(self, f.name)}\n")
 
     @classmethod
-    def from_file(cls, path, base=None) -> "RunConfig":
+    def from_file(cls, path, base=None, keys=None) -> "RunConfig":
         raw = {}
         with open(path) as fh:
             for lineno, line in enumerate(fh, 1):
@@ -155,21 +149,22 @@ class RunConfig:
                         [f"{path}:{lineno}: expected 'key = value'"])
                 key, val = (t.strip() for t in line.split("=", 1))
                 raw[key] = val
-        return cls.from_mapping(raw, source=path, base=base)
+        return cls.from_mapping(raw, source=path, base=base, keys=keys)
 
     @classmethod
-    def from_mapping(cls, raw: dict, source="<flags>",
-                     base=None) -> "RunConfig":
-        """`base` (default: the field defaults) with the keys `raw` sets."""
+    def from_mapping(cls, raw: dict, source="<flags>", base=None,
+                     keys=None) -> "RunConfig":
+        """`base` (default: the field defaults) with the keys `raw` sets;
+        of those, only `keys` (default: all) are parsed and applied."""
         kwargs, errs = {}, []
         for key, val in raw.items():
             if key not in _FIELD_TYPES:
                 errs.append(f"{source}: unknown key {key!r}")
-                continue
-            try:
-                kwargs[key] = _FIELD_TYPES[key](val)
-            except ValueError:
-                errs.append(f"{source}: cannot parse {key} = {val!r}")
+            elif keys is None or key in keys:
+                try:
+                    kwargs[key] = _FIELD_TYPES[key](val)
+                except ValueError:
+                    errs.append(f"{source}: cannot parse {key} = {val!r}")
         if errs:
             raise ConfigError(errs)
         return replace(base or cls(), **kwargs)
@@ -181,11 +176,13 @@ _FIELD_TYPES = {f.name: type(f.default) for f in dc_fields(RunConfig)}
 
 def _resolve_config(args, command_defaults=None) -> RunConfig:
     """Later sources win: the field defaults, the command's own defaults,
-    the keys the config file sets, then flags."""
+    the keys the config file sets, then flags.  The file and the flags set
+    only the keys the command reads; the others keep their defaults."""
+    keys = _commands()[args.command][2]
     cfg = RunConfig(**(command_defaults or {}))
     if args.config:
-        cfg = RunConfig.from_file(args.config, base=cfg)
-    flags = {key: getattr(args, key) for key in _FIELD_TYPES}
+        cfg = RunConfig.from_file(args.config, base=cfg, keys=keys)
+    flags = {key: getattr(args, key) for key in keys}
     cfg = replace(cfg, **{k: v for k, v in flags.items() if v is not None})
     cfg.validate()
     if getattr(args, "dump_config", None):
@@ -229,7 +226,7 @@ def cmd_perturb(args) -> int:
     cfg = _resolve_config(args, command_defaults={"drift": "1.0"})
     os.makedirs(cfg.outdir, exist_ok=True)
     sym, grid, pg = cfg.symbol(), cfg.grid(), cfg.pgrad()
-    b = constant_drift(cfg.drift_vector(), p=cfg.p_exponent)
+    b = constant_drift(cfg.drift_vector())
     prob = PerturbationProblem(sym, pg, grid, b)
     monitor = ConvergenceMonitor(stop_tol=cfg.stop_tol)
     try:
@@ -317,7 +314,7 @@ def cmd_emit(args) -> int:
         print(f"wrote {path}")
         return EXIT_OK
     if what == "decay":
-        b = constant_drift(cfg.drift_vector(), p=cfg.p_exponent)
+        b = constant_drift(cfg.drift_vector())
         prob = PerturbationProblem(sym, cfg.pgrad(), grid, b)
         G = prob.rows_to_scalar_field(
             prob.solve_v(ConvergenceMonitor(stop_tol=cfg.stop_tol)))
@@ -364,12 +361,14 @@ _SHORT_FLAGS = {"dim": "--d", "points": "--N", "half_extent": "--L",
                 "horizon": "--T", "steps": "--M", "drift": "--b"}
 
 
-def _add_config_flags(p: argparse.ArgumentParser):
-    """--config, --dump-config and one flag per `RunConfig` field, named
-    --field-name; an unset flag is None and leaves the field alone."""
+def _add_config_flags(p: argparse.ArgumentParser, keys):
+    """--config, --dump-config and one flag per key the command reads,
+    named --field-name; an unset flag is None and leaves the field alone."""
     p.add_argument("--config", help="flat key-value config file")
     p.add_argument("--dump-config", help="write the resolved config and continue")
     for key, cast in _FIELD_TYPES.items():
+        if key not in keys:
+            continue
         names = ["--" + key.replace("_", "-")]
         if key in _SHORT_FLAGS:
             names.append(_SHORT_FLAGS[key])
@@ -377,15 +376,23 @@ def _add_config_flags(p: argparse.ArgumentParser):
                        choices=PHI_CHOICES if key == "phi" else None)
 
 
+# the keys every command reads: the symbol, the lattice and where to write
+_LATTICE = ("alpha", "c", "dim", "points", "half_extent", "horizon", "steps",
+            "outdir")
+
+
 def _commands() -> dict:
-    """subcommand -> (help, handler), read per call: the parser is built
-    once and holds no handler."""
-    return {"kernel": ("synthesize base or closed-form kernels", cmd_kernel),
-            "perturb": ("solve the perturbation system", cmd_perturb),
-            "verify": ("run the property suite", cmd_verify),
+    """subcommand -> (help, handler, the `RunConfig` keys it reads), read
+    per call: the parser is built once and holds no handler."""
+    return {"kernel": ("synthesize base or closed-form kernels", cmd_kernel,
+                       _LATTICE + ("beta", "drift", "dt")),
+            "perturb": ("solve the perturbation system", cmd_perturb,
+                        _LATTICE + ("beta", "drift", "phi", "stop_tol")),
+            "verify": ("run the property suite", cmd_verify,
+                       _LATTICE + ("beta", "gamma", "stop_tol")),
             "emit": ("write plot-ready CSV data, or convert the snapshots "
-                     "under --outdir to long-format CSV (--what csv)",
-                     cmd_emit)}
+                     "under --outdir to long-format CSV (--what csv)", cmd_emit,
+                     _LATTICE + ("beta", "drift", "phi", "stop_tol", "dt"))}
 
 
 @functools.lru_cache(maxsize=None)      # parsing leaves the tree as it is
@@ -395,10 +402,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="kernels and evolution operators of drift-perturbed "
                     "stable-type generators")
     sub = ap.add_subparsers(dest="command", required=True)
-    parsers = {name: sub.add_parser(name, help=text)
-               for name, (text, _) in _commands().items()}
-    for p in parsers.values():
-        _add_config_flags(p)
+    parsers = {}
+    for name, (text, _, keys) in _commands().items():
+        # no prefix matching: verify --b must not pass as --beta
+        parsers[name] = sub.add_parser(name, help=text, allow_abbrev=False)
+        _add_config_flags(parsers[name], keys)
     parsers["verify"].add_argument(
         "--only", default=None,
         help="substring filter on check names ('' selects none)")

@@ -155,17 +155,14 @@ def drift_multiplier(pg: PseudoGradientSpec, grid: SpaceTimeGrid,
 def constant_drift_kernel(sym: SymbolSpec, pg: PseudoGradientSpec,
                           b_const: Sequence[float], grid: SpaceTimeGrid,
                           dt: float) -> KernelField:
-    """Exact perturbed kernel for a constant drift vector (isotropic symbol),
-    stored on the pair (0, dt / step) like `synthesize_g0`.
+    """Exact perturbed kernel for a constant drift vector, stored on the
+    pair (0, dt / step) like `synthesize_g0`.
 
     Synthesizes (2 pi)^{-d} Int exp{ i(w + dt b |lam|^{beta-1}, lam)
-    - c dt |lam|^alpha } dlam.  Reduces to g0 at b = 0; the total lattice
-    mass is one exactly; the values change sign for large enough
-    |b| dt^{1 - beta/alpha}, which is the signed-kernel witness.
+    - dt a(lam) } dlam for any symbol a.  Reduces to g0 at b = 0; the
+    total lattice mass is one exactly; the values change sign for large
+    enough |b| dt^{1 - beta/alpha}, which is the signed-kernel witness.
     """
-    if sym.variant != "isotropic":
-        raise UnsupportedConfiguration(
-            "the closed-form drift kernel is only available for isotropic symbols")
     if dt <= 0:
         raise ValueError("dt must be positive")
     _gate(sym, grid, dt)
@@ -176,9 +173,6 @@ def constant_drift_kernel(sym: SymbolSpec, pg: PseudoGradientSpec,
 
 def constant_drift_values(sym: SymbolSpec, pg: PseudoGradientSpec,
                           b_const, grid: SpaceTimeGrid, dt: float) -> np.ndarray:
-    if sym.variant != "isotropic":
-        raise UnsupportedConfiguration(
-            "the closed-form drift kernel is only available for isotropic symbols")
     spec = np.exp((-sym.on_grid(grid) + drift_multiplier(pg, grid, b_const)) * dt)
     return synthesize(grid, spec)
 

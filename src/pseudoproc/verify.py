@@ -224,7 +224,7 @@ GOLDEN_VALUES: Dict[str, dict] = {
 @dataclass
 class FixtureSet(RunConfig):
     """A run's parameters with the solves the checks share.  The checks
-    read no drift, p exponent, dt or datum of the run: they set their own."""
+    read no drift, dt or datum of the run: they set their own."""
 
     _cache: dict = field(default_factory=dict, repr=False)
 
@@ -521,8 +521,7 @@ def check_envelope_fits(fx: FixtureSet) -> List[CheckResult]:
     rows = []
     fits = {}
     for points in (1024, 2048):
-        grid = SpaceTimeGrid(fx.dim, fx.half_extent, points, fx.horizon,
-                             fx.steps)
+        grid = fx.grid(points)
         gaps = (grid.dt, 4 * grid.dt * fx.steps / 16, fx.horizon)
         by_gap_g0 = {gap: g0_values(sym, grid, gap) for gap in gaps}
         by_gap_grad = {gap: pseudo_gradient_g0(sym, fx.pgrad(), grid, gap)
@@ -637,7 +636,7 @@ def check_cauchy_residual_suite(fx: FixtureSet) -> List[CheckResult]:
 
 def check_terminal_average(fx: FixtureSet) -> List[CheckResult]:
     _one_dimensional(fx, "terminal-average")
-    grid = SpaceTimeGrid(fx.dim, fx.half_extent, 1024, fx.horizon, fx.steps)
+    grid = fx.grid(1024)
     b = constant_drift([1.0] + [0.0] * (fx.dim - 1))
     prob = PerturbationProblem(fx.symbol(), fx.pgrad(), grid, b)
     vf = prob.rows_to_vector_field(prob.v_rows(prob.solve_v(fx.monitor())))
@@ -656,8 +655,7 @@ def check_terminal_average(fx: FixtureSet) -> List[CheckResult]:
 # -- supplemental harness guards ---------------------------------------------
 
 def check_resolution_golden(fx: FixtureSet) -> List[CheckResult]:
-    sym = fx.symbol()
-    grid = SpaceTimeGrid(fx.dim, fx.half_extent, 1024, fx.horizon, fx.steps)
+    sym, grid = fx.symbol(), fx.grid(1024)
     rep = check_resolution(sym, grid, 0.05)
     gt = GOLDEN_VALUES["resolution_tail"]
     gb = GOLDEN_VALUES["resolution_boundary"]

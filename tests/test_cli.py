@@ -228,18 +228,46 @@ def test_help_texts_are_pinned(monkeypatch, capsys):
     assert "".join(texts) == (Path(__file__).parent / "cli_help.txt").read_text()
 
 
+# the keys all four commands read, and those each reads besides
+_SHARED_KEYS = {"alpha", "c", "dim", "points", "half_extent", "horizon",
+                "steps", "outdir"}
+_COMMAND_KEYS = {"kernel": {"beta", "drift", "dt"},
+                 "perturb": {"beta", "drift", "phi", "stop_tol"},
+                 "verify": {"beta", "gamma", "stop_tol"},
+                 "emit": {"beta", "drift", "phi", "stop_tol", "dt"}}
+
+
 @pytest.mark.parametrize("command", ["kernel", "perturb", "verify", "emit"])
-def test_every_config_field_is_a_flag_of_every_command(command):
+def test_each_command_offers_exactly_its_keys_as_flags(command):
     from pseudoproc.cli import build_parser
+    keys = _SHARED_KEYS | _COMMAND_KEYS[command]
     defaults = RunConfig()
-    unset = build_parser().parse_args([command])
+    unset = vars(build_parser().parse_args([command]))
+    options = {"command", "config", "dump_config", "only", "what"}
+    assert set(unset) - options == keys
     for f in dataclasses.fields(RunConfig):
-        assert getattr(unset, f.name) is None     # leaves the field alone
+        flag = "--" + f.name.replace("_", "-")
         value = getattr(defaults, f.name)
-        args = build_parser().parse_args(
-            [command, "--" + f.name.replace("_", "-"), str(value)])
+        if f.name not in keys:
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args([command, flag, str(value)])
+            assert exc.value.code == EXIT_CONFIG
+            continue
+        assert unset[f.name] is None              # leaves the field alone
+        args = build_parser().parse_args([command, flag, str(value)])
         assert getattr(args, f.name) == value
         assert type(getattr(args, f.name)) is type(value)
+
+
+def test_a_flag_the_command_lacks_is_no_prefix_of_one_it_has(capsys):
+    # verify reads no drift: --b is refused, not taken for --beta
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--b", "5"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: --b 5" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["perturb", "--half", "3"])
+    assert exc.value.code == EXIT_CONFIG
 
 
 def test_short_aliases_set_their_fields(tmp_path):
@@ -649,7 +677,8 @@ def test_emit_decay_table(tmp_path):
 
 @pytest.mark.parametrize("argv", [["kernel", "--closed-form"],
                                   ["emit", "--what", "resolution",
-                                   "--tail-tol", "0.5"]])
+                                   "--tail-tol", "0.5"],
+                                  ["perturb", "--p-exponent", "6"]])
 def test_removed_flags_are_refused(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -657,7 +686,7 @@ def test_removed_flags_are_refused(argv):
 
 
 @pytest.mark.parametrize("line", ["closed_form = true", "tail_tol = 1e-3",
-                                  "max_iter = 50"])
+                                  "max_iter = 50", "p_exponent = 8"])
 def test_removed_config_keys_are_refused(tmp_path, capsys, line):
     (tmp_path / "run.cfg").write_text(line + "\n")
     code = main(["kernel", "--config", str(tmp_path / "run.cfg"),
@@ -677,6 +706,17 @@ def test_config_file_keeps_the_command_defaults(tmp_path, command, produced):
                  "--outdir", str(tmp_path / "file")]) == EXIT_OK
     assert (tmp_path / "file" / produced).read_bytes() == \
         (tmp_path / "plain" / produced).read_bytes()
+
+
+def test_config_file_keys_the_command_does_not_read_are_ignored(tmp_path):
+    # kernel reads no gamma, phi or stop_tol: gamma = 5 is not even checked
+    (tmp_path / "run.cfg").write_text(
+        "gamma = 5\nphi = bump\nstop_tol = 1e-3\n")
+    assert main(["kernel", "--outdir", str(tmp_path / "plain")]) == EXIT_OK
+    assert main(["kernel", "--config", str(tmp_path / "run.cfg"),
+                 "--outdir", str(tmp_path / "file")]) == EXIT_OK
+    assert (tmp_path / "file" / "g0_000_016.snap").read_bytes() == \
+        (tmp_path / "plain" / "g0_000_016.snap").read_bytes()
 
 
 def test_config_file_overrides_the_command_defaults(tmp_path):

@@ -8,9 +8,9 @@ from pseudoproc import (SpaceTimeGrid, PseudoGradientSpec,
                         constant_drift_kernel, constant_drift_values,
                         apply_pseudo_gradient, pseudo_gradient_g0,
                         singular_gradient_at, check_resolution,
-                        ResolutionError, UnsupportedConfiguration,
-                        chapman_defect, base_kernel_field,
-                        isotropic_symbol)
+                        ResolutionError, chapman_defect, base_kernel_field,
+                        isotropic_symbol, synthesize, constant_drift,
+                        PerturbationProblem)
 from pseudoproc.spectral import _bessel_j, _panels
 from pseudoproc.verify import self_similarity_defect
 
@@ -91,11 +91,16 @@ def test_closed_form_mass_and_negativity(sym, pg, default_grid):
     assert vals.min() < -1e-6
 
 
-def test_closed_form_rejects_custom_symbols(pg, default_grid):
+def test_closed_form_kernel_of_a_custom_symbol_equals_the_exact_rows(
+        pg, default_grid):
+    # the closed form exp(-a dt + (b, multiplier) dt) holds for any symbol a
     skew = SymbolSpec(alpha=1.5, variant="custom", dim=1, a0=1.0,
-                      evaluator=lambda lam: np.abs(lam) ** 1.5)
-    with pytest.raises(UnsupportedConfiguration):
-        constant_drift_values(skew, pg, [1.0], default_grid, 1.0)
+                      evaluator=lambda lam: np.abs(lam) ** 1.5
+                      * (1.0 + 0.2j * np.sign(lam)))
+    kernel = constant_drift_kernel(skew, pg, [1.0], default_grid, 1.0)
+    prob = PerturbationProblem(skew, pg, default_grid, constant_drift([1.0]))
+    exact = synthesize(default_grid, prob.closed_form_pair_rows([(0, 16)]))
+    assert np.abs(kernel.slice((0, 16)) - exact[0]).max() < 1e-15
 
 
 def test_custom_symbol_kernel_is_real_with_unit_mass(default_grid):
