@@ -11,9 +11,10 @@ whose slices stack dim components, shape (dim,) + lattice; "v" stays in
 memory and is never written.
 
 Fields are built whole and treated as immutable afterwards; slices may be
-handed across threads freely.  Slices may share memory: a field
-synthesized from rows that depend on the gap alone holds views of one
-stack.
+handed across threads freely.  For a drift constant in space and time the
+kernel depends on (s, t) only through the gap t - s: ``by_gap`` builds its
+stacks as views of the last one, and ``depends_on_gap`` recognizes them.
+The writers and the reader follow that rule, never the slices' content.
 
 Snapshot layout (one time slice per file, little-endian):
 
@@ -25,22 +26,19 @@ lattice shape.  The reader checks the header (dim 1 or 2, N even and at
 least 4, L and dt finite and positive, a known meaning) and the file size
 it implies before it reads the payload.
 
-:func:`snapshot_field` writes one snapshot per pair, ``<stem>_iii_jjj.snap``.
-Each distinct file content is written once; every other pair whose file
-would hold the same bytes (for drift constant in time, every pair of one
-gap) is a hard link to that file.  A name already in the directory is
-unlinked before it is written or linked, so no file of an earlier run is
-rewritten in place; edit a snapshot in place only after copying it.
+:func:`snapshot_field` writes one snapshot per pair, ``<stem>_iii_jjj.snap``;
+for a field that depends on the gap alone, the other pairs of a gap are
+hard links to the file of its first pair where the directory takes links.
+A name already in the directory is unlinked before it is written or
+linked, so no file of an earlier run is rewritten in place; edit a
+snapshot in place only after copying it.
 
 :func:`read_snapshot_fields` reads the snapshot groups of a directory back
 into fields, and :func:`write_csv` writes a field as one long-format CSV,
 ``<stem>.csv``, with columns ``i,j,i0[,i1],value``: one row per pair and
 lattice offset, the pairs in sorted (i, j) order and the offsets in C
 order.  Every value is written as its repr, so it parses back to the
-snapshot's float exactly.  The CSV is formatted in bulk, one write per
-pair, and the value text of each distinct slice is formatted once: pairs
-whose slices hold the same bytes reuse it, and only their ``i,j,`` lead is
-written afresh.
+snapshot's float exactly.
 """
 from __future__ import annotations
 
@@ -48,7 +46,6 @@ import math
 import os
 import re
 import struct
-from collections import Counter
 from dataclasses import dataclass
 from operator import add
 from typing import Dict, List, Sequence, Tuple
@@ -75,7 +72,9 @@ class FieldError(ValueError):
 
 @dataclass
 class KernelField:
-    """Real kernel samples per time pair, one stack per terminal index j."""
+    """Real kernel samples per time pair, one stack per terminal index j.
+    Stacks made by `by_gap` are written and formatted once per gap; equal
+    slices that are copies are written pair by pair."""
 
     grid: SpaceTimeGrid
     meaning: str
@@ -153,21 +152,6 @@ def depends_on_gap(stacks) -> bool:
 # snapshot + CSV
 # ---------------------------------------------------------------------------
 
-def _snapshot_bytes(path, grid: SpaceTimeGrid, meaning: str, dt: float,
-                    values: np.ndarray) -> bytes:
-    """The content of a snapshot file: header, then payload."""
-    if meaning not in MEANINGS:
-        raise FieldError(f"snapshot meaning {meaning!r} is not one of "
-                         f"{MEANINGS}", path)
-    if np.shape(values) != grid.shape():
-        raise FieldError(f"snapshot payload shape {np.shape(values)} != grid "
-                         f"{grid.shape()}", path)
-    tag = meaning.encode("ascii").ljust(8, b"\x00")
-    payload = np.ascontiguousarray(values, dtype="<f8")
-    return _HEADER.pack(grid.dim, grid.points_per_dim, grid.half_extent,
-                        dt, tag) + payload.tobytes()
-
-
 def _unlink(path):
     try:
         os.unlink(path)
@@ -179,10 +163,19 @@ def write_snapshot(path, grid: SpaceTimeGrid, meaning: str,
                    dt: float, values: np.ndarray):
     """Write one snapshot as a new file: a file already at `path` is
     unlinked, not rewritten, so the names linked to it keep their bytes."""
-    data = _snapshot_bytes(path, grid, meaning, dt, values)
+    if meaning not in MEANINGS:
+        raise FieldError(f"snapshot meaning {meaning!r} is not one of "
+                         f"{MEANINGS}", path)
+    if np.shape(values) != grid.shape():
+        raise FieldError(f"snapshot payload shape {np.shape(values)} != grid "
+                         f"{grid.shape()}", path)
+    tag = meaning.encode("ascii").ljust(8, b"\x00")
+    payload = np.ascontiguousarray(values, dtype="<f8")
     _unlink(path)
     with open(path, "wb") as fh:
-        fh.write(data)
+        fh.write(_HEADER.pack(grid.dim, grid.points_per_dim, grid.half_extent,
+                              dt, tag))
+        fh.write(payload)
 
 
 def read_snapshot(path):
@@ -240,7 +233,9 @@ def format_rows(head: str, prefixes: List[str], columns,
 def write_csv(path, field: KernelField):
     """A field as a plain-text table in long format, dot decimal: columns
     ``i, j``, the offset indices, then ``value``; the pairs follow one
-    another in sorted (i, j) order, one row per pair and offset in C order."""
+    another in sorted (i, j) order, one row per pair and offset in C order.
+    For a field that depends on the gap alone, each slice of the last stack
+    is formatted once and its text serves every pair of its gap."""
     grid = field.grid
     if field.meaning not in MEANINGS:
         raise FieldError(f"csv meaning {field.meaning!r} is not one of "
@@ -249,44 +244,39 @@ def write_csv(path, field: KernelField):
         - grid.points_per_dim // 2
     prefixes = csv_prefixes(offsets.tolist())
     names = ["i", "j"] + [f"i{k}" for k in range(grid.dim)] + ["value"]
-    pairs = field.pairs()
-    slices = [field.slice(pair) for pair in pairs]
-    # a slice's text is kept while a later slice may hold the same bytes
-    later = Counter(hash(s.tobytes()) for s in slices)
-    texts = {}
+
+    def text(vals):
+        return format_rows("", prefixes, [vals.ravel().tolist()])
+    shared, M = depends_on_gap(field.stacks), len(field.stacks) - 1
+    # slice k of the last stack M has the gap M - k
+    gap_texts = {M - k: text(vals) for k, vals in
+                 enumerate(field.stacks[M])} if shared else {}
     with open(path, "w", newline="") as fh:
         fh.write(",".join(names) + "\n")
-        for (i, j), vals in zip(pairs, slices):
-            data = vals.tobytes()
-            text = texts.pop(data, None)
-            if text is None:
-                text = format_rows("", prefixes, [vals.ravel().tolist()])
-            later[hash(data)] -= 1
-            if later[hash(data)]:
-                texts[data] = text
+        for (i, j) in field.pairs():
+            body = gap_texts[j - i] if shared else text(field.slice((i, j)))
             head = f"{i},{j},"
             # the lead on every row: each newline but the last gains it
-            fh.write(head + text.replace("\n", "\n" + head,
+            fh.write(head + body.replace("\n", "\n" + head,
                                          len(prefixes) - 1))
 
 
 def snapshot_field(field_obj, directory, stem: str):
     """Write one snapshot per stored pair of a field, named
-    ``<stem>_<i>_<j>.snap``, and return their paths.  Each distinct file
-    content (header and payload) is written once; a later pair with the
-    same content is a hard link to that file, or a file of its own where
-    the directory takes no link."""
+    ``<stem>_<i>_<j>.snap``, and return their paths.  For a field that
+    depends on the gap alone, the first pair of each gap is written and every
+    later pair of that gap is a hard link to its file, or a file of its own
+    where the directory takes no link; any other field gets one file per
+    pair."""
     grid, meaning = field_obj.grid, field_obj.meaning
+    shared = depends_on_gap(field_obj.stacks)
     first, paths = {}, []
     for (i, j) in field_obj.pairs():
         path = os.path.join(directory, f"{stem}_{i:03d}_{j:03d}.snap")
-        dt, values = field_obj.gap((i, j)), field_obj.slice((i, j))
-        data = _snapshot_bytes(path, grid, meaning, dt, values)
-        source = first.get(data)
-        if source is None:
-            first[data] = path
-        if source is None or not _link(source, path):
-            write_snapshot(path, grid, meaning, dt, values)
+        source = first.setdefault(j - i if shared else (i, j), path)
+        if source == path or not _link(source, path):
+            write_snapshot(path, grid, meaning, field_obj.gap((i, j)),
+                           field_obj.slice((i, j)))
         paths.append(path)
     return paths
 
@@ -307,7 +297,8 @@ def read_snapshot_fields(directory) -> Dict[str, KernelField]:
     must agree within a group, the pairs from the file names, and the grid's
     step from the headers' gaps; names of one file (hard links) are read
     once.  A group must hold the pairs (0, j) .. (n - 1, j) of each j it
-    names."""
+    names; one that holds every pair, with each gap's names on one file,
+    reads back by gap (`by_gap`)."""
     groups: Dict[str, Dict[PairKey, str]] = {}
     for name in os.listdir(directory):
         m = _SNAPSHOT_NAME.fullmatch(name)
@@ -348,5 +339,10 @@ def _read_group(stem: str, paths: Dict[PairKey, str]) -> KernelField:
             raise FieldError(f"no snapshot of the pair ({len(stacks[j])}, "
                              f"{j}) beside that of ({i}, {j})", paths[i, j])
         stacks[j].append(values)
+    # every pair, and the names of each gap one file: the gap rule on disk
+    if len(slices) == M * (M + 1) // 2 and all(
+            values is stacks[M][M - (j - i)]
+            for (i, j), values in slices.items()):
+        stacks = by_gap(np.array(stacks[M]))
     dim, N, L, meaning = head
     return KernelField(SpaceTimeGrid(dim, L, N, M * step, M), meaning, stacks)

@@ -659,10 +659,8 @@ def check_resolution_golden(fx: FixtureSet) -> List[CheckResult]:
     rep = check_resolution(sym, grid, 0.05)
     gt = GOLDEN_VALUES["resolution_tail"]
     gb = GOLDEN_VALUES["resolution_boundary"]
-    tail_ok = math.isclose(rep.spectral_tail, gt["value"],
-                           rel_tol=max(gt["rtol"], 1e-9))
-    bd_ok = math.isclose(rep.boundary_mass, gb["value"],
-                         rel_tol=max(gb["rtol"], 1e-6))
+    tail_ok = math.isclose(rep.spectral_tail, gt["value"], rel_tol=gt["rtol"])
+    bd_ok = math.isclose(rep.boundary_mass, gb["value"], rel_tol=gb["rtol"])
     return [
         _result("resolution-golden/tail", gt["grid"], rep.spectral_tail,
                 gt["value"], "band", tail_ok, "frozen-golden"),

@@ -19,7 +19,8 @@ from pseudoproc.cli import (RunConfig, ConfigError, main, EXIT_OK,
 from pseudoproc.evolution import apply_operator, constant_one
 from pseudoproc.drift import constant_drift
 from pseudoproc.fields import (KernelField, read_snapshot, write_csv,
-                               write_snapshot)
+                               write_snapshot, read_snapshot_fields,
+                               depends_on_gap)
 from pseudoproc.spectral import constant_drift_kernel, synthesize_g0
 from pseudoproc.volterra import ConvergenceMonitor, PerturbationProblem
 
@@ -462,6 +463,15 @@ def test_perturb_writes_every_file_where_links_fail(tmp_path, monkeypatch):
     assert copied == _snapshot_bytes_by_name(tmp_path / "linked")
     assert all(os.stat(p).st_nlink == 1
                for p in (tmp_path / "copied").glob("*.snap"))
+    # the links are the gap rule on disk: only the linked outdir reads back
+    # by gap, and both convert to the same long CSV
+    for sub, by_gap in (("linked", True), ("copied", False)):
+        [G] = read_snapshot_fields(tmp_path / sub).values()
+        assert depends_on_gap(G.stacks) == by_gap
+        assert main(["emit", "--what", "csv", "--outdir",
+                     str(tmp_path / sub)]) == EXIT_OK
+    assert (tmp_path / "copied" / "G.csv").read_bytes() == \
+        (tmp_path / "linked" / "G.csv").read_bytes()
 
 
 def test_perturb_summary_equals_the_per_pair_reductions(tmp_path, capsys):

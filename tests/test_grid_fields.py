@@ -9,6 +9,7 @@ import pytest
 from pseudoproc import (SpaceTimeGrid, GridError, KernelField, FieldError,
                         synthesize, analyze, convolve, interior_mask,
                         write_snapshot, read_snapshot, write_csv)
+from pseudoproc import fields as fields_module
 from pseudoproc.fields import (csv_prefixes, format_rows, snapshot_field,
                                read_snapshot_fields, by_gap, depends_on_gap)
 
@@ -391,7 +392,7 @@ def test_distinct_stacks_hold_each_viewed_slice_once():
     assert np.array_equal(stack, top[:2])
 
 
-def test_snapshot_field_links_the_pairs_of_equal_content(tmp_path):
+def test_snapshot_field_links_the_pairs_of_one_gap(tmp_path):
     grid = SpaceTimeGrid(1, 10.0, 8, 1.0, 4)
     top = np.random.default_rng(7).standard_normal((4, 8))
     for sub in ("gaps", "flat"):
@@ -405,11 +406,48 @@ def test_snapshot_field_links_the_pairs_of_equal_content(tmp_path):
         *_, dt, meaning, values = read_snapshot(path)
         assert (dt, meaning) == ((j - i) * grid.dt, "G")
         assert np.array_equal(values, top[4 - (j - i)])
+    # one file per gap, and the first pair of each gap, (0, gap), names it
     assert [len(inodes) for _, inodes in sorted(names.items())] == [1] * 4
-    # equal payloads at different gaps differ in the header's dt: no link
+    assert {g: os.stat(tmp_path / "gaps" / f"G_000_{g:03d}.snap").st_nlink
+            for g in names} == {1: 4, 2: 3, 3: 2, 4: 1}
+    # equal payloads at different gaps are different gaps: no link
     paths = snapshot_field(_gap_field(grid, np.ones((4, 8))),
                            tmp_path / "flat", "G")
     assert len({os.stat(p).st_ino for p in paths}) == 4
+
+
+def test_snapshot_field_writes_copies_pair_by_pair(tmp_path):
+    grid = SpaceTimeGrid(1, 10.0, 8, 1.0, 4)
+    shared = _gap_field(grid, np.random.default_rng(7).standard_normal((4, 8)))
+    copies = KernelField(grid, "G", [s.copy() for s in shared.stacks])
+    assert not depends_on_gap(copies.stacks)
+    for sub, field in (("gaps", shared), ("copies", copies)):
+        (tmp_path / sub).mkdir()
+        snapshot_field(field, tmp_path / sub, "G")
+    # equal values that are copies share no file, and each file holds the
+    # bytes of its name in the linked directory
+    files = sorted((tmp_path / "copies").iterdir())
+    assert len(files) == 10
+    assert all(os.stat(p).st_nlink == 1 for p in files)
+    assert all(p.read_bytes() == (tmp_path / "gaps" / p.name).read_bytes()
+               for p in files)
+
+
+def test_long_csv_formats_a_gap_field_once_per_gap(tmp_path, monkeypatch):
+    grid = SpaceTimeGrid(1, 10.0, 8, 1.0, 4)
+    shared = _gap_field(grid, np.random.default_rng(5).standard_normal((4, 8)))
+    copies = KernelField(grid, "G", [s.copy() for s in shared.stacks])
+    calls, counts = [], {}
+    monkeypatch.setattr(fields_module, "format_rows",
+                        lambda *a, **k: calls.append(a) or format_rows(*a, **k))
+    for name, field in (("shared", shared), ("copies", copies)):
+        write_csv(tmp_path / f"{name}.csv", field)
+        counts[name] = len(calls)
+        calls.clear()
+    # one format per gap, one per pair for copies: the same text
+    assert counts == {"shared": 4, "copies": 10}
+    assert (tmp_path / "shared.csv").read_bytes() == \
+        (tmp_path / "copies.csv").read_bytes()
 
 
 def test_snapshot_groups_read_back_as_their_fields(tmp_path):
@@ -424,6 +462,9 @@ def test_snapshot_groups_read_back_as_their_fields(tmp_path):
     (tmp_path / "G.csv").write_text("not a snapshot\n")
     read = read_snapshot_fields(tmp_path)
     assert sorted(read) == ["G", "g0"]
+    # all pairs, one file per gap: read back by gap; a lone pair is not
+    assert [depends_on_gap(read[s].stacks) for s in ("G", "g0")] == \
+        [True, False]
     for stem, field in fields.items():
         got = read[stem]
         assert (got.grid.dim, got.grid.points_per_dim, got.grid.half_extent,
