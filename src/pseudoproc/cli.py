@@ -2,13 +2,15 @@
 
 One binary with subcommands; all numerics live in the library modules.  A
 flat key-value config file can seed any run; each command has flags for, and
-reads, only its own keys (`_commands`).  Environment variables are unused.
+reads, only its own keys (`_commands`), and each `emit --what` target reads
+only its own (`_EMIT_TARGETS`).  Environment variables are unused.
 
 Exit codes: 0 success, 2 configuration error, unsupported configuration or
 a file that cannot be read or written (such as an --outdir under a regular
 file, or a snapshot off its layout), 3 resolution gate, 4 solver
-non-convergence or another numerical failure (a synthesized field with an
-imaginary residue), 5 verification failure.
+non-convergence or another numerical failure (a symbol that is not
+Hermitian, a(-lam) != conj a(lam), so that no real kernel has its
+spectrum), 5 verification failure.
 """
 from __future__ import annotations
 
@@ -30,8 +32,7 @@ from .fields import (FieldError, snapshot_field, read_snapshot_fields,
                      write_csv, csv_prefixes, format_rows)
 from .drift import constant_drift
 from .volterra import ConvergenceMonitor, ConvergenceError, PerturbationProblem
-from .evolution import (constant_one, fourier_mode, compact_bump,
-                        FUNCTION_RESIDUE_TOL)
+from .evolution import constant_one, fourier_mode, compact_bump
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -177,8 +178,15 @@ _FIELD_TYPES = {f.name: type(f.default) for f in dc_fields(RunConfig)}
 def _resolve_config(args, command_defaults=None) -> RunConfig:
     """Later sources win: the field defaults, the command's own defaults,
     the keys the config file sets, then flags.  The file and the flags set
-    only the keys the command reads; the others keep their defaults."""
-    keys = _commands()[args.command][2]
+    only the keys the command reads; the others keep their defaults.  A
+    flag that emit offers and its target does not read is an error."""
+    offered = _commands()[args.command][2]
+    keys = _EMIT_TARGETS[args.what] if args.command == "emit" else offered
+    unread = [key for key in offered
+              if key not in keys and getattr(args, key) is not None]
+    if unread:
+        raise ConfigError([f"emit --what {args.what} does not read "
+                           + "/".join(_flag_names(key)) for key in unread])
     cfg = RunConfig(**(command_defaults or {}))
     if args.config:
         cfg = RunConfig.from_file(args.config, base=cfg, keys=keys)
@@ -200,18 +208,12 @@ def cmd_kernel(args) -> int:
     os.makedirs(cfg.outdir, exist_ok=True)
     sym, grid, pg = cfg.symbol(), cfg.grid(), cfg.pgrad()
     bvec = cfg.drift_vector()
-    try:
-        if np.any(bvec):
-            field = constant_drift_kernel(sym, pg, bvec, grid, cfg.dt)
-            stem = "G_closed_form"
-        else:
-            field = synthesize_g0(sym, grid, cfg.dt)
-            stem = "g0"
-    except ResolutionError as err:
-        print(f"resolution gate: {err}", file=sys.stderr)
-        for k, v in (err.diagnostics or {}).items():
-            print(f"  {k} = {v}", file=sys.stderr)
-        return EXIT_RESOLUTION
+    if np.any(bvec):
+        field = constant_drift_kernel(sym, pg, bvec, grid, cfg.dt)
+        stem = "G_closed_form"
+    else:
+        field = synthesize_g0(sym, grid, cfg.dt)
+        stem = "g0"
     paths = snapshot_field(field, cfg.outdir, stem)
     pair = field.pairs()[0]
     vals = field.slice(pair)
@@ -245,8 +247,7 @@ def cmd_perturb(args) -> int:
     prefixes = csv_prefixes([m.ravel().tolist() for m in grid.mesh()])
     # u(t_i) = T_{t_i t} phi for every start index i, in one synthesis
     u = synthesize(grid, analyze(grid, G.stacks[grid.time_steps])
-                   * analyze(grid, phi.sample(grid)), require_real=True,
-                   tol=FUNCTION_RESIDUE_TOL)
+                   * analyze(grid, phi.sample(grid)))
     with open(os.path.join(cfg.outdir, "u_slices.csv"), "w",
               newline="") as fh:
         fh.write(",".join(["s_index"] + coords + ["u"]) + "\r\n")
@@ -295,8 +296,18 @@ def cmd_verify(args) -> int:
 def cmd_emit(args) -> int:
     cfg = _resolve_config(args)
     os.makedirs(cfg.outdir, exist_ok=True)
-    sym, grid = cfg.symbol(), cfg.grid()
     what = args.what
+    if what == "csv":
+        fields = read_snapshot_fields(cfg.outdir)
+        if not fields:
+            raise FieldError("no <stem>_iii_jjj.snap snapshots to convert",
+                             cfg.outdir)
+        for stem, field in fields.items():
+            path = os.path.join(cfg.outdir, f"{stem}.csv")
+            write_csv(path, field)
+            print(f"wrote {path}")
+        return EXIT_OK
+    sym, grid = cfg.symbol(), cfg.grid()
     if what == "profiles":
         if cfg.dim != 1:
             print("profile emission is one-dimensional", file=sys.stderr)
@@ -328,28 +339,15 @@ def cmd_emit(args) -> int:
                 w.writerow([repr(float(g)), repr(float(e))])
         print(f"wrote {path}")
         return EXIT_OK
-    if what == "csv":
-        fields = read_snapshot_fields(cfg.outdir)
-        if not fields:
-            raise FieldError("no <stem>_iii_jjj.snap snapshots to convert",
-                             cfg.outdir)
-        for stem, field in fields.items():
-            path = os.path.join(cfg.outdir, f"{stem}.csv")
-            write_csv(path, field)
-            print(f"wrote {path}")
-        return EXIT_OK
-    if what == "resolution":
-        rep = check_resolution(sym, grid, cfg.dt)
-        path = os.path.join(cfg.outdir, "resolution.csv")
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["quantity", "value"])
-            for k, v in rep.as_dict().items():
-                w.writerow([k, v])
-        print(f"wrote {path}")
-        return EXIT_OK
-    print(f"unknown emission target {what!r}", file=sys.stderr)
-    return EXIT_CONFIG
+    rep = check_resolution(sym, grid, cfg.dt)        # what == "resolution"
+    path = os.path.join(cfg.outdir, "resolution.csv")
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["quantity", "value"])
+        for k, v in rep.as_dict().items():
+            w.writerow([k, v])
+    print(f"wrote {path}")
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +359,14 @@ _SHORT_FLAGS = {"dim": "--d", "points": "--N", "half_extent": "--L",
                 "horizon": "--T", "steps": "--M", "drift": "--b"}
 
 
+def _flag_names(key) -> list:
+    """The flags of a key: --field-name, then its short alias, if any."""
+    names = ["--" + key.replace("_", "-")]
+    if key in _SHORT_FLAGS:
+        names.append(_SHORT_FLAGS[key])
+    return names
+
+
 def _add_config_flags(p: argparse.ArgumentParser, keys):
     """--config, --dump-config and one flag per key the command reads,
     named --field-name; an unset flag is None and leaves the field alone."""
@@ -369,16 +375,18 @@ def _add_config_flags(p: argparse.ArgumentParser, keys):
     for key, cast in _FIELD_TYPES.items():
         if key not in keys:
             continue
-        names = ["--" + key.replace("_", "-")]
-        if key in _SHORT_FLAGS:
-            names.append(_SHORT_FLAGS[key])
-        p.add_argument(*names, dest=key, type=cast,
+        p.add_argument(*_flag_names(key), dest=key, type=cast,
                        choices=PHI_CHOICES if key == "phi" else None)
 
 
 # the keys every command reads: the symbol, the lattice and where to write
 _LATTICE = ("alpha", "c", "dim", "points", "half_extent", "horizon", "steps",
             "outdir")
+# the keys each emit target reads; csv converts the snapshots in --outdir
+_EMIT_TARGETS = {"profiles": _LATTICE,
+                 "decay": _LATTICE + ("beta", "drift", "phi", "stop_tol"),
+                 "resolution": _LATTICE + ("dt",),
+                 "csv": ("outdir",)}
 
 
 def _commands() -> dict:
@@ -392,7 +400,8 @@ def _commands() -> dict:
                        _LATTICE + ("beta", "gamma", "stop_tol")),
             "emit": ("write plot-ready CSV data, or convert the snapshots "
                      "under --outdir to long-format CSV (--what csv)", cmd_emit,
-                     _LATTICE + ("beta", "drift", "phi", "stop_tol", "dt"))}
+                     tuple(dict.fromkeys(k for keys in _EMIT_TARGETS.values()
+                                         for k in keys)))}
 
 
 @functools.lru_cache(maxsize=None)      # parsing leaves the tree as it is
@@ -412,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="substring filter on check names ('' selects none)")
     parsers["emit"].add_argument(
         "--what", default="profiles",
-        choices=("profiles", "decay", "resolution", "csv"),
+        choices=tuple(_EMIT_TARGETS),
         help="csv: one <stem>.csv per <stem>_iii_jjj.snap group in --outdir")
     return ap
 
@@ -439,6 +448,8 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except ResolutionError as err:
         print(f"resolution gate: {err}", file=sys.stderr)
+        for k, v in (err.diagnostics or {}).items():
+            print(f"  {k} = {v}", file=sys.stderr)
         return EXIT_RESOLUTION
     except ConvergenceError as err:
         print(f"non-convergence: {err}", file=sys.stderr)

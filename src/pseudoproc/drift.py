@@ -64,9 +64,6 @@ class DriftField:
     def spatially_constant(self) -> bool:
         return self.kind in ("constant", "time")
 
-    def is_zero(self) -> bool:
-        return self.kind == "constant" and not np.any(self.vector)
-
     def at_time(self, t: float) -> np.ndarray:
         """Spatially-constant value at time t, shape (d,)."""
         if self.kind == "constant":

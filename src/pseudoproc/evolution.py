@@ -46,17 +46,13 @@ from typing import Callable, Dict, Optional, Sequence
 import numpy as np
 
 from .grid import (SpaceTimeGrid, GridError, synthesize, analyze, convolve,
-                   interior_mask, real_part)
+                   interior_mask)
 from .symbols import SymbolSpec, PseudoGradientSpec
 from .fields import KernelField
 from .drift import DriftField
 from .quadrature import (gauss_panels, exponential_tables, interval_rule,
                          carry_weights)
 from .volterra import ConvergenceMonitor, ConvergenceError, PerturbationProblem
-
-# imaginary-residue tolerance of a synthesized function-level field (u, w, an
-# operator's image); kernels keep the synthesis default
-FUNCTION_RESIDUE_TOL = 1e-6
 
 
 @dataclass
@@ -130,8 +126,7 @@ class EvolutionOperator:
         grid = self.kernel.grid
         samples = phi.sample(grid)
         K = self.kernel.spectrum(self.pair)
-        return synthesize(grid, K * analyze(grid, samples),
-                          require_real=True, tol=FUNCTION_RESIDUE_TOL)
+        return synthesize(grid, K * analyze(grid, samples))
 
 
 def apply_operator(kernel: KernelField, pair, phi: TestFunction) -> np.ndarray:
@@ -163,8 +158,7 @@ class GeneratorAction:
         F = analyze(grid, values)
         # -A u and the d pseudo-gradient components in one batched synthesis
         fields = synthesize(grid, np.concatenate(
-            [(self.sym.on_grid(grid) * F)[None], self.pg.multiplier(grid) * F]),
-            require_real=True, tol=FUNCTION_RESIDUE_TOL)
+            [(self.sym.on_grid(grid) * F)[None], self.pg.multiplier(grid) * F]))
         bvals = self.drift.sample(t, grid)
         return -fields[0] + (bvals * fields[1:]).sum(axis=0)
 
@@ -224,8 +218,7 @@ class TerminalValueProblem:
     def w0_at(self, taus) -> np.ndarray:
         """w0 slices at the times taus, shape (len(taus), d) + grid shape."""
         u0 = self._decay(self.times[self.j] - np.asarray(taus)) * self.phi_hat
-        return synthesize(self.grid, self.mult * u0[:, None],
-                          require_real=True, tol=FUNCTION_RESIDUE_TOL)
+        return synthesize(self.grid, self.mult * u0[:, None])
 
     def _drift_at(self, taus) -> np.ndarray:
         """Drift samples at the times taus, shape (len(taus), d) + grid shape."""
@@ -268,8 +261,7 @@ class TerminalValueProblem:
         times P(t_i) = (b, w)(t_i), so w(t_i), the synthesis of multiplier *
         spectrum i, depends on itself through P(t_i) alone.  Fixed-point
         iteration solves each step to an increment (lattice sup norm) below
-        monitor.stop_tol, and the accepted iterate passes the imaginary-
-        residue check; the monitor records the largest final increment.
+        monitor.stop_tol; the monitor records the largest final increment.
         Each node's last spectrum is kept for `assemble_u`."""
         if monitor is None:
             monitor = ConvergenceMonitor()
@@ -291,14 +283,11 @@ class TerminalValueProblem:
             for _ in range(_STEP_ITERATIONS):
                 p = self._pairing(r.b[i], w)
                 spectra[i] = known + weights[0] * p
-                field = synthesize(self.grid, self.mult * spectra[i],
-                                   require_real=False)
-                new = field.real
+                new = synthesize(self.grid, self.mult * spectra[i])
                 inc = float(np.sqrt(((new - w) ** 2).sum(axis=0)).max())
                 w = new
                 if not inc >= tol:             # converged, or not finite
                     break
-            real_part(self.grid, field, tol=FUNCTION_RESIDUE_TOL)
             worst = max(worst, inc)
             if not inc < tol:
                 monitor.record(inc, time.perf_counter() - start)
@@ -321,8 +310,7 @@ class TerminalValueProblem:
         march that produced w (w is the multiplier times each of them)."""
         if self._spectra is None:
             raise RuntimeError("assemble_u needs a march: call solve_w first")
-        return dict(enumerate(synthesize(self.grid, self._spectra, require_real=True,
-                                         tol=FUNCTION_RESIDUE_TOL)))
+        return dict(enumerate(synthesize(self.grid, self._spectra)))
 
     def solve(self, monitor: Optional[ConvergenceMonitor] = None
               ) -> Dict[int, np.ndarray]:

@@ -9,9 +9,19 @@ synthesis in this package goes through :func:`synthesize` /
     F(lam) = Int f(x) e^{-i(lam,x)} dx,
 
 discretized so that the discrete spectrum of a synthesized field equals
-the sampled transform exactly (no hidden scale factors).  N is even, so
-fftshift and ifftshift are one swap of the halves of each lattice axis,
-done here by slicing.  No other module calls np.fft.
+the sampled transform exactly (no hidden scale factors).
+
+Fields are real, so spectra are Hermitian, F(-lam) = conj F(lam), and are
+held as their half (`SpaceTimeGrid.spectrum_shape`): numpy's rfft / irfft in
+1-D and rfft2 / irfft2 in 2-D, with the modes 0 .. N/2 of the last axis.
+The symmetry is checked once, where a spectrum is made
+(`SymbolSpec.on_grid`).  Nyquist rule: lam = 0 and the Nyquist mode N/2 of
+the last axis are their own partners, and irfft keeps the real part of their
+coefficients, as the real part of a full-lattice synthesis does; so every
+Hermitian spectrum synthesizes to the field of the full complex transform,
+up to round-off.  N is even, so fftshift and ifftshift are one swap of the
+halves of each spatial axis, done here by slicing.  No other module calls
+np.fft.
 """
 from __future__ import annotations
 
@@ -26,7 +36,8 @@ class GridError(ValueError):
 
 
 class ImaginaryResidueError(GridError):
-    """A synthesized field kept an imaginary part: a numerical failure."""
+    """A spectrum is not Hermitian, so no real field has it: a numerical
+    failure."""
 
 
 @dataclass(frozen=True)
@@ -87,34 +98,35 @@ class SpaceTimeGrid:
 
     # -- frequency lattice -----------------------------------------------
     def freq_axis(self) -> np.ndarray:
-        """FFT-ordered frequencies along one axis (spacing pi / L)."""
+        """FFT-ordered frequencies along one full axis (spacing pi / L)."""
         return 2.0 * np.pi * np.fft.fftfreq(self.points_per_dim, d=self.dx)
 
     def freq_mesh(self):
-        k = self.freq_axis()
+        """Frequency components on the half lattice: the last axis holds
+        the modes 0 .. N/2, the first axis of a 2-D lattice all N."""
+        half = 2.0 * np.pi * np.fft.rfftfreq(self.points_per_dim, d=self.dx)
         if self.dim == 1:
-            return (k,)
-        return tuple(np.meshgrid(k, k, indexing="ij"))
+            return (half,)
+        return tuple(np.meshgrid(self.freq_axis(), half, indexing="ij"))
 
     def freq_norm(self) -> np.ndarray:
-        """|lam| on the FFT-ordered frequency lattice."""
+        """|lam| on the half lattice."""
         if self.dim == 1:
-            return np.abs(self.freq_axis())
-        kx, ky = self.freq_mesh()
-        return np.hypot(kx, ky)
+            return self.freq_mesh()[0]
+        return np.hypot(*self.freq_mesh())
 
     def nyquist_mask(self) -> np.ndarray:
-        """Boolean mask of modes containing a Nyquist component on any axis.
-
-        The Nyquist frequency -N/2 has no positive partner on an even
-        lattice, so odd multipliers are zeroed there to keep synthesized
-        fields real.
-        """
+        """Boolean mask of the half lattice's modes with a Nyquist component
+        on any axis, where odd multipliers are zeroed to keep fields real."""
         N = self.points_per_dim
-        hit = np.arange(N) == N // 2  # fftfreq puts -N/2 at index N//2
+        hit = np.arange(N // 2 + 1) == N // 2
         if self.dim == 1:
             return hit
-        return hit[:, None] | hit[None, :]
+        return (np.arange(N) == N // 2)[:, None] | hit[None, :]
+
+    def spectrum_shape(self) -> tuple:
+        """Shape of a half spectrum: (N/2 + 1,), or (N, N/2 + 1) in 2-D."""
+        return self.shape()[1:] + (self.points_per_dim // 2 + 1,)
 
     # -- time partition ---------------------------------------------------
     @property
@@ -136,70 +148,53 @@ class SpaceTimeGrid:
 # transform helpers
 # ---------------------------------------------------------------------------
 
-_FFT, _IFFT = {1: np.fft.fft, 2: np.fft.fft2}, {1: np.fft.ifft, 2: np.fft.ifft2}
+_FFT, _IFFT = {1: np.fft.rfft, 2: np.fft.rfft2}, {1: np.fft.irfft, 2: np.fft.irfft2}
 
 
-def _lattice(grid: SpaceTimeGrid, a) -> np.ndarray:
-    """a as an array whose trailing grid.dim axes are the lattice."""
+def _lattice(a, shape) -> np.ndarray:
+    """a as an array whose trailing axes have the given lattice shape."""
     a = np.asarray(a)
-    if a.shape[-grid.dim:] != grid.shape():
+    if a.shape[-len(shape):] != shape:
         raise GridError(f"an array of shape {a.shape} does not end in the "
-                        f"lattice shape {grid.shape()}")
+                        f"lattice shape {shape}")
     return a
 
 
 def _half_swap(a: np.ndarray, dim: int) -> np.ndarray:
-    """Swap the halves of each trailing lattice axis: fftshift and ifftshift."""
+    """Swap the halves of each trailing spatial axis: fftshift and ifftshift."""
     h = a.shape[-1] // 2
     a = np.concatenate((a[..., h:], a[..., :h]), axis=-1)
     return a if dim == 1 else np.concatenate((a[..., h:, :], a[..., :h, :]), axis=-2)
 
 
-def synthesize(grid: SpaceTimeGrid, spectrum: np.ndarray,
-               require_real: bool = True, tol: float = 1e-9) -> np.ndarray:
-    """Centered field samples from FFT-ordered transform samples.
+def synthesize(grid: SpaceTimeGrid, spectrum: np.ndarray) -> np.ndarray:
+    """Centered real field samples from half-lattice transform samples.
 
-    Implements f(x_j) = (2 pi)^{-d} sum_k F(lam_k) e^{i(lam_k, x_j)} dlam^d,
-    which reduces to ifftn up to the factor dx^{-d}.  Only the trailing
-    grid.dim axes, which must be the lattice, are transformed, so a stack
-    of spectra gives the stack of fields, and with require_real every field
-    passes the imaginary-residue check on its own scale.
+    Implements f(x_j) = (2 pi)^{-d} sum_k F(lam_k) e^{i(lam_k, x_j)} dlam^d
+    over the Hermitian extension of the half spectrum, which reduces to
+    irfftn up to the factor dx^{-d}.  Only the trailing axes, which must be
+    the half lattice, are transformed, so a stack of spectra gives the
+    stack of fields.
     """
-    vals = synthesize_unshifted(grid, spectrum)
-    if require_real:
-        vals = real_part(grid, vals, tol)
-    return _half_swap(vals, grid.dim)
+    return _half_swap(synthesize_unshifted(grid, spectrum), grid.dim)
 
 
 def synthesize_unshifted(grid: SpaceTimeGrid,
                          spectrum: np.ndarray) -> np.ndarray:
-    """`synthesize` with require_real=False, its points left in FFT order:
-    the complex samples without the half swap, which only permutes them,
-    for reductions over the lattice such as a sup norm."""
-    vals = _IFFT[grid.dim](_lattice(grid, spectrum))
+    """`synthesize` with its points left in FFT order: the samples without
+    the half swap, which only permutes them, for reductions over the
+    lattice such as a sup norm."""
+    vals = _IFFT[grid.dim](_lattice(spectrum, grid.spectrum_shape()))
     vals /= grid.cell_volume
     return vals
 
 
-def real_part(grid: SpaceTimeGrid, vals, tol: float = 1e-9) -> np.ndarray:
-    """Real part of synthesized fields that pass the imaginary-residue check."""
-    # maxima over the lattice, which the half swap only permutes
-    axes = tuple(range(-grid.dim, 0))
-    resid = np.abs(vals.imag).max(axis=axes)
-    bad = resid > tol * np.maximum(np.abs(vals.real).max(axis=axes), 1.0)
-    if bad.any():
-        raise ImaginaryResidueError(
-            f"imaginary residue {resid[bad].max():.3e} above tolerance; "
-            "spectrum is not Hermitian")
-    return vals.real
-
-
 def analyze(grid: SpaceTimeGrid, values: np.ndarray) -> np.ndarray:
-    """FFT-ordered transform samples of a centered field (inverse of synthesize).
-
-    Like `synthesize`, it transforms only the trailing grid.dim axes.
+    """Half-lattice transform samples of a centered real field (inverse of
+    synthesize).  Like `synthesize`, it transforms only the trailing
+    grid.dim axes.
     """
-    out = _FFT[grid.dim](_half_swap(_lattice(grid, values), grid.dim))
+    out = _FFT[grid.dim](_half_swap(_lattice(values, grid.shape()), grid.dim))
     out *= grid.cell_volume
     return out
 
@@ -207,9 +202,9 @@ def analyze(grid: SpaceTimeGrid, values: np.ndarray) -> np.ndarray:
 def convolve(grid: SpaceTimeGrid, f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Discrete (circular) convolution with cell-volume weight, taken like
     `synthesize` over the trailing lattice axes."""
-    f, g = (_FFT[grid.dim](_half_swap(_lattice(grid, x), grid.dim)) for x in (f, g))
-    out = _IFFT[grid.dim](f * g) * grid.cell_volume
-    return _half_swap(out.real, grid.dim)
+    f, g = (_FFT[grid.dim](_half_swap(_lattice(x, grid.shape()), grid.dim))
+            for x in (f, g))
+    return _half_swap(_IFFT[grid.dim](f * g) * grid.cell_volume, grid.dim)
 
 
 def interior_mask(grid: SpaceTimeGrid, margin: float = 0.1) -> np.ndarray:

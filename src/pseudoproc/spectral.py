@@ -194,8 +194,7 @@ def apply_pseudo_gradient(f: Union[np.ndarray, Callable],
             raise ValueError("sample array does not match the grid")
     if np.any(~np.isfinite(samples)):
         raise ValueError("input contains non-finite values")
-    F = analyze(grid, samples)
-    return np.stack([synthesize(grid, m * F) for m in pg.multiplier(grid)])
+    return synthesize(grid, pg.multiplier(grid) * analyze(grid, samples))
 
 
 def _panels(eps, R, per_decade, osc_scale=None):
@@ -309,8 +308,7 @@ def plane_wave_consistency(pg: PseudoGradientSpec, lam_norm: float,
 def pseudo_gradient_g0(sym: SymbolSpec, pg: PseudoGradientSpec,
                        grid: SpaceTimeGrid, dt: float) -> np.ndarray:
     """Direct synthesis of the pseudo-gradient of g0 (component stack)."""
-    F = np.exp(-sym.on_grid(grid) * dt)
-    return np.stack([synthesize(grid, m * F) for m in pg.multiplier(grid)])
+    return synthesize(grid, pg.multiplier(grid) * np.exp(-sym.on_grid(grid) * dt))
 
 
 def chapman_defect(sym: SymbolSpec, grid: SpaceTimeGrid,

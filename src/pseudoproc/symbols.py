@@ -25,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grid import SpaceTimeGrid
+from .grid import SpaceTimeGrid, ImaginaryResidueError
 
 
 class SymbolError(ValueError):
@@ -123,11 +123,27 @@ class SymbolSpec:
         return np.asarray(self.evaluator(*components))
 
     def on_grid(self, grid: SpaceTimeGrid) -> np.ndarray:
-        """Symbol samples on the FFT-ordered frequency lattice (0 at lam = 0)."""
+        """Symbol samples on the half frequency lattice (0 at lam = 0).
+
+        A custom symbol must satisfy a(-lam) = conj a(lam) on the lattice to
+        1e-9 relative, since a half spectrum stands for a Hermitian one;
+        otherwise `ImaginaryResidueError`.  Isotropic symbols are real and
+        even, and skip the check.
+        """
         if grid.dim != self.dim:
             raise SymbolError("grid dimension does not match symbol dimension")
-        vals = np.asarray(self(*grid.freq_mesh()), dtype=complex)
-        vals[grid.freq_norm() == 0] = 0.0  # homogeneity forces a(0) = 0
+        mesh = grid.freq_mesh()
+        vals = np.asarray(self(*mesh), dtype=complex)
+        origin = grid.freq_norm() == 0
+        vals[origin] = 0.0  # homogeneity forces a(0) = 0
+        if self.variant == "custom":
+            defect = np.abs(self(*(-k for k in mesh)) - np.conj(vals))
+            defect[origin] = 0.0
+            worst = float((defect / np.maximum(np.abs(vals), 1e-300)).max())
+            if worst > 1e-9:
+                raise ImaginaryResidueError(
+                    f"symbol is not Hermitian: a(-lam) differs from "
+                    f"conj a(lam) by {worst:.3e} relative on the lattice")
         return vals
 
     # -- admissibility checks ----------------------------------------------
@@ -193,10 +209,12 @@ class PseudoGradientSpec:
         return pseudo_gradient_normalizer(self.beta, self.dim)
 
     def multiplier(self, grid: SpaceTimeGrid) -> np.ndarray:
-        """FFT-ordered samples of i lam |lam|^{beta-1}, shape (dim, ...).
+        """Samples of i lam |lam|^{beta-1} on the half frequency lattice,
+        shape (dim,) + grid.spectrum_shape().
 
-        The lam = 0 value is the radial limit 0; Nyquist rows are zeroed so
-        that real fields map to real fields on the even lattice.
+        The lam = 0 value is the radial limit 0; Nyquist modes are zeroed,
+        since the odd multiplier is imaginary there and a self-conjugate
+        mode of a real field is real.
         """
         if grid.dim != self.dim:
             raise ValueError("grid dimension does not match pseudo-gradient")
@@ -204,10 +222,5 @@ class PseudoGradientSpec:
         with np.errstate(divide="ignore", invalid="ignore"):
             radial = norm ** (self.beta - 1.0)
         radial[norm == 0] = 0.0
-        kill = grid.nyquist_mask()
-        comps = []
-        for k in grid.freq_mesh():
-            m = 1j * k * radial
-            m[kill] = 0.0
-            comps.append(m)
-        return np.stack(comps)
+        radial[grid.nyquist_mask()] = 0.0
+        return np.stack([1j * k * radial for k in grid.freq_mesh()])

@@ -93,8 +93,9 @@ def beta_rate_factor(k: int, theta: float, q: float) -> float:
 class KernelRows(list):
     """Kernel mode rows by terminal index: rows[j] stacks the rows (i, j), i < j.
 
-    rows[j] has shape (j,) + lattice, vector rows (j, d) + lattice; rows[0]
-    is empty.  The discrete identity couples only the rows of one j.
+    rows[j] has shape (j,) + the half lattice of `grid.spectrum_shape`,
+    vector rows (j, d) + that shape; rows[0] is empty.  The discrete
+    identity couples only the rows of one j.
     """
 
     def items(self):
@@ -151,7 +152,7 @@ class PerturbationProblem:
         return np.exp(np.outer(-self.times, self.a.ravel()))
 
     def _rows(self, flat) -> np.ndarray:
-        """A (j, modes) array of rows (i, j) as a (j,) + lattice stack."""
+        """A (j, modes) array of rows (i, j) as a (j,) + half-lattice stack."""
         return np.ascontiguousarray(flat).reshape((len(flat),) + self.a.shape)
 
     def _per_terminal(self, stack, *inputs) -> KernelRows:
@@ -205,9 +206,9 @@ class PerturbationProblem:
 
     def row_max_norm(self, rows: np.ndarray) -> np.ndarray:
         """Lattice sup of each synthesized scalar or vector row of a stack."""
-        comps = synthesize_unshifted(self.grid, rows)
-        comps = comps.reshape((len(rows), -1, self.a.size))
-        return np.sqrt((np.abs(comps) ** 2).sum(1)).max(1)
+        points = self.grid.points_per_dim ** self.grid.dim
+        comps = synthesize_unshifted(self.grid, rows).reshape(len(rows), -1, points)
+        return np.sqrt((comps ** 2).sum(1)).max(1)
 
     # -- solve ---------------------------------------------------------------
     def solve_v(self, monitor: ConvergenceMonitor) -> KernelRows:
@@ -217,11 +218,6 @@ class PerturbationProblem:
         from i = j - 1 down to 0; for b constant in time that is j = M
         alone, and G_j is the view G_M[M - j:].  The monitor records the
         largest residual (lattice sup norm) and spectral radius."""
-        if self.b.is_zero():
-            # exact short-circuit: zero drift collapses the series to g
-            monitor.spectral_radius = 0.0
-            monitor.record(0.0, 0.0)
-            return self.g_rows()
         start = _time.perf_counter()
         # the carried rows' diagonals: c[i, 0] for i <= M - 4
         radii = [np.abs(self._carry[:self.M - 3, 0]).max() if self.M > 3 else 0.0]

@@ -157,10 +157,18 @@ def test_no_command_loads_scipy(tmp_path):
     assert run.stdout.splitlines() == ["[]", "['pseudoproc.verify']"]
 
 
-def test_kernel_resolution_gate_exit(tmp_path):
+def test_kernel_resolution_gate_exit(tmp_path, capsys):
     code = main(["kernel", "--points", "64", "--half-extent", "40",
                  "--dt", "0.01", "--outdir", str(tmp_path / "r")])
     assert code == EXIT_RESOLUTION
+    # the gate's message, then one line per diagnostic
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("resolution gate: spectral tail ")
+    assert err[0].endswith(" at dt=0.01 exceeds 1e-06; enlarge N or the time gap")
+    assert [line.split(" = ")[0] for line in err[1:]] == [
+        "  spectral_tail", "  boundary_mass", "  wraparound_mass", "  dt_min",
+        "  tail_ok", "  boundary_ok", "  passed"]
+    assert "  tail_ok = False" in err
 
 
 # a nonzero drift selects the closed-form kernel
@@ -272,8 +280,9 @@ def test_a_flag_the_command_lacks_is_no_prefix_of_one_it_has(capsys):
 
 
 def test_short_aliases_set_their_fields(tmp_path):
+    # decay reads every key that has a short alias
     dumped = tmp_path / "resolved.cfg"
-    assert main(["emit", "--what", "resolution", "--d", "1", "--N", "64",
+    assert main(["emit", "--what", "decay", "--d", "1", "--N", "64",
                  "--L", "20", "--T", "0.5", "--M", "4", "--b", "0.5",
                  "--dump-config", str(dumped),
                  "--outdir", str(tmp_path / "out")]) == EXIT_OK
@@ -673,6 +682,43 @@ def test_emit_profiles_and_resolution(tmp_path):
     assert (out / "resolution.csv").exists()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["--what", "csv", "--alpha", "3"], "--alpha"),
+    (["--what", "profiles", "--b", "40"], "--drift/--b"),
+    (["--what", "profiles", "--drift", "40"], "--drift/--b"),
+    (["--what", "resolution", "--phi", "bump"], "--phi"),
+    (["--what", "csv", "--N", "64"], "--points/--N"),
+    (["--stop-tol", "5"], "--stop-tol"),
+])
+def test_emit_refuses_a_flag_its_target_does_not_read(tmp_path, capsys, argv,
+                                                      flag):
+    target = argv[argv.index("--what") + 1] if "--what" in argv else "profiles"
+    out = tmp_path / "e"
+    assert main(["emit"] + argv + ["--outdir", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        f"config error: emit --what {target} does not read {flag}\n"
+    assert not out.exists()
+
+
+def test_emit_targets_ignore_config_keys_they_do_not_read(tmp_path):
+    # alpha = 3 and b = nan would be refused by a target that reads them
+    run = tmp_path / "run.cfg"
+    run.write_text("alpha = 3\ndrift = nan\nstop_tol = -1\n")
+    out = tmp_path / "e"
+    assert main(["perturb", "--points", "64", "--steps", "4",
+                 "--outdir", str(out)]) == EXIT_OK
+    assert main(["emit", "--what", "csv", "--config", str(run),
+                 "--outdir", str(out)]) == EXIT_OK
+    assert (out / "G.csv").exists()
+    run.write_text("drift = nan\nstop_tol = -1\nphi = nope\n")
+    assert main(["emit", "--what", "profiles", "--config", str(run),
+                 "--points", "64", "--steps", "4", "--outdir", str(out)]) \
+        == EXIT_OK
+    assert main(["emit", "--what", "decay", "--config", str(run),
+                 "--points", "64", "--steps", "4", "--outdir", str(out)]) \
+        == EXIT_CONFIG
+
+
 def test_emit_decay_table(tmp_path):
     out = tmp_path / "d"
     assert main(["emit", "--what", "decay", "--points", "128",
@@ -766,22 +812,24 @@ def test_dump_config_round_trip_through_cli(tmp_path):
     assert cfg.points == 256 and cfg.half_extent == 30.0
 
 
-def test_imaginary_residue_is_a_numerical_failure(monkeypatch, capsys):
-    # a spectrum without its Hermitian partner mode: synthesize rejects it
-    from pseudoproc import GridError, SpaceTimeGrid, synthesize
+def test_imaginary_residue_is_a_numerical_failure(tmp_path, monkeypatch,
+                                                   capsys):
+    # a custom symbol with a(-lam) = a(lam) complex: no real kernel has its
+    # spectrum, and the symbol is refused where it is sampled on the lattice
+    from pseudoproc import GridError, SymbolSpec
     import pseudoproc.cli as cli
 
-    def unpaired_mode(args):
-        grid = SpaceTimeGrid(1, 5.0, 16, 1.0, 4)
-        spectrum = np.zeros(16, complex)
-        spectrum[3] = 1.0
-        synthesize(grid, spectrum)
-
-    monkeypatch.setattr(cli, "cmd_kernel", unpaired_mode)
-    assert main(["kernel"]) == EXIT_NONCONVERGENCE
-    err = capsys.readouterr().err
-    assert "numerical failure: imaginary residue" in err
-    assert "config error" not in err
+    tilted = SymbolSpec(alpha=1.5, variant="custom", dim=1, a0=1.0,
+                        evaluator=lambda lam: np.abs(lam) ** 1.5 * (1.0 + 0.2j))
+    monkeypatch.setattr(cli.RunConfig, "symbol", lambda self: tilted)
+    for command in ("kernel", "perturb"):
+        out = tmp_path / command
+        assert main([command, "--points", "256", "--half-extent", "40",
+                     "--outdir", str(out)]) == EXIT_NONCONVERGENCE
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: symbol is not Hermitian")
+        assert "config error" not in err
+        assert not list(out.iterdir())
     # every other GridError is still a config error
     def bad_grid(args):
         raise GridError("points_per_dim must be an even integer >= 4")

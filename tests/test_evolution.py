@@ -239,8 +239,7 @@ def _two_pass_march(prob):
     for i, known, weight in march(R):
         for _ in range(_STEP_ITERATIONS):
             R[i] = prob._pairing(b[i], w - w0[i])
-            new = synthesize(grid, prob.mult * (known + weight * R[i]),
-                             require_real=True, tol=1e-6)
+            new = synthesize(grid, prob.mult * (known + weight * R[i]))
             inc, w = float(np.sqrt(((new - w) ** 2).sum(axis=0)).max()), new
             if not inc >= tol:
                 break
@@ -249,7 +248,7 @@ def _two_pass_march(prob):
     spectra = np.empty_like(R)
     for i, known, weight in march(R):
         spectra[i] = known + weight * R[i]
-    return w_all, synthesize(grid, spectra, require_real=True, tol=1e-6)
+    return w_all, synthesize(grid, spectra)
 
 
 def _space_time_problem(dim, terminal_index=None, symbol=None):
@@ -304,11 +303,12 @@ def test_u_is_the_march_own_iterate(dim):
 
 def test_a_non_hermitian_march_raises_imaginary_residue():
     from pseudoproc import ImaginaryResidueError
-    prob = _space_time_problem(1)
-    # a datum term without the Hermitian symmetry: no real w solves the step
-    prob._rule.carried = prob._rule.carried * (1.0 + 0.5j)
+    # a(-lam) = a(lam) with a complex value: no real field has exp(-a dt)
+    # as its spectrum, so the problem is refused where the symbol is sampled
+    tilted = SymbolSpec(alpha=1.5, variant="custom", dim=1, a0=1.0,
+                        evaluator=lambda lam: np.abs(lam) ** 1.5 * (1.0 + 0.2j))
     with pytest.raises(ImaginaryResidueError, match="not Hermitian"):
-        prob.solve_w()
+        _space_time_problem(1, symbol=tilted)
 
 
 def test_assemble_u_refuses_before_a_march():
@@ -445,7 +445,7 @@ def _etdrk4(sym, pg, grid, b, phi, substeps=4, points=32):
     E, E2 = np.exp(z), np.exp(z / 2)
 
     def N(v, sigma):
-        w = synthesize(grid, mult * v, require_real=False).real
+        w = synthesize(grid, mult * v)
         return analyze(grid, (b.sample(t - sigma, grid) * w).sum(axis=0))
 
     v, sigma, out = analyze(grid, phi.sample(grid)), 0.0, {}
@@ -459,7 +459,7 @@ def _etdrk4(sym, pg, grid, b, phi, substeps=4, points=32):
             r = E2 * p + Q * (2 * Nq - Nv)
             v = E * v + f1 * Nv + 2 * f2 * (Np + Nq) + f3 * N(r, sigma + h)
             sigma += h
-        out[i] = synthesize(grid, v, require_real=False).real
+        out[i] = synthesize(grid, v)
     return out
 
 
@@ -574,7 +574,7 @@ def test_stability_table_matches_per_pair_transforms(sym, pg, small_grid):
     for row, (_, b1, b2) in zip(table, pairs):
         kernels = [PerturbationProblem(sym, pg, small_grid, b).solve_v(
             ConvergenceMonitor(stop_tol=1e-9)) for b in (b1, b2)]
-        worst = max(float((np.abs(np.fft.ifftn(row - kernels[1][j][i]))
+        worst = max(float((np.abs(np.fft.irfft(row - kernels[1][j][i]))
                            / small_grid.cell_volume).max())
                     for (i, j), row in kernels[0].items())
         assert row.kernel_distance == pytest.approx(worst, rel=1e-14, abs=0.0)

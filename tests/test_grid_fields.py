@@ -39,19 +39,13 @@ def test_grid_validation():
 
 def test_synthesize_analyze_roundtrip(default_grid):
     rng = np.random.default_rng(7)
-    spec = rng.normal(size=256) + 1j * rng.normal(size=256)
-    # make it Hermitian so the field is real
-    spec = spec + np.conj(spec[np.r_[0, 256 - 1:0:-1]])
+    spec = rng.normal(size=129) + 1j * rng.normal(size=129)
+    # lam = 0 and the Nyquist mode are their own partners: real for a field
+    spec[[0, -1]] = spec[[0, -1]].real
     vals = synthesize(default_grid, spec)
+    assert vals.shape == (256,) and vals.dtype == float
     back = analyze(default_grid, vals)
     assert np.allclose(back, spec, atol=1e-12)
-
-
-def test_synthesize_rejects_nonhermitian(default_grid):
-    spec = np.zeros(256, dtype=complex)
-    spec[3] = 1.0  # no conjugate partner
-    with pytest.raises(GridError, match="Hermitian"):
-        synthesize(default_grid, spec)
 
 
 @pytest.mark.parametrize("dim, points", [(1, 64), (2, 16)])
@@ -62,7 +56,7 @@ def test_transforms_of_a_stack_equal_per_slice_transforms(dim, points):
     rng = np.random.default_rng(11)
     fields = rng.normal(size=(3, 2) + grid.shape())
     spectra = analyze(grid, fields)
-    assert spectra.shape == fields.shape
+    assert spectra.shape == (3, 2) + grid.spectrum_shape()
     for k in np.ndindex(3, 2):
         assert np.array_equal(spectra[k], analyze(grid, fields[k]))
     back = synthesize(grid, spectra)
@@ -71,20 +65,45 @@ def test_transforms_of_a_stack_equal_per_slice_transforms(dim, points):
     assert np.allclose(back, fields, atol=1e-12)
 
 
+def _hermitian_extension(grid, half):
+    """The full FFT-ordered lattice of a half spectrum: mode -lam holds
+    conj F(lam) wherever the half lattice lacks it."""
+    N = grid.points_per_dim
+    full = np.zeros(half.shape[:-1] + (N,), complex)
+    full[..., :N // 2 + 1] = half
+    mirror = half if grid.dim == 1 else half[..., (-np.arange(N)) % N, :]
+    full[..., N // 2 + 1:] = np.conj(mirror[..., 1:N // 2][..., ::-1])
+    return full
+
+
 @pytest.mark.parametrize("dim, points", [(1, 64), (2, 16)])
-def test_stack_with_one_nonhermitian_slice_is_rejected(dim, points):
+def test_half_spectra_equal_the_full_transforms_of_their_hermitian_extension(
+        dim, points):
     grid = SpaceTimeGrid(dim, 5.0, points, 1.0, 4)
-    rng = np.random.default_rng(12)
-    spectra = analyze(grid, 1e3 * rng.normal(size=(4,) + grid.shape()))
-    spectra[2] *= 1e-3
-    # an unpaired mode leaves an imaginary residue of about 1e-7: above the
-    # tolerance on slice 2's own scale (~1), below it on the stack's (~1e3)
-    spectra[2][(3,) * dim] += 1e-7 * (2 * grid.half_extent) ** dim
-    synthesize(grid, spectra[[0, 1, 3]])
-    with pytest.raises(GridError, match="Hermitian"):
-        synthesize(grid, spectra)
-    with pytest.raises(GridError, match="Hermitian"):
-        synthesize(grid, spectra[2])
+    axes = tuple(range(-dim, 0))
+    rng = np.random.default_rng(23)
+    fields = rng.normal(size=(3,) + grid.shape())
+    # analyze keeps the modes 0 .. N/2 of the last axis of the full spectrum
+    full = np.fft.fftn(np.fft.ifftshift(fields, axes=axes), axes=axes)
+    full *= grid.cell_volume
+    spectra = analyze(grid, fields)
+    assert np.allclose(spectra, full[..., :points // 2 + 1], rtol=0,
+                       atol=1e-13 * np.abs(full).max())
+    assert np.allclose(_hermitian_extension(grid, spectra), full, rtol=0,
+                       atol=1e-13 * np.abs(full).max())
+    # any half spectrum synthesizes as its Hermitian extension does; the
+    # self-conjugate modes (lam = 0, Nyquist) keep their real part, as the
+    # real part of the full synthesis does
+    noise = rng.normal(size=(3,) + grid.spectrum_shape()) \
+        + 1j * rng.normal(size=(3,) + grid.spectrum_shape())
+    ref = np.fft.fftshift(np.fft.ifftn(_hermitian_extension(grid, noise),
+                                       axes=axes), axes=axes) / grid.cell_volume
+    got = synthesize(grid, noise)
+    assert got.dtype == float
+    assert np.allclose(got, ref.real, rtol=0, atol=1e-13 * np.abs(ref).max())
+    nyquist = noise.copy()
+    nyquist[..., [0, -1]] += 1j
+    assert np.allclose(synthesize(grid, nyquist), got, rtol=0, atol=1e-14)
 
 
 def test_convolution_matches_direct_sum():
@@ -100,23 +119,19 @@ def test_convolution_matches_direct_sum():
     assert np.allclose(conv, direct, atol=1e-12)
 
 
-def _reference_synthesize(grid, spectrum, require_real=True, tol=1e-9):
-    """synthesize in the numpy reference form: ifftn and fftshift."""
+def _reference_synthesize(grid, spectrum):
+    """synthesize in the numpy reference form: irfftn and fftshift."""
     axes = tuple(range(-grid.dim, 0))
-    vals = np.fft.fftshift(np.fft.ifftn(spectrum, axes=axes), axes=axes)
+    vals = np.fft.fftshift(np.fft.irfftn(spectrum, s=grid.shape(), axes=axes),
+                           axes=axes)
     vals /= grid.cell_volume
-    if require_real:
-        resid = np.abs(vals.imag).max(axis=axes)
-        if (resid > tol * np.maximum(np.abs(vals.real).max(axis=axes), 1.0)).any():
-            raise GridError("spectrum is not Hermitian")
-        return np.ascontiguousarray(vals.real)
     return vals
 
 
 def _reference_analyze(grid, values):
-    """analyze in the numpy reference form: ifftshift and fftn."""
+    """analyze in the numpy reference form: ifftshift and rfftn."""
     axes = tuple(range(-grid.dim, 0))
-    out = np.fft.fftn(np.fft.ifftshift(values, axes=axes), axes=axes)
+    out = np.fft.rfftn(np.fft.ifftshift(values, axes=axes), axes=axes)
     out *= grid.cell_volume
     return out
 
@@ -124,10 +139,10 @@ def _reference_analyze(grid, values):
 def _reference_convolve(grid, f, g):
     """convolve in the numpy reference form, over the lattice axes."""
     axes = tuple(range(-grid.dim, 0))
-    out = np.fft.ifftn(np.fft.fftn(np.fft.ifftshift(f, axes=axes), axes=axes) *
-                       np.fft.fftn(np.fft.ifftshift(g, axes=axes), axes=axes),
-                       axes=axes) * grid.cell_volume
-    return np.fft.fftshift(out.real, axes=axes)
+    out = np.fft.irfftn(np.fft.rfftn(np.fft.ifftshift(f, axes=axes), axes=axes) *
+                        np.fft.rfftn(np.fft.ifftshift(g, axes=axes), axes=axes),
+                        s=grid.shape(), axes=axes) * grid.cell_volume
+    return np.fft.fftshift(out, axes=axes)
 
 
 @pytest.mark.parametrize("lead", [(), (3, 2)])
@@ -137,14 +152,14 @@ def test_transforms_equal_the_numpy_reference_bit_for_bit(dim, points, lead):
     rng = np.random.default_rng(21)
     fields = rng.normal(size=lead + grid.shape())
     other = rng.normal(size=lead + grid.shape())
-    noise = fields + 1j * other
+    noise = rng.normal(size=lead + grid.spectrum_shape()) \
+        + 1j * rng.normal(size=lead + grid.spectrum_shape())
     spectra = analyze(grid, fields)
     assert np.array_equal(spectra, _reference_analyze(grid, fields))
-    assert np.array_equal(analyze(grid, noise), _reference_analyze(grid, noise))
     assert np.array_equal(synthesize(grid, spectra),
                           _reference_synthesize(grid, spectra))
-    assert np.array_equal(synthesize(grid, noise, require_real=False),
-                          _reference_synthesize(grid, noise, require_real=False))
+    assert np.array_equal(synthesize(grid, noise),
+                          _reference_synthesize(grid, noise))
     assert np.array_equal(convolve(grid, fields, other),
                           _reference_convolve(grid, fields, other))
 
@@ -180,13 +195,27 @@ def test_transforms_reject_arrays_off_the_lattice(dim, points, wrong):
     # an odd length or another N: the half swap needs the lattice's even N
     grid = SpaceTimeGrid(dim, 5.0, points, 1.0, 4)
     bad = np.ones((3,) + (wrong,) * dim)
-    for transform in (synthesize, analyze):
+    for transform, shape in ((synthesize, grid.spectrum_shape()),
+                             (analyze, grid.shape())):
         with pytest.raises(GridError) as err:
             transform(grid, bad)
         assert str(bad.shape) in str(err.value)
-        assert str(grid.shape()) in str(err.value)
+        assert str(shape) in str(err.value)
     with pytest.raises(GridError):
         convolve(grid, bad, bad)
+
+
+@pytest.mark.parametrize("dim, points", [(1, 64), (2, 16)])
+def test_synthesize_refuses_a_full_lattice_spectrum(dim, points):
+    grid = SpaceTimeGrid(dim, 5.0, points, 1.0, 4)
+    full = np.ones((2,) + grid.shape(), complex)
+    with pytest.raises(GridError) as err:
+        synthesize(grid, full)
+    assert str(grid.spectrum_shape()) in str(err.value)
+    half = analyze(grid, np.ones((2,) + grid.shape()))
+    assert half.shape == (2,) + grid.shape()[:-1] + (points // 2 + 1,)
+    with pytest.raises(GridError):
+        analyze(grid, half.real)
 
 
 def test_interior_mask(default_grid):

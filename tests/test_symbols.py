@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pseudoproc import (SymbolSpec, SymbolError, PseudoGradientSpec,
+                        SpaceTimeGrid, ImaginaryResidueError,
                         isotropic_symbol, gamma_extended,
                         pseudo_gradient_normalizer,
                         pseudo_gradient_normalizer_neg_gamma)
@@ -93,6 +94,37 @@ def test_custom_symbol_flags_sphere_violation():
         spec.validate()
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("tilt, hermitian", [(0.0, True), (1e-12, True),
+                                             (1e-7, False), (0.2, False)])
+def test_on_grid_refuses_a_custom_symbol_that_is_not_hermitian(dim, tilt,
+                                                                hermitian):
+    # |lam|^1.5 (1 + 0.2i sign lam_0 + i tilt): a(-lam) = conj a(lam) holds at
+    # tilt 0, and to the 1e-9 relative tolerance only for a tilt below it
+    def ev(*ks):
+        norm = np.sqrt(sum(k * k for k in ks))
+        return norm ** 1.5 * (1.0 + 0.2j * np.sign(ks[0]) + 1j * tilt)
+
+    spec = SymbolSpec(alpha=1.5, variant="custom", dim=dim, evaluator=ev,
+                      a0=1.0)
+    spec.validate()               # admissible: homogeneous, Re a >= a0
+    grid = SpaceTimeGrid(dim, 10.0, 16, 1.0, 4)
+    if hermitian:
+        assert spec.on_grid(grid).shape == grid.spectrum_shape()
+        return
+    with pytest.raises(ImaginaryResidueError, match="not Hermitian"):
+        spec.on_grid(grid)
+
+
+def test_isotropic_symbols_are_real_on_the_half_lattice():
+    for dim, shape in ((1, (9,)), (2, (16, 9))):
+        grid = SpaceTimeGrid(dim, 10.0, 16, 1.0, 4)
+        a = isotropic_symbol(1.5, 2.0, dim).on_grid(grid)
+        assert a.shape == shape == grid.spectrum_shape()
+        assert np.array_equal(a.imag, np.zeros(shape))
+        assert np.array_equal(a.real, 2.0 * grid.freq_norm() ** 1.5)
+
+
 def test_pseudo_gradient_spec_validation():
     with pytest.raises(ValueError):
         PseudoGradientSpec(beta=1.0, dim=1)
@@ -103,11 +135,11 @@ def test_pseudo_gradient_spec_validation():
 def test_multiplier_vanishes_at_origin_and_nyquist(pg, default_grid):
     m = pg.multiplier(default_grid)
     norm = default_grid.freq_norm()
-    assert m.shape == (1, 256)
+    assert m.shape == (1, 129)
     assert m[0][norm == 0] == 0
     assert m[0][default_grid.nyquist_mask()] == 0
     # odd and purely imaginary elsewhere
-    k = default_grid.freq_axis()
+    (k,) = default_grid.freq_mesh()
     sel = (norm > 0) & ~default_grid.nyquist_mask()
     assert np.all(m[0][sel].real == 0)
     with np.errstate(divide="ignore", invalid="ignore"):
