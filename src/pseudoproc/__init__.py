@@ -27,7 +27,7 @@ from .volterra import (ConvergenceMonitor, ConvergenceError,
                        PerturbationProblem, KernelRows, beta_rate_factor,
                        kernel_convolution_scaling, ScalingFitReport)
 from .evolution import (TestFunction, EvolutionOperator, GeneratorAction,
-                        TerminalValueProblem, apply_operator,
+                        TerminalValueProblem, apply_stack,
                         operator_bound_constant, check_evolution_property,
                         check_identity_limit, identity_limit_floor,
                         cauchy_residual, generalized_solution_stability,

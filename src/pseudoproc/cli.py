@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields as dc_fields, replace
 
 import numpy as np
 
-from .grid import SpaceTimeGrid, ImaginaryResidueError, synthesize, analyze
+from .grid import SpaceTimeGrid, ImaginaryResidueError
 from .symbols import isotropic_symbol, PseudoGradientSpec, SymbolError
 from .spectral import (synthesize_g0, constant_drift_kernel, check_resolution,
                        ResolutionError, UnsupportedConfiguration)
@@ -32,7 +32,7 @@ from .fields import (FieldError, snapshot_field, read_snapshot_fields,
                      write_csv, csv_prefixes, format_rows)
 from .drift import constant_drift
 from .volterra import ConvergenceMonitor, ConvergenceError, PerturbationProblem
-from .evolution import constant_one, fourier_mode, compact_bump
+from .evolution import constant_one, fourier_mode, compact_bump, apply_stack
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -205,7 +205,6 @@ def _resolve_config(args, command_defaults=None) -> RunConfig:
 def cmd_kernel(args) -> int:
     cfg = _resolve_config(args, command_defaults={"points": 2048,
                                                   "half_extent": 160.0})
-    os.makedirs(cfg.outdir, exist_ok=True)
     sym, grid, pg = cfg.symbol(), cfg.grid(), cfg.pgrad()
     bvec = cfg.drift_vector()
     if np.any(bvec):
@@ -214,7 +213,7 @@ def cmd_kernel(args) -> int:
     else:
         field = synthesize_g0(sym, grid, cfg.dt)
         stem = "g0"
-    paths = snapshot_field(field, cfg.outdir, stem)
+    paths = snapshot_field(field, _outdir(cfg), stem)
     pair = field.pairs()[0]
     vals = field.slice(pair)
     print(f"wrote {len(paths)} snapshot(s) under {cfg.outdir}/{stem}_*")
@@ -226,7 +225,6 @@ def cmd_kernel(args) -> int:
 
 def cmd_perturb(args) -> int:
     cfg = _resolve_config(args, command_defaults={"drift": "1.0"})
-    os.makedirs(cfg.outdir, exist_ok=True)
     sym, grid, pg = cfg.symbol(), cfg.grid(), cfg.pgrad()
     b = constant_drift(cfg.drift_vector())
     prob = PerturbationProblem(sym, pg, grid, b)
@@ -235,37 +233,37 @@ def cmd_perturb(args) -> int:
         G_rows = prob.solve_v(monitor)
     except ConvergenceError as err:
         print(f"solver did not converge: {err}", file=sys.stderr)
-        _write_convergence_log(os.path.join(cfg.outdir, "convergence.csv"),
+        _write_convergence_log(os.path.join(_outdir(cfg), "convergence.csv"),
                                monitor)
         return EXIT_NONCONVERGENCE
     G = prob.rows_to_scalar_field(G_rows)
-    paths = snapshot_field(G, cfg.outdir, "G")
+    paths = snapshot_field(G, _outdir(cfg), "G")
     _write_convergence_log(os.path.join(cfg.outdir, "convergence.csv"), monitor)
     phi = cfg.phi_function()
     # one row per slice and lattice point: s_index, coordinates x or x0, x1
     coords = ["x"] if grid.dim == 1 else [f"x{k}" for k in range(grid.dim)]
     prefixes = csv_prefixes([m.ravel().tolist() for m in grid.mesh()])
-    # u(t_i) = T_{t_i t} phi for every start index i, in one synthesis
-    u = synthesize(grid, analyze(grid, G.stacks[grid.time_steps])
-                   * analyze(grid, phi.sample(grid)))
+    u = apply_stack(G, grid.time_steps, phi)       # u(t_i) = T_{t_i t} phi
     with open(os.path.join(cfg.outdir, "u_slices.csv"), "w",
               newline="") as fh:
         fh.write(",".join(["s_index"] + coords + ["u"]) + "\r\n")
         for i, slice_ in enumerate(u):
             fh.write(format_rows(f"{i},", prefixes, [slice_.ravel().tolist()],
                                  newline="\r\n"))
-    # one reduction per stack: for drift constant in time, G.stacks[M] alone
-    stacks = G.distinct_stacks()
-    masses = np.concatenate([s.reshape(len(s), -1).sum(axis=1)
-                             for s in stacks])
-    worst_mass = np.abs(masses * grid.cell_volume - 1.0).max()
     print(f"wrote {len(paths)} kernel snapshots, convergence log and "
           f"u slices under {cfg.outdir}")
     print(f"residual = {monitor.iterate_norms[-1]:.3e}")
     print(f"spectral radius = {monitor.spectral_radius:.3g}")
-    print(f"worst mass defect = {worst_mass:.3e}")
-    print(f"min G = {min(s.min() for s in stacks):.6e}")
+    print(f"worst mass defect = {np.abs(G.integrals() - 1.0).max():.3e}")
+    print(f"min G = {min(s.min() for s in G.distinct_stacks()):.6e}")
     return EXIT_OK
+
+
+def _outdir(cfg) -> str:
+    """--outdir, made at the first write: a run that fails before it writes
+    leaves no directory behind."""
+    os.makedirs(cfg.outdir, exist_ok=True)
+    return cfg.outdir
 
 
 def _write_convergence_log(path, monitor):
@@ -278,11 +276,10 @@ def _write_convergence_log(path, monitor):
 def cmd_verify(args) -> int:
     from . import verify as verify_mod   # the registry loads only for verify
     cfg = _resolve_config(args)
-    os.makedirs(cfg.outdir, exist_ok=True)
     report = verify_mod.run_suite(verify_mod.FixtureSet(**vars(cfg)),
                                   selection=args.only)
     print(report.table())
-    report.to_csv(os.path.join(cfg.outdir, "verify_report.csv"))
+    report.to_csv(os.path.join(_outdir(cfg), "verify_report.csv"))
     with open(os.path.join(cfg.outdir, "verify_summary.txt"), "w") as fh:
         fh.write(report.summary())
     if not report.passed:
@@ -295,7 +292,6 @@ def cmd_verify(args) -> int:
 
 def cmd_emit(args) -> int:
     cfg = _resolve_config(args)
-    os.makedirs(cfg.outdir, exist_ok=True)
     what = args.what
     if what == "csv":
         fields = read_snapshot_fields(cfg.outdir)
@@ -310,10 +306,9 @@ def cmd_emit(args) -> int:
     sym, grid = cfg.symbol(), cfg.grid()
     if what == "profiles":
         if cfg.dim != 1:
-            print("profile emission is one-dimensional", file=sys.stderr)
-            return EXIT_CONFIG
+            raise UnsupportedConfiguration("profile emission is one-dimensional")
         from .spectral import g0_values
-        path = os.path.join(cfg.outdir, "profiles.csv")
+        path = os.path.join(_outdir(cfg), "profiles.csv")
         gaps = [grid.dt * j for j in (1, 2, 4, 8, 16) if j <= grid.time_steps]
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
@@ -331,7 +326,7 @@ def cmd_emit(args) -> int:
             prob.solve_v(ConvergenceMonitor(stop_tol=cfg.stop_tol)))
         from .evolution import check_identity_limit
         table = check_identity_limit(G, cfg.phi_function())
-        path = os.path.join(cfg.outdir, "identity_decay.csv")
+        path = os.path.join(_outdir(cfg), "identity_decay.csv")
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["gap", "error"])
@@ -340,7 +335,7 @@ def cmd_emit(args) -> int:
         print(f"wrote {path}")
         return EXIT_OK
     rep = check_resolution(sym, grid, cfg.dt)        # what == "resolution"
-    path = os.path.join(cfg.outdir, "resolution.csv")
+    path = os.path.join(_outdir(cfg), "resolution.csv")
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["quantity", "value"])

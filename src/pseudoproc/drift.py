@@ -89,6 +89,10 @@ class DriftField:
                              f"expected {want}")
         return vals
 
+    def sample_times(self, times, grid: SpaceTimeGrid) -> np.ndarray:
+        """`sample` at each of the times, shape (len(times), d) + grid.shape()."""
+        return np.stack([self.sample(t, grid) for t in times])
+
     # -- admissibility -------------------------------------------------------
     def validate_exponent(self, alpha: float):
         bound = min_p_exponent(alpha, self.dim)

@@ -45,8 +45,8 @@ from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
-from .grid import (SpaceTimeGrid, GridError, synthesize, analyze, convolve,
-                   interior_mask)
+from .grid import (SpaceTimeGrid, GridError, synthesize, synthesize_unshifted,
+                   analyze, convolve, half_swap, interior_mask)
 from .symbols import SymbolSpec, PseudoGradientSpec
 from .fields import KernelField
 from .drift import DriftField
@@ -124,19 +124,23 @@ class EvolutionOperator:
     def apply(self, phi: TestFunction) -> np.ndarray:
         """u(s, x) = sum_y K(x - y) phi(y) dx^d via lattice convolution."""
         grid = self.kernel.grid
-        samples = phi.sample(grid)
-        K = self.kernel.spectrum(self.pair)
-        return synthesize(grid, K * analyze(grid, samples))
+        K = analyze(grid, self.kernel.slice(self.pair))
+        return synthesize(grid, K * analyze(grid, phi.sample(grid)))
 
 
-def apply_operator(kernel: KernelField, pair, phi: TestFunction) -> np.ndarray:
-    return EvolutionOperator(kernel, pair).apply(phi)
+def apply_stack(kernel: KernelField, j: int, phi: TestFunction) -> np.ndarray:
+    """u(t_i) = T_{t_i t_j} phi for every slice i of stack j, in one
+    synthesis; row i is `EvolutionOperator(kernel, (i, j)).apply(phi)`."""
+    grid = kernel.grid
+    return synthesize(grid, analyze(grid, kernel.stacks[j])
+                      * analyze(grid, phi.sample(grid)))
 
 
 def operator_bound_constant(kernel: KernelField) -> float:
     """Fitted norm bound: max over pairs of the kernel's lattice L1 mass."""
-    return max(float(np.abs(kernel.slice(k)).sum() * kernel.grid.cell_volume)
-               for k in kernel.pairs())
+    return kernel.grid.cell_volume * max(
+        float(np.abs(s).reshape(len(s), -1).sum(axis=1).max())
+        for s in kernel.distinct_stacks())
 
 
 @dataclass
@@ -147,20 +151,26 @@ class GeneratorAction:
     -a(lam) + i (b, lam) |lam|^{beta-1}, which makes the unperturbed
     evolution satisfy d/ds u + action(u) = 0 backward in s.  The drift term
     is evaluated pointwise in x, so space-dependent coefficients are fine.
+    A call acts on a stack of slices, slice k at times[k], with one
+    transform pair and one build of the symbol and the multiplier.
     """
 
     sym: SymbolSpec
     pg: PseudoGradientSpec
     drift: DriftField
 
-    def __call__(self, values: np.ndarray, t: float,
+    def __call__(self, values: np.ndarray, times: Sequence[float],
                  grid: SpaceTimeGrid) -> np.ndarray:
-        F = analyze(grid, values)
-        # -A u and the d pseudo-gradient components in one batched synthesis
-        fields = synthesize(grid, np.concatenate(
-            [(self.sym.on_grid(grid) * F)[None], self.pg.multiplier(grid) * F]))
-        bvals = self.drift.sample(t, grid)
-        return -fields[0] + (bvals * fields[1:]).sum(axis=0)
+        # -A u and the d pseudo-gradient components in one batched synthesis,
+        # combined in FFT order; one swap of the result centers it
+        fields = synthesize_unshifted(grid, np.concatenate(
+            [self.sym.on_grid(grid)[None], self.pg.multiplier(grid)])
+            * analyze(grid, values)[:, None])
+        fields[:, 1:] *= half_swap(self.drift.sample_times(times, grid),
+                                   grid.dim)
+        out = fields[:, 1:].sum(axis=1)
+        out -= fields[:, 0]
+        return half_swap(out, grid.dim)
 
     def mode_factor(self, lam_components: Sequence[float], t: float,
                     x: Sequence[float]) -> complex:
@@ -220,10 +230,6 @@ class TerminalValueProblem:
         u0 = self._decay(self.times[self.j] - np.asarray(taus)) * self.phi_hat
         return synthesize(self.grid, self.mult * u0[:, None])
 
-    def _drift_at(self, taus) -> np.ndarray:
-        """Drift samples at the times taus, shape (len(taus), d) + grid shape."""
-        return np.stack([self.b.sample(tau, self.grid) for tau in taus])
-
     def _pairing(self, b: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Spectrum of (b, w), for one slice or a stack of them."""
         return analyze(self.grid, (b * w).sum(axis=-self.grid.dim - 1))
@@ -242,8 +248,8 @@ class TerminalValueProblem:
         # d tau = (1/(1-s2)) u^{s2/(1-s2)} du and f carries u^{-s2/(1-s2)}
         wt = wu / (1.0 - s2) * u ** (s2 / (1.0 - s2))
         panel = np.tensordot(wt, self._decay(tau - lo) * self._pairing(
-            self._drift_at(tau), self.w0_at(tau)), 1)
-        z, b = self.a * grid.dt, self._drift_at(self.times[:j])
+            self.b.sample_times(tau, grid), self.w0_at(tau)), 1)
+        z, b = self.a * grid.dt, self.b.sample_times(self.times[:j], grid)
         tables, e = exponential_tables(z, grid.dt), np.exp(-z)
         w0 = self.w0_at(self.times[max(j - 4, 0):j])
         return SimpleNamespace(
@@ -327,12 +333,11 @@ def check_evolution_property(G: KernelField, s: int, u: int, t: int,
     """Sup norm of T_su(T_ut phi) - T_st phi on the stored kernel."""
     if not s < u < t:
         raise GridError("need strictly increasing time indices s < u < t")
-    grid = G.grid
-    inner = apply_operator(G, (u, t), phi)
+    inner = EvolutionOperator(G, (u, t)).apply(phi)
     mid = TestFunction(lambda *xs: inner, float(np.abs(inner).max()) + 1e-300,
                        name="composed")
-    lhs = apply_operator(G, (s, u), mid)
-    rhs = apply_operator(G, (s, t), phi)
+    lhs = EvolutionOperator(G, (s, u)).apply(mid)
+    rhs = EvolutionOperator(G, (s, t)).apply(phi)
     return float(np.abs(lhs - rhs).max())
 
 
@@ -357,14 +362,10 @@ def check_identity_limit(G: KernelField, phi: TestFunction) -> DecayTable:
     the sup taken over the lattice points off the outer 20% of the box."""
     grid = G.grid
     j = len(G.stacks) - 1
-    samples = phi.sample(grid)
-    probe_mask = interior_mask(grid, margin=0.2)
-    gaps, errs = [], []
-    for i in reversed(range(len(G.stacks[j]))):     # increasing gap
-        u = apply_operator(G, (i, j), phi)
-        gaps.append(G.gap((i, j)))
-        errs.append(float(np.abs(u - samples)[probe_mask].max()))
-    return DecayTable(np.asarray(gaps), np.asarray(errs))
+    u = apply_stack(G, j, phi)[::-1]                # increasing gap
+    errs = np.abs(u - phi.sample(grid))[:, interior_mask(grid, margin=0.2)]
+    gaps = (j - np.arange(len(u))[::-1]) * grid.dt
+    return DecayTable(gaps, errs.max(axis=1))
 
 
 def identity_limit_floor(alpha: float, beta: float, dim: int, p: float) -> float:
@@ -378,24 +379,20 @@ def cauchy_residual(u_slices: Dict[int, np.ndarray], gen: GeneratorAction,
     """Max-norm of d/ds u + action(u) over interior slices and the bulk region
     (the box without its outer 20%).
 
-    The s-derivative uses the central difference on the partition, so the
-    first and the two last slices are excluded (the terminal slice does not
-    exist as data).
+    The slice indices must be consecutive, as `TerminalValueProblem.solve`
+    gives them (0 .. j - 1).  The s-derivative is their central difference,
+    so the first and last slices are excluded; one generator call acts on
+    the stack of the others.
     """
-    idx = sorted(u_slices.keys())
+    idx = sorted(u_slices)
     if len(idx) < 3:
         raise GridError("need at least three stored slices for the stencil")
-    mask = interior_mask(grid, margin=0.2)
-    ds = grid.dt
-    worst = 0.0
-    for pos in range(1, len(idx) - 1):
-        i = idx[pos]
-        if idx[pos - 1] != i - 1 or idx[pos + 1] != i + 1:
-            continue
-        dds = (u_slices[i + 1] - u_slices[i - 1]) / (2.0 * ds)
-        r = dds + gen(u_slices[i], grid.times()[i], grid)
-        worst = max(worst, float(np.abs(r[mask]).max()))
-    return worst
+    if idx[-1] - idx[0] != len(idx) - 1:
+        raise GridError(f"slice indices {idx} are not consecutive")
+    u = np.stack([u_slices[i] for i in idx])
+    r = gen(u[1:-1], grid.times()[idx[1]:idx[-1]], grid)
+    r += (u[2:] - u[:-2]) / (2.0 * grid.dt)
+    return float(np.abs(r, out=r)[:, interior_mask(grid, margin=0.2)].max())
 
 
 @dataclass
@@ -463,24 +460,16 @@ def check_w_lipschitz(v: KernelField, phi: TestFunction,
     grid = v.grid
     if grid.dim != 1:
         raise NotImplementedError("the quotient fit probes the 1-d lattice")
-    samples = phi.sample(grid)
-    mask = interior_mask(grid, margin=0.2)
     j = len(v.stacks) - 1
-    gaps, quotients = [], []
-    for i in reversed(range(len(v.stacks[j]))):     # increasing gap
-        w = convolve(grid, v.slice((i, j))[0], samples)
-        q = np.abs(np.diff(w)) / grid.dx
-        gaps.append(v.gap((i, j)))
-        quotients.append(float(q[mask[:-1]].max()))
-    gaps, quotients = np.asarray(gaps), np.asarray(quotients)
+    w = convolve(grid, np.asarray(v.stacks[j])[::-1, 0],   # increasing gap
+                 phi.sample(grid))
+    q = np.abs(np.diff(w)) / grid.dx
+    quotients = q[:, interior_mask(grid, margin=0.2)[:-1]].max(axis=1)
+    gaps = (j - np.arange(len(w))[::-1]) * grid.dt
     fit = float(np.polyfit(np.log(gaps), np.log(quotients), 1)[0])
     return LipschitzReport(gaps, quotients, fit, -(beta + 1.0) / alpha)
 
 
 def terminal_average_of_ones(v: KernelField) -> float:
     """Sup over pairs of |sum_y v(.,y) dx^d|; vanishes for the series solution."""
-    worst = 0.0
-    for k in v.pairs():
-        sums = v.slice(k).sum(axis=tuple(range(1, v.grid.dim + 1)))
-        worst = max(worst, float(np.abs(sums).max() * v.grid.cell_volume))
-    return worst
+    return float(np.abs(v.integrals()).max())

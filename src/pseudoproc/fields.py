@@ -52,7 +52,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .grid import SpaceTimeGrid, analyze
+from .grid import SpaceTimeGrid
 
 MEANINGS = ("g0", "g", "G")    # written to files; vector "v" is in memory only
 
@@ -118,8 +118,12 @@ class KernelField:
         """Lattice integral sum(values) * dx^d of one slice."""
         return float(self.slice(pair).sum() * self.grid.cell_volume)
 
-    def spectrum(self, pair: PairKey) -> np.ndarray:
-        return analyze(self.grid, self.slice(pair))
+    def integrals(self) -> np.ndarray:
+        """sum(values) dx^d over the lattice, one reduction per stack of
+        `distinct_stacks`: a row per slice, with "v"'s component axis."""
+        axes = tuple(range(-self.grid.dim, 0))
+        return self.grid.cell_volume * np.concatenate(
+            [s.sum(axis=axes) for s in self.distinct_stacks()])
 
     def distinct_stacks(self) -> List[np.ndarray]:
         """The non-empty stacks as arrays: together they hold every stored

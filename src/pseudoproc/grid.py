@@ -160,8 +160,8 @@ def _lattice(a, shape) -> np.ndarray:
     return a
 
 
-def _half_swap(a: np.ndarray, dim: int) -> np.ndarray:
-    """Swap the halves of each trailing spatial axis: fftshift and ifftshift."""
+def half_swap(a: np.ndarray, dim: int) -> np.ndarray:
+    """Swap the halves of each trailing spatial axis: fftshift = ifftshift."""
     h = a.shape[-1] // 2
     a = np.concatenate((a[..., h:], a[..., :h]), axis=-1)
     return a if dim == 1 else np.concatenate((a[..., h:, :], a[..., :h, :]), axis=-2)
@@ -176,7 +176,7 @@ def synthesize(grid: SpaceTimeGrid, spectrum: np.ndarray) -> np.ndarray:
     the half lattice, are transformed, so a stack of spectra gives the
     stack of fields.
     """
-    return _half_swap(synthesize_unshifted(grid, spectrum), grid.dim)
+    return half_swap(synthesize_unshifted(grid, spectrum), grid.dim)
 
 
 def synthesize_unshifted(grid: SpaceTimeGrid,
@@ -194,7 +194,7 @@ def analyze(grid: SpaceTimeGrid, values: np.ndarray) -> np.ndarray:
     synthesize).  Like `synthesize`, it transforms only the trailing
     grid.dim axes.
     """
-    out = _FFT[grid.dim](_half_swap(_lattice(values, grid.shape()), grid.dim))
+    out = _FFT[grid.dim](half_swap(_lattice(values, grid.shape()), grid.dim))
     out *= grid.cell_volume
     return out
 
@@ -202,9 +202,9 @@ def analyze(grid: SpaceTimeGrid, values: np.ndarray) -> np.ndarray:
 def convolve(grid: SpaceTimeGrid, f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Discrete (circular) convolution with cell-volume weight, taken like
     `synthesize` over the trailing lattice axes."""
-    f, g = (_FFT[grid.dim](_half_swap(_lattice(x, grid.shape()), grid.dim))
+    f, g = (_FFT[grid.dim](half_swap(_lattice(x, grid.shape()), grid.dim))
             for x in (f, g))
-    return _half_swap(_IFFT[grid.dim](f * g) * grid.cell_volume, grid.dim)
+    return half_swap(_IFFT[grid.dim](f * g) * grid.cell_volume, grid.dim)
 
 
 def interior_mask(grid: SpaceTimeGrid, margin: float = 0.1) -> np.ndarray:

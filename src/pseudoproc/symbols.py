@@ -81,7 +81,8 @@ class SymbolSpec:
 
     variant "isotropic" means a(lam) = scale_c |lam|^alpha; variant "custom"
     evaluates a user callable on arrays of frequency components, which must
-    be homogeneous of degree alpha with Re a >= a0 > 0 on |lam| = 1.
+    be homogeneous of degree alpha with Re a >= a0 > 0 on |lam| = 1;
+    construction refuses one that is not (`validate`).
     """
 
     alpha: float
@@ -111,6 +112,8 @@ class SymbolSpec:
             errors.append("dim must be 1 or 2")
         if errors:
             raise SymbolError("; ".join(errors))
+        if self.variant == "custom":
+            self.validate()
 
     # -- evaluation --------------------------------------------------------
     def __call__(self, *components: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from pseudoproc.cli import (RunConfig, ConfigError, main, EXIT_OK,
                             EXIT_CONFIG, EXIT_RESOLUTION,
                             EXIT_NONCONVERGENCE, EXIT_VERIFY)
-from pseudoproc.evolution import apply_operator, constant_one
+from pseudoproc.evolution import EvolutionOperator, constant_one
 from pseudoproc.drift import constant_drift
 from pseudoproc.fields import (KernelField, read_snapshot, write_csv,
                                write_snapshot, read_snapshot_fields,
@@ -351,7 +351,7 @@ def _old_u_slices_text(grid, G, phi):
     w = csv.writer(buf)
     w.writerow(["s_index", "x", "u"])
     for i in range(grid.time_steps):
-        u = apply_operator(G, (i, grid.time_steps), phi)
+        u = EvolutionOperator(G, (i, grid.time_steps)).apply(phi)
         for xi, ui in zip(grid.axis(), u.ravel()):
             w.writerow([i, repr(float(xi)), repr(float(ui))])
     return buf.getvalue()
@@ -610,6 +610,44 @@ def test_unwritable_outdir_is_a_clean_exit(tmp_path, capsys):
     assert str(blocker / "out") in err and "Traceback" not in err
 
 
+def _tilted_symbol():
+    """A custom symbol with a(-lam) = a(lam) complex: no real kernel has its
+    spectrum, so the lattice refuses it as not Hermitian."""
+    from pseudoproc import SymbolSpec
+    return SymbolSpec(alpha=1.5, variant="custom", dim=1, a0=1.0,
+                      evaluator=lambda lam: np.abs(lam) ** 1.5 * (1.0 + 0.2j))
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["kernel", "--points", "64", "--half-extent", "40", "--dt", "0.01"],
+     EXIT_RESOLUTION),
+    (["perturb", "--points", "64", "--half-extent", "40"],
+     EXIT_NONCONVERGENCE),
+    (["emit", "--what", "csv"], EXIT_CONFIG),
+    (["emit", "--what", "profiles", "--d", "2"], EXIT_CONFIG),
+    (["verify", "--d", "2", "--only", "envelope-fits"], EXIT_CONFIG),
+], ids=["resolution-gate", "not-hermitian", "csv-of-no-directory",
+        "profiles-in-2d", "verify-refusal"])
+def test_a_run_that_fails_before_writing_leaves_no_outdir(
+        tmp_path, monkeypatch, capsys, argv, code):
+    import pseudoproc.cli as cli
+    if code == EXIT_NONCONVERGENCE:
+        monkeypatch.setattr(cli.RunConfig, "symbol",
+                            lambda self: _tilted_symbol())
+    out = tmp_path / "out"
+    assert main(argv + ["--outdir", str(out)]) == code
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_emit_profiles_in_2d_is_an_unsupported_configuration(tmp_path,
+                                                             capsys):
+    assert main(["emit", "--what", "profiles", "--d", "2",
+                 "--outdir", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        "unsupported configuration: profile emission is one-dimensional\n"
+
+
 def test_perturb_nonconvergence_exit(tmp_path, capsys):
     code = main(["perturb", "--points", "64", "--half-extent", "20",
                  "--steps", "8", "--drift", "40.0",
@@ -814,13 +852,11 @@ def test_dump_config_round_trip_through_cli(tmp_path):
 
 def test_imaginary_residue_is_a_numerical_failure(tmp_path, monkeypatch,
                                                    capsys):
-    # a custom symbol with a(-lam) = a(lam) complex: no real kernel has its
-    # spectrum, and the symbol is refused where it is sampled on the lattice
-    from pseudoproc import GridError, SymbolSpec
+    # the symbol is refused where it is sampled on the lattice
+    from pseudoproc import GridError
     import pseudoproc.cli as cli
 
-    tilted = SymbolSpec(alpha=1.5, variant="custom", dim=1, a0=1.0,
-                        evaluator=lambda lam: np.abs(lam) ** 1.5 * (1.0 + 0.2j))
+    tilted = _tilted_symbol()
     monkeypatch.setattr(cli.RunConfig, "symbol", lambda self: tilted)
     for command in ("kernel", "perturb"):
         out = tmp_path / command
@@ -829,7 +865,7 @@ def test_imaginary_residue_is_a_numerical_failure(tmp_path, monkeypatch,
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: symbol is not Hermitian")
         assert "config error" not in err
-        assert not list(out.iterdir())
+        assert not out.exists()
     # every other GridError is still a config error
     def bad_grid(args):
         raise GridError("points_per_dim must be an even integer >= 4")

@@ -6,13 +6,14 @@ import pytest
 from pseudoproc import (SpaceTimeGrid, GridError, PerturbationProblem,
                         ConvergenceMonitor, TerminalValueProblem,
                         TestFunction, EvolutionOperator, GeneratorAction,
-                        apply_operator, operator_bound_constant,
+                        apply_stack, operator_bound_constant,
                         check_evolution_property, check_identity_limit,
                         identity_limit_floor, cauchy_residual,
                         check_w_lipschitz, terminal_average_of_ones,
                         constant_one, fourier_mode, compact_bump, steep_step,
                         constant_drift, zero_drift, DriftField, analyze,
-                        synthesize, SymbolSpec)
+                        synthesize, SymbolSpec, isotropic_symbol,
+                        PseudoGradientSpec)
 from pseudoproc.spectral import base_kernel_field
 
 
@@ -43,9 +44,8 @@ def test_apply_is_linear(solved, small_grid):
     combo = TestFunction(
         lambda x: a * phi1.evaluator(x) + phi2.evaluator(x), a + 1.0)
     pair = (0, small_grid.time_steps)
-    u = apply_operator(G, pair, combo)
-    u1 = apply_operator(G, pair, phi1)
-    u2 = apply_operator(G, pair, phi2)
+    u, u1, u2 = (EvolutionOperator(G, pair).apply(f)
+                 for f in (combo, phi1, phi2))
     assert np.abs(u - (a * u1 + u2)).max() < 1e-12
 
 
@@ -65,7 +65,7 @@ def test_markov_kernel_keeps_positive_data(sym, small_grid):
     g = base_kernel_field(sym, small_grid)
     smooth_indicator = TestFunction(
         lambda x: 0.5 * (np.tanh(2.0 * (x + 3)) - np.tanh(2.0 * (x - 3))), 1.0)
-    u = apply_operator(g, (0, small_grid.time_steps), smooth_indicator)
+    u = apply_stack(g, small_grid.time_steps, smooth_indicator)
     assert u.min() >= -1e-8
 
 
@@ -75,8 +75,7 @@ def test_signed_kernel_sends_positive_data_negative(solved, small_grid):
     _, G, _ = solved
     narrow = TestFunction(
         lambda x: np.exp(-8.0 * (x - 4.0) ** 2), 1.0)
-    worst = min(apply_operator(G, (i, small_grid.time_steps), narrow).min()
-                for i in range(small_grid.time_steps))
+    worst = apply_stack(G, small_grid.time_steps, narrow).min()
     assert worst < -1e-6
 
 
@@ -127,9 +126,8 @@ def test_function_level_matches_kernel_level_for_constant_drift(
     phi = fourier_mode(2 * np.pi * 3 / 40.0)
     u_fn = TerminalValueProblem(sym, pg, small_grid, constant_drift([1.0]),
                                 phi).solve()
-    worst = max(np.abs(u_fn[i] - apply_operator(G, (i, small_grid.time_steps),
-                                                phi)).max()
-                for i in u_fn)
+    u = apply_stack(G, small_grid.time_steps, phi)
+    worst = max(np.abs(u_fn[i] - u[i]).max() for i in u_fn)
     # two independent quadrature paths, each O(dt^2) at this coarse partition
     assert worst < 5e-3
 
@@ -217,10 +215,10 @@ def _two_pass_march(prob):
     tau = np.clip(t - u ** (1.0 / (1.0 - s2)), lo, t - 1e-300)
     wt = wu / (1.0 - s2) * u ** (s2 / (1.0 - s2))
     panel = np.tensordot(wt, prob._decay(tau - lo) * prob._pairing(
-        prob._drift_at(tau), prob.w0_at(tau)), 1)
+        prob.b.sample_times(tau, grid), prob.w0_at(tau)), 1)
     z = prob.a * grid.dt
     tables = exponential_tables(z, grid.dt)
-    b, w0 = prob._drift_at(times[:j]), prob.w0_at(times[:j])
+    b, w0 = prob.b.sample_times(times[:j], grid), prob.w0_at(times[:j])
     P0 = prob._pairing(b, w0)
     base = prob._decay(t - times[:j]) * prob.phi_hat
     base += prob._decay(lo - times[:j]) * panel
@@ -370,7 +368,7 @@ def test_generator_action_on_lattice_mode(sym, pg, small_grid):
     gen = GeneratorAction(sym, pg, constant_drift([1.0]))
     lam = 2 * np.pi * 3 / 40.0
     u = np.cos(lam * small_grid.axis())
-    out = gen(u, 0.0, small_grid)
+    [out] = gen(u[None], [0.0], small_grid)
     # -A cos = -lam^alpha cos; drift term rotates into sine
     expected = (-lam ** 1.5 * np.cos(lam * small_grid.axis())
                 - lam ** 0.5 * np.sin(lam * small_grid.axis()))
@@ -381,6 +379,71 @@ def test_cauchy_residual_needs_interior_slices(sym, pg, small_grid):
     gen = GeneratorAction(sym, pg, zero_drift(1))
     with pytest.raises(GridError):
         cauchy_residual({0: np.zeros(64), 1: np.zeros(64)}, gen, small_grid)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_stacked_generator_action_equals_the_per_slice_action(dim):
+    # a drift varying in space and time, with components that differ in 2-d:
+    # each slice must meet its own time and its own points
+    grid = SpaceTimeGrid(dim, 20.0, 64 if dim == 1 else 16, 1.0, 8)
+    sym, pg = isotropic_symbol(1.5, 1.0, dim), PseudoGradientSpec(0.5, dim)
+    b = DriftField(dim=dim, kind="space_time", evaluator=lambda t, *xs: np.stack(
+        [(0.8 + 0.4 * np.cos(np.pi * t)) * np.exp(-0.5 * (xs[0] / 4.0) ** 2)
+         * (k + 1.0) - 0.3 * k * xs[-1] for k in range(dim)]))
+    gen = GeneratorAction(sym, pg, b)
+    x, times = grid.mesh(), [0.25, 0.625]
+    u = np.stack([np.exp(-0.5 * sum(xk ** 2 for xk in x)),
+                  np.cos(2 * np.pi * 3 * x[-1] / 40.0)])
+    stacked = gen(u, times, grid)
+    for k, t in enumerate(times):
+        # the action on one slice, as it was computed slice by slice
+        F = analyze(grid, u[k])
+        minus_a = synthesize(grid, sym.on_grid(grid) * F)
+        grads = synthesize(grid, pg.multiplier(grid) * F)
+        one = -minus_a + (b.sample(t, grid) * grads).sum(axis=0)
+        assert np.array_equal(stacked[k], one)
+
+
+@pytest.mark.parametrize("keys", [(0, 1, 3), (0, 2, 3, 4), (1, 2, 3, 5)])
+def test_cauchy_residual_refuses_non_consecutive_slices(sym, pg, small_grid,
+                                                        keys):
+    gen = GeneratorAction(sym, pg, zero_drift(1))
+    with pytest.raises(GridError, match="not consecutive"):
+        cauchy_residual({i: np.zeros(64) for i in keys}, gen, small_grid)
+
+
+@pytest.mark.parametrize("phi", [constant_one(), compact_bump(4.0),
+                                 fourier_mode(2 * np.pi * 3 / 40.0)],
+                         ids=lambda f: f.name)
+def test_stack_application_rows_are_the_pair_operators(solved, phi):
+    # stacks 1 .. M share one array by gap; row i of stack j is pair (i, j)
+    _, G, _ = solved
+    for j in (1, 5, len(G.stacks) - 1):
+        u = apply_stack(G, j, phi)
+        assert len(u) == j
+        for i in range(j):
+            assert np.array_equal(u[i], EvolutionOperator(G, (i, j)).apply(phi))
+
+
+def test_stack_checks_equal_their_per_pair_loops(solved, small_grid):
+    # the loops over the pairs (i, j) of the last stack that the identity
+    # table and the Lipschitz quotients were computed with, as references
+    from pseudoproc import convolve, interior_mask
+    _, G, v = solved
+    phi = compact_bump(4.0)
+    samples, j = phi.sample(small_grid), small_grid.time_steps
+    mask = interior_mask(small_grid, margin=0.2)
+    pairs = [(i, j) for i in reversed(range(j))]           # increasing gap
+    table = check_identity_limit(G, phi)
+    assert table.gaps.tolist() == [G.gap(k) for k in pairs]
+    assert table.errors.tolist() == [
+        np.abs(EvolutionOperator(G, k).apply(phi) - samples)[mask].max()
+        for k in pairs]
+    rep = check_w_lipschitz(v, phi, 1.5, 0.5)
+    assert rep.gaps.tolist() == [v.gap(k) for k in pairs]
+    assert rep.quotients.tolist() == [
+        (np.abs(np.diff(convolve(small_grid, v.slice(k)[0], samples)))
+         / small_grid.dx)[mask[:-1]].max() for k in pairs]
 
 
 def test_w_lipschitz_zero_at_coincident_points(solved, small_grid):

@@ -8,7 +8,8 @@ import pytest
 
 from pseudoproc import (SpaceTimeGrid, GridError, KernelField, FieldError,
                         synthesize, analyze, convolve, interior_mask,
-                        write_snapshot, read_snapshot, write_csv)
+                        write_snapshot, read_snapshot, write_csv,
+                        operator_bound_constant)
 from pseudoproc import fields as fields_module
 from pseudoproc.fields import (csv_prefixes, format_rows, snapshot_field,
                                read_snapshot_fields, by_gap, depends_on_gap)
@@ -419,6 +420,27 @@ def test_distinct_stacks_hold_each_viewed_slice_once():
     lists = _field(grid, "G", {(0, 2): top[0], (1, 2): top[1]})
     [stack] = lists.distinct_stacks()
     assert np.array_equal(stack, top[:2])
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_integrals_equal_the_per_pair_reductions(dim):
+    # one reduction per distinct stack gives each pair's own sum, bit for bit
+    grid = SpaceTimeGrid(dim, 10.0, 8, 1.0, 4)
+    top = np.random.default_rng(7).standard_normal((4,) + grid.shape())
+    shared = _gap_field(grid, top)
+    copies = KernelField(grid, "G", [list(s) for s in shared.stacks])
+    for field, count in ((shared, 4), (copies, 10)):
+        sums = field.integrals()
+        assert len(sums) == count
+        assert set(sums.tolist()) == {field.mass(k) for k in field.pairs()}
+        assert operator_bound_constant(field) == max(
+            float(np.abs(field.slice(k)).sum() * grid.cell_volume)
+            for k in field.pairs())
+    # a vector field keeps its component axis
+    signs = np.array([1.0] + [-1.0] * (dim - 1))
+    v = KernelField(grid, "v", by_gap(top[:, None] * signs.reshape(
+        (dim,) + (1,) * dim)))
+    assert np.array_equal(v.integrals(), shared.integrals()[:, None] * signs)
 
 
 def test_snapshot_field_links_the_pairs_of_one_gap(tmp_path):

@@ -81,17 +81,16 @@ def test_custom_symbol_asymmetric_passes_checks():
 
 
 def test_custom_symbol_flags_inhomogeneity():
-    spec = SymbolSpec(alpha=1.5, variant="custom", dim=1,
-                      evaluator=lambda lam: np.abs(lam) ** 1.2, a0=0.5)
+    # construction validates a custom symbol: no command can use one unchecked
     with pytest.raises(SymbolError, match="homogeneous"):
-        spec.validate()
+        SymbolSpec(alpha=1.5, variant="custom", dim=1,
+                   evaluator=lambda lam: np.abs(lam) ** 1.2, a0=0.5)
 
 
 def test_custom_symbol_flags_sphere_violation():
-    spec = SymbolSpec(alpha=1.5, variant="custom", dim=1,
-                      evaluator=lambda lam: 0.1 * np.abs(lam) ** 1.5, a0=0.5)
     with pytest.raises(SymbolError, match="sphere"):
-        spec.validate()
+        SymbolSpec(alpha=1.5, variant="custom", dim=1,
+                   evaluator=lambda lam: 0.1 * np.abs(lam) ** 1.5, a0=0.5)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
