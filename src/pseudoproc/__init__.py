@@ -20,7 +20,7 @@ from .spectral import (synthesize_g0, g0_values, base_kernel_field,
                        singular_gradient_at, check_resolution,
                        ResolutionError, ResolutionReport,
                        UnsupportedConfiguration, chapman_defect,
-                       drift_multiplier)
+                       drift_multiplier, exact_spectra)
 from .drift import (DriftField, DriftError, constant_drift, zero_drift,
                     mollified_time_drift, min_p_exponent, series_exponent)
 from .volterra import (ConvergenceMonitor, ConvergenceError,

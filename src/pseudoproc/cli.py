@@ -120,8 +120,8 @@ class RunConfig:
     def symbol(self):
         return isotropic_symbol(self.alpha, self.c, self.dim)
 
-    def pgrad(self, **cutoffs) -> PseudoGradientSpec:
-        return PseudoGradientSpec(beta=self.beta, dim=self.dim, **cutoffs)
+    def pgrad(self) -> PseudoGradientSpec:
+        return PseudoGradientSpec(beta=self.beta, dim=self.dim)
 
     def phi_function(self):
         """The datum `phi` names; "mode8" is lattice mode 8 of the box."""

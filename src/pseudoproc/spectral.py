@@ -6,9 +6,9 @@ The base kernel of the unperturbed evolution at time gap dt is
 
 sampled here by discrete inversion on the conjugate lattice, which makes the
 lattice mass sum(g0) dx^d equal one exactly (the lam = 0 sample of the
-integrand's transform).  The constant-drift kernel multiplies the integrand
-by exp{ i dt (b, lam) |lam|^{beta-1} }; its sign is pinned by the
-perturbation identity, see tests.
+integrand's transform).  For drift constant in space the kernel multiplies
+it by exp{ i dt (b_mean, lam) |lam|^{beta-1} }, b_mean the mean of b over
+the gap; its sign is pinned by the perturbation identity, see tests.
 """
 from __future__ import annotations
 
@@ -97,14 +97,6 @@ def check_resolution(sym: SymbolSpec, grid: SpaceTimeGrid,
     return ResolutionReport(tail, boundary, wrap, dt_min)
 
 
-def _gate(sym, grid, dt):
-    rep = check_resolution(sym, grid, dt)
-    if not rep.tail_ok:
-        raise ResolutionError(
-            f"spectral tail {rep.spectral_tail:.3e} at dt={dt:g} exceeds "
-            "1e-06; enlarge N or the time gap", rep.as_dict())
-
-
 def _gap_steps(grid: SpaceTimeGrid, dt: float) -> int:
     """dt / step for dt a partition gap of 1..M steps; no other dt has a pair."""
     steps = int(round(dt / grid.dt))
@@ -116,16 +108,25 @@ def _gap_steps(grid: SpaceTimeGrid, dt: float) -> int:
         f"{grid.dt:g} and the horizon T={grid.time_horizon:g}")
 
 
-def synthesize_g0(sym: SymbolSpec, grid: SpaceTimeGrid,
-                  dt: float) -> KernelField:
-    """Base kernel at a partition gap dt, stored on the pair (0, dt / step);
-    the resolution gate runs before the gap is checked."""
+def _gap_field(sym: SymbolSpec, grid: SpaceTimeGrid, dt: float, meaning: str,
+               values: Callable[[], np.ndarray]) -> KernelField:
+    """values() on the pair (0, dt / step) alone, formed once dt is positive,
+    passes the resolution gate and is a partition gap, checked in turn."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    _gate(sym, grid, dt)
-    steps = _gap_steps(grid, dt)
-    return KernelField(grid, "g0",
-                       [()] * steps + [g0_values(sym, grid, dt)[None]])
+    rep = check_resolution(sym, grid, dt)
+    if not rep.tail_ok:
+        raise ResolutionError(
+            f"spectral tail {rep.spectral_tail:.3e} at dt={dt:g} exceeds "
+            "1e-06; enlarge N or the time gap", rep.as_dict())
+    return KernelField(grid, meaning,
+                       [()] * _gap_steps(grid, dt) + [values()[None]])
+
+
+def synthesize_g0(sym: SymbolSpec, grid: SpaceTimeGrid,
+                  dt: float) -> KernelField:
+    """Base kernel at a partition gap dt, stored on the pair (0, dt / step)."""
+    return _gap_field(sym, grid, dt, "g0", lambda: g0_values(sym, grid, dt))
 
 
 def g0_values(sym: SymbolSpec, grid: SpaceTimeGrid, dt: float) -> np.ndarray:
@@ -144,12 +145,40 @@ def base_kernel_field(sym: SymbolSpec, grid: SpaceTimeGrid) -> KernelField:
 
 
 def drift_multiplier(pg: PseudoGradientSpec, grid: SpaceTimeGrid,
-                     b_vector: Sequence[float]) -> np.ndarray:
-    """(b, i lam |lam|^{beta-1}) sampled on the frequency lattice."""
+                     b_vector) -> np.ndarray:
+    """(b, i lam |lam|^{beta-1}) on the frequency lattice, for one drift
+    vector or a stack of them (components last)."""
     b = np.atleast_1d(np.asarray(b_vector, dtype=float))
-    if b.shape != (grid.dim,):
+    if b.shape[-1:] != (grid.dim,):
         raise ValueError(f"drift vector must have {grid.dim} components")
-    return np.tensordot(b, pg.multiplier(grid), axes=(0, 0))
+    return np.tensordot(b, pg.multiplier(grid), axes=(-1, 0))
+
+
+def _exact_spectrum(sym, pg, b_mean, grid, dt) -> np.ndarray:
+    """exp{(-a + (b_mean, multiplier)) dt}: the kernel of a drift constant
+    in space whose mean over the gap dt is b_mean; dt may be a stack."""
+    dt = np.reshape(dt, np.shape(dt) + (1,) * grid.dim)
+    return np.exp((-sym.on_grid(grid) + drift_multiplier(pg, grid, b_mean))
+                  * dt)
+
+
+def exact_spectra(sym: SymbolSpec, pg: PseudoGradientSpec, b,
+                  grid: SpaceTimeGrid, pairs) -> np.ndarray:
+    """Half spectra of the exact kernel of a drift b constant in space on the
+    time-index pairs (i, j), stacked in their order.  b's mean over
+    [t_i, t_j] is its vector, or for kind "time" Int b / (t_j - t_i), with
+    Int b by 16-point Gauss-Legendre on every step."""
+    i, j = np.asarray(pairs).reshape(-1, 2).T
+    times = grid.times()
+    dt = times[j] - times[i]
+    if b.kind == "constant":
+        return _exact_spectrum(sym, pg, b.vector, grid, dt)
+    tau, w = gauss_panels(times, 16)
+    steps = np.einsum("kq,kqc->kc", w, np.array(
+        [[b.at_time(t) for t in row] for row in tau]))
+    int_b = np.cumsum(np.insert(steps, 0, 0.0, axis=0), axis=0)
+    return _exact_spectrum(sym, pg, (int_b[j] - int_b[i]) / dt[:, None],
+                           grid, dt)
 
 
 def constant_drift_kernel(sym: SymbolSpec, pg: PseudoGradientSpec,
@@ -163,18 +192,13 @@ def constant_drift_kernel(sym: SymbolSpec, pg: PseudoGradientSpec,
     total lattice mass is one exactly; the values change sign for large
     enough |b| dt^{1 - beta/alpha}, which is the signed-kernel witness.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    _gate(sym, grid, dt)
-    steps = _gap_steps(grid, dt)
-    return KernelField(grid, "G", [()] * steps + [
-        constant_drift_values(sym, pg, b_const, grid, dt)[None]])
+    return _gap_field(sym, grid, dt, "G", lambda: constant_drift_values(
+        sym, pg, b_const, grid, dt))
 
 
 def constant_drift_values(sym: SymbolSpec, pg: PseudoGradientSpec,
                           b_const, grid: SpaceTimeGrid, dt: float) -> np.ndarray:
-    spec = np.exp((-sym.on_grid(grid) + drift_multiplier(pg, grid, b_const)) * dt)
-    return synthesize(grid, spec)
+    return synthesize(grid, _exact_spectrum(sym, pg, b_const, grid, dt))
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +236,7 @@ def _panels(eps, R, per_decade, osc_scale=None):
 
 
 def singular_gradient_at(f: Callable, x: np.ndarray, pg: PseudoGradientSpec,
+                         eps_inner: float, r_outer: float,
                          theta_nodes: int = 64) -> np.ndarray:
     """Truncated singular-integral pseudo-gradient of a callable at points x.
 
@@ -220,9 +245,11 @@ def singular_gradient_at(f: Callable, x: np.ndarray, pg: PseudoGradientSpec,
     half space, integrated on [eps_inner, r_outer] with Gauss panels.  x has
     shape (npts, dim); the result has shape (npts, dim).
     """
+    if not 0 < eps_inner < r_outer:
+        raise ValueError("need 0 < eps_inner < r_outer")
     x = np.atleast_2d(np.asarray(x, dtype=float))
     d = pg.dim
-    r, w = _panels(pg.eps_inner, pg.r_outer, 3)
+    r, w = _panels(eps_inner, r_outer, 3)
     nb = pg.normalizer
     if d == 1:
         xs = x[:, 0]

@@ -188,24 +188,16 @@ def isotropic_symbol(alpha: float, scale_c: float = 1.0, dim: int = 1) -> Symbol
 
 @dataclass
 class PseudoGradientSpec:
-    """Order of the pseudo-gradient and the cutoffs of its singular form.
-
-    The operator multiplies transforms by i lam |lam|^{beta-1}
-    (`multiplier`).  Its singular-integral form, evaluated pointwise by
-    `spectral.singular_gradient_at` as a cross-check, is truncated to
-    eps_inner <= |y| <= r_outer.
-    """
+    """Order and dimension of the pseudo-gradient, which multiplies
+    transforms by i lam |lam|^{beta-1} (`multiplier`); the cutoffs of its
+    singular-integral form are arguments of `spectral.singular_gradient_at`."""
 
     beta: float
     dim: int = 1
-    eps_inner: float = 1e-8
-    r_outer: float = 40.0
 
     def __post_init__(self):
         if not 0.0 < self.beta < 1.0:
             raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
-        if self.eps_inner <= 0 or self.r_outer <= self.eps_inner:
-            raise ValueError("need 0 < eps_inner < r_outer")
 
     @property
     def normalizer(self) -> float:

@@ -21,18 +21,19 @@ import numpy as np
 from .grid import SpaceTimeGrid, synthesize, analyze
 from .symbols import SymbolSpec, PseudoGradientSpec, \
     pseudo_gradient_normalizer, pseudo_gradient_normalizer_neg_gamma
-from .spectral import (g0_values, constant_drift_values, check_resolution,
-                       apply_pseudo_gradient, singular_gradient_at,
-                       plane_wave_consistency, chapman_defect,
-                       pseudo_gradient_g0, UnsupportedConfiguration)
+from .spectral import (g0_values, base_kernel_field, constant_drift_values,
+                       exact_spectra, check_resolution, apply_pseudo_gradient,
+                       singular_gradient_at, plane_wave_consistency,
+                       chapman_defect, pseudo_gradient_g0,
+                       UnsupportedConfiguration)
 from .drift import (DriftField, constant_drift, zero_drift,
                     mollified_time_drift, series_exponent)
 from .volterra import (ConvergenceMonitor, PerturbationProblem,
                        beta_rate_factor, kernel_convolution_scaling)
 from .evolution import (TerminalValueProblem, GeneratorAction,
-                        check_evolution_property,
-                        check_identity_limit, identity_limit_floor,
-                        cauchy_residual, check_w_lipschitz,
+                        check_evolution_property, check_identity_limit,
+                        identity_limit_floor, cauchy_residual,
+                        check_w_lipschitz, generalized_solution_stability,
                         terminal_average_of_ones, fourier_mode, steep_step)
 from .cli import RunConfig, PHI_CHOICES
 
@@ -231,13 +232,23 @@ class FixtureSet(RunConfig):
     def monitor(self) -> ConvergenceMonitor:
         return ConvergenceMonitor(stop_tol=self.stop_tol)
 
+    def along_x(self, value):
+        """value, a number or an array, times the unit d-vector along x."""
+        return np.multiply.outer(np.eye(self.dim)[0], value)
+
+    def wave_drift(self) -> DriftField:
+        """b(t) = 0.75 + 0.5 cos(2 pi t) along x: constant in space, varying
+        in time."""
+        return DriftField(dim=self.dim, kind="time", evaluator=lambda t:
+                          self.along_x(0.75 + 0.5 * np.cos(2.0 * np.pi * t)))
+
     def solved_problem(self, magnitude=1.0, points=None, steps=None):
         """Cached kernel-level solve for a constant drift of given size: the
         problem and its G rows."""
         key = ("solve", magnitude, points or self.points, steps or self.steps)
         if key not in self._cache:
             grid = self.grid(points, steps)
-            b = constant_drift([magnitude] + [0.0] * (self.dim - 1))
+            b = constant_drift(self.along_x(magnitude))
             prob = PerturbationProblem(self.symbol(), self.pgrad(), grid, b)
             self._cache[key] = (prob, prob.solve_v(self.monitor()))
         return self._cache[key]
@@ -288,8 +299,8 @@ def check_pseudo_gradient_agreement(fx: FixtureSet) -> List[CheckResult]:
     line = spec[0][(probe,) + (grid.points_per_dim // 2,) * (fx.dim - 1)]
     diffs = []
     for eps_rel in (1e-2, 1e-4, 1e-6):
-        pgs = fx.pgrad(eps_inner=eps_rel * grid.dx, r_outer=30.0)
-        sing = singular_gradient_at(gauss, pts, pgs)
+        sing = singular_gradient_at(gauss, pts, fx.pgrad(),
+                                    eps_rel * grid.dx, 30.0)
         diffs.append(float(np.abs(sing[:, 0] - line).max()))
     monotone = all(d2 < d1 for d1, d2 in zip(diffs, diffs[1:]))
     rows = [
@@ -314,51 +325,40 @@ def check_pseudo_gradient_agreement(fx: FixtureSet) -> List[CheckResult]:
 
 
 def check_constant_drift_oracle(fx: FixtureSet) -> List[CheckResult]:
-    prob, G_rows = fx.solved_problem()
-    Gcf = prob.closed_form_G_rows()
-    grid = prob.grid
-
-    def rel_error(grid, num, cf):
-        """Largest masked relative error over a stack of rows."""
-        gn = synthesize(grid, num).reshape(len(num), -1)
-        gc = synthesize(grid, cf).reshape(len(cf), -1)
+    def rel_error(prob, rows, pairs):
+        """Largest masked relative error of the rows of the pairs (i, j)
+        against the exact kernel."""
+        gn = synthesize(prob.grid, np.stack([rows[j][i] for i, j in pairs]))
+        gc = synthesize(prob.grid, exact_spectra(prob.sym, prob.pg, prob.b,
+                                                 prob.grid, pairs))
+        gn, gc = gn.reshape(len(pairs), -1), gc.reshape(len(pairs), -1)
         mask = np.abs(gc) > 1e-4
         # a row without a masked point reads 0, the start of the maximum
         worst = np.where(mask, np.abs(gn - gc), 0.0).max(axis=1)
         return float((worst / np.maximum(np.abs(gc).max(axis=1), 1e-4)).max())
 
-    def rel_error_all(problem, rows_num, rows_cf):
-        return max(rel_error(problem.grid, rows_num[j], rows_cf[j])
-                   for j in range(1, problem.M + 1))
-
-    err_all = rel_error_all(prob, G_rows, Gcf)
-    # refinement at fixed physical pairs
-    prob2, G2 = fx.solved_problem(points=2 * fx.points, steps=2 * fx.steps)
-    phys = [(0.0, 1.0), (0.0, 0.5), (0.5, 1.0)]
-
     def phys_pairs(M):
+        """The index pairs of the times (0, 1), (0, 1/2) and (1/2, 1)."""
         return [(round(s * M / fx.horizon), round(t * M / fx.horizon))
-                for s, t in phys]
+                for s, t in ((0.0, 1.0), (0.0, 0.5), (0.5, 1.0))]
 
-    def rows_at(rows, pairs):
-        return np.stack([rows[j][i] for i, j in pairs])
-
-    coarse_pairs, fine_pairs = phys_pairs(fx.steps), phys_pairs(2 * fx.steps)
-    coarse = rel_error(grid, rows_at(G_rows, coarse_pairs),
-                       rows_at(Gcf, coarse_pairs))
-    fine = rel_error(prob2.grid, rows_at(G2, fine_pairs),
-                     prob2.closed_form_pair_rows(fine_pairs))
+    prob, G_rows = fx.solved_problem()
+    every_pair = [pair for pair, _ in G_rows.items()]
+    err_all = rel_error(prob, G_rows, every_pair)
+    # refinement at fixed physical pairs
+    coarse = rel_error(prob, G_rows, phys_pairs(fx.steps))
+    fine = rel_error(*fx.solved_problem(points=2 * fx.points,
+                                        steps=2 * fx.steps),
+                     phys_pairs(2 * fx.steps))
     # drift varying in time; the closed form integrates b by quadrature
-    bt = DriftField(dim=fx.dim, kind="time", evaluator=lambda t: np.array(
-        [0.75 + 0.5 * np.cos(2.0 * np.pi * t)] + [0.0] * (fx.dim - 1)))
-    prob_t = PerturbationProblem(fx.symbol(), fx.pgrad(), grid, bt)
-    G_t = prob_t.solve_v(fx.monitor())
-    err_t = rel_error_all(prob_t, G_t, prob_t.closed_form_G_rows())
+    prob_t = PerturbationProblem(fx.symbol(), fx.pgrad(), prob.grid,
+                                 fx.wave_drift())
+    err_t = rel_error(prob_t, prob_t.solve_v(fx.monitor()), every_pair)
     # constant drift: rows depend on the gap j - i alone; first[n - 1] is row
     # (0, n).  b = 1 given as a time drift solves each pair, not each gap
-    b1 = DriftField(dim=fx.dim, kind="time", evaluator=lambda t: np.array(
-        [1.0] + [0.0] * (fx.dim - 1)))
-    G_rows = PerturbationProblem(fx.symbol(), fx.pgrad(), grid,
+    b1 = DriftField(dim=fx.dim, kind="time",
+                    evaluator=lambda t: fx.along_x(1.0))
+    G_rows = PerturbationProblem(fx.symbol(), fx.pgrad(), prob.grid,
                                  b1).solve_v(fx.monitor())
     first = np.stack([G_rows[n][0] for n in range(1, prob.M + 1)])
     peak = prob.row_max_norm(first)
@@ -382,8 +382,8 @@ def check_constant_drift_oracle(fx: FixtureSet) -> List[CheckResult]:
 
 def check_negativity_witness(fx: FixtureSet) -> List[CheckResult]:
     sym, grid = fx.symbol(), fx.grid()
-    cf = constant_drift_values(sym, fx.pgrad(), [1.0] + [0.0] * (fx.dim - 1),
-                               grid, fx.horizon)
+    cf = constant_drift_values(sym, fx.pgrad(), fx.along_x(1.0), grid,
+                               fx.horizon)
     cf_min = float(cf.min())
     prob, G_rows = fx.solved_problem()
     solver_min = float(synthesize(prob.grid, G_rows[fx.steps][0]).min())
@@ -402,7 +402,6 @@ def check_negativity_witness(fx: FixtureSet) -> List[CheckResult]:
 
 
 def check_evolution_property_suite(fx: FixtureSet) -> List[CheckResult]:
-    from .spectral import base_kernel_field
     prob, G_rows = fx.solved_problem()
     Gf = prob.rows_to_scalar_field(G_rows)
     gf = base_kernel_field(fx.symbol(), fx.grid())
@@ -526,9 +525,7 @@ def check_envelope_fits(fx: FixtureSet) -> List[CheckResult]:
         by_gap_g0 = {gap: g0_values(sym, grid, gap) for gap in gaps}
         by_gap_grad = {gap: pseudo_gradient_g0(sym, fx.pgrad(), grid, gap)
                        for gap in gaps}
-        b = constant_drift([1.0] + [0.0] * (fx.dim - 1))
-        prob = PerturbationProblem(sym, fx.pgrad(), grid, b)
-        G_rows = prob.solve_v(fx.monitor())
+        prob, G_rows = fx.solved_problem(points=points)
         v_rows = prob.v_rows(G_rows)
         by_gap_v, by_gap_G = {}, {}
         for j in (1, 4, 16):
@@ -558,15 +555,14 @@ def check_drift_stability(fx: FixtureSet) -> List[CheckResult]:
     rows = []
 
     def ratio_band(pairs):
-        from .evolution import generalized_solution_stability
         ratios = [r.ratio for r in generalized_solution_stability(
             sym, pg, grid, pairs, stop_tol=1e-9)]
         return max(ratios) / min(ratios)
 
     deltas = (1e-2, 5e-3, 2.5e-3)
     # one base drift object per family: the stability table solves it once
-    unit = constant_drift([1.0])
-    const_pairs = [(f"delta={d:g}", unit, constant_drift([1.0 + d]))
+    unit = constant_drift(fx.along_x(1.0))
+    const_pairs = [(f"delta={d:g}", unit, constant_drift(fx.along_x(1.0 + d)))
                    for d in deltas]
     band_c = ratio_band(const_pairs)
     rows.append(_result("drift-stability/constant-pair",
@@ -574,12 +570,13 @@ def check_drift_stability(fx: FixtureSet) -> List[CheckResult]:
                         band_c <= 2.0, "derived-oracle"))
 
     square = lambda t: np.where((t * 8) % 2 < 1, 1.0, -1.0)
-    base = DriftField(dim=1, kind="time",
-                      evaluator=lambda t: np.array([0.75]), p_exponent=8.0)
+    base = DriftField(dim=fx.dim, kind="time",
+                      evaluator=lambda t: fx.along_x(0.75), p_exponent=8.0)
     rough_pairs = []
     for d in deltas:
         bumped = mollified_time_drift(
-            lambda t, dd=d: 0.75 + dd * square(t), 0.05, 1, p=8.0)
+            lambda t, dd=d: fx.along_x(0.75 + dd * square(t)), 0.05, fx.dim,
+            p=8.0)
         rough_pairs.append((f"delta={d:g}", bumped, base))
     band_r = ratio_band(rough_pairs)
     rows.append(_result("drift-stability/mollified-rough-pair",
@@ -596,23 +593,25 @@ def check_cauchy_residual_suite(fx: FixtureSet) -> List[CheckResult]:
     u0 = TerminalValueProblem(sym, pg, grid, b0, phi_mode).solve()
     r0 = cauchy_residual(u0, GeneratorAction(sym, pg, b0), grid)
 
-    def smooth_b(t, x):
-        return ((0.8 + 0.4 * np.cos(np.pi * t))
-                * np.exp(-0.5 * (x / 4.0) ** 2))[None, :]
+    def smooth_b(t, x, *rest):
+        """A Gaussian bump along x, its height varying in time."""
+        return fx.along_x((0.8 + 0.4 * np.cos(np.pi * t))
+                          * np.exp(-0.5 * sum((c / 4.0) ** 2
+                                              for c in (x, *rest))))
 
     # drift constant in space: u(t_i) has the closed form on every mode
-    bt = DriftField(dim=fx.dim, kind="time", evaluator=lambda t: np.array(
-        [0.75 + 0.5 * np.cos(2.0 * np.pi * t)] + [0.0] * (fx.dim - 1)))
+    bt = fx.wave_drift()
     phi = replace(fx, phi="bump").phi_function()
     res, err = {}, {}
     for points, steps in ((fx.points, fx.steps), (2 * fx.points, 2 * fx.steps)):
         g = fx.grid(points, steps)
-        bs = DriftField(dim=1, kind="space_time", evaluator=smooth_b)
+        bs = DriftField(dim=fx.dim, kind="space_time", evaluator=smooth_b)
         us = TerminalValueProblem(sym, pg, g, bs, phi).solve()
         res[steps] = cauchy_residual(us, GeneratorAction(sym, pg, bs), g)
         u = TerminalValueProblem(sym, pg, g, bt, phi).solve()
-        exact = synthesize(g, PerturbationProblem(sym, pg, g, bt).closed_form_pair_rows(
-            [(i, steps) for i in range(steps)]) * analyze(g, phi.sample(g)))
+        exact = synthesize(g, exact_spectra(
+            sym, pg, bt, g, [(i, steps) for i in range(steps)])
+            * analyze(g, phi.sample(g)))
         err[steps] = max(float(np.abs(u[i] - exact[i]).max()) for i in u)
     coarse, fine = res[fx.steps], res[2 * fx.steps]
     oracle_ratio = err[2 * fx.steps] / err[fx.steps]
@@ -636,11 +635,10 @@ def check_cauchy_residual_suite(fx: FixtureSet) -> List[CheckResult]:
 
 def check_terminal_average(fx: FixtureSet) -> List[CheckResult]:
     _one_dimensional(fx, "terminal-average")
-    grid = fx.grid(1024)
-    b = constant_drift([1.0] + [0.0] * (fx.dim - 1))
-    prob = PerturbationProblem(fx.symbol(), fx.pgrad(), grid, b)
-    vf = prob.rows_to_vector_field(prob.v_rows(prob.solve_v(fx.monitor())))
-    rep = check_w_lipschitz(vf, steep_step(grid.dx / 4), fx.alpha, fx.beta)
+    prob, G_rows = fx.solved_problem(points=1024)
+    vf = prob.rows_to_vector_field(prob.v_rows(G_rows))
+    rep = check_w_lipschitz(vf, steep_step(prob.grid.dx / 4), fx.alpha,
+                            fx.beta)
     ones = terminal_average_of_ones(vf)
     return [
         _result("terminal-average/lipschitz-exponent",

@@ -32,6 +32,7 @@ from .grid import SpaceTimeGrid, GridError, synthesize, synthesize_unshifted
 from .symbols import SymbolSpec, PseudoGradientSpec
 from .fields import KernelField, by_gap, depends_on_gap
 from .drift import DriftField
+from .spectral import exact_spectra
 from .quadrature import gauss_panels, kernel_rule, interval_rule, carry_weights
 
 
@@ -303,32 +304,11 @@ class PerturbationProblem:
     def rows_to_vector_field(self, rows: KernelRows) -> KernelField:
         return self._fill("v", rows)
 
-    def _closed_form_terms(self):
-        """m[k] = (Int_0^{t_k} b, multiplier) and the gaps t_j - t_i, shaped
-        to broadcast over the lattice: the exact row (i, j) is
-        exp(-a gaps[j, i] + m[j] - m[i]).  Int b is 16-point Gauss-Legendre
-        on every step."""
-        tau, w = gauss_panels(self.times, 16)
-        b = np.array([[self.b.at_time(t) for t in row] for row in tau])
-        steps = np.einsum("kq,kqc->kc", w, b)
-        int_b = np.cumsum(np.insert(steps, 0, 0.0, axis=0), axis=0)
-        m = np.tensordot(int_b, self.mult, axes=(1, 0))
-        gaps = (self.times[:, None] - self.times).reshape(
-            (len(self.times),) * 2 + (1,) * self.grid.dim)
-        return m, gaps
-
     def closed_form_G_rows(self) -> KernelRows:
-        """Exact rows exp(-a (t-s) + (Int_s^t b, multiplier)) (oracle use only)."""
-        m, gaps = self._closed_form_terms()
-        return KernelRows(np.exp(-self.a * gaps[j, :j] + m[j] - m[:j])
-                          for j in range(self.M + 1))
-
-    def closed_form_pair_rows(self, pairs) -> np.ndarray:
-        """Stack of the exact rows (i, j) of the given pairs alone, equal to
-        those of :meth:`closed_form_G_rows` (oracle use only)."""
-        m, gaps = self._closed_form_terms()
-        return np.stack([np.exp(-self.a * gaps[j, i] + m[j] - m[i])
-                         for i, j in pairs])
+        """Exact rows of every pair, `spectral.exact_spectra` (oracle use)."""
+        pairs = [(i, j) for j in range(1, self.M + 1) for i in range(j)]
+        rows = exact_spectra(self.sym, self.pg, self.b, self.grid, pairs)
+        return KernelRows(np.split(rows, np.cumsum(range(self.M + 1))[:-1]))
 
 
 # ---------------------------------------------------------------------------

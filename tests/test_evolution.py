@@ -13,7 +13,7 @@ from pseudoproc import (SpaceTimeGrid, GridError, PerturbationProblem,
                         constant_one, fourier_mode, compact_bump, steep_step,
                         constant_drift, zero_drift, DriftField, analyze,
                         synthesize, SymbolSpec, isotropic_symbol,
-                        PseudoGradientSpec)
+                        PseudoGradientSpec, exact_spectra)
 from pseudoproc.spectral import base_kernel_field
 
 
@@ -150,8 +150,7 @@ def test_superposition_of_the_march(sym, pg, small_grid):
 
 def _closed_form_u(sym, pg, grid, b, phi, j):
     """Exact u(t_i), i < j, for a drift constant in space."""
-    rows = PerturbationProblem(sym, pg, grid, b).closed_form_pair_rows(
-        [(i, j) for i in range(j)])
+    rows = exact_spectra(sym, pg, b, grid, [(i, j) for i in range(j)])
     return synthesize(grid, rows * analyze(grid, phi.sample(grid)))
 
 

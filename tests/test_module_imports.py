@@ -13,7 +13,7 @@ MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 # definitions kept although nothing in the package loads them, with the reason
 UNREACHED_BY_DESIGN = {
-    "mode_factor": "the per-mode reference the sign-convention tests of "
+    "GeneratorAction.mode_factor": "the per-mode reference the sign-convention tests of "
                    "GeneratorAction compare against",
 }
 
@@ -131,29 +131,67 @@ def test_the_package_imports_no_scipy(path):
 def _unreached(trees, mentioned):
     """Names of the functions, methods and classes of `trees` that no Name
     or Attribute load outside their own body reads and `mentioned` does not
-    name; dunder methods, called by the language, are left out."""
-    loads = {}
+    name; dunder methods, called by the language, are left out.
+
+    A method is reported as "Class.name".  `self.name` and `cls.name` in a
+    class, and `Class.name`, reach name on that class and its bases alone;
+    an attribute load on any other receiver reaches every definition of its
+    name."""
+    classes = {node.name: node for tree in trees for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)}
+
+    def lineage(name):
+        """The class and its bases that the trees define."""
+        found, todo = [], [name]
+        while todo:
+            cls = todo.pop()
+            if cls in classes and cls not in found:
+                found.append(cls)
+                todo += [b.id for b in classes[cls].bases
+                         if isinstance(b, ast.Name)]
+        return found
+
+    loads = {}      # (owning class or None, name) -> ids of the load nodes
+
+    def scan(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+                loads.setdefault((None, child.id), []).append(id(child))
+            elif (isinstance(child, ast.Attribute)
+                  and isinstance(child.ctx, ast.Load)):
+                receiver = getattr(child.value, "id", None)
+                if receiver in ("self", "cls") and owner:
+                    owners = lineage(owner)
+                elif receiver in classes:
+                    owners = lineage(receiver)
+                else:
+                    owners = [None]
+                for cls in owners:
+                    loads.setdefault((cls, child.attr), []).append(id(child))
+            scan(child, child.name if isinstance(child, ast.ClassDef)
+                 else owner)
+
+    definitions = []    # (owning class or None, node)
     for tree in trees:
+        scan(tree, None)
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                loads.setdefault(node.id, []).append(id(node))
-            elif (isinstance(node, ast.Attribute)
-                  and isinstance(node.ctx, ast.Load)):
-                loads.setdefault(node.attr, []).append(id(node))
+            owner = node.name if isinstance(node, ast.ClassDef) else None
+            definitions += [(owner, child) for child in ast.iter_child_nodes(node)
+                            if isinstance(child, (ast.FunctionDef,
+                                                  ast.AsyncFunctionDef,
+                                                  ast.ClassDef))]
     found = set()
-    for tree in trees:
-        for node in ast.walk(tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                     ast.ClassDef)):
-                continue
-            name = node.name
-            if name.startswith("__") and name.endswith("__"):
-                continue
-            body = {id(n) for n in ast.walk(node)}
-            if any(i not in body for i in loads.get(name, ())):
-                continue
-            if not re.search(rf"\b{re.escape(name)}\b", mentioned):
-                found.add(name)
+    for owner, node in definitions:
+        name = node.name
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        body = {id(n) for n in ast.walk(node)}
+        reaching = loads.get((None, name), []) + (
+            loads.get((owner, name), []) if owner else [])
+        if any(i not in body for i in reaching):
+            continue
+        if not re.search(rf"\b{re.escape(name)}\b", mentioned):
+            found.add(f"{owner}.{name}" if owner else name)
     return found
 
 
@@ -165,7 +203,21 @@ def test_the_reachability_scan_reports_an_unreached_definition():
                      "    def hooked(self):\n        pass\n"
                      "    def __repr__(self):\n        return ''\n"
                      "x = A().used()\n")
-    assert _unreached([tree], "Hook('m:A.hooked')") == {"recursive"}
+    assert _unreached([tree], "Hook('m:A.hooked')") == {"A.recursive"}
+
+
+def test_the_reachability_scan_keys_self_loads_by_their_class():
+    # B.step shares its name with A.step, which A.run reaches through self;
+    # C inherits run from A, and C.go reaches A.run through self
+    tree = ast.parse("class A:\n"
+                     "    def run(self):\n        return self.step()\n"
+                     "    def step(self):\n        return 1\n"
+                     "class B:\n"
+                     "    def step(self):\n        return 2\n"
+                     "class C(A):\n"
+                     "    def go(self):\n        return self.run()\n"
+                     "x = C().go(), B\n")
+    assert _unreached([tree], "") == {"B.step"}
 
 
 def test_every_definition_is_reached():

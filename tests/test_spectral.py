@@ -10,7 +10,7 @@ from pseudoproc import (SpaceTimeGrid, PseudoGradientSpec,
                         singular_gradient_at, check_resolution,
                         ResolutionError, chapman_defect, base_kernel_field,
                         isotropic_symbol, synthesize, constant_drift,
-                        PerturbationProblem)
+                        DriftField, exact_spectra)
 from pseudoproc.spectral import _bessel_j, _panels
 from pseudoproc.verify import self_similarity_defect
 
@@ -93,14 +93,38 @@ def test_closed_form_mass_and_negativity(sym, pg, default_grid):
 
 def test_closed_form_kernel_of_a_custom_symbol_equals_the_exact_rows(
         pg, default_grid):
-    # the closed form exp(-a dt + (b, multiplier) dt) holds for any symbol a
+    # the closed form exp(-a dt + dt (b, multiplier)) holds for any symbol a;
+    # the reference writes it out for a skew symbol, b = 0.7 and dt = 1/2
     skew = SymbolSpec(alpha=1.5, variant="custom", dim=1, a0=1.0,
                       evaluator=lambda lam: np.abs(lam) ** 1.5
                       * (1.0 + 0.2j * np.sign(lam)))
-    kernel = constant_drift_kernel(skew, pg, [1.0], default_grid, 1.0)
-    prob = PerturbationProblem(skew, pg, default_grid, constant_drift([1.0]))
-    exact = synthesize(default_grid, prob.closed_form_pair_rows([(0, 16)]))
-    assert np.abs(kernel.slice((0, 16)) - exact[0]).max() < 1e-15
+    lam, = default_grid.freq_mesh()
+    a = np.abs(lam) ** 1.5 * (1.0 + 0.2j * np.sign(lam))
+    reference = synthesize(default_grid, np.exp(
+        -a * 0.5 + 0.5 * (0.7 * pg.multiplier(default_grid)[0])))
+    kernel = constant_drift_kernel(skew, pg, [0.7], default_grid, 0.5)
+    # the pairs (0, 8) and (5, 13) both span dt = 1/2
+    rows = exact_spectra(skew, pg, constant_drift([0.7]), default_grid,
+                         [(0, 8), (5, 13)])
+    for values in (kernel.slice((0, 8)), *synthesize(default_grid, rows)):
+        assert np.abs(values - reference).max() < 1e-15
+
+
+def test_exact_spectra_of_a_time_drift_integrate_it_exactly(sym, pg,
+                                                            small_grid):
+    # b(t) = 0.75 + 0.5 cos(2 pi t) has the mean over [t_i, t_j] of
+    # (0.75 gap + (sin 2 pi t_j - sin 2 pi t_i) / (4 pi)) / gap
+    b = DriftField(dim=1, kind="time", evaluator=lambda t: np.array(
+        [0.75 + 0.5 * np.cos(2.0 * np.pi * t)]))
+    M, t = small_grid.time_steps, small_grid.times()
+    pairs = [(i, j) for j in range(1, M + 1) for i in range(j)]
+    a, m = sym.on_grid(small_grid), pg.multiplier(small_grid)[0]
+    rows = exact_spectra(sym, pg, b, small_grid, pairs)
+    for (i, j), row in zip(pairs, rows):
+        gap = t[j] - t[i]
+        int_b = 0.75 * gap + (np.sin(2.0 * np.pi * t[j])
+                              - np.sin(2.0 * np.pi * t[i])) / (4.0 * np.pi)
+        assert np.abs(row - np.exp(-a * gap + int_b * m)).max() < 1e-13
 
 
 def test_custom_symbol_kernel_is_real_with_unit_mass(default_grid):
@@ -142,10 +166,8 @@ def test_cross_mode_agreement_improves_with_cutoff(pg, default_grid):
     probe = np.abs(xs) <= 8.0
     diffs = []
     for eps_rel in (1e-2, 1e-4, 1e-6):
-        pgs = PseudoGradientSpec(beta=0.5, dim=1,
-                                 eps_inner=eps_rel * default_grid.dx,
-                                 r_outer=30.0)
-        sing = singular_gradient_at(gauss, xs[probe][:, None], pgs)
+        sing = singular_gradient_at(gauss, xs[probe][:, None], pg,
+                                    eps_rel * default_grid.dx, 30.0)
         diffs.append(np.abs(sing[:, 0] - spec[0][probe]).max())
     assert diffs[0] > diffs[1] > diffs[2]
     assert diffs[2] < 1e-3
@@ -153,13 +175,13 @@ def test_cross_mode_agreement_improves_with_cutoff(pg, default_grid):
 
 def test_singular_mode_2d_bump_against_spectral():
     grid = SpaceTimeGrid(2, 15.0, 64, 1.0, 4)
-    pg2 = PseudoGradientSpec(beta=0.5, dim=2, eps_inner=1e-7, r_outer=40.0)
+    pg2 = PseudoGradientSpec(beta=0.5, dim=2)
     f = lambda x, y: np.exp(-0.5 * (x ** 2 + y ** 2))
     spec = apply_pseudo_gradient(f, pg2, grid)
     x = grid.axis()
     idx = [(34, 31), (36, 33), (32, 34)]
     pts = np.array([[x[i], x[j]] for i, j in idx])
-    sing = singular_gradient_at(f, pts, pg2, theta_nodes=96)
+    sing = singular_gradient_at(f, pts, pg2, 1e-7, 40.0, theta_nodes=96)
     for (i, j), s in zip(idx, sing):
         assert np.allclose(s, spec[:, i, j], atol=2e-3)
 

@@ -6,7 +6,7 @@ from pseudoproc import (SymbolSpec, SymbolError, PseudoGradientSpec,
                         isotropic_symbol, gamma_extended,
                         pseudo_gradient_normalizer,
                         pseudo_gradient_normalizer_neg_gamma)
-from pseudoproc.spectral import plane_wave_consistency
+from pseudoproc.spectral import plane_wave_consistency, singular_gradient_at
 from pseudoproc.verify import GOLDEN_VALUES
 
 
@@ -127,8 +127,11 @@ def test_isotropic_symbols_are_real_on_the_half_lattice():
 def test_pseudo_gradient_spec_validation():
     with pytest.raises(ValueError):
         PseudoGradientSpec(beta=1.0, dim=1)
-    with pytest.raises(ValueError):
-        PseudoGradientSpec(beta=0.5, dim=1, eps_inner=2.0, r_outer=1.0)
+    # the singular form's cutoffs are arguments of its evaluation
+    for eps_inner, r_outer in ((2.0, 1.0), (0.0, 1.0)):
+        with pytest.raises(ValueError, match="0 < eps_inner < r_outer"):
+            singular_gradient_at(np.sin, [[0.0]], PseudoGradientSpec(0.5),
+                                 eps_inner, r_outer)
 
 
 def test_multiplier_vanishes_at_origin_and_nyquist(pg, default_grid):

@@ -387,7 +387,7 @@ def test_rows_of_distinct_pairs_keep_their_own_slices(sym, pg, small_grid):
     shared, twin = _unit_drift_twins(sym, pg, small_grid)
     mon = ConvergenceMonitor()
     # the time twin solves every pair on its own; the exact rows of one gap
-    # differ at round-off
+    # are equal (b's mean is its vector) but each is formed for its own pair
     for prob, G in ((twin, twin.solve_v(mon)),
                     (shared, shared.closed_form_G_rows())):
         field, v = prob.rows_to_scalar_field(G), prob.v_rows(G)
