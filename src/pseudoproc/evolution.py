@@ -45,8 +45,8 @@ from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
-from .grid import (SpaceTimeGrid, GridError, synthesize, synthesize_unshifted,
-                   analyze, convolve, half_swap, interior_mask)
+from .grid import (SpaceTimeGrid, GridError, synthesize, analyze, convolve,
+                   interior_mask)
 from .symbols import SymbolSpec, PseudoGradientSpec
 from .fields import KernelField
 from .drift import DriftField
@@ -161,30 +161,14 @@ class GeneratorAction:
 
     def __call__(self, values: np.ndarray, times: Sequence[float],
                  grid: SpaceTimeGrid) -> np.ndarray:
-        # -A u and the d pseudo-gradient components in one batched synthesis,
-        # combined in FFT order; one swap of the result centers it
-        fields = synthesize_unshifted(grid, np.concatenate(
+        # -A u and the d pseudo-gradient components in one batched synthesis
+        fields = synthesize(grid, np.concatenate(
             [self.sym.on_grid(grid)[None], self.pg.multiplier(grid)])
             * analyze(grid, values)[:, None])
-        fields[:, 1:] *= half_swap(self.drift.sample_times(times, grid),
-                                   grid.dim)
+        fields[:, 1:] *= self.drift.sample_times(times, grid)
         out = fields[:, 1:].sum(axis=1)
         out -= fields[:, 0]
-        return half_swap(out, grid.dim)
-
-    def mode_factor(self, lam_components: Sequence[float], t: float,
-                    x: Sequence[float]) -> complex:
-        """Exact multiplier on a plane wave at a point (for convention tests)."""
-        lam = np.atleast_1d(np.asarray(lam_components, dtype=float))
-        norm = float(np.sqrt((lam ** 2).sum()))
-        a_val = complex(np.asarray(self.sym(*(np.array([c]) for c in lam))).ravel()[0])
-        if self.drift.spatially_constant:
-            bv = self.drift.at_time(t)
-        else:
-            mesh = [np.array([xx]) for xx in np.atleast_1d(x)]
-            bv = np.asarray(self.drift.evaluator(t, *mesh), dtype=float).ravel()
-        grad_sym = 1j * lam * norm ** (self.pg.beta - 1.0) if norm > 0 else 0.0 * lam
-        return -a_val + complex(np.dot(bv, grad_sym))
+        return out
 
 
 # ---------------------------------------------------------------------------

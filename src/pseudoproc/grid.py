@@ -19,12 +19,17 @@ The symmetry is checked once, where a spectrum is made
 the last axis are their own partners, and irfft keeps the real part of their
 coefficients, as the real part of a full-lattice synthesis does; so every
 Hermitian spectrum synthesizes to the field of the full complex transform,
-up to round-off.  N is even, so fftshift and ifftshift are one swap of the
-halves of each spatial axis, done here by slicing.  No other module calls
-np.fft.
+up to round-off.  The samples are centred, x_j = (j - N/2) dx, while numpy's
+transforms put the origin at index 0; N is even, so the shift multiplies
+mode k of each axis by exp(i pi k) = (-1)^k, a sign on the half spectrum
+that the transforms apply.  For power-of-two N this gives the bits of
+ifftshift / fftshift around numpy's transforms; for N with an odd factor
+it agrees to round-off.  No other module calls np.fft or knows the order
+of the samples.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -160,11 +165,14 @@ def _lattice(a, shape) -> np.ndarray:
     return a
 
 
-def half_swap(a: np.ndarray, dim: int) -> np.ndarray:
-    """Swap the halves of each trailing spatial axis: fftshift = ifftshift."""
-    h = a.shape[-1] // 2
-    a = np.concatenate((a[..., h:], a[..., :h]), axis=-1)
-    return a if dim == 1 else np.concatenate((a[..., h:, :], a[..., :h, :]), axis=-2)
+@functools.lru_cache(maxsize=None)
+def _centre_phase(shape: tuple) -> np.ndarray:
+    """exp(i pi k) = (-1)^k per axis, multiplied over the axes of a half
+    spectrum (an FFT-ordered index has its mode's parity, as N is even):
+    the phase that moves the samples' origin to the centre of the box."""
+    phase = np.where(np.indices(shape).sum(axis=0) % 2, -1.0 + 0j, 1.0 + 0j)
+    phase.setflags(write=False)
+    return phase
 
 
 def synthesize(grid: SpaceTimeGrid, spectrum: np.ndarray) -> np.ndarray:
@@ -172,19 +180,12 @@ def synthesize(grid: SpaceTimeGrid, spectrum: np.ndarray) -> np.ndarray:
 
     Implements f(x_j) = (2 pi)^{-d} sum_k F(lam_k) e^{i(lam_k, x_j)} dlam^d
     over the Hermitian extension of the half spectrum, which reduces to
-    irfftn up to the factor dx^{-d}.  Only the trailing axes, which must be
-    the half lattice, are transformed, so a stack of spectra gives the
-    stack of fields.
+    irfftn of the centre phase times F, up to the factor dx^{-d}.  Only the
+    trailing axes, which must be the half lattice, are transformed, so a
+    stack of spectra gives the stack of fields.
     """
-    return half_swap(synthesize_unshifted(grid, spectrum), grid.dim)
-
-
-def synthesize_unshifted(grid: SpaceTimeGrid,
-                         spectrum: np.ndarray) -> np.ndarray:
-    """`synthesize` with its points left in FFT order: the samples without
-    the half swap, which only permutes them, for reductions over the
-    lattice such as a sup norm."""
-    vals = _IFFT[grid.dim](_lattice(spectrum, grid.spectrum_shape()))
+    shape = grid.spectrum_shape()
+    vals = _IFFT[grid.dim](_lattice(spectrum, shape) * _centre_phase(shape))
     vals /= grid.cell_volume
     return vals
 
@@ -194,17 +195,17 @@ def analyze(grid: SpaceTimeGrid, values: np.ndarray) -> np.ndarray:
     synthesize).  Like `synthesize`, it transforms only the trailing
     grid.dim axes.
     """
-    out = _FFT[grid.dim](half_swap(_lattice(values, grid.shape()), grid.dim))
-    out *= grid.cell_volume
+    out = _FFT[grid.dim](_lattice(values, grid.shape()))
+    out *= _centre_phase(grid.spectrum_shape()) * grid.cell_volume
     return out
 
 
 def convolve(grid: SpaceTimeGrid, f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Discrete (circular) convolution with cell-volume weight, taken like
     `synthesize` over the trailing lattice axes."""
-    f, g = (_FFT[grid.dim](half_swap(_lattice(x, grid.shape()), grid.dim))
-            for x in (f, g))
-    return half_swap(_IFFT[grid.dim](f * g) * grid.cell_volume, grid.dim)
+    f, g = (_FFT[grid.dim](_lattice(x, grid.shape())) for x in (f, g))
+    return _IFFT[grid.dim](f * g * _centre_phase(grid.spectrum_shape())) \
+        * grid.cell_volume
 
 
 def interior_mask(grid: SpaceTimeGrid, margin: float = 0.1) -> np.ndarray:

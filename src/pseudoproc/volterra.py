@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import SpaceTimeGrid, GridError, synthesize, synthesize_unshifted
+from .grid import SpaceTimeGrid, GridError, synthesize
 from .symbols import SymbolSpec, PseudoGradientSpec
 from .fields import KernelField, by_gap, depends_on_gap
 from .drift import DriftField
@@ -208,7 +208,7 @@ class PerturbationProblem:
     def row_max_norm(self, rows: np.ndarray) -> np.ndarray:
         """Lattice sup of each synthesized scalar or vector row of a stack."""
         points = self.grid.points_per_dim ** self.grid.dim
-        comps = synthesize_unshifted(self.grid, rows).reshape(len(rows), -1, points)
+        comps = synthesize(self.grid, rows).reshape(len(rows), -1, points)
         return np.sqrt((comps ** 2).sum(1)).max(1)
 
     # -- solve ---------------------------------------------------------------

@@ -355,23 +355,20 @@ def test_perturbation_remainder_rate_on_rough_data(sym, pg):
     assert slope == pytest.approx(1.0 - 0.5 / 1.5, abs=0.1)
 
 
-def test_generator_action_mode_convention(sym, pg):
-    gen = GeneratorAction(sym, pg, constant_drift([1.0]))
-    lam = 0.9
-    factor = gen.mode_factor([lam], 0.0, [0.0])
-    expected = -lam ** 1.5 + 1j * 1.0 * lam * lam ** (-0.5)
-    assert factor == pytest.approx(expected, rel=1e-12)
-
-
 def test_generator_action_on_lattice_mode(sym, pg, small_grid):
-    gen = GeneratorAction(sym, pg, constant_drift([1.0]))
+    # cos(lam x_0) with b along x_0: -A cos = -lam^alpha cos, and the drift
+    # term i b lam |lam|^(beta-1) rotates it into -b lam^beta sin
+    plane = SpaceTimeGrid(2, 20.0, 16, 1.0, 8)
     lam = 2 * np.pi * 3 / 40.0
-    u = np.cos(lam * small_grid.axis())
-    [out] = gen(u[None], [0.0], small_grid)
-    # -A cos = -lam^alpha cos; drift term rotates into sine
-    expected = (-lam ** 1.5 * np.cos(lam * small_grid.axis())
-                - lam ** 0.5 * np.sin(lam * small_grid.axis()))
-    assert np.abs(out - expected).max() < 1e-10
+    for grid, gen in (
+            (small_grid, GeneratorAction(sym, pg, constant_drift([1.0]))),
+            (plane, GeneratorAction(isotropic_symbol(1.5, 1.0, 2),
+                                    PseudoGradientSpec(0.5, 2),
+                                    constant_drift([1.0, 0.0])))):
+        x0 = grid.mesh()[0]
+        [out] = gen(np.cos(lam * x0)[None], [0.0], grid)
+        expected = -lam ** 1.5 * np.cos(lam * x0) - lam ** 0.5 * np.sin(lam * x0)
+        assert np.abs(out - expected).max() < 1e-10
 
 
 def test_cauchy_residual_needs_interior_slices(sym, pg, small_grid):

@@ -77,7 +77,7 @@ def _hermitian_extension(grid, half):
     return full
 
 
-@pytest.mark.parametrize("dim, points", [(1, 64), (2, 16)])
+@pytest.mark.parametrize("dim, points", [(1, 64), (2, 16), (1, 48), (2, 24)])
 def test_half_spectra_equal_the_full_transforms_of_their_hermitian_extension(
         dim, points):
     grid = SpaceTimeGrid(dim, 5.0, points, 1.0, 4)
@@ -193,7 +193,7 @@ def test_march_equals_the_march_on_reference_transforms(dim, points, steps,
 @pytest.mark.parametrize("dim, points, wrong", [(1, 64, 63), (1, 64, 128),
                                                (2, 16, 15), (2, 16, 32)])
 def test_transforms_reject_arrays_off_the_lattice(dim, points, wrong):
-    # an odd length or another N: the half swap needs the lattice's even N
+    # an odd length or another N: the sign (-1)^k needs the lattice's even N
     grid = SpaceTimeGrid(dim, 5.0, points, 1.0, 4)
     bad = np.ones((3,) + (wrong,) * dim)
     for transform, shape in ((synthesize, grid.spectrum_shape()),

@@ -11,12 +11,6 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "pseudoproc"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
-# definitions kept although nothing in the package loads them, with the reason
-UNREACHED_BY_DESIGN = {
-    "GeneratorAction.mode_factor": "the per-mode reference the sign-convention tests of "
-                   "GeneratorAction compare against",
-}
-
 
 def _imported_names(tree):
     """Name bound by each module-level import, mapped to its line."""
@@ -59,8 +53,9 @@ def test_the_scan_reports_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_level_imports_are_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
+    used = _used_names(tree)
     unused = {name: line for name, line in _imported_names(tree).items()
-              if name not in _used_names(tree)}
+              if name not in used}
     assert not unused, f"{path.name}: unused imports {unused}"
 
 
@@ -225,6 +220,4 @@ def test_every_definition_is_reached():
              for p in PACKAGE.glob("*.py")]
     mentioned = "\n".join(p.read_text()
                           for p in (ROOT / "perfbench").glob("*.py"))
-    unreached = _unreached(trees, mentioned)
-    assert unreached - set(UNREACHED_BY_DESIGN) == set(), "unreached"
-    assert set(UNREACHED_BY_DESIGN) - unreached == set(), "stale exemptions"
+    assert _unreached(trees, mentioned) == set()
