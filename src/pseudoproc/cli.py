@@ -26,13 +26,15 @@ import numpy as np
 
 from .grid import SpaceTimeGrid, ImaginaryResidueError
 from .symbols import isotropic_symbol, PseudoGradientSpec, SymbolError
-from .spectral import (synthesize_g0, constant_drift_kernel, check_resolution,
-                       ResolutionError, UnsupportedConfiguration)
+from .spectral import (synthesize_g0, g0_values, constant_drift_kernel,
+                       check_resolution, ResolutionError,
+                       UnsupportedConfiguration)
 from .fields import (FieldError, snapshot_field, read_snapshot_fields,
                      write_csv, csv_prefixes, format_rows)
 from .drift import constant_drift
 from .volterra import ConvergenceMonitor, ConvergenceError, PerturbationProblem
-from .evolution import constant_one, fourier_mode, compact_bump, apply_stack
+from .evolution import (constant_one, fourier_mode, compact_bump, apply_stack,
+                        check_identity_limit)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -248,7 +250,7 @@ def cmd_perturb(args) -> int:
               newline="") as fh:
         fh.write(",".join(["s_index"] + coords + ["u"]) + "\r\n")
         for i, slice_ in enumerate(u):
-            fh.write(format_rows(f"{i},", prefixes, [slice_.ravel().tolist()],
+            fh.write(format_rows(f"{i},", prefixes, slice_.ravel().tolist(),
                                  newline="\r\n"))
     print(f"wrote {len(paths)} kernel snapshots, convergence log and "
           f"u slices under {cfg.outdir}")
@@ -307,7 +309,6 @@ def cmd_emit(args) -> int:
     if what == "profiles":
         if cfg.dim != 1:
             raise UnsupportedConfiguration("profile emission is one-dimensional")
-        from .spectral import g0_values
         path = os.path.join(_outdir(cfg), "profiles.csv")
         gaps = [grid.dt * j for j in (1, 2, 4, 8, 16) if j <= grid.time_steps]
         with open(path, "w", newline="") as fh:
@@ -324,7 +325,6 @@ def cmd_emit(args) -> int:
         prob = PerturbationProblem(sym, cfg.pgrad(), grid, b)
         G = prob.rows_to_scalar_field(
             prob.solve_v(ConvergenceMonitor(stop_tol=cfg.stop_tol)))
-        from .evolution import check_identity_limit
         table = check_identity_limit(G, cfg.phi_function())
         path = os.path.join(_outdir(cfg), "identity_decay.csv")
         with open(path, "w", newline="") as fh:

@@ -428,10 +428,6 @@ class LipschitzReport:
     fitted_exponent: float
     predicted_exponent: float
 
-    @property
-    def passed(self) -> bool:
-        return abs(self.fitted_exponent - self.predicted_exponent) <= 0.15
-
 
 def check_w_lipschitz(v: KernelField, phi: TestFunction,
                       alpha: float, beta: float) -> LipschitzReport:

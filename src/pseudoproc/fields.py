@@ -221,17 +221,15 @@ def csv_prefixes(columns) -> List[str]:
     return [",".join(cells) + "," for cells in rows]
 
 
-def format_rows(head: str, prefixes: List[str], columns,
+def format_rows(head: str, prefixes: List[str], values,
                 newline: str = "\n") -> str:
     """CSV text of one row per prefix: `head`, the row's prefix, then the repr
-    of the row's entry in every value column, comma separated.
+    of the row's entry in `values`.
 
     Every float is written as its repr, so it parses back to the same value.
     """
-    cells = map(repr, columns[0])
-    for col in columns[1:]:
-        cells = map("{},{}".format, cells, map(repr, col))
-    return head + (newline + head).join(map(add, prefixes, cells)) + newline
+    rows = map(add, prefixes, map(repr, values))
+    return head + (newline + head).join(rows) + newline
 
 
 def write_csv(path, field: KernelField):
@@ -250,7 +248,7 @@ def write_csv(path, field: KernelField):
     names = ["i", "j"] + [f"i{k}" for k in range(grid.dim)] + ["value"]
 
     def text(vals):
-        return format_rows("", prefixes, [vals.ravel().tolist()])
+        return format_rows("", prefixes, vals.ravel().tolist())
     shared, M = depends_on_gap(field.stacks), len(field.stacks) - 1
     # slice k of the last stack M has the gap M - k
     gap_texts = {M - k: text(vals) for k, vals in

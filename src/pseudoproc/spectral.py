@@ -17,7 +17,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .grid import SpaceTimeGrid, synthesize, analyze, interior_mask
+from .grid import SpaceTimeGrid, synthesize, analyze, interior_mask, convolve
 from .quadrature import gauss_panels
 from .symbols import SymbolSpec, PseudoGradientSpec
 from .fields import KernelField, by_gap
@@ -341,7 +341,6 @@ def pseudo_gradient_g0(sym: SymbolSpec, pg: PseudoGradientSpec,
 def chapman_defect(sym: SymbolSpec, grid: SpaceTimeGrid,
                    dt1: float, dt2: float) -> float:
     """Max-norm of g0(dt1) (*) g0(dt2) - g0(dt1 + dt2), lattice convolution."""
-    from .grid import convolve
     a = sym.on_grid(grid)
     g1 = synthesize(grid, np.exp(-a * dt1))
     g2 = synthesize(grid, np.exp(-a * dt2))

@@ -1,10 +1,11 @@
 """Aggregated property suite: envelopes, scaling laws, oracles, stability.
 
-Every check is registered once under its name, with the claim it tests and
-a runner producing one or more result rows; each row carries the provenance
-tag of its own expected value.  The default selection reproduces the
-acceptance criteria of the build; a few supplemental rows (golden-fixture
-comparisons, positivity, analytic peak value) guard the harness itself.
+Every check is named once, in `REGISTRY`, and its runner produces one or
+more result rows; each row carries the provenance tag of its own expected
+value, and this module alone decides whether it passes.  The default
+selection reproduces the acceptance criteria of the build; a few
+supplemental rows (golden-fixture comparisons, positivity, analytic peak
+value) guard the harness itself.
 Runs are deterministic: no randomness enters anywhere, so two consecutive
 runs on the same fixtures produce identical reports.
 """
@@ -59,20 +60,10 @@ def envelope_shape(form: str, dt, r, alpha: float, beta: float,
     raise ValueError(f"unknown envelope form {form!r}")
 
 
-@dataclass
-class EnvelopeFit:
-    form: str
-    constant: float          # tightest constant over the probe set
-    violation: float         # max value / (constant * shape); 1 after fitting
-
-    @property
-    def passed(self) -> bool:
-        return np.isfinite(self.constant) and self.violation <= 1.0 + 1e-12
-
-
 def fit_envelope(samples: Sequence, form: str, alpha: float, beta: float,
-                 gamma: float, dim: int) -> EnvelopeFit:
-    """Fit the multiplicative constant of a fixed-exponent envelope.
+                 gamma: float, dim: int) -> float:
+    """The multiplicative constant of a fixed-exponent envelope: the
+    tightest one over the probe set.
 
     samples are (gap, offset, value) triples; at least a handful spanning a
     genuine range of gaps is required (a probe set with a single gap cannot
@@ -85,11 +76,7 @@ def fit_envelope(samples: Sequence, form: str, alpha: float, beta: float,
     if np.allclose(gaps, gaps[0]):
         raise ValueError("degenerate probe set: all samples share one gap")
     shape = envelope_shape(form, arr[:, 0], arr[:, 1], alpha, beta, gamma, dim)
-    ratio = np.abs(arr[:, 2]) / shape
-    constant = float(ratio.max())
-    violation = float((np.abs(arr[:, 2]) / (constant * shape)).max()) \
-        if constant > 0 else 0.0
-    return EnvelopeFit(form, constant, violation)
+    return float((np.abs(arr[:, 2]) / shape).max())
 
 
 def self_similarity_defect(sym: SymbolSpec, grid: SpaceTimeGrid,
@@ -134,7 +121,6 @@ class CheckResult:
 
 @dataclass
 class CheckSpec:
-    claim: str
     runner: Callable
 
 
@@ -258,12 +244,17 @@ class FixtureSet(RunConfig):
 # the checks
 # ---------------------------------------------------------------------------
 
-def _result(check, params, value, threshold, mode, passed, provenance):
-    return CheckResult(check, params, float(value), float(threshold), mode,
-                       bool(passed), provenance)
+def _result(check, params, value, threshold, mode, provenance, passed=None):
+    """One report row; without `passed` it passes when value < threshold."""
+    value, threshold = float(value), float(threshold)
+    if passed is None:
+        passed = value < threshold
+    return CheckResult(check, params, value, threshold, mode, bool(passed),
+                       provenance)
 
 
 def check_mass_conservation(fx: FixtureSet) -> List[CheckResult]:
+    """Base and perturbed kernels integrate to one on the lattice."""
     sym, grid = fx.symbol(), fx.grid()
     worst_g0 = max(abs(g0_values(sym, grid, gap).sum() * grid.cell_volume - 1.0)
                    for gap in grid.gaps())
@@ -272,21 +263,23 @@ def check_mass_conservation(fx: FixtureSet) -> List[CheckResult]:
                            - 1.0).max())
     return [
         _result("mass-conservation/base", "all gaps on the partition",
-                worst_g0, 1e-6, "absolute", worst_g0 < 1e-6, "trivial"),
+                worst_g0, 1e-6, "absolute", "trivial"),
         _result("mass-conservation/perturbed", "all stored time pairs",
-                worst_G, 5e-3, "absolute", worst_G < 5e-3, "derived-oracle"),
+                worst_G, 5e-3, "absolute", "derived-oracle"),
     ]
 
 
 def check_self_similarity(fx: FixtureSet) -> List[CheckResult]:
+    """The base kernel obeys the exact homogeneity scaling law."""
     sym, grid = fx.symbol(), fx.grid()
     worst = max(self_similarity_defect(sym, grid, dt)
                 for dt in (grid.dt, 0.25, 1.0, 2.0))
     return [_result("self-similarity", "dt in {1/16, 1/4, 1, 2}",
-                    worst, 1e-5, "relative", worst < 1e-5, "trivial")]
+                    worst, 1e-5, "relative", "trivial")]
 
 
 def check_pseudo_gradient_agreement(fx: FixtureSet) -> List[CheckResult]:
+    """Spectral and singular-integral modes agree; plane-wave consistency."""
     grid = fx.grid()
     gauss = (lambda x: np.exp(-0.5 * x ** 2)) if fx.dim == 1 else \
         (lambda x, y: np.exp(-0.5 * (x ** 2 + y ** 2)))
@@ -305,11 +298,11 @@ def check_pseudo_gradient_agreement(fx: FixtureSet) -> List[CheckResult]:
     monotone = all(d2 < d1 for d1, d2 in zip(diffs, diffs[1:]))
     rows = [
         _result("pseudo-gradient/cross-mode", "gaussian, eps=1e-6*dx",
-                diffs[-1], 1e-3, "absolute", diffs[-1] < 1e-3, "derived-oracle"),
+                diffs[-1], 1e-3, "absolute", "derived-oracle"),
         _result("pseudo-gradient/cutoff-monotone",
                 "eps sweep 1e-2,1e-4,1e-6 (*dx)",
-                diffs[0] / diffs[-1], 1.0, "ratio-trend", monotone,
-                "derived-oracle"),
+                diffs[0] / diffs[-1], 1.0, "ratio-trend", "derived-oracle",
+                passed=monotone),
     ]
     for d in (1, 2):
         pg = PseudoGradientSpec(beta=fx.beta, dim=d)
@@ -319,12 +312,14 @@ def check_pseudo_gradient_agreement(fx: FixtureSet) -> List[CheckResult]:
                                       panels_per_decade=6)
         rows.append(_result(f"pseudo-gradient/plane-wave-{d}d",
                             f"beta={fx.beta} |lam|=1.3 refined cutoffs",
-                            fine, 1e-6, "absolute",
-                            fine < 1e-6 and fine < coarse, "derived-oracle"))
+                            fine, 1e-6, "absolute", "derived-oracle",
+                            passed=fine < 1e-6 and fine < coarse))
     return rows
 
 
 def check_constant_drift_oracle(fx: FixtureSet) -> List[CheckResult]:
+    """The series solution matches the exact transform for drift constant in
+    space; rows of constant drift depend on the gap alone."""
     def rel_error(prob, rows, pairs):
         """Largest masked relative error of the rows of the pairs (i, j)
         against the exact kernel."""
@@ -366,21 +361,22 @@ def check_constant_drift_oracle(fx: FixtureSet) -> List[CheckResult]:
                / peak[j - 1::-1]).max() for j in range(1, prob.M + 1))
     return [
         _result("constant-drift-oracle/bulk", "all pairs, |G| > 1e-4",
-                err_all, 2e-2, "relative", err_all < 2e-2, "derived-oracle"),
+                err_all, 2e-2, "relative", "derived-oracle"),
         _result("constant-drift-oracle/refinement",
                 "fixed physical pairs, 2x space-time",
-                fine / coarse, 0.95, "ratio-trend", fine < 0.95 * coarse,
-                "derived-oracle"),
+                fine / coarse, 0.95, "ratio-trend", "derived-oracle",
+                passed=fine < 0.95 * coarse),
         _result("constant-drift-oracle/time-dependent",
                 "b(t) = 0.75 + 0.5 cos(2 pi t), all pairs, |G| > 1e-4",
-                err_t, 1e-3, "relative", err_t < 1e-3, "derived-oracle"),
+                err_t, 1e-3, "relative", "derived-oracle"),
         _result("constant-drift-oracle/equal-gap",
                 "rows of equal gap, lattice sup norm over the row's",
-                gap, 1e-13, "relative", gap < 1e-13, "derived-oracle"),
+                gap, 1e-13, "relative", "derived-oracle"),
     ]
 
 
 def check_negativity_witness(fx: FixtureSet) -> List[CheckResult]:
+    """The perturbed kernel attains negative values (a signed family)."""
     sym, grid = fx.symbol(), fx.grid()
     cf = constant_drift_values(sym, fx.pgrad(), fx.along_x(1.0), grid,
                                fx.horizon)
@@ -391,17 +387,18 @@ def check_negativity_witness(fx: FixtureSet) -> List[CheckResult]:
     lo, hi = golden["band"]
     return [
         _result("negativity-witness/closed-form", "b=1, dt=1, defaults",
-                cf_min, -1e-6, "absolute", cf_min < -1e-6, "derived-oracle"),
+                cf_min, -1e-6, "absolute", "derived-oracle"),
         _result("negativity-witness/solver", "b=1, pair (0, M)",
-                solver_min, -1e-6, "absolute", solver_min < -1e-6,
-                "derived-oracle"),
+                solver_min, -1e-6, "absolute", "derived-oracle"),
         _result("negativity-witness/golden-band",
                 f"recorded fixture band ({lo:g}, {hi:g})",
-                cf_min, hi, "band", lo <= cf_min <= hi, "frozen-golden"),
+                cf_min, hi, "band", "frozen-golden",
+                passed=lo <= cf_min <= hi),
     ]
 
 
 def check_evolution_property_suite(fx: FixtureSet) -> List[CheckResult]:
+    """The two-parameter composition identity on all shipped data."""
     prob, G_rows = fx.solved_problem()
     Gf = prob.rows_to_scalar_field(G_rows)
     gf = base_kernel_field(fx.symbol(), fx.grid())
@@ -412,15 +409,16 @@ def check_evolution_property_suite(fx: FixtureSet) -> List[CheckResult]:
         wp = max(check_evolution_property(Gf, *tr, phi) for tr in triples)
         rows.append(_result(f"evolution-property/unperturbed-{phi.name}",
                             "three index triples", w0, 1e-5, "absolute",
-                            w0 < 1e-5, "trivial"))
+                            "trivial"))
         rows.append(_result(f"evolution-property/perturbed-{phi.name}",
                             "three index triples", wp, 5e-3 * phi.bound,
-                            "absolute", wp < 5e-3 * phi.bound,
-                            "derived-oracle"))
+                            "absolute", "derived-oracle"))
     return rows
 
 
 def check_identity_limit_suite(fx: FixtureSet) -> List[CheckResult]:
+    """The operators tend to the identity as the gap closes, at the known
+    rate."""
     freq = 2.0 * np.pi * 1 / (2.0 * fx.half_extent)
     phi = fourier_mode(freq)
     prob, G_rows = fx.solved_problem(magnitude=0.5)
@@ -432,23 +430,25 @@ def check_identity_limit_suite(fx: FixtureSet) -> List[CheckResult]:
     fit, ofit = table.fitted_exponent(), oracle.fitted_exponent()
     return [
         _result("identity-limit/monotone", "lowest lattice mode, b=0.5",
-                float(table.monotone), 1.0, "absolute", table.monotone,
-                "trivial"),
+                float(table.monotone), 1.0, "absolute", "trivial",
+                passed=table.monotone),
         _result("identity-limit/finest-gap", "finest partition gap",
                 table.errors[0], 1e-2 * phi.bound, "absolute",
-                table.errors[0] < 1e-2 * phi.bound, "derived-oracle"),
+                "derived-oracle"),
         _result("identity-limit/rate-vs-oracle",
                 "fitted exponent against the exact-kernel table",
-                abs(fit - ofit), 0.1, "exponent-fit", abs(fit - ofit) <= 0.1,
-                "derived-oracle"),
+                abs(fit - ofit), 0.1, "exponent-fit", "derived-oracle",
+                passed=abs(fit - ofit) <= 0.1),
         _result("identity-limit/rate-floor",
                 f"proof floor {floor:.4f} minus 0.1",
-                fit, floor - 0.1, "exponent-fit", fit >= floor - 0.1,
-                "analytic"),
+                fit, floor - 0.1, "exponent-fit", "analytic",
+                passed=fit >= floor - 0.1),
     ]
 
 
 def check_series_residual(fx: FixtureSet) -> List[CheckResult]:
+    """The converged series satisfies its own equation; its term ratios
+    decline with the Euler-beta factors."""
     prob, G_rows = fx.solved_problem()
     res_v = prob.series_residual(G_rows)
     res_G = prob.perturbation_residual(G_rows)
@@ -470,25 +470,29 @@ def check_series_residual(fx: FixtureSet) -> List[CheckResult]:
     lo, hi = GOLDEN_VALUES["series_ratio_slope_band"]["value"]
     return [
         _result("series-residual/fixed-point", "direct solve, v = multiplier * G",
-                res_v, 10 * fx.stop_tol, "absolute", res_v < 10 * fx.stop_tol,
-                "derived-oracle"),
+                res_v, 10 * fx.stop_tol, "absolute", "derived-oracle"),
         _result("series-residual/perturbation-identity",
                 "solved kernel plugged back", res_G, 10 * fx.stop_tol,
-                "absolute", res_G < 10 * fx.stop_tol, "derived-oracle"),
+                "absolute", "derived-oracle"),
         _result("series-residual/ratio-trend",
                 f"six term ratios vs Euler-beta factors, band ({lo}, {hi})",
-                slope, hi, "ratio-trend", lo <= slope <= hi, "frozen-golden"),
+                slope, hi, "ratio-trend", "frozen-golden",
+                passed=lo <= slope <= hi),
     ]
 
 
 def check_convolution_scaling(fx: FixtureSet) -> List[CheckResult]:
+    """The two-envelope space-time convolution carries the predicted
+    exponent."""
     bundles = ((0.0, 0.0, 0.5, 0.5), (0.45, 0.75, 0.9, 0.9))
     gaps = 6.0 ** fx.alpha / 1000.0 * np.logspace(-1.0, 0.0, 6)
     reports = kernel_convolution_scaling(bundles, fx.alpha, 1, gaps=gaps)
     return [_result(f"convolution-scaling/bundle-{nb}",
                     f"kappa={kappa} lambda={lam} k={k} l={l}",
                     rep.fitted_exponent, rep.predicted_exponent,
-                    "exponent-fit", rep.passed, "derived-oracle")
+                    "exponent-fit", "derived-oracle",
+                    passed=abs(rep.fitted_exponent
+                               - rep.predicted_exponent) <= 0.1)
             for nb, ((kappa, lam, k, l), rep) in enumerate(zip(bundles,
                                                                 reports))]
 
@@ -514,6 +518,8 @@ def _one_dimensional(fx: FixtureSet, check: str):
 
 
 def check_envelope_fits(fx: FixtureSet) -> List[CheckResult]:
+    """The kernel families fit their two-term envelopes with constants
+    that stay finite and stable under refinement."""
     _one_dimensional(fx, "envelope-fits")
     sym = fx.symbol()
     offsets = (0.55, 1.9, 6.6)
@@ -540,16 +546,18 @@ def check_envelope_fits(fx: FixtureSet) -> List[CheckResult]:
             fit = fit_envelope(_envelope_probes(data, x, offsets), form,
                                fx.alpha, fx.beta, fx.gamma, fx.dim)
             fits.setdefault(form, []).append(fit)
-    for form, (f1, f2) in fits.items():
-        stable = max(f1.constant, f2.constant) / min(f1.constant, f2.constant)
-        ok = f1.passed and f2.passed and stable <= 2.0
+    for form, (c1, c2) in fits.items():
+        stable = max(c1, c2) / min(c1, c2)
         rows.append(_result(f"envelope/{form}",
                             "3x3 probes, refinement 1024->2048",
-                            stable, 2.0, "band", ok, "derived-oracle"))
+                            stable, 2.0, "band", "derived-oracle",
+                            passed=math.isfinite(c1) and math.isfinite(c2)
+                            and stable <= 2.0))
     return rows
 
 
 def check_drift_stability(fx: FixtureSet) -> List[CheckResult]:
+    """The kernel distance scales linearly with the drift distance."""
     sym, grid = fx.symbol(), fx.grid()
     pg = fx.pgrad()
     rows = []
@@ -567,7 +575,7 @@ def check_drift_stability(fx: FixtureSet) -> List[CheckResult]:
     band_c = ratio_band(const_pairs)
     rows.append(_result("drift-stability/constant-pair",
                         "delta halved twice from 1e-2", band_c, 2.0, "band",
-                        band_c <= 2.0, "derived-oracle"))
+                        "derived-oracle", passed=band_c <= 2.0))
 
     square = lambda t: np.where((t * 8) % 2 < 1, 1.0, -1.0)
     base = DriftField(dim=fx.dim, kind="time",
@@ -581,11 +589,12 @@ def check_drift_stability(fx: FixtureSet) -> List[CheckResult]:
     band_r = ratio_band(rough_pairs)
     rows.append(_result("drift-stability/mollified-rough-pair",
                         "mollified square profile, p=8", band_r, 2.0, "band",
-                        band_r <= 2.0, "derived-oracle"))
+                        "derived-oracle", passed=band_r <= 2.0))
     return rows
 
 
 def check_cauchy_residual_suite(fx: FixtureSet) -> List[CheckResult]:
+    """The backward equation's residual vanishes under refinement."""
     sym, pg = fx.symbol(), fx.pgrad()
     phi_mode = replace(fx, phi="mode8").phi_function()
     grid = fx.grid()
@@ -617,23 +626,22 @@ def check_cauchy_residual_suite(fx: FixtureSet) -> List[CheckResult]:
     oracle_ratio = err[2 * fx.steps] / err[fx.steps]
     return [
         _result("cauchy-residual/unperturbed-mode", "b=0, lattice mode 8",
-                r0, 1e-4, "absolute", r0 < 1e-4, "derived-oracle"),
+                r0, 1e-4, "absolute", "derived-oracle"),
         _result("cauchy-residual/refinement", "smooth compact b, 2x in space-time",
-                fine / coarse, 0.7, "ratio-trend", fine / coarse < 0.7,
-                "derived-oracle"),
+                fine / coarse, 0.7, "ratio-trend", "derived-oracle"),
         _result("cauchy-residual/constant-in-space-oracle",
                 "b(t) = 0.75 + 0.5 cos(2 pi t), max over slices of the sup "
                 "error against the closed form",
-                err[fx.steps], 2e-4, "absolute", err[fx.steps] < 2e-4,
-                "derived-oracle"),
+                err[fx.steps], 2e-4, "absolute", "derived-oracle"),
         _result("cauchy-residual/oracle-refinement",
                 "the closed-form error, 2x in space-time",
-                oracle_ratio, 1.0 / 3.0, "ratio-trend",
-                oracle_ratio < 1.0 / 3.0, "derived-oracle"),
+                oracle_ratio, 1.0 / 3.0, "ratio-trend", "derived-oracle"),
     ]
 
 
 def check_terminal_average(fx: FixtureSet) -> List[CheckResult]:
+    """The data-averaged kernel is Lipschitz at the predicted blow-up rate
+    and kills constants."""
     _one_dimensional(fx, "terminal-average")
     prob, G_rows = fx.solved_problem(points=1024)
     vf = prob.rows_to_vector_field(prob.v_rows(G_rows))
@@ -644,15 +652,18 @@ def check_terminal_average(fx: FixtureSet) -> List[CheckResult]:
         _result("terminal-average/lipschitz-exponent",
                 f"steep step on N=1024, predicted {rep.predicted_exponent:.3f}",
                 rep.fitted_exponent, rep.predicted_exponent, "exponent-fit",
-                rep.passed, "derived-oracle"),
+                "derived-oracle",
+                passed=abs(rep.fitted_exponent
+                           - rep.predicted_exponent) <= 0.15),
         _result("terminal-average/constants-vanish", "phi = 1 pairing",
-                ones, 5e-3, "absolute", ones < 5e-3, "trivial"),
+                ones, 5e-3, "absolute", "trivial"),
     ]
 
 
 # -- supplemental harness guards ---------------------------------------------
 
 def check_resolution_golden(fx: FixtureSet) -> List[CheckResult]:
+    """The frozen resolution diagnostics reproduce exactly."""
     sym, grid = fx.symbol(), fx.grid(1024)
     rep = check_resolution(sym, grid, 0.05)
     gt = GOLDEN_VALUES["resolution_tail"]
@@ -661,23 +672,26 @@ def check_resolution_golden(fx: FixtureSet) -> List[CheckResult]:
     bd_ok = math.isclose(rep.boundary_mass, gb["value"], rel_tol=gb["rtol"])
     return [
         _result("resolution-golden/tail", gt["grid"], rep.spectral_tail,
-                gt["value"], "band", tail_ok, "frozen-golden"),
+                gt["value"], "band", "frozen-golden", passed=tail_ok),
         _result("resolution-golden/boundary", gb["grid"], rep.boundary_mass,
-                gb["value"], "band", bd_ok, "frozen-golden"),
+                gb["value"], "band", "frozen-golden", passed=bd_ok),
     ]
 
 
 def check_normalizer_golden(fx: FixtureSet) -> List[CheckResult]:
+    """The singular-integral normalizer matches its recorded value."""
     g = GOLDEN_VALUES["normalizer_halforder_1d"]
     val = pseudo_gradient_normalizer(0.5, 1)
     alt = pseudo_gradient_normalizer_neg_gamma(0.5, 1)
     ok = math.isclose(val, g["value"], rel_tol=g["rtol"]) and \
         math.isclose(val, alt, rel_tol=1e-12)
     return [_result("normalizer-golden", "beta=0.5, dim=1", val, g["value"],
-                    "band", ok, "frozen-golden")]
+                    "band", "frozen-golden", passed=ok)]
 
 
 def check_kernel_positivity(fx: FixtureSet) -> List[CheckResult]:
+    """Positivity, the two-gap identity and the analytic peak value of the
+    base kernel."""
     sym, grid = fx.symbol(), fx.grid()
     worst = min(float(g0_values(sym, grid, dt).min()) for dt in (0.5, 1.0))
     ck = max(chapman_defect(sym, grid, 0.25, 0.5),
@@ -689,12 +703,11 @@ def check_kernel_positivity(fx: FixtureSet) -> List[CheckResult]:
              / ((4.0 * math.pi) ** (d / 2) * math.gamma(1.0 + d / 2)))
     return [
         _result("base-kernel/positivity", "resolved gaps dt in {0.5, 1}",
-                worst, -1e-8, "absolute", worst >= -1e-8, "trivial"),
+                worst, -1e-8, "absolute", "trivial", passed=worst >= -1e-8),
         _result("base-kernel/two-gap-identity", "lattice convolution",
-                ck, 1e-5, "absolute", ck < 1e-5, "trivial"),
+                ck, 1e-5, "absolute", "trivial"),
         _result("base-kernel/peak-value", "dt=1 on N=2048, L=160 vs analytic",
-                abs(peak - exact), 1e-6, "absolute", abs(peak - exact) < 1e-6,
-                "analytic"),
+                abs(peak - exact), 1e-6, "absolute", "analytic"),
     ]
 
 
@@ -702,71 +715,25 @@ def check_kernel_positivity(fx: FixtureSet) -> List[CheckResult]:
 # registry and runner
 # ---------------------------------------------------------------------------
 
-REGISTRY: Dict[str, CheckSpec] = {}
-
-
-def _register(name, claim, runner):
-    REGISTRY[name] = CheckSpec(claim, runner)
-
-
-_register("mass-conservation",
-          "base and perturbed kernels integrate to one on the lattice",
-          check_mass_conservation)
-_register("self-similarity",
-          "base kernel obeys the exact homogeneity scaling law",
-          check_self_similarity)
-_register("pseudo-gradient",
-          "spectral and singular-integral modes agree; plane-wave consistency",
-          check_pseudo_gradient_agreement)
-_register("constant-drift-oracle",
-          "series solution matches the exact transform for drift constant "
-          "in space; rows of constant drift depend on the gap alone",
-          check_constant_drift_oracle)
-_register("negativity-witness",
-          "perturbed kernel attains negative values (signed family)",
-          check_negativity_witness)
-_register("evolution-property",
-          "two-parameter composition identity on all shipped data",
-          check_evolution_property_suite)
-_register("identity-limit",
-          "operators tend to the identity as the gap closes, at the known rate",
-          check_identity_limit_suite)
-_register("series-residual",
-          "converged series satisfies its own equation; term ratios decline "
-          "with the Euler-beta factors",
-          check_series_residual)
-_register("convolution-scaling",
-          "two-envelope space-time convolution carries the predicted exponent",
-          check_convolution_scaling)
-_register("envelope-fits",
-          "kernel families fit their two-term envelopes with stable constants",
-          check_envelope_fits)
-_register("drift-stability",
-          "kernel distance scales linearly with the drift distance",
-          check_drift_stability)
-_register("cauchy-residual",
-          "backward equation residual vanishes under refinement",
-          check_cauchy_residual_suite)
-_register("terminal-average",
-          "data-averaged kernel is Lipschitz at the predicted blow-up rate "
-          "and kills constants",
-          check_terminal_average)
-_register("resolution-golden",
-          "frozen resolution diagnostics reproduce exactly",
-          check_resolution_golden)
-_register("normalizer-golden",
-          "singular-integral normalizer matches its recorded value",
-          check_normalizer_golden)
-_register("base-kernel",
-          "positivity, two-gap identity and the analytic peak value",
-          check_kernel_positivity)
-
-ACCEPTANCE_CHECKS = (
-    "mass-conservation", "self-similarity", "pseudo-gradient",
-    "constant-drift-oracle", "negativity-witness", "evolution-property",
-    "identity-limit", "series-residual", "convolution-scaling",
-    "envelope-fits", "drift-stability", "cauchy-residual", "terminal-average",
-)
+# every check, in report order; each runner's docstring says what it tests
+REGISTRY: Dict[str, CheckSpec] = {
+    "mass-conservation": CheckSpec(check_mass_conservation),
+    "self-similarity": CheckSpec(check_self_similarity),
+    "pseudo-gradient": CheckSpec(check_pseudo_gradient_agreement),
+    "constant-drift-oracle": CheckSpec(check_constant_drift_oracle),
+    "negativity-witness": CheckSpec(check_negativity_witness),
+    "evolution-property": CheckSpec(check_evolution_property_suite),
+    "identity-limit": CheckSpec(check_identity_limit_suite),
+    "series-residual": CheckSpec(check_series_residual),
+    "convolution-scaling": CheckSpec(check_convolution_scaling),
+    "envelope-fits": CheckSpec(check_envelope_fits),
+    "drift-stability": CheckSpec(check_drift_stability),
+    "cauchy-residual": CheckSpec(check_cauchy_residual_suite),
+    "terminal-average": CheckSpec(check_terminal_average),
+    "resolution-golden": CheckSpec(check_resolution_golden),
+    "normalizer-golden": CheckSpec(check_normalizer_golden),
+    "base-kernel": CheckSpec(check_kernel_positivity),
+}
 
 
 def run_suite(fixtures: Optional[FixtureSet] = None,

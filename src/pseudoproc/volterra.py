@@ -322,10 +322,6 @@ class ScalingFitReport:
     gaps: np.ndarray
     values: np.ndarray
 
-    @property
-    def passed(self) -> bool:
-        return abs(self.fitted_exponent - self.predicted_exponent) <= 0.1
-
 
 # time nodes per block of the z quadrature: the block's (rows, 71, 10) node
 # arrays stay near 60 kB each
@@ -370,8 +366,8 @@ def kernel_convolution_scaling(bundles, alpha: float, dim: int,
     Int_0^T dsig Int dz of the product of the two power-law envelopes
     (exponents kappa, lam in time and d+k, d+l in space) at fixed spatial
     separation offset = 6 at the given gaps, which belong well below
-    offset^alpha, and fits log value against log gap; a report passes
-    within 0.1 of the predicted exponent.  The admissible range
+    offset^alpha, and fits log value against log gap; the report carries the
+    fitted and the predicted exponent.  The admissible range
     0 < k < alpha + kappa, 0 < l < alpha + lambda is enforced per bundle.
 
     The quadrature nodes depend on alpha and the gap alone, so every bundle

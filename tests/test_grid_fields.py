@@ -358,7 +358,7 @@ def _reference_long_csv(grid, values):
     text = ",".join(names) + "\n"
     for key, vals in sorted(values.items()):
         text += format_rows("".join(f"{k}," for k in key), prefixes,
-                            [np.asarray(vals, dtype=float).ravel().tolist()])
+                            np.asarray(vals, dtype=float).ravel().tolist())
     return text
 
 
@@ -490,7 +490,8 @@ def test_long_csv_formats_a_gap_field_once_per_gap(tmp_path, monkeypatch):
     copies = KernelField(grid, "G", [s.copy() for s in shared.stacks])
     calls, counts = [], {}
     monkeypatch.setattr(fields_module, "format_rows",
-                        lambda *a, **k: calls.append(a) or format_rows(*a, **k))
+                        lambda head, prefixes, values, **k: calls.append(head)
+                        or format_rows(head, prefixes, values, **k))
     for name, field in (("shared", shared), ("copies", copies)):
         write_csv(tmp_path / f"{name}.csv", field)
         counts[name] = len(calls)

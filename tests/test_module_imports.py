@@ -124,9 +124,10 @@ def test_the_package_imports_no_scipy(path):
 
 
 def _unreached(trees, mentioned):
-    """Names of the functions, methods and classes of `trees` that no Name
-    or Attribute load outside their own body reads and `mentioned` does not
-    name; dunder methods, called by the language, are left out.
+    """Names of the functions, methods, classes and module-level assigned
+    names of `trees` that no Name or Attribute load outside their own body
+    (for a name, its assignment) reads and `mentioned` does not name; dunder
+    names, read by the language, are left out.
 
     A method is reported as "Class.name".  `self.name` and `cls.name` in a
     class, and `Class.name`, reach name on that class and its bases alone;
@@ -166,18 +167,25 @@ def _unreached(trees, mentioned):
             scan(child, child.name if isinstance(child, ast.ClassDef)
                  else owner)
 
-    definitions = []    # (owning class or None, node)
+    definitions = []    # (owning class or None, name, defining node)
     for tree in trees:
         scan(tree, None)
         for node in ast.walk(tree):
             owner = node.name if isinstance(node, ast.ClassDef) else None
-            definitions += [(owner, child) for child in ast.iter_child_nodes(node)
+            definitions += [(owner, child.name, child)
+                            for child in ast.iter_child_nodes(node)
                             if isinstance(child, (ast.FunctionDef,
                                                   ast.AsyncFunctionDef,
                                                   ast.ClassDef))]
+        definitions += [(None, target.id, node) for node in tree.body
+                        if isinstance(node, (ast.Assign, ast.AnnAssign))
+                        for top in (node.targets if isinstance(node, ast.Assign)
+                                    else [node.target])
+                        for target in ast.walk(top)
+                        if isinstance(target, ast.Name)
+                        and isinstance(target.ctx, ast.Store)]
     found = set()
-    for owner, node in definitions:
-        name = node.name
+    for owner, name, node in definitions:
         if name.startswith("__") and name.endswith("__"):
             continue
         body = {id(n) for n in ast.walk(node)}
@@ -198,7 +206,17 @@ def test_the_reachability_scan_reports_an_unreached_definition():
                      "    def hooked(self):\n        pass\n"
                      "    def __repr__(self):\n        return ''\n"
                      "x = A().used()\n")
-    assert _unreached([tree], "Hook('m:A.hooked')") == {"A.recursive"}
+    assert _unreached([tree], "Hook('m:A.hooked')") == {"A.recursive", "x"}
+
+
+def test_the_reachability_scan_reports_an_unread_module_level_name():
+    tree = ast.parse("TABLE = {'a': 1}\n"
+                     "UNREAD, PAIRED = 2, 3\n"
+                     "COUNT: int = TABLE['a'] + PAIRED\n"
+                     "SQUARES = [k * k for k in range(COUNT)]\n"
+                     "__all__ = ['f']\n"
+                     "def f():\n    return SQUARES\n")
+    assert _unreached([tree], "f") == {"UNREAD"}
 
 
 def test_the_reachability_scan_keys_self_loads_by_their_class():
@@ -212,7 +230,7 @@ def test_the_reachability_scan_keys_self_loads_by_their_class():
                      "class C(A):\n"
                      "    def go(self):\n        return self.run()\n"
                      "x = C().go(), B\n")
-    assert _unreached([tree], "") == {"B.step"}
+    assert _unreached([tree], "") == {"B.step", "x"}
 
 
 def test_every_definition_is_reached():

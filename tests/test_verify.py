@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from pseudoproc.verify import (fit_envelope, envelope_shape, FixtureSet,
                                run_suite, REGISTRY, GOLDEN_VALUES,
-                               ACCEPTANCE_CHECKS, SuiteReport, CheckResult,
+                               SuiteReport, CheckResult, _result,
                                check_convolution_scaling)
 
 PARAMS = dict(alpha=1.5, beta=0.5, gamma=0.5, dim=1)
@@ -19,10 +19,9 @@ def _bound_samples(form, constant=1.0):
 
 
 def test_fit_recovers_unit_constant_exactly():
-    fit = fit_envelope(_bound_samples("base_kernel"), "base_kernel", **PARAMS)
-    assert fit.constant == pytest.approx(1.0, abs=1e-6)
-    assert fit.violation == pytest.approx(1.0, abs=1e-12)
-    assert fit.passed
+    constant = fit_envelope(_bound_samples("base_kernel"), "base_kernel",
+                            **PARAMS)
+    assert constant == pytest.approx(1.0, abs=1e-6)
 
 
 @settings(max_examples=25, deadline=None)
@@ -33,9 +32,7 @@ def test_fit_equivariance_under_scaling(scale):
                         "perturbed_kernel", **PARAMS)
     scaled = fit_envelope(_bound_samples("perturbed_kernel", constant=scale),
                           "perturbed_kernel", **PARAMS)
-    assert scaled.constant == pytest.approx(scale * base.constant, rel=1e-9)
-    assert scaled.violation == pytest.approx(base.violation, rel=1e-9)
-    assert scaled.passed == base.passed
+    assert scaled == pytest.approx(scale * base, rel=1e-9)
 
 
 def test_fit_rejects_degenerate_probes():
@@ -49,16 +46,13 @@ def test_unknown_envelope_form():
         envelope_shape("mystery", 0.1, 1.0, **PARAMS)
 
 
-def test_registry_covers_acceptance():
-    for name in ACCEPTANCE_CHECKS:
-        assert name in REGISTRY
-        assert REGISTRY[name].claim
-
-
 def test_empty_selection_reports_success():
     report = run_suite(FixtureSet(), selection="")
     assert report.results == []
     assert report.passed
+    # a row without a rule of its own passes strictly below its threshold
+    at = _result("edge", "at the threshold", 1e-6, 1e-6, "absolute", "trivial")
+    assert not at.passed and not SuiteReport([at]).passed
 
 
 def test_suite_is_deterministic():
