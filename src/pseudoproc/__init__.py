@@ -25,14 +25,13 @@ from .drift import (DriftField, DriftError, constant_drift, zero_drift,
                     mollified_time_drift, min_p_exponent, series_exponent)
 from .volterra import (ConvergenceMonitor, ConvergenceError,
                        PerturbationProblem, KernelRows, beta_rate_factor,
-                       kernel_convolution_scaling, ScalingFitReport)
+                       kernel_convolution_scaling)
 from .evolution import (TestFunction, EvolutionOperator, GeneratorAction,
                         TerminalValueProblem, apply_stack,
                         operator_bound_constant, check_evolution_property,
                         check_identity_limit, identity_limit_floor,
                         cauchy_residual, generalized_solution_stability,
                         check_w_lipschitz, terminal_average_of_ones,
-                        constant_one, fourier_mode, compact_bump, steep_step,
-                        DecayTable)
+                        constant_one, fourier_mode, compact_bump, steep_step)
 
 __version__ = "0.1.0"

@@ -325,12 +325,12 @@ def cmd_emit(args) -> int:
         prob = PerturbationProblem(sym, cfg.pgrad(), grid, b)
         G = prob.rows_to_scalar_field(
             prob.solve_v(ConvergenceMonitor(stop_tol=cfg.stop_tol)))
-        table = check_identity_limit(G, cfg.phi_function())
+        gaps, errors = check_identity_limit(G, cfg.phi_function())
         path = os.path.join(_outdir(cfg), "identity_decay.csv")
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["gap", "error"])
-            for g, e in zip(table.gaps, table.errors):
+            for g, e in zip(gaps, errors):
                 w.writerow([repr(float(g)), repr(float(e))])
         print(f"wrote {path}")
         return EXIT_OK

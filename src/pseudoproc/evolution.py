@@ -325,31 +325,15 @@ def check_evolution_property(G: KernelField, s: int, u: int, t: int,
     return float(np.abs(lhs - rhs).max())
 
 
-@dataclass
-class DecayTable:
-    gaps: np.ndarray
-    errors: np.ndarray
-
-    @property
-    def monotone(self) -> bool:
-        # decay toward s = t: errors shrink with the gap (table is gap-ascending)
-        return bool(np.all(np.diff(self.errors) >= -(1e-12 + 1e-9 * self.errors[1:])))
-
-    def fitted_exponent(self) -> float:
-        good = self.errors > 0
-        return float(np.polyfit(np.log(self.gaps[good]),
-                                np.log(self.errors[good]), 1)[0])
-
-
-def check_identity_limit(G: KernelField, phi: TestFunction) -> DecayTable:
-    """Table of sup |T_st phi - phi| over shrinking gaps (s -> t fixed),
-    the sup taken over the lattice points off the outer 20% of the box."""
+def check_identity_limit(G: KernelField, phi: TestFunction) -> tuple:
+    """(gaps, errors): sup |T_st phi - phi| over the gaps of the last stack
+    (s -> t fixed), gap-ascending, the sup taken over the lattice points off
+    the outer 20% of the box."""
     grid = G.grid
     j = len(G.stacks) - 1
     u = apply_stack(G, j, phi)[::-1]                # increasing gap
     errs = np.abs(u - phi.sample(grid))[:, interior_mask(grid, margin=0.2)]
-    gaps = (j - np.arange(len(u))[::-1]) * grid.dt
-    return DecayTable(gaps, errs.max(axis=1))
+    return (j - np.arange(len(u))[::-1]) * grid.dt, errs.max(axis=1)
 
 
 def identity_limit_floor(alpha: float, beta: float, dim: int, p: float) -> float:
@@ -379,21 +363,10 @@ def cauchy_residual(u_slices: Dict[int, np.ndarray], gen: GeneratorAction,
     return float(np.abs(r, out=r)[:, interior_mask(grid, margin=0.2)].max())
 
 
-@dataclass
-class StabilityRow:
-    label: str
-    drift_distance: float
-    kernel_distance: float
-
-    @property
-    def ratio(self) -> float:
-        return self.kernel_distance / self.drift_distance
-
-
 def generalized_solution_stability(sym: SymbolSpec, pg: PseudoGradientSpec,
                                    grid: SpaceTimeGrid,
                                    drift_pairs, stop_tol: float = 1e-8):
-    """Stability table ||G_tilde - G_hat||_inf vs ||b_tilde - b_hat||_p.
+    """(||b_tilde - b_hat||_p, ||G_tilde - G_hat||_inf) for each pair.
 
     drift_pairs is an iterable of (label, b_tilde, b_hat); members must be
     spatially constant (the kernel-level comparison of the bound).  A drift
@@ -417,37 +390,26 @@ def generalized_solution_stability(sym: SymbolSpec, pg: PseudoGradientSpec,
         # _defect reads its problem's grid, and its drift only to choose the
         # j = M path, which gives the same value: any member's problem serves
         worst = prob._defect(solved[id(b1)][1], solved[id(b2)][1])
-        rows.append(StabilityRow(label, dist, float(worst)))
+        rows.append((dist, float(worst)))
     return rows
 
 
-@dataclass
-class LipschitzReport:
-    gaps: np.ndarray
-    quotients: np.ndarray
-    fitted_exponent: float
-    predicted_exponent: float
-
-
-def check_w_lipschitz(v: KernelField, phi: TestFunction,
-                      alpha: float, beta: float) -> LipschitzReport:
-    """Fit the time-gap exponent of the Lipschitz quotient of w(s, ., t, phi).
+def check_w_lipschitz(v: KernelField, phi: TestFunction) -> tuple:
+    """(gaps, quotients): the Lipschitz quotient of w(s, ., t, phi) over the
+    gaps of the last stack, gap-ascending.
 
     w is assembled from the stored vector kernel by pairing with phi; the
-    quotient max_x |w(x + dx) - w(x)| / dx over the bulk is fitted against
-    the gap, with predicted exponent -(beta + 1)/alpha.
+    quotient is max_x |w(x + dx) - w(x)| / dx over the bulk.
     """
     grid = v.grid
     if grid.dim != 1:
-        raise NotImplementedError("the quotient fit probes the 1-d lattice")
+        raise NotImplementedError("the quotient probes the 1-d lattice")
     j = len(v.stacks) - 1
     w = convolve(grid, np.asarray(v.stacks[j])[::-1, 0],   # increasing gap
                  phi.sample(grid))
     q = np.abs(np.diff(w)) / grid.dx
-    quotients = q[:, interior_mask(grid, margin=0.2)[:-1]].max(axis=1)
-    gaps = (j - np.arange(len(w))[::-1]) * grid.dt
-    fit = float(np.polyfit(np.log(gaps), np.log(quotients), 1)[0])
-    return LipschitzReport(gaps, quotients, fit, -(beta + 1.0) / alpha)
+    return ((j - np.arange(len(w))[::-1]) * grid.dt,
+            q[:, interior_mask(grid, margin=0.2)[:-1]].max(axis=1))
 
 
 def terminal_average_of_ones(v: KernelField) -> float:

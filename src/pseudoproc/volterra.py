@@ -315,14 +315,6 @@ class PerturbationProblem:
 # two-kernel space-time convolution scaling
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ScalingFitReport:
-    fitted_exponent: float
-    predicted_exponent: float
-    gaps: np.ndarray
-    values: np.ndarray
-
-
 # time nodes per block of the z quadrature: the block's (rows, 71, 10) node
 # arrays stay near 60 kB each
 _SCALING_ROWS = 10
@@ -357,30 +349,23 @@ def _z_integrals(sig, T, alpha, powers) -> np.ndarray:
     return z.sum(axis=2)
 
 
-def kernel_convolution_scaling(bundles, alpha: float, dim: int,
-                               gaps) -> list:
-    """Fit the time-gap exponent of the two-envelope space-time convolution.
+def kernel_convolution_scaling(bundles, alpha: float, gaps) -> np.ndarray:
+    """The two-envelope space-time convolution of each exponent bundle at
+    each gap, an array (bundles, gaps), in one dimension.
 
-    bundles is a sequence of exponent bundles (kappa, lam, k, l); one
-    `ScalingFitReport` is returned per bundle, in order.  Each evaluates
-    Int_0^T dsig Int dz of the product of the two power-law envelopes
-    (exponents kappa, lam in time and d+k, d+l in space) at fixed spatial
-    separation offset = 6 at the given gaps, which belong well below
-    offset^alpha, and fits log value against log gap; the report carries the
-    fitted and the predicted exponent.  The admissible range
-    0 < k < alpha + kappa, 0 < l < alpha + lambda is enforced per bundle.
+    bundles is a sequence of exponent bundles (kappa, lam, k, l).  Each row
+    is Int_0^T dsig Int dz of the product of the two power-law envelopes
+    (exponents kappa, lam in time and 1+k, 1+l in space) at fixed spatial
+    separation offset = 6 at the given gaps T, which belong well below
+    offset^alpha, where the values follow a power law in the gap.  The
+    admissible range 0 < k < alpha + kappa, 0 < l < alpha + lambda is
+    enforced per bundle.
 
     The quadrature nodes depend on alpha and the gap alone, so every bundle
     shares them and the logs of the envelopes' denominators: per bundle the
     z integrand is one exp of a linear combination of those logs, built
     `_SCALING_ROWS` time nodes at a time.
-
-    The short-gap law at fixed separation carries the exponent
-    1 + (kappa + lam - max(k, l))/alpha; with k = l the two envelope terms
-    share it, which is the regime the acceptance bundles probe.
     """
-    if dim != 1:
-        raise NotImplementedError("scaling report is implemented for dim = 1")
     bundles = np.array(bundles, dtype=float).reshape(len(bundles), 4)
     kappa, lam, k, l = bundles.T
     if not (np.all((0.0 < k) & (k < alpha + kappa))
@@ -402,7 +387,4 @@ def kernel_convolution_scaling(bundles, alpha: float, dim: int,
                            + np.outer(kappa, np.log(T - sig))) / alpha)
             z = _z_integrals(sig[:, None], T, alpha, powers)
             vals[:, n] += (w * lead * z).sum(axis=1)
-    predicted = 1.0 + (kappa + lam - np.maximum(k, l)) / alpha
-    return [ScalingFitReport(float(np.polyfit(np.log(gaps), np.log(v), 1)[0]),
-                             float(p), gaps, v)
-            for p, v in zip(predicted, vals)]
+    return vals

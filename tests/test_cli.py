@@ -207,6 +207,21 @@ def test_verify_refusal_is_an_unsupported_configuration(tmp_path, capsys):
     assert "config error" not in err
 
 
+@pytest.mark.parametrize("check", ["envelope-fits", "evolution-property"])
+def test_verify_probes_follow_the_number_of_steps(tmp_path, capsys, check):
+    # the probes sit at fractions of the partition: M = 8 runs, and M = 2,
+    # without a quarter, is refused before any solve
+    assert main(["verify", "--steps", "8", "--only", check,
+                 "--outdir", str(tmp_path / "eight")]) == EXIT_OK
+    capsys.readouterr()
+    code = main(["verify", "--steps", "2", "--only", check,
+                 "--outdir", str(tmp_path / "two")])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith(f"unsupported configuration: {check}")
+    assert "Traceback" not in err
+
+
 def test_successive_commands_share_no_parser_state(tmp_path):
     from pseudoproc.cli import build_parser
     assert build_parser() is build_parser()    # built once per process

@@ -1,6 +1,6 @@
 """Every module-level import of the package is used by its module, no module
-imports scipy, and every function, method and class of the package is
-reached by the package or named by the benchmark."""
+imports scipy, only `verify` fits a rate, and every function, method and
+class of the package is reached by the package or named by the benchmark."""
 import ast
 import re
 from pathlib import Path
@@ -121,6 +121,33 @@ def test_the_package_imports_no_scipy(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert not _scipy_imports(tree), \
         f"{path.name}: scipy import at lines {_scipy_imports(tree)}"
+
+
+def _polyfit_calls(tree):
+    """Lines that call polyfit, by attribute (np.polyfit) or by bare name."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and (getattr(node.func, "attr", None) == "polyfit"
+                       or getattr(node.func, "id", None) == "polyfit"))
+
+
+def test_the_polyfit_scan_reports_every_form():
+    tree = ast.parse("import numpy as np\nfrom numpy import polyfit\n"
+                     "a = np.polyfit(x, y, 1)\nb = polyfit(x, y, 1)\n"
+                     "def f(x, y):\n"
+                     "    return np.polynomial.polynomial.polyfit(x, y, 1)\n"
+                     "c = np.polyval(a, x)\n")
+    assert _polyfit_calls(tree) == [3, 4, 6]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py"))
+                                  if p.name != "verify.py"],
+                         ids=lambda p: p.name)
+def test_only_the_verify_module_fits_a_rate(path):
+    # the library returns measurements; verify's _slope fits every rate
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert not _polyfit_calls(tree), \
+        f"{path.name}: polyfit at lines {_polyfit_calls(tree)}"
 
 
 def _unreached(trees, mentioned):

@@ -13,6 +13,7 @@ from pseudoproc import (SpaceTimeGrid,
                         synthesize, min_p_exponent, series_exponent)
 from pseudoproc.fields import depends_on_gap
 from pseudoproc.spectral import constant_drift_values
+from pseudoproc.verify import _slope
 
 
 @pytest.fixture(scope="module")
@@ -538,31 +539,27 @@ def test_convergence_log_rows(small_problem):
 def test_scaling_report_validates_exponents():
     gaps = [0.01, 0.1]
     with pytest.raises(ValueError):
-        kernel_convolution_scaling([(0.0, 0.0, 2.0, 0.5)], 1.5, 1, gaps)
+        kernel_convolution_scaling([(0.0, 0.0, 2.0, 0.5)], 1.5, gaps)
     with pytest.raises(ValueError):  # every bundle is checked
         kernel_convolution_scaling([(0.0, 0.0, 0.5, 0.5),
-                                    (0.0, 0.0, 0.5, 1.6)], 1.5, 1, gaps)
-    with pytest.raises(NotImplementedError):
-        kernel_convolution_scaling([(0.0, 0.0, 0.5, 0.5)], 1.5, 2, gaps)
+                                    (0.0, 0.0, 0.5, 1.6)], 1.5, gaps)
 
 
 def test_scaling_equal_exponent_formula_reduction():
     # with kappa = lambda = 0 and k = l both predicted exponents coincide
     gaps = 6.0 ** 1.5 / 1000.0 * np.logspace(-1, 0, 4)
-    rep, = kernel_convolution_scaling([(0.0, 0.0, 0.5, 0.5)], 1.5, 1,
-                                      gaps=gaps)
-    assert rep.predicted_exponent == pytest.approx(1.0 - 0.5 / 1.5)
-    assert abs(rep.fitted_exponent - rep.predicted_exponent) <= 0.1
+    values, = kernel_convolution_scaling([(0.0, 0.0, 0.5, 0.5)], 1.5,
+                                         gaps=gaps)
+    assert abs(_slope(gaps, values) - (1.0 - 0.5 / 1.5)) <= 0.1
 
 
 def test_scaling_spec_bundle_tracks_dominant_far_zone_exponent():
     # unequal spatial exponents: the short-gap law at fixed separation is
     # governed by the larger of the two
     gaps = 6.0 ** 1.5 / 1000.0 * np.logspace(-1, 0, 4)
-    rep, = kernel_convolution_scaling([(0.0, 0.0, 0.5, 1.0)], 1.5, 1,
-                                      gaps=gaps)
-    assert rep.predicted_exponent == pytest.approx(1.0 + (0.0 - 1.0) / 1.5)
-    assert abs(rep.fitted_exponent - rep.predicted_exponent) <= 0.1
+    values, = kernel_convolution_scaling([(0.0, 0.0, 0.5, 1.0)], 1.5,
+                                         gaps=gaps)
+    assert abs(_slope(gaps, values) - (1.0 + (0.0 - 1.0) / 1.5)) <= 0.1
 
 
 def test_series_exponent_infinite_p():
@@ -641,24 +638,21 @@ def _per_node_reference(bundle):
 
 @pytest.mark.parametrize("kappa, lam, k, l", _SCALING_BUNDLES)
 def test_scaling_matches_per_node_quadrature(kappa, lam, k, l):
-    rep, = kernel_convolution_scaling([(kappa, lam, k, l)], 1.5, 1,
-                                      gaps=_SCALING_GAPS)
-    np.testing.assert_allclose(rep.values,
+    values, = kernel_convolution_scaling([(kappa, lam, k, l)], 1.5,
+                                         gaps=_SCALING_GAPS)
+    np.testing.assert_allclose(values,
                                _per_node_reference((kappa, lam, k, l)),
                                rtol=1e-13, atol=0.0)
 
 
 def test_scaling_bundles_in_one_call_match_per_node_quadrature():
-    # the bundles share the nodes and the logs; each keeps its own report
-    reps = kernel_convolution_scaling(_SCALING_BUNDLES, 1.5, 1,
-                                      gaps=_SCALING_GAPS)
-    assert len(reps) == len(_SCALING_BUNDLES)
-    for (kappa, lam, k, l), rep in zip(_SCALING_BUNDLES, reps):
-        np.testing.assert_allclose(rep.values,
-                                   _per_node_reference((kappa, lam, k, l)),
+    # the bundles share the nodes and the logs; each keeps its own row
+    values = kernel_convolution_scaling(_SCALING_BUNDLES, 1.5,
+                                        gaps=_SCALING_GAPS)
+    assert values.shape == (len(_SCALING_BUNDLES), len(_SCALING_GAPS))
+    for bundle, row in zip(_SCALING_BUNDLES, values):
+        np.testing.assert_allclose(row, _per_node_reference(bundle),
                                    rtol=1e-13, atol=0.0)
-        assert rep.predicted_exponent == pytest.approx(
-            1.0 + (kappa + lam - max(k, l)) / 1.5)
 
 
 def _two_dimensional_problem():
